@@ -10,7 +10,7 @@ use std::hint::black_box;
 use dnasim_channel::{ErrorModel, NaiveModel};
 use dnasim_core::rng::seeded;
 use dnasim_core::Strand;
-use dnasim_profile::{edit_script, ErrorStats, TieBreak};
+use dnasim_profile::{edit_script, edit_script_with, EditScratch, ErrorStats, TieBreak};
 
 fn bench_edit_script(c: &mut Criterion) {
     let mut rng = seeded(1);
@@ -27,6 +27,30 @@ fn bench_edit_script(c: &mut Criterion) {
             )
         })
     });
+}
+
+/// The DP fills only the diagonals an optimal path can reach, so its cost
+/// grows with the distance: one group per channel error rate, through a
+/// reused scratch as the profiler and reconstructors run it.
+fn bench_edit_script_band(c: &mut Criterion) {
+    let mut rng = seeded(5);
+    let reference = Strand::random(110, &mut rng);
+    for rate in [0.02, 0.059, 0.2] {
+        let read = NaiveModel::with_total_rate(rate).corrupt(&reference, &mut rng);
+        c.bench_function(format!("edit-script-band/110bp-rate-{rate}"), |b| {
+            let mut rng = seeded(6);
+            let mut scratch = EditScratch::new();
+            b.iter(|| {
+                edit_script_with(
+                    &mut scratch,
+                    black_box(&reference),
+                    black_box(&read),
+                    TieBreak::Random,
+                    &mut rng,
+                )
+            })
+        });
+    }
 }
 
 fn bench_stats_recording(c: &mut Criterion) {
@@ -57,6 +81,6 @@ criterion_group! {
         .sample_size(40)
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_secs(1));
-    targets = bench_edit_script, bench_stats_recording
+    targets = bench_edit_script, bench_edit_script_band, bench_stats_recording
 }
 criterion_main!(benches);

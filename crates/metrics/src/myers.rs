@@ -15,6 +15,8 @@
 //!   either can play either role — the kernel picks the assignment that
 //!   minimises `pattern_words × text_len`.
 //! * [`distance`] computes the exact Levenshtein distance.
+//!   [`distance_bases_with`] computes it from unpacked base slices,
+//!   building the shorter operand's masks in the scratch.
 //! * [`within`] is the banded variant: it returns the exact distance when
 //!   it is ≤ `limit` and `None` otherwise, abandoning the column loop as
 //!   soon as the running score minus the remaining columns (a lower bound
@@ -39,10 +41,11 @@
 //! # Ok::<(), dnasim_core::ParseStrandError>(())
 //! ```
 
-use dnasim_core::PackedStrand;
+use dnasim_core::{Base, PackedStrand};
 
 /// Reusable per-call state for the blocked kernels: the `Pv`/`Mv` delta
-/// words, one pair per 64-base pattern block.
+/// words, one pair per 64-base pattern block, plus the equality planes of
+/// an unpacked pattern.
 ///
 /// The kernels resize these buffers on demand, so one scratch serves
 /// strands of any length; hot loops (cluster assignment, medoid selection)
@@ -51,6 +54,9 @@ use dnasim_core::PackedStrand;
 pub struct MyersScratch {
     pv: Vec<u64>,
     mv: Vec<u64>,
+    /// Pattern equality planes for [`distance_bases_with`], laid out as
+    /// `eq[code * words + w]`.
+    eq: Vec<u64>,
 }
 
 impl MyersScratch {
@@ -149,31 +155,70 @@ pub fn distance_with(scratch: &mut MyersScratch, a: &PackedStrand, b: &PackedStr
     if words == 1 {
         return distance_one_word(p, t);
     }
+    blocked_distance(&mut scratch.pv, &mut scratch.mv, m, t.codes(), |c| {
+        p.eq_by_code(c)
+    })
+}
 
-    scratch.pv.clear();
-    scratch.pv.resize(words, !0u64);
-    scratch.mv.clear();
-    scratch.mv.resize(words, 0);
+/// [`distance_with`] over unpacked base slices.
+///
+/// The shorter operand's equality planes are built into `scratch` rather
+/// than into a fresh [`PackedStrand`], so callers that hold plain strands
+/// (the profiler's edit-script DP, which needs the distance to size its
+/// band) pay no allocation once the scratch has grown.
+pub fn distance_bases_with(scratch: &mut MyersScratch, a: &[Base], b: &[Base]) -> usize {
+    let (p, t) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    if p.is_empty() {
+        return t.len();
+    }
+    if p == t {
+        return 0;
+    }
+    let words = p.len().div_ceil(64);
+    scratch.eq.clear();
+    scratch.eq.resize(4 * words, 0);
+    for (i, base) in p.iter().enumerate() {
+        scratch.eq[base.index() * words + (i >> 6)] |= 1u64 << (i & 63);
+    }
+    let eq = &scratch.eq;
+    blocked_distance(
+        &mut scratch.pv,
+        &mut scratch.mv,
+        p.len(),
+        t.iter().map(|base| base.index() as u8),
+        |c| &eq[(c & 3) as usize * words..][..words],
+    )
+}
+
+/// The blocked column loop shared by the exact kernels: streams `text`
+/// codes against a non-empty `m`-base pattern whose equality words for a
+/// code are `eq(code)` (⌈m/64⌉ words each).
+fn blocked_distance<'e>(
+    pv: &mut Vec<u64>,
+    mv: &mut Vec<u64>,
+    m: usize,
+    text: impl Iterator<Item = u8>,
+    eq: impl Fn(u8) -> &'e [u64],
+) -> usize {
+    let words = m.div_ceil(64);
+    pv.clear();
+    pv.resize(words, !0u64);
+    mv.clear();
+    mv.resize(words, 0);
     let last = words - 1;
     let score_bit = 1u64 << ((m - 1) & 63);
     let mut score = m as isize;
-    for c in t.codes() {
-        let eqs = p.eq_by_code(c);
+    for c in text {
+        let eqs = eq(c);
         let mut hin = 1i32;
-        for ((pv, mv), &eq) in scratch.pv[..last]
+        for ((pv, mv), &eq) in pv[..last]
             .iter_mut()
-            .zip(scratch.mv[..last].iter_mut())
+            .zip(mv[..last].iter_mut())
             .zip(&eqs[..last])
         {
             hin = step(pv, mv, eq, hin, 1 << 63);
         }
-        score += step(
-            &mut scratch.pv[last],
-            &mut scratch.mv[last],
-            eqs[last],
-            hin,
-            score_bit,
-        ) as isize;
+        score += step(&mut pv[last], &mut mv[last], eqs[last], hin, score_bit) as isize;
     }
     score.max(0) as usize
 }
@@ -287,6 +332,9 @@ mod tests {
                 expect,
                 "lengths ({la}, {lb})"
             );
+            let mut scratch = MyersScratch::new();
+            assert_eq!(distance_bases_with(&mut scratch, a.as_bases(), b.as_bases()), expect);
+            assert_eq!(distance_bases_with(&mut scratch, a.as_bases(), a.as_bases()), 0);
         }
     }
 

@@ -34,6 +34,21 @@ proptest! {
         prop_assert_eq!(myers::distance(&pa, &pb), expect);
     }
 
+    /// The unpacked entry point (patterns built into the scratch) is the
+    /// same kernel: equal to the scalar DP through one reused scratch.
+    #[test]
+    fn myers_base_slices_match_scalar(
+        pairs in dnasim_testkit::collection::vec((strand(0..300), strand(0..300)), 1..4),
+    ) {
+        let mut scratch = MyersScratch::new();
+        for (a, b) in &pairs {
+            prop_assert_eq!(
+                myers::distance_bases_with(&mut scratch, a.as_bases(), b.as_bases()),
+                levenshtein(a.as_bases(), b.as_bases())
+            );
+        }
+    }
+
     /// The banded kernel mirrors the scalar band exactly: same Some/None
     /// decision, same reported distance.
     #[test]

@@ -8,8 +8,9 @@
 //! sequences **randomly** so that no error kind is systematically
 //! over-counted (the deterministic alternative is kept for ablation).
 
-use dnasim_core::{Base, EditOp, EditScript, Strand};
 use dnasim_core::rng::{Rng, RngExt};
+use dnasim_core::{Base, EditOp, EditScript, Strand};
+use dnasim_metrics::{myers, MyersScratch};
 
 /// Tie-breaking policy when several minimal edit paths exist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,19 +24,20 @@ pub enum TieBreak {
     PreferSubstitution,
 }
 
-/// Reusable DP-matrix buffer for [`edit_script_with`].
+/// Reusable buffers for [`edit_script_with`]: the banded DP matrix and the
+/// Myers scratch that sizes its band.
 ///
-/// The edit-script DP allocates an `O(m·n)` matrix per (reference, read)
-/// pair; profiling a dataset or refining a consensus calls it once per
-/// read, so hot loops allocate one scratch and thread it through every
-/// call. The buffer only ever grows, to the largest pair seen.
+/// Profiling a dataset or refining a consensus calls the DP once per read,
+/// so hot loops allocate one scratch and thread it through every call. The
+/// buffers only ever grow, to the largest band seen.
 #[derive(Debug, Clone, Default)]
 pub struct EditScratch {
     dp: Vec<u32>,
+    myers: MyersScratch,
 }
 
 impl EditScratch {
-    /// Creates an empty scratch; the matrix grows on first use.
+    /// Creates an empty scratch; the buffers grow on first use.
     pub fn new() -> EditScratch {
         EditScratch::default()
     }
@@ -47,7 +49,7 @@ impl EditScratch {
 /// the Levenshtein distance between the two strands, and applying the
 /// script to `reference` reproduces `read` exactly.
 ///
-/// Allocates a fresh DP matrix per call; loops over many reads should use
+/// Allocates fresh buffers per call; loops over many reads should use
 /// [`edit_script_with`] with a shared [`EditScratch`].
 ///
 /// # Examples
@@ -73,8 +75,125 @@ pub fn edit_script<R: Rng + ?Sized>(
     edit_script_with(&mut EditScratch::new(), reference, read, tie_break, rng)
 }
 
-/// [`edit_script`] with a caller-provided scratch buffer — identical
-/// output, no per-call matrix allocation once the scratch has grown.
+/// Off-band sentinel: larger than any distance, and `+ 1` cannot overflow.
+const INF: u32 = u32::MAX / 2;
+
+/// The diagonals `k = i − j` of the DP matrix that an optimal path can
+/// visit, and the row layout that stores only their cells.
+///
+/// Let `d` be the distance and `δ = m − n`. A cell on an optimal path has
+/// prefix cost `≥ |k|` and suffix cost `≥ |δ − k|`, and the two sum to
+/// `d`, so `|k| + |δ − k| ≤ d`: the diagonals from `min(0, δ)` to
+/// `max(0, δ)`, widened by `⌊(d − |δ|)/2⌋` on either side.
+#[derive(Debug, Clone, Copy)]
+struct Band {
+    /// The band's largest diagonal: `k ≤ hi`.
+    hi: usize,
+    /// The band's smallest diagonal, negated: `k ≥ −reach`.
+    reach: usize,
+    /// The read length, which is the last column.
+    n: usize,
+    /// Slots per row: the widest row's cells plus at least one trailing
+    /// [`INF`] slot, which the next row reads as its off-band `up`.
+    stride: usize,
+}
+
+impl Band {
+    fn new(m: usize, n: usize, distance: usize) -> Band {
+        let slack = (distance - m.abs_diff(n)) / 2;
+        let (hi, reach) = (m.saturating_sub(n) + slack, n.saturating_sub(m) + slack);
+        // A row never holds more than every column, so a long reference
+        // against a short read costs no more than the full matrix.
+        let width = (hi + reach + 1).min(n + 1);
+        Band {
+            hi,
+            reach,
+            n,
+            stride: width + 1,
+        }
+    }
+
+    /// The first column of row `i` inside the band.
+    fn first(self, i: usize) -> usize {
+        i.saturating_sub(self.hi)
+    }
+
+    /// The last column of row `i` inside the band.
+    fn last(self, i: usize) -> usize {
+        (i + self.reach).min(self.n)
+    }
+
+    /// The value of cell `(i, j)` (with `j ≤ n`), or [`INF`] off the band.
+    fn get(self, dp: &[u32], i: usize, j: usize) -> u32 {
+        if j < self.first(i) || j > i + self.reach {
+            return INF;
+        }
+        dp[i * self.stride + j - self.first(i)]
+    }
+
+    /// Fills the banded matrix for `a` (rows) against `b` (columns). Row
+    /// `i` keeps columns `first(i)..=last(i)` from slot 0; both bounds
+    /// grow by at most one per row, so the `diag` and `up` neighbours of a
+    /// run of cells are a contiguous run of the row above.
+    fn fill(self, dp: &mut Vec<u32>, a: &[Base], b: &[Base]) {
+        let stride = self.stride;
+        let size = (a.len() + 1) * stride;
+        if dp.len() < size {
+            dp.resize(size, INF);
+        }
+        let dp = &mut dp[..size];
+        // Slots past each row's last column must read as off-band.
+        dp.fill(INF);
+        for (j, cell) in dp[..=self.last(0)].iter_mut().enumerate() {
+            *cell = j as u32;
+        }
+        for (i, &ai) in (1..=a.len()).zip(a) {
+            let (prev, row) = dp[(i - 1) * stride..(i + 1) * stride].split_at_mut(stride);
+            let (first, last) = (self.first(i), self.last(i));
+            // The left neighbour of the row's first cell is off the band,
+            // unless that cell is column 0, whose value is `i`.
+            let mut left = INF;
+            let mut j = first;
+            if j == 0 {
+                left = i as u32;
+                row[0] = left;
+                j = 1;
+            }
+            if j > last {
+                continue;
+            }
+            let cells = row[j - first..=last - first].iter_mut();
+            let above = prev[j - 1 - self.first(i - 1)..=last - self.first(i - 1)].windows(2);
+            for ((cell, above), &bj) in cells.zip(above).zip(&b[j - 1..last]) {
+                let diag = above[0] + u32::from(ai != bj);
+                left = diag.min(above[1] + 1).min(left + 1);
+                *cell = left;
+            }
+        }
+    }
+}
+
+/// [`edit_script`] with a caller-provided scratch — identical output, no
+/// per-call allocation beyond the script once the scratch has grown.
+///
+/// The DP is *banded*: the exact distance `d` (Myers' bit-parallel kernel)
+/// bounds the diagonals any optimal path can use (see `Band`), and only
+/// those are filled — for an `m`-base reference and an `n`-base read,
+/// `O(m · min(d, n))` cells instead of `O(m · n)`. The result is identical
+/// to the full matrix's, tie-break draws included:
+///
+/// * every cell on an optimal path has all its optimal prefix paths
+///   inside the band, so its banded value is exact;
+/// * the traceback only visits such cells, and a predecessor is minimal
+///   (`value + 1 == here`) exactly when it lies on an optimal path — so
+///   it is in the band with its exact value;
+/// * a non-minimal predecessor's banded value is at least its true value,
+///   which is at least `here`, so it is rejected in the band as in the
+///   full matrix.
+///
+/// The candidate sets and their order are therefore unchanged, and so is
+/// every `random_range` draw. `crates/profile/tests/banded_differential.rs`
+/// checks this against the full-matrix DP.
 pub fn edit_script_with<R: Rng + ?Sized>(
     scratch: &mut EditScratch,
     reference: &Strand,
@@ -85,31 +204,9 @@ pub fn edit_script_with<R: Rng + ?Sized>(
     let a = reference.as_bases();
     let b = read.as_bases();
     let (m, n) = (a.len(), b.len());
-
-    // Full DP matrix: dp[i][j] = Levenshtein distance between a[..i], b[..j].
-    // Strands are short (~100s of bases), so the O(m·n) matrix is cheap and
-    // lets the traceback consider every minimal predecessor. Every cell in
-    // the active window is written before it is read, so stale contents
-    // from a previous call never leak into the result.
-    let width = n + 1;
-    let size = (m + 1) * width;
-    if scratch.dp.len() < size {
-        scratch.dp.resize(size, 0);
-    }
-    let dp = &mut scratch.dp[..size];
-    for (j, cell) in dp.iter_mut().enumerate().take(n + 1) {
-        *cell = j as u32;
-    }
-    for i in 1..=m {
-        dp[i * width] = i as u32;
-        for j in 1..=n {
-            let cost = if a[i - 1] == b[j - 1] { 0 } else { 1 };
-            let diag = dp[(i - 1) * width + (j - 1)] + cost;
-            let up = dp[(i - 1) * width + j] + 1;
-            let left = dp[i * width + (j - 1)] + 1;
-            dp[i * width + j] = diag.min(up).min(left);
-        }
-    }
+    let band = Band::new(m, n, myers::distance_bases_with(&mut scratch.myers, a, b));
+    band.fill(&mut scratch.dp, a, b);
+    let dp = &scratch.dp;
 
     // Traceback from (m, n), collecting ops in reverse.
     let mut ops: Vec<EditOp> = Vec::with_capacity(m.max(n));
@@ -117,7 +214,6 @@ pub fn edit_script_with<R: Rng + ?Sized>(
     // Reused candidate buffer for the ≤3 minimal predecessors at each cell.
     let mut candidates: [Option<EditOp>; 3] = [None; 3];
     while i > 0 || j > 0 {
-        let here = dp[i * width + j];
         if i > 0 && j > 0 && a[i - 1] == b[j - 1] {
             // Matching characters always admit the zero-cost diagonal (the
             // paper's EQUAL branch is unconditional).
@@ -126,19 +222,20 @@ pub fn edit_script_with<R: Rng + ?Sized>(
             j -= 1;
             continue;
         }
+        let here = band.get(dp, i, j);
         let mut count = 0;
-        if i > 0 && j > 0 && dp[(i - 1) * width + (j - 1)] + 1 == here {
+        if i > 0 && j > 0 && band.get(dp, i - 1, j - 1) + 1 == here {
             candidates[count] = Some(EditOp::Subst {
                 orig: a[i - 1],
                 new: b[j - 1],
             });
             count += 1;
         }
-        if i > 0 && dp[(i - 1) * width + j] + 1 == here {
+        if i > 0 && band.get(dp, i - 1, j) + 1 == here {
             candidates[count] = Some(EditOp::Delete(a[i - 1]));
             count += 1;
         }
-        if j > 0 && dp[i * width + (j - 1)] + 1 == here {
+        if j > 0 && band.get(dp, i, j - 1) + 1 == here {
             candidates[count] = Some(EditOp::Insert(b[j - 1]));
             count += 1;
         }
@@ -165,36 +262,6 @@ pub fn edit_script_with<R: Rng + ?Sized>(
     }
     ops.reverse();
     EditScript::from_ops(ops)
-}
-
-/// Convenience wrapper: the Levenshtein distance via the edit-script DP.
-///
-/// Exposed so callers that already pay for the script can assert
-/// consistency with `dnasim_metrics::levenshtein` cheaply in tests.
-pub fn edit_distance(reference: &Strand, read: &Strand) -> usize {
-    let a = reference.as_bases();
-    let b = read.as_bases();
-    let mut row: Vec<usize> = (0..=b.len()).collect();
-    for (i, ax) in a.iter().enumerate() {
-        let mut diag = row[0];
-        row[0] = i + 1;
-        for (j, bx) in b.iter().enumerate() {
-            let cost = if ax == bx { 0 } else { 1 };
-            let next = (diag + cost).min(row[j] + 1).min(row[j + 1] + 1);
-            diag = row[j + 1];
-            row[j + 1] = next;
-        }
-    }
-    row[b.len()]
-}
-
-/// A base paired with its position, used when reporting recovered errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PositionedBase {
-    /// 0-based position in the reference strand.
-    pub position: usize,
-    /// The base at that position.
-    pub base: Base,
 }
 
 #[cfg(test)]
@@ -242,7 +309,11 @@ mod tests {
             for tb in [TieBreak::Random, TieBreak::PreferSubstitution] {
                 let script = edit_script(&a, &b, tb, &mut rng);
                 assert_eq!(script.apply(&a).unwrap(), b, "{a} -> {b}");
-                assert_eq!(script.error_count(), edit_distance(&a, &b), "{a} -> {b}");
+                assert_eq!(
+                    script.error_count(),
+                    dnasim_metrics::levenshtein(a.as_bases(), b.as_bases()),
+                    "{a} -> {b}"
+                );
             }
         }
     }
@@ -305,6 +376,22 @@ mod tests {
         let script = edit_script(&a, &b, TieBreak::Random, &mut rng);
         assert_eq!(script.error_count(), 4);
         assert_eq!(script.deletion_run_lengths(), vec![4]);
+    }
+
+    #[test]
+    fn band_storage_never_exceeds_the_full_matrix() {
+        // A long reference against a short read has a distance far above
+        // the read length; the band's rows must still be clipped to it.
+        let mut rng = seeded(10);
+        let mut scratch = EditScratch::new();
+        for (m, n) in [(3000, 10), (10, 3000), (500, 0), (110, 110)] {
+            let a = Strand::random(m, &mut rng);
+            let b = Strand::random(n, &mut rng);
+            let script = edit_script_with(&mut scratch, &a, &b, TieBreak::Random, &mut rng);
+            assert_eq!(script.apply(&a).unwrap(), b);
+            assert!(scratch.dp.len() <= (m + 1) * (n + 2), "({m}, {n})");
+            scratch = EditScratch::new();
+        }
     }
 
     #[test]

@@ -221,8 +221,18 @@ impl ErrorStats {
         }
 
         let mut pos = 0usize;
+        // Maximal runs of consecutive errors (bursts) and of consecutive
+        // deletions, each recorded as the scan leaves it.
+        let (mut burst, mut deletions) = (0usize, 0usize);
         for &op in script.ops() {
+            if matches!(op, EditOp::Delete(_)) {
+                deletions += 1;
+            } else {
+                record_run(&mut self.deletion_run_histogram, deletions);
+                deletions = 0;
+            }
             if let Some(kind) = op.kind() {
+                burst += 1;
                 // Attribute the error to the reference position it touches;
                 // insertions to the base before which they occur, clamped
                 // for end-of-strand inserts.
@@ -255,21 +265,14 @@ impl ErrorStats {
                 if len > 0 {
                     entry.positional[attributed] += 1;
                 }
+            } else {
+                record_run(&mut self.burst_histogram, burst);
+                burst = 0;
             }
             pos += op.reference_advance();
         }
-        for run in script.error_run_lengths() {
-            if self.burst_histogram.len() <= run {
-                self.burst_histogram.resize(run + 1, 0);
-            }
-            self.burst_histogram[run] += 1;
-        }
-        for run in script.deletion_run_lengths() {
-            if self.deletion_run_histogram.len() <= run {
-                self.deletion_run_histogram.resize(run + 1, 0);
-            }
-            self.deletion_run_histogram[run] += 1;
-        }
+        record_run(&mut self.burst_histogram, burst);
+        record_run(&mut self.deletion_run_histogram, deletions);
     }
 
     /// The longest reference length seen.
@@ -494,6 +497,17 @@ impl ErrorStats {
             }
         }
     }
+}
+
+/// Counts one maximal run of length `run` in `histogram` (no-op for 0).
+fn record_run(histogram: &mut Vec<usize>, run: usize) {
+    if run == 0 {
+        return;
+    }
+    if histogram.len() <= run {
+        histogram.resize(run + 1, 0);
+    }
+    histogram[run] += 1;
 }
 
 /// `mask[i]` is true when reference position `i` sits inside a homopolymer
@@ -815,6 +829,33 @@ mod burst_tests {
         stats.record_pair(&s("ACGTACGT"), &s("TCGTACGA"), TieBreak::Random, &mut rng);
         assert_eq!(stats.burst_read_fraction(2), 0.0);
         assert_eq!(stats.burst_histogram().get(1), Some(&2));
+    }
+
+    #[test]
+    fn run_histograms_match_the_scripts_run_lengths() {
+        use dnasim_dataset::NanoporeTwinConfig;
+        let mut config = NanoporeTwinConfig::small();
+        config.cluster_count = 40;
+        let ds = config.generate();
+        let mut rng = seeded(4);
+        let mut stats = ErrorStats::new();
+        let (mut bursts, mut deletions) = (Vec::new(), Vec::new());
+        for cluster in ds.iter() {
+            for read in cluster.reads() {
+                let script =
+                    crate::edit_script(cluster.reference(), read, TieBreak::Random, &mut rng);
+                stats.record_script(cluster.reference(), &script);
+                for run in script.error_run_lengths() {
+                    record_run(&mut bursts, run);
+                }
+                for run in script.deletion_run_lengths() {
+                    record_run(&mut deletions, run);
+                }
+            }
+        }
+        assert!(deletions.len() > 2, "no long deletions in the twin");
+        assert_eq!(stats.burst_histogram(), &bursts[..]);
+        assert_eq!(stats.deletion_run_histogram(), &deletions[..]);
     }
 
     #[test]
