@@ -98,38 +98,17 @@ fn bench_cluster_bank(c: &mut Criterion) {
     });
 
     c.bench_function("cluster-bank/banked-prefilter/64refs", |b| {
-        let mut bank_scratch = BankScratch::new();
-        let mut qgram_scratch = QGramScratch::new();
-        let mut lane_out: Vec<Option<usize>> = Vec::new();
-        let mut survivors: Vec<usize> = Vec::new();
+        let mut scratch = BankedScratch::default();
         b.iter(|| {
-            let mut assigned = 0usize;
-            for (read, profile) in black_box(&packed_reads).iter().zip(&read_profiles) {
-                survivors.clear();
-                qgram_scratch.load(profile);
-                for (ri, rp) in ref_profiles.iter().enumerate() {
-                    if qgram_scratch.bound(rp) <= limit {
-                        survivors.push(ri);
-                    }
-                }
-                let mut best: Option<(usize, usize)> = None;
-                for chunk in survivors.chunks(MAX_LANES) {
-                    let lanes: Vec<&PackedStrand> =
-                        chunk.iter().map(|&ri| &packed_refs[ri]).collect();
-                    if let Some(bank) = PatternBank::new(&lanes) {
-                        bank_within_with(&mut bank_scratch, &bank, read, limit, &mut lane_out);
-                        for (lane, &ri) in chunk.iter().enumerate() {
-                            if let Some(d) = lane_out[lane] {
-                                if best.is_none_or(|(bd, _)| d < bd) {
-                                    best = Some((d, ri));
-                                }
-                            }
-                        }
-                    }
-                }
-                assigned += usize::from(best.is_some());
-            }
-            assigned
+            banked_assign(
+                &mut scratch,
+                black_box(&packed_reads),
+                &read_profiles,
+                &packed_refs,
+                &ref_profiles,
+                limit,
+                |qgram, rp| qgram.bound(rp) > limit,
+            )
         })
     });
 
@@ -151,6 +130,116 @@ fn bench_cluster_bank(c: &mut Criterion) {
         "cluster-bank/kernel-evals-per-read",
         (proposed - pruned) as f64 / packed_reads.len() as f64,
     );
+}
+
+/// Reusable buffers for [`banked_assign`].
+#[derive(Default)]
+struct BankedScratch {
+    bank: BankScratch,
+    qgram: QGramScratch,
+    lane_out: Vec<Option<usize>>,
+    survivors: Vec<usize>,
+}
+
+/// Best-reference assignment with the error-ball prefilter in front of
+/// the multi-pattern kernel: `prune(loaded read, reference)` discharges a
+/// reference, survivors are packed into banks. Returns how many reads
+/// found a reference within `limit`.
+fn banked_assign(
+    scratch: &mut BankedScratch,
+    packed_reads: &[PackedStrand],
+    read_profiles: &[QGramProfile],
+    packed_refs: &[PackedStrand],
+    ref_profiles: &[QGramProfile],
+    limit: usize,
+    prune: impl Fn(&QGramScratch, &QGramProfile) -> bool,
+) -> usize {
+    let mut assigned = 0usize;
+    for (read, profile) in packed_reads.iter().zip(read_profiles) {
+        scratch.survivors.clear();
+        scratch.qgram.load(profile);
+        for (ri, rp) in ref_profiles.iter().enumerate() {
+            if !prune(&scratch.qgram, rp) {
+                scratch.survivors.push(ri);
+            }
+        }
+        let mut best: Option<(usize, usize)> = None;
+        for chunk in scratch.survivors.chunks(MAX_LANES) {
+            let lanes: Vec<&PackedStrand> = chunk.iter().map(|&ri| &packed_refs[ri]).collect();
+            if let Some(bank) = PatternBank::new(&lanes) {
+                bank_within_with(&mut scratch.bank, &bank, read, limit, &mut scratch.lane_out);
+                for (lane, &ri) in chunk.iter().enumerate() {
+                    if let Some(d) = scratch.lane_out[lane] {
+                        if best.is_none_or(|(bd, _)| d < bd) {
+                            best = Some((d, ri));
+                        }
+                    }
+                }
+            }
+        }
+        assigned += usize::from(best.is_some());
+    }
+    assigned
+}
+
+/// The prefilter on the archive's strand shape: 184-nt strands behind
+/// 20-nt primers shared by every strand, so the flanks alone keep every
+/// reference in each read's candidate set and nearly all the work is the
+/// prefilter itself. `banked-prefilter` decides each candidate with the
+/// exact gram scan; `masked-prefilter` with `exceeds`, which settles most
+/// candidates by one AND + popcount over the presence masks. Both prune
+/// exactly the same candidates, so the assignments are identical.
+fn bench_masked_prefilter(c: &mut Criterion) {
+    let mut rng = seeded(5);
+    let forward = Strand::random(20, &mut rng);
+    let reverse = Strand::random(20, &mut rng);
+    let refs: Vec<Strand> = (0..64)
+        .map(|_| forward.concat(&Strand::random(144, &mut rng)).concat(&reverse))
+        .collect();
+    let model = NaiveModel::with_total_rate(0.059);
+    let mut reads: Vec<Strand> = Vec::new();
+    for r in &refs {
+        for _ in 0..4 {
+            reads.push(model.corrupt(r, &mut rng));
+        }
+    }
+    reads.shuffle(&mut rng);
+    let limit = GreedyClusterer::default().distance_threshold;
+    let q = GreedyClusterer::default().qgram_len;
+
+    let packed_refs: Vec<PackedStrand> = refs.iter().map(PackedStrand::from).collect();
+    let ref_profiles: Vec<QGramProfile> = refs.iter().map(|r| QGramProfile::new(r, q)).collect();
+    let packed_reads: Vec<PackedStrand> = reads.iter().map(PackedStrand::from).collect();
+    let read_profiles: Vec<QGramProfile> =
+        reads.iter().map(|r| QGramProfile::new(r, q)).collect();
+
+    let mut scratch = BankedScratch::default();
+    c.bench_function("cluster-bank/banked-prefilter/64refs-primer-flanked", |b| {
+        b.iter(|| {
+            banked_assign(
+                &mut scratch,
+                black_box(&packed_reads),
+                &read_profiles,
+                &packed_refs,
+                &ref_profiles,
+                limit,
+                |qgram, rp| qgram.bound(rp) > limit,
+            )
+        })
+    });
+    c.bench_function("cluster-bank/masked-prefilter/64refs-primer-flanked", |b| {
+        b.iter(|| {
+            banked_assign(
+                &mut scratch,
+                black_box(&packed_reads),
+                &read_profiles,
+                &packed_refs,
+                &ref_profiles,
+                limit,
+                |qgram, rp| qgram.exceeds(rp, limit),
+            )
+        })
+    });
 }
 
 /// The online streaming clusterer against the materialised
@@ -198,6 +287,7 @@ criterion_group! {
         .sample_size(20)
         .measurement_time(Duration::from_secs(4))
         .warm_up_time(Duration::from_secs(1));
-    targets = bench_clustering, bench_cluster_bank, bench_streaming_clusterer
+    targets = bench_clustering, bench_cluster_bank, bench_masked_prefilter,
+        bench_streaming_clusterer
 }
 criterion_main!(benches);

@@ -18,12 +18,13 @@ fn serve_with_input(args: &[&str], input: &str) -> Output {
         .stderr(Stdio::piped())
         .spawn()
         .unwrap();
-    child
-        .stdin
-        .take()
-        .unwrap()
-        .write_all(input.as_bytes())
-        .unwrap();
+    // A child that exits on a usage error may close its stdin before
+    // reading it. That broken pipe is expected; any other write error
+    // fails the test.
+    let written = child.stdin.take().unwrap().write_all(input.as_bytes());
+    if let Err(e) = written {
+        assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "stdin write failed: {e}");
+    }
     child.wait_with_output().unwrap()
 }
 

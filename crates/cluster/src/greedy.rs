@@ -233,7 +233,7 @@ impl GreedyClusterer {
                 }
                 run.candidates += 1;
                 if self.prefilter
-                    && scratch.qgram.bound(&reps[j].profile) > self.distance_threshold
+                    && scratch.qgram.exceeds(&reps[j].profile, self.distance_threshold)
                 {
                     run.pruned += 1;
                     continue;

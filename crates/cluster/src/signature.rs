@@ -28,26 +28,44 @@ use dnasim_core::Strand;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QGramSignature {
-    hashes: Vec<u64>,
+    /// The `sketch_len` smallest distinct gram hashes, ascending, in an
+    /// exactly-sized allocation (representatives keep theirs resident).
+    hashes: Box<[u64]>,
 }
 
 impl QGramSignature {
     /// Builds a sketch of `sketch_len` minimum hashes over the `q`-grams of
     /// `strand`. A strand shorter than `q` gets a single whole-strand hash.
+    ///
+    /// The sketch is a bounded bottom-k selection: the sorted `k` smallest
+    /// distinct hashes seen so far, where a hash no smaller than the
+    /// current maximum of a full sketch is skipped with one compare. The
+    /// result equals sorting, deduplicating and truncating all the gram
+    /// hashes, without ever building that list.
     pub fn new(strand: &Strand, q: usize, sketch_len: usize) -> QGramSignature {
         let bases = strand.as_bases();
-        let mut hashes: Vec<u64> = if bases.len() < q || q == 0 {
-            vec![hash_gram(bases, 0)]
-        } else {
-            bases
-                .windows(q)
-                .map(|gram| hash_gram(gram, 0))
-                .collect()
-        };
-        hashes.sort_unstable();
-        hashes.dedup();
-        hashes.truncate(sketch_len.max(1));
-        QGramSignature { hashes }
+        if bases.len() < q || q == 0 {
+            return QGramSignature {
+                hashes: Box::new([hash_gram(bases, 0)]),
+            };
+        }
+        let k = sketch_len.max(1);
+        let mut sketch: Vec<u64> = Vec::with_capacity(k);
+        for gram in bases.windows(q) {
+            let h = hash_gram(gram, 0);
+            if sketch.len() == k && sketch.last().is_some_and(|&max| h >= max) {
+                continue;
+            }
+            if let Err(pos) = sketch.binary_search(&h) {
+                if sketch.len() == k {
+                    sketch.pop();
+                }
+                sketch.insert(pos, h);
+            }
+        }
+        QGramSignature {
+            hashes: sketch.into_boxed_slice(),
+        }
     }
 
     /// The sketch hashes (ascending).
@@ -158,5 +176,63 @@ mod tests {
     fn empty_strand_does_not_panic() {
         let a = QGramSignature::new(&Strand::new(), 4, 8);
         assert_eq!(a.hashes().len(), 1);
+    }
+
+    /// The oracle the bottom-k selection replaced: hash every gram, then
+    /// sort, deduplicate and truncate.
+    fn sorted_sketch(strand: &Strand, q: usize, sketch_len: usize) -> Vec<u64> {
+        let bases = strand.as_bases();
+        let mut hashes: Vec<u64> = if bases.len() < q || q == 0 {
+            vec![hash_gram(bases, 0)]
+        } else {
+            bases.windows(q).map(|gram| hash_gram(gram, 0)).collect()
+        };
+        hashes.sort_unstable();
+        hashes.dedup();
+        hashes.truncate(sketch_len.max(1));
+        hashes
+    }
+
+    #[test]
+    fn bottom_k_sketch_equals_sort_dedup_truncate() {
+        use dnasim_core::rng::{seeded, Rng};
+        use dnasim_core::Base;
+        let mut rng = seeded(31);
+        let forward = Strand::random(20, &mut rng);
+        let reverse = Strand::random(20, &mut rng);
+        let mut strands: Vec<Strand> = Vec::new();
+        for _ in 0..60 {
+            let len = (rng.next_u64() % 200) as usize;
+            // Random strands of every length from empty up.
+            strands.push(Strand::random(len, &mut rng));
+            // Primer-flanked strands: the archive's shape, whose shared
+            // flanks put the same hashes in every sketch.
+            let payload = Strand::random(len, &mut rng);
+            strands.push(forward.concat(&payload).concat(&reverse));
+            // Homopolymer-heavy strands: runs of one base with rare
+            // breaks, so few distinct grams and often a sketch shorter
+            // than `sketch_len`.
+            let run = 1 + (rng.next_u64() % 30) as usize;
+            strands.push(
+                (0..len)
+                    .map(|i| {
+                        let bump = usize::from(rng.next_u64() % 8 == 0);
+                        Base::ALL[(i / run + bump) % 4]
+                    })
+                    .collect(),
+            );
+        }
+        for strand in &strands {
+            for q in [0usize, 1, 3, 5, 8] {
+                for sketch_len in [0usize, 1, 5, 12, 64, 400] {
+                    let sig = QGramSignature::new(strand, q, sketch_len);
+                    assert_eq!(
+                        sig.hashes(),
+                        sorted_sketch(strand, q, sketch_len).as_slice(),
+                        "q={q} sketch_len={sketch_len} strand={strand}"
+                    );
+                }
+            }
+        }
     }
 }

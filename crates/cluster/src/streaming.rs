@@ -11,10 +11,15 @@
 //! * the only resident state is **per-bucket representatives** (packed
 //!   strand + q-gram profile + signature, built once at founding time)
 //!   plus the bucket map itself — `O(clusters)`, never `O(reads)`;
-//! * intra-bucket assignment reuses the PR 9 kernel tier: the q-gram
-//!   error-ball bound discharges hopeless candidates, survivors are
-//!   batched through [`PatternBank`](dnasim_metrics::bank::PatternBank)
-//!   lanes.
+//! * intra-bucket assignment reuses the multi-pattern kernel tier: the
+//!   q-gram error-ball bound discharges hopeless candidates, survivors
+//!   are batched through
+//!   [`PatternBank`](dnasim_metrics::bank::PatternBank) lanes. The bound
+//!   is asked through [`QGramScratch::exceeds`], whose presence-mask
+//!   screen settles most hopeless candidates with one AND + popcount and
+//!   leaves only near ones to the exact gram scan. It answers exactly
+//!   `bound > threshold`, so candidates, pruned counts and kernel lanes
+//!   are the same as with the scan alone.
 //!
 //! Because the materialised [`GreedyClusterer`] entry points now delegate
 //! to this same core, streaming memberships are **byte-identical** to the
@@ -187,7 +192,10 @@ impl OnlineState {
         self.survivors.clear();
         for &id in &candidates {
             if self.config.prefilter
-                && self.scratch.qgram.bound(&self.reps[id].profile) > self.config.distance_threshold
+                && self
+                    .scratch
+                    .qgram
+                    .exceeds(&self.reps[id].profile, self.config.distance_threshold)
             {
                 self.run.pruned += 1;
                 continue;
@@ -304,7 +312,7 @@ impl ReferenceIndex {
             }
             run.candidates += 1;
             if config.prefilter
-                && scratch.qgram.bound(&self.profiles[ref_idx]) > config.distance_threshold
+                && scratch.qgram.exceeds(&self.profiles[ref_idx], config.distance_threshold)
             {
                 run.pruned += 1;
                 continue;

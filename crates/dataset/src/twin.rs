@@ -597,7 +597,7 @@ mod tests {
         let ds = config.generate();
         assert_eq!(ds.len(), 300);
         assert_eq!(ds.strand_len(), Some(110));
-        assert_eq!(ds.erasure_count() >= 1, true);
+        assert!(ds.erasure_count() >= 1);
         let (lo, hi) = ds.coverage_range().unwrap();
         assert_eq!(lo, 0);
         assert!(hi <= config.max_coverage);

@@ -120,11 +120,8 @@ proptest! {
         let bytes = to_binary(&ds);
         let mut reader = BinaryDatasetReader::new(bytes.as_slice());
         let mut streamed = Dataset::new();
-        loop {
-            match dnasim_core::ClusterSource::next_batch(&mut reader, batch).expect("batch") {
-                Some(b) => streamed.extend(b.clusters().iter().cloned()),
-                None => break,
-            }
+        while let Some(b) = dnasim_core::ClusterSource::next_batch(&mut reader, batch).expect("batch") {
+            streamed.extend(b.clusters().iter().cloned());
         }
         prop_assert_eq!(streamed, ds);
     }

@@ -15,13 +15,23 @@
 //! Clustering uses this as a *prefilter*: a [`QGramProfile`] is built once
 //! per read or representative (one pass plus a sort of small integers),
 //! and candidates whose lower bound already exceeds the distance
-//! threshold are dropped before any Myers kernel runs. Comparing two
-//! profiles is a sorted-multiset merge — a few hundred integer compares
-//! versus thousands of word operations for a kernel call. The bound is
+//! threshold are dropped before any Myers kernel runs. The bound is
 //! conservative, never spurious: a pruned candidate provably cannot land
 //! within the threshold, so filtering can never change cluster
 //! membership (asserted by the filtered-vs-unfiltered differential in
 //! `dnasim-cluster`).
+//!
+//! The prefilter asks one question per candidate, "does the bound exceed
+//! the threshold?", through [`QGramScratch::exceeds`]. Each profile also
+//! carries a [`MASK_BITS`]-bit gram-presence mask and its `excess` (grams
+//! beyond one per set bit), from which one AND + popcount gives a weaker
+//! bound, [`QGramScratch::mask_bound`]. When that already exceeds the
+//! threshold the candidate is pruned at once; otherwise the exact
+//! histogram scan decides. The answer is exactly `bound > threshold`
+//! either way. Strands behind shared primers are the case this is for:
+//! their common flanks put nearly every representative in each read's
+//! candidate set, the mask settles almost all of those candidates, and
+//! only the few near ones pay the scan.
 //!
 //! # Examples
 //!
@@ -38,13 +48,25 @@
 
 use dnasim_core::Strand;
 
+/// Bits in a profile's gram-presence mask. Every gram code of `q ≤ 5`
+/// (`4^5 = 1024` codes) has a bit of its own; longer grams fold onto
+/// bit `code mod MASK_BITS`.
+pub const MASK_BITS: usize = 1024;
+
+const MASK_WORDS: usize = MASK_BITS / 64;
+
 /// The sorted q-gram multiset of one strand, 2-bit packed (`q ≤ 8` keeps
-/// every gram in a `u16`).
+/// every gram in a `u16`), plus its gram-presence mask.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QGramProfile {
     q: usize,
     /// Sorted 2-bit-packed gram codes, duplicates retained (multiset).
     grams: Vec<u16>,
+    /// Bit `code mod MASK_BITS` is set for every gram present.
+    mask: [u64; MASK_WORDS],
+    /// `grams.len() − popcount(mask)`: the grams the mask does not count
+    /// (repeats, and for `q ≥ 6` codes folded onto an already-set bit).
+    excess: usize,
 }
 
 impl QGramProfile {
@@ -70,7 +92,18 @@ impl QGramProfile {
                 .collect()
         };
         grams.sort_unstable();
-        QGramProfile { q, grams }
+        let mut mask = [0u64; MASK_WORDS];
+        for &g in &grams {
+            let bit = g as usize % MASK_BITS;
+            mask[bit / 64] |= 1 << (bit % 64);
+        }
+        let excess = grams.len() - mask.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+        QGramProfile {
+            q,
+            grams,
+            mask,
+            excess,
+        }
     }
 
     /// The gram length this profile was built with.
@@ -117,7 +150,6 @@ impl QGramProfile {
         let deficit = most - self.shared_grams(other);
         deficit.div_ceil(self.q)
     }
-
 }
 
 /// Load-once, query-many histogram for the hot-path variant of
@@ -143,6 +175,10 @@ pub struct QGramScratch {
     loaded_q: usize,
     /// Gram count of the loaded profile.
     loaded_count: usize,
+    /// Gram-presence mask of the loaded profile.
+    loaded_mask: [u64; MASK_WORDS],
+    /// `excess` of the loaded profile.
+    loaded_excess: usize,
 }
 
 impl QGramScratch {
@@ -171,6 +207,8 @@ impl QGramScratch {
         self.loaded.extend_from_slice(&profile.grams);
         self.loaded_q = profile.q;
         self.loaded_count = profile.grams.len();
+        self.loaded_mask = profile.mask;
+        self.loaded_excess = profile.excess;
     }
 
     /// Lower bound on the edit distance between the loaded strand and
@@ -199,6 +237,47 @@ impl QGramScratch {
         }
         let most = self.loaded_count.max(grams.len());
         (most - shared).div_ceil(other.q)
+    }
+
+    /// The bit-parallel screen: a lower bound on [`bound`](QGramScratch::bound)
+    /// from the two presence masks alone, one AND + popcount over
+    /// [`MASK_BITS`] bits.
+    ///
+    /// Let `A_b`, `B_b` count each side's grams on bit `b`. Only bits set
+    /// in both masks share grams, and bit `b` shares at most
+    /// `min(A_b, B_b) = 1 + min(A_b − 1, B_b − 1)` (folding distinct codes
+    /// onto one bit can only raise this). The `A_b − 1` summed over all
+    /// bits is `excess_a`, so the multiset intersection obeys
+    /// `shared ≤ popcount(a & b) + min(excess_a, excess_b)`, and
+    ///
+    /// ```text
+    /// ⌈(max(|a|, |b|) − popcount(a & b) − min(excess_a, excess_b)) / q⌉ ≤ bound
+    /// ```
+    ///
+    /// Like `bound`, returns 0 (never prunes) when nothing is loaded or
+    /// the `q`s differ.
+    pub fn mask_bound(&self, other: &QGramProfile) -> usize {
+        if self.loaded_q != other.q {
+            return 0;
+        }
+        let common: usize = self
+            .loaded_mask
+            .iter()
+            .zip(&other.mask)
+            .map(|(a, b)| (a & b).count_ones() as usize)
+            .sum();
+        let shared_at_most = common + self.loaded_excess.min(other.excess);
+        let most = self.loaded_count.max(other.grams.len());
+        most.saturating_sub(shared_at_most).div_ceil(other.q)
+    }
+
+    /// Whether [`bound`](QGramScratch::bound) exceeds `limit` — exactly
+    /// `bound(other) > limit`, decided by the [`mask_bound`](QGramScratch::mask_bound)
+    /// screen when it already exceeds `limit` and by the exact scan
+    /// otherwise.
+    #[inline]
+    pub fn exceeds(&self, other: &QGramProfile, limit: usize) -> bool {
+        self.mask_bound(other) > limit || self.bound(other) > limit
     }
 }
 

@@ -231,17 +231,22 @@ pub fn archive_round_trip_on(
         .map(|(report, _)| report)
 }
 
-/// [`archive_round_trip_on`] with the reconstruct-and-decode stage run
-/// over a bounded window of at most `batch_size` clusters at a time.
+/// [`archive_round_trip_on`] run window by window, with at most
+/// `batch_size` strand groups' molecules or clusters in flight.
 ///
-/// The channel stages still materialise the molecule pool (PCR amplifies
-/// a shared population, so those stages are inherently whole-pool), but
-/// the decode stage — the expensive one — holds only `batch_size`
-/// clusters' worth of estimates in flight, merging decoded strands into
-/// their slots in cluster order. The report is byte-identical to
+/// The molecule pool never exists as a whole. Each strand group's
+/// synthesis → decay → PCR pool is regenerated on demand from an RNG
+/// forked by group index, so any window can be revisited. A weights pass
+/// sums each group's abundance and splits the read budget across groups;
+/// the sequenced reads are then regenerated per group. Perfect clustering
+/// decodes each window as it is sequenced. Imperfect clustering makes two
+/// more passes: a clustering pass streams the reads through the online
+/// clusterer and keeps only each read's reference index, and a routing
+/// pass regenerates the reads and decodes each reference as soon as its
+/// last read arrives. The report is byte-identical to
 /// [`archive_round_trip_on`] for every batch size and thread count; the
-/// returned [`WindowStats`] exposes the decode window's high-watermark
-/// for tests to audit.
+/// returned [`WindowStats`] exposes the high-watermarks for tests to
+/// audit.
 ///
 /// # Errors
 ///
