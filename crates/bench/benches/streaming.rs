@@ -49,7 +49,7 @@ fn bench_streaming_generate(c: &mut Criterion) {
 
 fn bench_streaming_resimulate(c: &mut Criterion) {
     // Pre-render the input once; each iteration re-reads it through the
-    // text parser exactly as the CLI `simulate --stream` path does.
+    // text parser exactly as the CLI `simulate` path does.
     let twin = twin_config().generate();
     let mut text = Vec::new();
     write_dataset(&twin, &mut text).expect("render twin");

@@ -2,8 +2,8 @@
 
 use dnasim_core::rng::{SeedSequence, SimRng};
 use dnasim_core::{
-    pump_budgeted, Batch, Budget, Cluster, ClusterSink, ClusterSource, Dataset, DnasimError,
-    Strand, WindowStats,
+    produce_windows, pump_budgeted, Batch, Budget, Cluster, ClusterSink, ClusterSource, Dataset,
+    DnasimError, Strand, WindowStats,
 };
 use dnasim_par::ThreadPool;
 
@@ -127,7 +127,8 @@ impl<M: ErrorModel> Simulator<M> {
     }
 
     /// Parallel counterpart of [`Simulator::simulate`] with per-cluster
-    /// forked RNG streams.
+    /// forked RNG streams: the streaming path
+    /// ([`Simulator::simulate_stream`]) with one window.
     ///
     /// Where [`Simulator::simulate`] threads one RNG serially through every
     /// cluster, this method gives cluster `i` its own stream via
@@ -149,11 +150,8 @@ impl<M: ErrorModel> Simulator<M> {
     where
         M: Sync,
     {
-        let clusters = pool.par_map_seeded(seq, references, |index, reference, rng| {
-            let coverage = self.coverage.sample(index, rng);
-            self.simulate_cluster(reference, coverage, rng)
-        })?;
-        Ok(Dataset::from_clusters(clusters))
+        let mut out = Dataset::new();
+        self.simulate_stream(references, seq, usize::MAX, pool, &mut out).map(|_| out)
     }
 
     /// Resimulates a real dataset with *custom coverage*: the same
@@ -165,9 +163,10 @@ impl<M: ErrorModel> Simulator<M> {
             .collect()
     }
 
-    /// Parallel counterpart of [`Simulator::resimulate_matching`]: cluster
-    /// `i` is resimulated on the stream [`SeedSequence::fork`]`(i)`, so the
-    /// output does not depend on the pool's thread count.
+    /// Parallel counterpart of [`Simulator::resimulate_matching`]: the
+    /// streaming path ([`Simulator::resimulate_stream`]) with one window.
+    /// Cluster `i` is resimulated on the stream [`SeedSequence::fork`]`(i)`,
+    /// so the output does not depend on the pool's thread count.
     ///
     /// # Errors
     ///
@@ -181,20 +180,17 @@ impl<M: ErrorModel> Simulator<M> {
     where
         M: Sync,
     {
-        let clusters = pool.par_map_seeded(seq, real.clusters(), |_, cluster, rng| {
-            self.simulate_cluster(cluster.reference(), cluster.coverage(), rng)
-        })?;
-        Ok(Dataset::from_clusters(clusters))
+        let mut out = Dataset::new();
+        self.resimulate_stream(&mut real.stream(), seq, usize::MAX, pool, &mut out).map(|_| out)
     }
 
-    /// Streaming counterpart of [`Simulator::simulate_on`]: simulates the
-    /// references in bounded batches of at most `batch_size` clusters,
-    /// pushing each finished batch into `sink`.
+    /// Simulates the references in bounded batches of at most
+    /// `batch_size` clusters, pushing each finished batch into `sink`.
     ///
     /// Cluster `i` is simulated on the stream [`SeedSequence::fork`]`(i)`
     /// of its *global* index — never its within-batch position — so the
-    /// output is byte-identical to [`Simulator::simulate_on`] for every
-    /// batch size and thread count.
+    /// output is byte-identical for every batch size and thread count
+    /// ([`Simulator::simulate_on`] is this path with one window).
     ///
     /// # Errors
     ///
@@ -216,10 +212,11 @@ impl<M: ErrorModel> Simulator<M> {
         self.simulate_stream_budgeted(references, seq, batch_size, pool, &Budget::unlimited(), sink)
     }
 
-    /// [`Simulator::simulate_stream`] metered by a [`Budget`]: one work
-    /// unit per cluster, admitted in the serial batch loop so exhaustion
-    /// lands on the same global cluster index at any batch size or thread
-    /// count. The admitted prefix is still emitted before the typed error.
+    /// [`Simulator::simulate_stream`] metered by a [`Budget`] through
+    /// [`produce_windows`]: one work unit per cluster, admitted before the
+    /// window fans out, so exhaustion lands on the same global cluster
+    /// index at any batch size or thread count. The admitted prefix is
+    /// still emitted before the typed error.
     ///
     /// # Errors
     ///
@@ -238,46 +235,25 @@ impl<M: ErrorModel> Simulator<M> {
         M: Sync,
         K: ClusterSink + ?Sized,
     {
-        if batch_size == 0 {
-            return Err(DnasimError::config(
-                "batch_size",
-                "streaming batch size must be at least 1",
-            ));
-        }
-        let mut stats = WindowStats::default();
-        let mut start = 0usize;
-        while start < references.len() {
-            budget.check("simulate")?;
-            let len = batch_size.min(references.len() - start);
-            let chunk = &references[start..start + len];
-            let (clusters, admitted) = pool.par_map_admitted(budget, chunk, |i, reference| {
+        produce_windows(references.len(), sink, batch_size, budget, "simulate", |range| {
+            let start = range.start;
+            Ok(pool.par_map_indexed(&references[range], |i, reference| {
                 let index = start + i;
                 let mut rng = seq.fork_rng(index as u64);
                 let coverage = self.coverage.sample(index, &mut rng);
                 self.simulate_cluster(reference, coverage, &mut rng)
-            })?;
-            if admitted > 0 {
-                stats.batches += 1;
-                stats.clusters += admitted;
-                stats.high_watermark = stats.high_watermark.max(admitted);
-                sink.accept(Batch::new(start, clusters))?;
-                start += admitted;
-            }
-            if admitted < len {
-                return Err(budget.exceeded("simulate"));
-            }
-        }
-        sink.finish()?;
-        Ok(stats)
+            })?)
+        })
     }
 
-    /// Streaming counterpart of [`Simulator::resimulate_matching_on`]:
-    /// pulls real clusters from `source` in bounded batches, resimulates
-    /// each with its real coverage, and pushes the results into `sink`.
+    /// Resimulates a real dataset window by window: pulls real clusters
+    /// from `source` in bounded batches, resimulates each with its real
+    /// coverage, and pushes the results into `sink`.
     ///
     /// Per-cluster RNG streams fork from the cluster's global index, so
-    /// the output matches [`Simulator::resimulate_matching_on`] byte for
-    /// byte at any batch size or thread count.
+    /// the output is byte-identical at any batch size or thread count
+    /// ([`Simulator::resimulate_matching_on`] is this path with one
+    /// window).
     ///
     /// # Errors
     ///

@@ -21,10 +21,9 @@
 //! `DNASIM_THREADS`, then all cores); results are byte-identical for every
 //! thread count.
 //!
-//! `generate`, `profile` and `simulate` accept `--stream` to run the
-//! bounded-memory pipeline (at most `--batch-size` clusters in flight,
-//! default 256), and `archive` accepts `--batch-size N` to bound the decode
-//! window; outputs stay byte-identical to the in-memory paths.
+//! `generate`, `profile`, `simulate` and `archive` always run the
+//! bounded-memory pipeline: at most `--batch-size` clusters are in flight
+//! (default 256), and outputs are byte-identical for every batch size.
 //!
 //! Exit codes: `0` success, `1` runtime failure, `2` usage error (usage is
 //! printed to stderr), `3` archive completed degraded (lenient mode with
@@ -43,14 +42,13 @@ use dnasim_channel::{
 use dnasim_core::rng::{seeded, SeedSequence, SimRng};
 use dnasim_core::{Dataset, PrefetchSource};
 use dnasim_dataset::{
-    read_dataset_auto, write_dataset_format, AnyDatasetReader, AnyDatasetWriter, Format,
-    NanoporeTwinConfig,
+    read_dataset_auto, AnyDatasetReader, AnyDatasetWriter, Format, NanoporeTwinConfig,
 };
 use dnasim_faults::ChaosSuite;
 use dnasim_par::ThreadPool;
 use dnasim_pipeline::{
-    archive_round_trip_on, archive_round_trip_stream, evaluate_reconstruction,
-    fixed_coverage_protocol, ArchiveConfig, ArchiveMode, Experiments,
+    archive_round_trip_stream, evaluate_reconstruction, fixed_coverage_protocol, ArchiveConfig,
+    ArchiveMode, Experiments,
 };
 use dnasim_profile::{ErrorStats, LearnedModel, TieBreak};
 use dnasim_reconstruct::{
@@ -150,7 +148,7 @@ fn apply_simd_mode(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 
 /// The clustering diagnostic line: process-wide kernel/prune counters and
 /// the active SIMD backend. Identical wording everywhere it appears so
-/// stream/non-stream output comparisons stay byte-equal.
+/// output comparisons across runs stay byte-equal.
 fn cluster_kernel_line() -> String {
     let stats = dnasim_cluster::process_cluster_stats();
     format!(
@@ -167,12 +165,11 @@ fn usage_text() -> &'static str {
     "dnasim — DNA-storage noisy-channel simulator\n\n\
      commands:\n\
      \x20 generate    --out FILE [--clusters N] [--len L] [--seed S] [--small]\n\
-     \x20             [--stream] [--batch-size N] [--threads N] [--format text|binary]\n\
-     \x20 profile     --data FILE [--top-k K] [--save MODEL] [--stream] [--batch-size N]\n\
-     \x20             [--prefetch] [--format text|binary]\n\
-     \x20 simulate    --data FILE --model MODEL --out FILE [--seed S] [--model-file MODEL]\n\
-     \x20             [--threads N] [--stream] [--batch-size N] [--prefetch]\n\
+     \x20             [--batch-size N] [--threads N] [--format text|binary]\n\
+     \x20 profile     --data FILE [--top-k K] [--save MODEL] [--batch-size N]\n\
      \x20             [--format text|binary]\n\
+     \x20 simulate    --data FILE --model MODEL --out FILE [--seed S] [--model-file MODEL]\n\
+     \x20             [--threads N] [--batch-size N] [--format text|binary]\n\
      \x20             MODEL: naive | dnasimulator | keoliya[:naive|cond|spatial|second]\n\
      \x20 convert     --in FILE --out FILE [--format text|binary]\n\
      \x20             (input format auto-detected; default output: text)\n\
@@ -193,12 +190,11 @@ fn usage_text() -> &'static str {
      \x20             per-request \"deadline\" in work units (1 unit = 1 cluster)\n\n\
      \x20 --threads N defaults to $DNASIM_THREADS, then to all cores; output\n\
      \x20 is byte-identical for every thread count\n\
-     \x20 --stream processes at most --batch-size clusters at a time (default\n\
-     \x20 256); streamed output is byte-identical to the in-memory path\n\
+     \x20 --batch-size N bounds the clusters in flight (default 256); output\n\
+     \x20 is byte-identical for every batch size, and file input is decoded\n\
+     \x20 one batch ahead on a dedicated I/O worker\n\
      \x20 --format selects the cluster-file codec a command writes (readers\n\
-     \x20 auto-detect by magic bytes); --prefetch decodes the next batch on a\n\
-     \x20 dedicated I/O worker while the current one computes — output is\n\
-     \x20 byte-identical with or without it\n\
+     \x20 auto-detect by magic bytes)\n\
      \x20 --simd auto|off selects the edit-distance kernel backend (auto\n\
      \x20 detects AVX2/NEON at runtime; off forces the portable fallback;\n\
      \x20 DNASIM_SIMD=off is the env equivalent); all backends are exact,\n\
@@ -306,31 +302,19 @@ fn cmd_generate(args: &Args) -> CliResult {
     config.cluster_count = args.get_or("clusters", config.cluster_count)?;
     config.strand_len = args.get_or("len", config.strand_len)?;
     config.seed = args.get_or("seed", config.seed)?;
-    let format = parse_format(args)?;
-    let (clusters, reads, erasures) = if args.flag("stream") {
-        let pool = thread_pool(args)?;
-        let mut writer = AnyDatasetWriter::new(BufWriter::new(File::create(out)?), format);
-        let window = config.generate_stream(batch_size(args)?, &pool, &mut writer)?;
-        let counts = (
-            writer.clusters_written(),
-            writer.reads_written(),
-            writer.erasures_written(),
-        );
-        writer.into_inner()?;
-        println!(
-            "streamed {} batches, window high-watermark {} clusters",
-            window.batches, window.high_watermark
-        );
-        counts
-    } else {
-        let dataset = config.generate();
-        write_dataset_format(&dataset, BufWriter::new(File::create(out)?), format)?;
-        (
-            dataset.len(),
-            dataset.total_reads(),
-            dataset.erasure_count(),
-        )
-    };
+    let pool = thread_pool(args)?;
+    let mut writer = AnyDatasetWriter::new(BufWriter::new(File::create(out)?), parse_format(args)?);
+    let window = config.generate_stream(batch_size(args)?, &pool, &mut writer)?;
+    let (clusters, reads, erasures) = (
+        writer.clusters_written(),
+        writer.reads_written(),
+        writer.erasures_written(),
+    );
+    writer.into_inner()?;
+    println!(
+        "streamed {} batches, window high-watermark {} clusters",
+        window.batches, window.high_watermark
+    );
     let mean = if clusters == 0 {
         0.0
     } else {
@@ -347,27 +331,14 @@ fn cmd_profile(args: &Args) -> CliResult {
     let data = args.require("data")?;
     let top_k = args.get_or("top-k", 10usize)?;
     let mut rng = seeded(args.get_or("seed", 0u64)?);
-    // `from_source` draws from the rng in the same cluster order as
-    // `from_dataset`, so both paths print identical statistics.
-    let stats = if args.flag("stream") {
-        let batch = batch_size(args)?;
-        let (stats, window) = if args.flag("prefetch") {
-            let mut source = PrefetchSource::spawn(open_cluster_source(args, data)?, batch)?;
-            ErrorStats::from_source(&mut source, batch, TieBreak::Random, &mut rng)?
-        } else {
-            let mut source = open_cluster_source(args, data)?;
-            ErrorStats::from_source(&mut source, batch, TieBreak::Random, &mut rng)?
-        };
-        // Stderr, so the statistics on stdout stay byte-identical to the
-        // in-memory path.
-        eprintln!(
-            "stream window: {} batch(es), peak {} cluster(s) / {} read(s) resident",
-            window.batches, window.high_watermark, window.peak_resident_reads
-        );
-        stats
-    } else {
-        ErrorStats::from_dataset(&load(data)?, TieBreak::Random, &mut rng)
-    };
+    let batch = batch_size(args)?;
+    let mut source = PrefetchSource::spawn(open_cluster_source(args, data)?, batch)?;
+    let (stats, window) = ErrorStats::from_source(&mut source, batch, TieBreak::Random, &mut rng)?;
+    // Stderr, so stdout carries only the statistics.
+    eprintln!(
+        "stream window: {} batch(es), peak {} cluster(s) / {} read(s) resident",
+        window.batches, window.high_watermark, window.peak_resident_reads
+    );
     println!(
         "reads: {}   aggregate error rate: {:.4}",
         stats.read_count(),
@@ -403,8 +374,7 @@ fn cmd_profile(args: &Args) -> CliResult {
         model.spatial_multiplier(model.strand_len.saturating_sub(1)),
     );
     // Profiling never clusters, so the counters are zero here — the line
-    // documents the active SIMD backend and keeps the streamed and
-    // in-memory outputs identical (both print the same zeros).
+    // documents the active SIMD backend.
     println!("{}", cluster_kernel_line());
     if let Some(path) = args.get("save") {
         std::fs::write(path, model.to_text())?;
@@ -413,73 +383,13 @@ fn cmd_profile(args: &Args) -> CliResult {
     Ok(CliOutcome::Ok)
 }
 
+/// `simulate` learns the model with one bounded pass over the input file,
+/// then resimulates it cluster-batch by cluster-batch straight into the
+/// output file. `ErrorStats::from_source` draws from the rng in cluster
+/// order and every cluster's error stream is forked from the root seed by
+/// its global index, so the output is the same at any `--batch-size` and
+/// `--threads`.
 fn cmd_simulate(args: &Args) -> CliResult {
-    if args.flag("stream") {
-        return cmd_simulate_stream(args);
-    }
-    let dataset = load(args.require("data")?)?;
-    let out = args.require("out")?;
-    let model_spec = args.require("model")?;
-    let seed = args.get_or("seed", 1u64)?;
-    let mut rng = seeded(seed);
-    let pool = thread_pool(args)?;
-    // Per-cluster streams are forked from the root seed, so the simulated
-    // bytes are identical for every --threads value.
-    let seq = SeedSequence::new(seed);
-
-    let simulated = if let Some(layer_name) = model_spec.strip_prefix("keoliya") {
-        let layer = match layer_name.strip_prefix(':') {
-            Some(l) => parse_layer(l)?,
-            None => SimulatorLayer::SecondOrder,
-        };
-        // Reuse a previously saved model, or learn one from the dataset.
-        let learned = match args.get("model-file") {
-            Some(path) => LearnedModel::from_text(&std::fs::read_to_string(path)?)?,
-            None => {
-                let stats = ErrorStats::from_dataset(&dataset, TieBreak::Random, &mut rng);
-                LearnedModel::from_stats(&stats, 10)
-            }
-        };
-        let model = KeoliyaModel::new(learned, layer);
-        Simulator::new(model, CoverageModel::Fixed(0))
-            .resimulate_matching_on(&dataset, &seq, &pool)?
-    } else {
-        match model_spec {
-            "naive" => {
-                let stats = ErrorStats::from_dataset(&dataset, TieBreak::Random, &mut rng);
-                let learned = LearnedModel::from_stats(&stats, 10);
-                let model = KeoliyaModel::new(learned, SimulatorLayer::Naive);
-                Simulator::new(model, CoverageModel::Fixed(0))
-                    .resimulate_matching_on(&dataset, &seq, &pool)?
-            }
-            "dnasimulator" => Simulator::new(
-                DnaSimulatorModel::nanopore_default(),
-                CoverageModel::Fixed(0),
-            )
-            .resimulate_matching_on(&dataset, &seq, &pool)?,
-            other => return Err(format!("unknown model '{other}'").into()),
-        }
-    };
-    write_dataset_format(
-        &simulated,
-        BufWriter::new(File::create(out)?),
-        parse_format(args)?,
-    )?;
-    println!(
-        "simulated {} clusters ({} reads) with model '{model_spec}' to {out}",
-        simulated.len(),
-        simulated.total_reads()
-    );
-    Ok(CliOutcome::Ok)
-}
-
-/// The `--stream` path of `simulate`: learns the model with one bounded
-/// pass over the input file, then resimulates it cluster-batch by
-/// cluster-batch straight into the output file. Byte-identical to the
-/// in-memory path — `ErrorStats::from_source` draws from the rng in the
-/// same cluster order as `from_dataset`, and every cluster's error stream
-/// is forked from the root seed by its global index.
-fn cmd_simulate_stream(args: &Args) -> CliResult {
     let data = args.require("data")?;
     let out = args.require("out")?;
     let model_spec = args.require("model")?;
@@ -493,7 +403,7 @@ fn cmd_simulate_stream(args: &Args) -> CliResult {
         match args.get("model-file") {
             Some(path) => Ok(LearnedModel::from_text(&std::fs::read_to_string(path)?)?),
             None => {
-                let mut source = open_detected(data)?;
+                let mut source = PrefetchSource::spawn(open_detected(data)?, batch)?;
                 let (stats, _) =
                     ErrorStats::from_source(&mut source, batch, TieBreak::Random, rng)?;
                 Ok(LearnedModel::from_stats(&stats, 10))
@@ -532,9 +442,8 @@ fn cmd_simulate_stream(args: &Args) -> CliResult {
 
 /// Pipes `data` through `simulator.resimulate_stream` into `out`, printing
 /// the window statistics; returns (clusters, reads) written. Honors
-/// `--format` on the output, auto-detects the input, and with
-/// `--prefetch` decodes batch k+1 on a dedicated worker while batch k is
-/// in the pool — the output bytes are identical either way.
+/// `--format` on the output, auto-detects the input, and decodes batch
+/// k+1 on a dedicated I/O worker while batch k is in the pool.
 fn resimulate_streamed<M: ErrorModel + Sync>(
     simulator: &Simulator<M>,
     args: &Args,
@@ -546,13 +455,8 @@ fn resimulate_streamed<M: ErrorModel + Sync>(
 ) -> Result<(usize, usize), Box<dyn std::error::Error>> {
     let mut writer =
         AnyDatasetWriter::new(BufWriter::new(File::create(out)?), parse_format(args)?);
-    let window = if args.flag("prefetch") {
-        let mut source = PrefetchSource::spawn(open_detected(data)?, batch)?;
-        simulator.resimulate_stream(&mut source, seq, batch, pool, &mut writer)?
-    } else {
-        let mut source = open_detected(data)?;
-        simulator.resimulate_stream(&mut source, seq, batch, pool, &mut writer)?
-    };
+    let mut source = PrefetchSource::spawn(open_detected(data)?, batch)?;
+    let window = simulator.resimulate_stream(&mut source, seq, batch, pool, &mut writer)?;
     let counts = (writer.clusters_written(), writer.reads_written());
     writer.into_inner()?;
     println!(
@@ -707,8 +611,8 @@ fn cmd_experiment(args: &Args) -> CliResult {
 }
 
 fn cmd_archive(args: &Args) -> CliResult {
-    // The archive round trip is in-memory (no cluster file touches disk),
-    // so `--format` is validated for interface uniformity with serve's
+    // No cluster file touches disk during the archive round trip, so
+    // `--format` is validated for interface uniformity with serve's
     // archive op but does not change the result.
     let _ = parse_format(args)?;
     let bytes = args.get_or("bytes", 1024usize)?;
@@ -735,23 +639,17 @@ fn cmd_archive(args: &Args) -> CliResult {
         mode,
         ..defaults
     };
-    let report = match args.get("batch-size") {
-        Some(_) => {
-            let (report, window) = archive_round_trip_stream(
-                &data,
-                &config,
-                &mut rng,
-                &thread_pool(args)?,
-                batch_size(args)?,
-            )?;
-            println!(
-                "decoded {} windows, high-watermark {} clusters, peak {} reads resident",
-                window.batches, window.high_watermark, window.peak_resident_reads
-            );
-            report
-        }
-        None => archive_round_trip_on(&data, &config, &mut rng, &thread_pool(args)?)?,
-    };
+    let (report, window) = archive_round_trip_stream(
+        &data,
+        &config,
+        &mut rng,
+        &thread_pool(args)?,
+        batch_size(args)?,
+    )?;
+    println!(
+        "decoded {} windows, high-watermark {} clusters, peak {} reads resident",
+        window.batches, window.high_watermark, window.peak_resident_reads
+    );
     let ok = report.data[..data.len()] == data[..];
     if config.imperfect_clustering {
         // Imperfect clustering ran the greedy pass: surface how much

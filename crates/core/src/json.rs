@@ -1,8 +1,9 @@
-//! A minimal JSON parser and emitter for the serve protocol.
+//! The workspace's one JSON codec: a minimal parser, string escaper and
+//! ordered object writer.
 //!
-//! The workspace is hermetic (no serde), so the JSONL request/response
-//! framing is handled by this small recursive-descent parser and an
-//! ordered object writer. The parser accepts exactly the JSON grammar
+//! The workspace is hermetic (no serde), so the serve protocol's JSONL
+//! framing, the chaos grid's `--json` summary and the benchmark reports
+//! all go through this small recursive-descent parser and object writer. The parser accepts exactly the JSON grammar
 //! (RFC 8259) with a nesting-depth cap; the writer emits fields in
 //! insertion order so responses are byte-deterministic.
 

@@ -21,6 +21,8 @@
 //! * [`EditOp`] / [`EditScript`] — the IDS error vocabulary;
 //! * [`DnasimError`] — the workspace-wide failure taxonomy;
 //! * [`rng`] — deterministic seeding utilities;
+//! * [`json`] — the minimal JSON parser and writer behind every
+//!   machine-readable output;
 //! * [`tech`] — the sequencing-technology survey (paper Table 1.1).
 //!
 //! # Examples
@@ -45,6 +47,7 @@ mod cluster;
 mod dataset;
 mod edit;
 mod error;
+pub mod json;
 mod packed;
 pub mod rng;
 pub mod stream;
@@ -61,6 +64,7 @@ pub use error::DnasimError;
 pub use packed::PackedStrand;
 pub use strand::{ParseStrandError, Strand};
 pub use stream::{
-    pump, pump_budgeted, pump_prefetch, resident_reads, Batch, ClusterSink, ClusterSource,
-    DatasetStream, NullSink, OwnedDatasetStream, PrefetchSource, WindowStats,
+    checked_batch_size, fold_windows, produce_windows, pump, pump_budgeted, pump_prefetch,
+    resident_reads, Batch, ClusterSink, ClusterSource, DatasetStream, NullSink,
+    OwnedDatasetStream, PrefetchSource, WindowStats,
 };

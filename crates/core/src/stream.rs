@@ -12,9 +12,12 @@
 //!   cluster order it starts;
 //! * [`ClusterSource`] / [`ClusterSink`] — pull/push endpoints a stage
 //!   streams between;
-//! * [`pump`] — the generic bounded-window driver, which also audits the
-//!   window high-watermark so tests can assert a stage never held more
-//!   than `batch_size` clusters in flight;
+//! * [`fold_windows`] / [`produce_windows`] — the one budgeted window
+//!   loop every streaming stage runs on (consumers fold a source,
+//!   producers generate index ranges), which also audits the window
+//!   high-watermark and resident reads so tests can assert a stage never
+//!   held more than `batch_size` clusters in flight;
+//! * [`pump`] — the source → transform → sink form of the same loop;
 //! * [`Dataset`] adapters, making the in-memory type one trivial
 //!   source/sink so existing callers keep working unchanged.
 //!
@@ -205,7 +208,13 @@ pub fn resident_reads(clusters: &[Cluster]) -> usize {
 }
 
 /// Validates a streaming batch size, translating `0` into a typed error.
-pub(crate) fn checked_batch_size(batch_size: usize) -> Result<usize, DnasimError> {
+/// Every window driver, reader and service that takes a batch size goes
+/// through this one check.
+///
+/// # Errors
+///
+/// [`DnasimError::Config`] for `batch_size == 0`.
+pub fn checked_batch_size(batch_size: usize) -> Result<usize, DnasimError> {
     if batch_size == 0 {
         Err(DnasimError::config(
             "batch_size",
@@ -214,6 +223,200 @@ pub(crate) fn checked_batch_size(batch_size: usize) -> Result<usize, DnasimError
     } else {
         Ok(batch_size)
     }
+}
+
+/// A window the driver can meter: a contiguous run of global cluster
+/// indices, either materialised ([`Batch`]) or still to be produced
+/// (`Range<usize>`).
+trait Window {
+    fn start(&self) -> usize;
+    fn len(&self) -> usize;
+    fn truncate(&mut self, len: usize);
+}
+
+impl Window for Batch {
+    fn start(&self) -> usize {
+        Batch::start(self)
+    }
+    fn len(&self) -> usize {
+        Batch::len(self)
+    }
+    fn truncate(&mut self, len: usize) {
+        Batch::truncate(self, len);
+    }
+}
+
+impl Window for Range<usize> {
+    fn start(&self) -> usize {
+        self.start
+    }
+    fn len(&self) -> usize {
+        ExactSizeIterator::len(self)
+    }
+    fn truncate(&mut self, len: usize) {
+        self.end = self.end.min(self.start.saturating_add(len));
+    }
+}
+
+/// The window loop. Pulls windows of at most `batch_size` clusters,
+/// observes cancellation at every boundary, charges one unit per empty
+/// window (so a stalled source trips the budget instead of spinning),
+/// rejects gaps and overlaps, admits each window against the budget, hands
+/// the admitted prefix to `visit` (which returns the reads it holds) and
+/// fails with the typed deadline error once a window is cut short.
+fn drive<W, P, V>(
+    batch_size: usize,
+    budget: &Budget,
+    stage: &'static str,
+    mut pull: P,
+    mut visit: V,
+) -> Result<WindowStats, DnasimError>
+where
+    W: Window,
+    P: FnMut(usize) -> Result<Option<W>, DnasimError>,
+    V: FnMut(W) -> Result<usize, DnasimError>,
+{
+    let batch_size = checked_batch_size(batch_size)?;
+    let mut stats = WindowStats::default();
+    let mut expected_start = 0usize;
+    loop {
+        budget.check(stage)?;
+        let Some(mut window) = pull(batch_size)? else {
+            return Ok(stats);
+        };
+        let full_len = window.len();
+        if full_len == 0 {
+            // Progress guard: real sources never emit empty windows, so
+            // metered runs stay byte-identical.
+            budget.charge(stage, 1)?;
+            continue;
+        }
+        if window.start() != expected_start {
+            return Err(DnasimError::config(
+                "stream",
+                format!(
+                    "source emitted batch starting at {} but {} clusters were seen",
+                    window.start(),
+                    expected_start
+                ),
+            ));
+        }
+        let admitted = usize::try_from(budget.admit(full_len as u64)).unwrap_or(usize::MAX);
+        if admitted > 0 {
+            window.truncate(admitted);
+            let reads = visit(window)?;
+            stats.record_window(admitted, reads);
+            expected_start += admitted;
+        }
+        if admitted < full_len {
+            return Err(budget.exceeded(stage));
+        }
+    }
+}
+
+/// Folds `source` window by window: the streaming driver every consumer
+/// stage (profiling, evaluation, fidelity) is a per-batch closure over.
+///
+/// Each window holds at most `batch_size` clusters and costs one budget
+/// unit per cluster. When the budget runs dry mid-window, `visit` still
+/// sees the *admitted prefix*, so it folds exactly the first `limit`
+/// clusters of the stream — at any batch size — before the typed error is
+/// returned. The returned [`WindowStats`] gauge every window's clusters
+/// and resident reads. `stage` names the driver in deadline errors.
+///
+/// # Errors
+///
+/// [`DnasimError::Config`] for `batch_size == 0` or a non-contiguous
+/// source, [`DnasimError::DeadlineExceeded`] on exhaustion or
+/// cancellation, otherwise whatever the source or `visit` reports.
+pub fn fold_windows<S, F>(
+    source: &mut S,
+    batch_size: usize,
+    budget: &Budget,
+    stage: &'static str,
+    mut visit: F,
+) -> Result<WindowStats, DnasimError>
+where
+    S: ClusterSource + ?Sized,
+    F: FnMut(Batch) -> Result<(), DnasimError>,
+{
+    drive(
+        batch_size,
+        budget,
+        stage,
+        |max| source.next_batch(max),
+        |batch: Batch| {
+            let reads = resident_reads(batch.clusters());
+            visit(batch)?;
+            Ok(reads)
+        },
+    )
+}
+
+/// The producer form of [`fold_windows`]: generates clusters
+/// `0..count` window by window, calling `produce` with each admitted range
+/// of global indices and pushing the result into `sink`. A stage that
+/// seeds cluster `i` from its global index produces the same bytes at any
+/// batch size, and an exhausted budget cuts the output at global cluster
+/// `limit`. The read gauge counts the produced clusters' reads.
+///
+/// # Errors
+///
+/// [`DnasimError::Config`] for `batch_size == 0` or a `produce` that
+/// returns the wrong number of clusters,
+/// [`DnasimError::DeadlineExceeded`] on exhaustion or cancellation,
+/// otherwise whatever `produce` or the sink reports.
+pub fn produce_windows<K, F>(
+    count: usize,
+    sink: &mut K,
+    batch_size: usize,
+    budget: &Budget,
+    stage: &'static str,
+    mut produce: F,
+) -> Result<WindowStats, DnasimError>
+where
+    K: ClusterSink + ?Sized,
+    F: FnMut(Range<usize>) -> Result<Vec<Cluster>, DnasimError>,
+{
+    let mut cursor = 0usize;
+    let stats = drive(
+        batch_size,
+        budget,
+        stage,
+        |max| {
+            if cursor >= count {
+                return Ok(None);
+            }
+            let range = cursor..cursor.saturating_add(max).min(count);
+            cursor = range.end;
+            Ok(Some(range))
+        },
+        |range: Range<usize>| {
+            let (start, len) = (range.start, range.end - range.start);
+            emit(sink, Batch::new(start, produce(range)?), start, len)
+        },
+    )?;
+    sink.finish()?;
+    Ok(stats)
+}
+
+/// Pushes a stage's output window into `sink` after checking it still
+/// covers global indices `start..start + len`; returns its resident reads.
+fn emit<K: ClusterSink + ?Sized>(
+    sink: &mut K,
+    out: Batch,
+    start: usize,
+    len: usize,
+) -> Result<usize, DnasimError> {
+    if out.start() != start || out.len() != len {
+        return Err(DnasimError::config(
+            "stream",
+            "streaming transform must map batches 1:1 (same start and length)",
+        ));
+    }
+    let reads = resident_reads(out.clusters());
+    sink.accept(out)?;
+    Ok(reads)
 }
 
 /// Drives `source` → `transform` → `sink` with a bounded window of at most
@@ -244,16 +447,12 @@ where
     pump_budgeted(source, sink, batch_size, &Budget::unlimited(), "pump", transform)
 }
 
-/// [`pump`] with a deterministic work [`Budget`]: each non-empty batch
-/// charges one unit per cluster, each empty batch charges one unit (so a
-/// stalled source that yields empty batches forever exhausts the budget
-/// instead of spinning), and cancellation is observed at every batch
-/// boundary.
-///
-/// When the budget runs dry mid-batch the *admitted prefix* is still
-/// transformed and emitted, so the sink holds exactly the first `limit`
-/// clusters of the stream — at any batch size — before the typed error is
-/// returned. `stage` names this driver in the error.
+/// [`pump`] metered by a [`Budget`] through [`fold_windows`]: one unit per
+/// cluster, one per empty batch, cancellation observed at every batch
+/// boundary. The admitted prefix is still transformed and emitted, so the
+/// sink holds exactly the first `limit` clusters of the stream — at any
+/// batch size — before the typed error is returned. `stage` names this
+/// driver in the error.
 ///
 /// # Errors
 ///
@@ -272,52 +471,10 @@ where
     K: ClusterSink + ?Sized,
     F: FnMut(Batch) -> Result<Batch, DnasimError>,
 {
-    let batch_size = checked_batch_size(batch_size)?;
-    let mut stats = WindowStats::default();
-    let mut expected_start = 0usize;
-    loop {
-        budget.check(stage)?;
-        let Some(mut batch) = source.next_batch(batch_size)? else {
-            break;
-        };
-        if batch.is_empty() {
-            // Progress guard: an empty batch costs one unit, so a source
-            // that stalls (empty batches forever) deterministically trips
-            // the deadline instead of looping. Real sources never emit
-            // empty batches, so metered runs stay byte-identical.
-            budget.charge(stage, 1)?;
-            continue;
-        }
-        if batch.start() != expected_start {
-            return Err(DnasimError::config(
-                "stream",
-                format!(
-                    "source emitted batch starting at {} but {} clusters were seen",
-                    batch.start(),
-                    expected_start
-                ),
-            ));
-        }
-        let full_len = batch.len();
-        let admitted = budget.admit(full_len as u64) as usize;
-        batch.truncate(admitted);
-        if admitted > 0 {
-            let (start, len) = (batch.start(), batch.len());
-            stats.record_window(len, resident_reads(batch.clusters()));
-            let out = transform(batch)?;
-            if out.start() != start || out.len() != len {
-                return Err(DnasimError::config(
-                    "stream",
-                    "streaming transform must map batches 1:1 (same start and length)",
-                ));
-            }
-            sink.accept(out)?;
-            expected_start = start + len;
-        }
-        if admitted < full_len {
-            return Err(budget.exceeded(stage));
-        }
-    }
+    let stats = fold_windows(source, batch_size, budget, stage, |batch| {
+        let (start, len) = (batch.start(), batch.len());
+        emit(sink, transform(batch)?, start, len).map(|_| ())
+    })?;
     sink.finish()?;
     Ok(stats)
 }
@@ -828,6 +985,51 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn produced_windows_stop_at_the_limit_prefix_at_any_batch_size() {
+        let ds = sample(10);
+        for limit in [0u64, 1, 4, 9, 10, 50] {
+            let expected = &ds.clusters()[..ds.len().min(limit as usize)];
+            for batch_size in [1, 3, 7, usize::MAX] {
+                let budget = Budget::limited(limit);
+                let mut out = Dataset::new();
+                let result = produce_windows(ds.len(), &mut out, batch_size, &budget, "make", |r| {
+                    Ok(ds.clusters()[r].to_vec())
+                });
+                match result {
+                    Ok(stats) => {
+                        assert!(limit >= 10);
+                        assert_eq!(stats.clusters, 10);
+                        assert!(stats.high_watermark <= batch_size);
+                        let largest = ds.clusters().chunks(batch_size.min(10)).map(resident_reads);
+                        assert_eq!(Some(stats.peak_resident_reads), largest.max());
+                    }
+                    Err(DnasimError::DeadlineExceeded { spent, stage, .. }) => {
+                        assert!(limit < 10);
+                        assert_eq!((spent, stage), (limit, "make"));
+                    }
+                    Err(other) => panic!("unexpected {other:?}"),
+                }
+                assert_eq!(out.clusters(), expected, "limit={limit} batch_size={batch_size}");
+            }
+        }
+    }
+
+    #[test]
+    fn producer_returning_the_wrong_count_is_a_config_error() {
+        let mut out = Dataset::new();
+        let err = produce_windows(4, &mut out, 2, &Budget::unlimited(), "make", |_| {
+            Ok(Vec::new())
+        })
+        .unwrap_err();
+        assert!(matches!(err, DnasimError::Config { .. }));
+        let err = produce_windows(4, &mut out, 0, &Budget::unlimited(), "make", |_| {
+            Ok(Vec::new())
+        })
+        .unwrap_err();
+        assert!(matches!(err, DnasimError::Config { .. }));
     }
 
     /// A source that never produces a cluster: without the empty-batch

@@ -36,7 +36,10 @@
 
 use std::io::{self, BufRead, Read, Write};
 
-use dnasim_core::{Base, Batch, Cluster, ClusterSink, ClusterSource, DnasimError, PackedStrand, Strand};
+use dnasim_core::{
+    checked_batch_size, Base, Batch, Cluster, ClusterSink, ClusterSource, DnasimError,
+    PackedStrand, Strand,
+};
 
 use crate::io::ReadDatasetError;
 
@@ -528,12 +531,7 @@ impl<R: BufRead> Iterator for BinaryDatasetReader<R> {
 
 impl<R: BufRead> ClusterSource for BinaryDatasetReader<R> {
     fn next_batch(&mut self, max: usize) -> Result<Option<Batch>, DnasimError> {
-        if max == 0 {
-            return Err(DnasimError::config(
-                "batch_size",
-                "streaming batch size must be at least 1",
-            ));
-        }
+        let max = checked_batch_size(max)?;
         let start = self.emitted;
         let mut clusters = Vec::new();
         while clusters.len() < max {

@@ -29,7 +29,8 @@ use std::fmt;
 use std::io::{self, BufRead, Write};
 
 use dnasim_core::{
-    Batch, Cluster, ClusterSink, ClusterSource, Dataset, DnasimError, ParseStrandError, Strand,
+    checked_batch_size, Batch, Cluster, ClusterSink, ClusterSource, Dataset, DnasimError,
+    ParseStrandError, Strand,
 };
 
 /// Sentinel line for a zero-length read (all bases deleted).
@@ -341,12 +342,7 @@ impl<R: BufRead> Iterator for DatasetReader<R> {
 
 impl<R: BufRead> ClusterSource for DatasetReader<R> {
     fn next_batch(&mut self, max: usize) -> Result<Option<Batch>, DnasimError> {
-        if max == 0 {
-            return Err(DnasimError::config(
-                "batch_size",
-                "streaming batch size must be at least 1",
-            ));
-        }
+        let max = checked_batch_size(max)?;
         let start = self.emitted;
         let mut clusters = Vec::new();
         while clusters.len() < max {

@@ -13,7 +13,9 @@
 
 use dnasim_channel::{CoverageModel, ErrorModel};
 use dnasim_core::rng::{SeedSequence, SimRng};
-use dnasim_core::{Base, Batch, Budget, Cluster, ClusterSink, Dataset, DnasimError, Strand, WindowStats};
+use dnasim_core::{
+    produce_windows, Base, Budget, Cluster, ClusterSink, Dataset, DnasimError, Strand, WindowStats,
+};
 use dnasim_core::rng::RngExt;
 use dnasim_par::ThreadPool;
 
@@ -142,8 +144,8 @@ impl NanoporeTwinConfig {
     /// [`SeedSequence::fork`]`(i)` of the root seed, rather than by
     /// threading one serial RNG through the whole dataset. Stream
     /// independence means the bytes of cluster `i` do not depend on how
-    /// many clusters precede it — so [`NanoporeTwinConfig::generate_on`]
-    /// can fan the same work out over threads and produce identical bytes.
+    /// many clusters precede it — so the windowed, parallel
+    /// [`NanoporeTwinConfig::generate_stream`] produces identical bytes.
     pub fn generate(&self) -> Dataset {
         let seq = SeedSequence::new(self.seed);
         let channel = self.channel();
@@ -157,26 +159,19 @@ impl NanoporeTwinConfig {
         Dataset::from_clusters(clusters)
     }
 
-    /// Parallel counterpart of [`NanoporeTwinConfig::generate`]: same
-    /// bytes for any thread count, thanks to the per-cluster fork
-    /// discipline.
+    /// Parallel counterpart of [`NanoporeTwinConfig::generate`]: the
+    /// streaming path ([`NanoporeTwinConfig::generate_stream`]) with one
+    /// window, so the bytes are the same for any thread count.
     ///
     /// # Errors
     ///
     /// Returns [`DnasimError::Degraded`] if a worker panicked.
     pub fn generate_on(&self, pool: &ThreadPool) -> Result<Dataset, DnasimError> {
-        let seq = SeedSequence::new(self.seed);
-        let channel = self.channel();
-        let coverage = self.coverage_model();
-        let clusters = pool.par_map_len(self.cluster_count, |index| {
-            let mut rng = seq.fork_rng(index as u64);
-            self.generate_cluster(index, &channel, &coverage, &mut rng)
-        })?;
-        Ok(Dataset::from_clusters(clusters))
+        let mut out = Dataset::new();
+        self.generate_stream(usize::MAX, pool, &mut out).map(|_| out)
     }
 
-    /// Streaming counterpart of [`NanoporeTwinConfig::generate_on`]:
-    /// generates the twin in bounded batches of at most `batch_size`
+    /// Generates the twin in bounded batches of at most `batch_size`
     /// clusters, pushing each finished batch into `sink` — at no point
     /// does more than one batch exist in memory.
     ///
@@ -202,11 +197,11 @@ impl NanoporeTwinConfig {
         self.generate_stream_budgeted(batch_size, pool, &Budget::unlimited(), sink)
     }
 
-    /// [`NanoporeTwinConfig::generate_stream`] metered by a [`Budget`]:
-    /// one work unit per generated cluster, admitted in the serial batch
-    /// loop, so an exhausted budget always cuts the twin at global cluster
-    /// `limit` — at any batch size or thread count — after emitting the
-    /// admitted prefix.
+    /// [`NanoporeTwinConfig::generate_stream`] metered by a [`Budget`]
+    /// through [`produce_windows`]: one work unit per generated cluster,
+    /// admitted before the window fans out, so an exhausted budget always
+    /// cuts the twin at global cluster `limit` — at any batch size or
+    /// thread count — after emitting the admitted prefix.
     ///
     /// # Errors
     ///
@@ -222,37 +217,16 @@ impl NanoporeTwinConfig {
     where
         K: ClusterSink + ?Sized,
     {
-        if batch_size == 0 {
-            return Err(DnasimError::config(
-                "batch_size",
-                "streaming batch size must be at least 1",
-            ));
-        }
         let seq = SeedSequence::new(self.seed);
         let channel = self.channel();
         let coverage = self.coverage_model();
-        let mut stats = WindowStats::default();
-        let mut start = 0usize;
-        while start < self.cluster_count {
-            budget.check("generate")?;
-            let len = batch_size.min(self.cluster_count - start);
-            let admitted = usize::try_from(budget.admit(len as u64)).unwrap_or(usize::MAX);
-            let clusters = pool.par_map_len(admitted, |i| {
-                let index = start + i;
+        produce_windows(self.cluster_count, sink, batch_size, budget, "generate", |range| {
+            Ok(pool.par_map_len(range.len(), |i| {
+                let index = range.start + i;
                 let mut rng = seq.fork_rng(index as u64);
                 self.generate_cluster(index, &channel, &coverage, &mut rng)
-            })?;
-            if admitted > 0 {
-                stats.record_window(admitted, dnasim_core::resident_reads(&clusters));
-                sink.accept(Batch::new(start, clusters))?;
-                start += admitted;
-            }
-            if admitted < len {
-                return Err(budget.exceeded("generate"));
-            }
-        }
-        sink.finish()?;
-        Ok(stats)
+            })?)
+        })
     }
 
     fn channel(&self) -> GroundTruthChannel {

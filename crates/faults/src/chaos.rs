@@ -15,7 +15,7 @@ use dnasim_channel::{CoverageModel, KeoliyaModel, NaiveModel, Simulator, Simulat
 use dnasim_cluster::{GreedyClusterer, StreamingClusterer};
 use dnasim_codec::{OuterRsCode, ReedSolomon, StrandLayout};
 use dnasim_core::rng::{seeded, RngExt};
-use dnasim_core::{pump_budgeted, Budget, Cluster, Dataset, DnasimError, NullSink, Strand};
+use dnasim_core::{json, pump_budgeted, Budget, Cluster, Dataset, DnasimError, NullSink, Strand};
 use dnasim_dataset::{
     generate_references, read_dataset, write_dataset, ReadDatasetError, ReferenceStyle,
 };
@@ -179,29 +179,12 @@ impl ChaosReport {
                 "{{\"fault\":\"{}\",\"seed\":{},\"message\":\"{}\"}}",
                 bad.fault.name(),
                 bad.seed,
-                escape_json(message),
+                json::escape(message),
             ));
         }
         out.push_str("]}");
         out
     }
-}
-
-/// Minimal JSON string escaping for panic messages.
-fn escape_json(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Sweeps every [`FaultKind`] over a seed grid.

@@ -10,7 +10,7 @@
 //! deterministic, so a chaos failure against them is a one-line
 //! reproduction.
 
-use dnasim_core::{Batch, Cluster, ClusterSink, ClusterSource, DnasimError};
+use dnasim_core::{checked_batch_size, Batch, Cluster, ClusterSink, ClusterSource, DnasimError};
 
 /// A [`ClusterSource`] that emits a fixed prefix of clusters and then
 /// stalls: every later `next_batch` call returns an *empty* batch rather
@@ -37,12 +37,7 @@ impl StallingSource {
 
 impl ClusterSource for StallingSource {
     fn next_batch(&mut self, max: usize) -> Result<Option<Batch>, DnasimError> {
-        if max == 0 {
-            return Err(DnasimError::config(
-                "batch_size",
-                "batch size must be at least 1",
-            ));
-        }
+        let max = checked_batch_size(max)?;
         if self.emitted >= self.clusters.len() {
             // The stall: progress stops but the stream never closes.
             return Ok(Some(Batch::new(self.emitted, Vec::new())));

@@ -19,7 +19,7 @@ proptest! {
         let counters: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
         let items: Vec<usize> = (0..len).collect();
         ThreadPool::new(threads)
-            .par_for_each_indexed(&items, |index, &item| {
+            .par_map_indexed(&items, |index, &item| {
                 prop_assert_eq_unreachable(index, item);
                 counters[index].fetch_add(1, Ordering::Relaxed);
             })

@@ -12,7 +12,7 @@ use dnasim_channel::NaiveModel;
 use dnasim_cluster::{GreedyClusterer, StreamingClusterer};
 use dnasim_codec::{LayoutError, OuterRsCode, RecoveryOutcome, RsError, StrandLayout, XorParity};
 use dnasim_core::rng::{RngExt, SeedSequence, SimRng};
-use dnasim_core::{Budget, Cluster, DnasimError, Strand, WindowStats};
+use dnasim_core::{checked_batch_size, Budget, Cluster, DnasimError, Strand, WindowStats};
 use dnasim_dataset::GroundTruthChannel;
 use dnasim_par::{PoolError, ThreadPool};
 use dnasim_reconstruct::{
@@ -288,12 +288,7 @@ pub fn archive_round_trip_stream_budgeted(
     batch_size: usize,
     budget: &Budget,
 ) -> Result<(ArchiveReport, WindowStats), DnasimError> {
-    if batch_size == 0 {
-        return Err(DnasimError::config(
-            "batch_size",
-            "streaming batch size must be at least 1",
-        ));
-    }
+    checked_batch_size(batch_size)?;
     archive_round_trip_windowed(data, config, rng, workers, batch_size, budget)
         .map_err(DnasimError::from)
 }

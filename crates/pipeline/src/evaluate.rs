@@ -1,7 +1,9 @@
 //! Dataset-level evaluation: run a reconstructor over every cluster and
 //! collect accuracy and positional error profiles.
 
-use dnasim_core::{Budget, ClusterSource, Dataset, DnasimError, WindowStats};
+use dnasim_core::{
+    fold_windows, Batch, Budget, Cluster, ClusterSource, Dataset, DnasimError, Strand, WindowStats,
+};
 use dnasim_metrics::{AccuracyReport, PositionalProfile, ProfileKind};
 use dnasim_par::ThreadPool;
 use dnasim_reconstruct::TraceReconstructor;
@@ -43,10 +45,10 @@ pub fn evaluate_reconstruction<A: TraceReconstructor + ?Sized>(
     report
 }
 
-/// Parallel counterpart of [`evaluate_reconstruction`]: clusters are
-/// reconstructed on `pool` (reconstruction is pure, so the estimates are
-/// byte-identical to the serial path) and the report is assembled serially
-/// in cluster order, so the result does not depend on the thread count.
+/// Parallel counterpart of [`evaluate_reconstruction`]: the streaming path
+/// ([`evaluate_reconstruction_stream`]) with one window. Reconstruction is
+/// pure and the report is folded in cluster order, so the result does not
+/// depend on the thread count.
 ///
 /// # Errors
 ///
@@ -59,37 +61,24 @@ pub fn evaluate_reconstruction_on<A>(
 where
     A: TraceReconstructor + Sync + ?Sized,
 {
-    let estimates = pool.par_map_indexed(dataset.clusters(), |_, cluster| {
-        if cluster.is_erasure() {
-            None
-        } else {
-            Some(algorithm.reconstruct(cluster.reads(), cluster.reference().len()))
-        }
-    })?;
-    let mut report = AccuracyReport::new();
-    for (cluster, estimate) in dataset.iter().zip(&estimates) {
-        match estimate {
-            Some(estimate) => report.record(cluster.reference(), estimate),
-            None => report.record_erasure(cluster.reference()),
-        }
-    }
-    Ok(report)
+    evaluate_reconstruction_stream(&mut dataset.stream(), algorithm, usize::MAX, pool)
+        .map(|(report, _)| report)
 }
 
-/// Streaming counterpart of [`evaluate_reconstruction_on`]: pulls
-/// clusters from `source` in bounded batches of at most `batch_size`,
+/// Streaming counterpart of [`evaluate_reconstruction`]: pulls clusters
+/// from `source` in bounded batches of at most `batch_size`,
 /// reconstructs each batch on `pool`, and folds the accuracy report in
 /// cluster order — at no point are more than `batch_size` clusters (plus
 /// their estimates) in flight.
 ///
-/// Reconstruction is pure, so the report is byte-identical to the
-/// in-memory path for every batch size and thread count.
+/// Reconstruction is pure, so the report is byte-identical to
+/// [`evaluate_reconstruction`] for every batch size and thread count.
 ///
 /// # Errors
 ///
-/// [`DnasimError::Config`] for `batch_size == 0`,
-/// [`DnasimError::Degraded`] if a worker panicked, or whatever the
-/// source reports.
+/// [`DnasimError::Config`] for `batch_size == 0` or a non-contiguous
+/// source, [`DnasimError::Degraded`] if a worker panicked, or whatever
+/// the source reports.
 pub fn evaluate_reconstruction_stream<S, A>(
     source: &mut S,
     algorithm: &A,
@@ -104,10 +93,11 @@ where
 }
 
 /// [`evaluate_reconstruction_stream`] metered by a [`Budget`]: one work
-/// unit per reconstructed cluster (an empty batch charges one unit, so a
-/// stalled source trips the deadline instead of spinning). Admission
-/// happens in the serial fold loop, so exhaustion cuts the stream at the
-/// same global cluster at any batch size or thread count.
+/// unit per reconstructed cluster through [`fold_windows`] (an empty
+/// batch charges one unit, so a stalled source trips the deadline instead
+/// of spinning). Admission happens before the window fans out, so
+/// exhaustion cuts the stream at the same global cluster at any batch
+/// size or thread count.
 ///
 /// # Errors
 ///
@@ -124,46 +114,34 @@ where
     S: ClusterSource + ?Sized,
     A: TraceReconstructor + Sync + ?Sized,
 {
-    if batch_size == 0 {
-        return Err(DnasimError::config(
-            "batch_size",
-            "streaming batch size must be at least 1",
-        ));
-    }
     let mut report = AccuracyReport::new();
-    let mut window = WindowStats::default();
-    loop {
-        budget.check("reconstruct")?;
-        let Some(batch) = source.next_batch(batch_size)? else {
-            break;
-        };
-        if batch.is_empty() {
-            budget.charge("reconstruct", 1)?;
-            continue;
-        }
-        let (estimates, admitted) = pool.par_map_admitted(budget, batch.clusters(), |_, cluster| {
-            if cluster.is_erasure() {
-                None
-            } else {
-                Some(algorithm.reconstruct(cluster.reads(), cluster.reference().len()))
-            }
-        })?;
-        if admitted > 0 {
-            window.batches += 1;
-            window.clusters += admitted;
-            window.high_watermark = window.high_watermark.max(admitted);
-            for (cluster, estimate) in batch.clusters()[..admitted].iter().zip(&estimates) {
-                match estimate {
-                    Some(estimate) => report.record(cluster.reference(), estimate),
-                    None => report.record_erasure(cluster.reference()),
-                }
+    let window = fold_windows(source, batch_size, budget, "reconstruct", |batch| {
+        let estimates = reconstruct_batch(batch.clusters(), algorithm, pool)?;
+        for (cluster, estimate) in batch.clusters().iter().zip(&estimates) {
+            match estimate {
+                Some(estimate) => report.record(cluster.reference(), estimate),
+                None => report.record_erasure(cluster.reference()),
             }
         }
-        if admitted < batch.len() {
-            return Err(budget.exceeded("reconstruct"));
-        }
-    }
+        Ok(())
+    })?;
     Ok((report, window))
+}
+
+/// Reconstructs every non-erasure cluster of a window on `pool`, in
+/// cluster order (`None` marks an erasure).
+fn reconstruct_batch<A>(
+    clusters: &[Cluster],
+    algorithm: &A,
+    pool: &ThreadPool,
+) -> Result<Vec<Option<Strand>>, DnasimError>
+where
+    A: TraceReconstructor + Sync + ?Sized,
+{
+    Ok(pool.par_map_indexed(clusters, |_, cluster| {
+        (!cluster.is_erasure())
+            .then(|| algorithm.reconstruct(cluster.reads(), cluster.reference().len()))
+    })?)
 }
 
 /// Post-reconstruction positional profiles: reconstruct every cluster and
@@ -208,16 +186,16 @@ pub fn pre_reconstruction_profiles(dataset: &Dataset) -> (PositionalProfile, Pos
 /// accumulate batch-by-batch via [`PositionalProfile::merge`], with
 /// reconstruction fanned out on `pool`.
 ///
-/// The profile length is pinned by the first cluster seen (exactly as the
-/// in-memory path pins it with `dataset.strand_len()`), so overflow
-/// clamping — and therefore the counts — match the in-memory profiles for
-/// every batch size.
+/// The profile length is pinned by the first cluster seen (exactly as
+/// [`post_reconstruction_profiles`] pins it with `dataset.strand_len()`),
+/// so overflow clamping — and therefore the counts — match the
+/// whole-dataset profiles for every batch size.
 ///
 /// # Errors
 ///
-/// [`DnasimError::Config`] for `batch_size == 0`,
-/// [`DnasimError::Degraded`] if a worker panicked, or whatever the
-/// source reports.
+/// [`DnasimError::Config`] for `batch_size == 0` or a non-contiguous
+/// source, [`DnasimError::Degraded`] if a worker panicked, or whatever
+/// the source reports.
 pub fn post_reconstruction_profiles_stream<S, A>(
     source: &mut S,
     algorithm: &A,
@@ -228,37 +206,12 @@ where
     S: ClusterSource + ?Sized,
     A: TraceReconstructor + Sync + ?Sized,
 {
-    if batch_size == 0 {
-        return Err(DnasimError::config(
-            "batch_size",
-            "streaming batch size must be at least 1",
-        ));
-    }
     let mut hamming = PositionalProfile::new(ProfileKind::Hamming, 0);
     let mut gestalt = PositionalProfile::new(ProfileKind::GestaltAligned, 0);
     let mut len: Option<usize> = None;
-    let mut window = WindowStats::default();
-    while let Some(batch) = source.next_batch(batch_size)? {
-        if batch.is_empty() {
-            continue;
-        }
-        window.batches += 1;
-        window.clusters += batch.len();
-        window.high_watermark = window.high_watermark.max(batch.len());
-        let len = *len.get_or_insert_with(|| {
-            batch
-                .clusters()
-                .first()
-                .map(|c| c.reference().len())
-                .unwrap_or(0)
-        });
-        let estimates = pool.par_map_indexed(batch.clusters(), |_, cluster| {
-            if cluster.is_erasure() {
-                None
-            } else {
-                Some(algorithm.reconstruct(cluster.reads(), cluster.reference().len()))
-            }
-        })?;
+    let window = fold_windows(source, batch_size, &Budget::unlimited(), "profile", |batch| {
+        let len = *len.get_or_insert_with(|| first_reference_len(&batch));
+        let estimates = reconstruct_batch(batch.clusters(), algorithm, pool)?;
         let mut batch_hamming = PositionalProfile::new(ProfileKind::Hamming, len);
         let mut batch_gestalt = PositionalProfile::new(ProfileKind::GestaltAligned, len);
         for (cluster, estimate) in batch.clusters().iter().zip(&estimates) {
@@ -269,8 +222,16 @@ where
         }
         hamming.merge(&batch_hamming);
         gestalt.merge(&batch_gestalt);
-    }
+        Ok(())
+    })?;
     Ok((hamming, gestalt, window))
+}
+
+/// The profile length a stream pins: its first cluster's reference
+/// length, exactly as the whole-dataset functions pin it with
+/// `dataset.strand_len()`.
+fn first_reference_len(batch: &Batch) -> usize {
+    batch.clusters().first().map_or(0, |c| c.reference().len())
 }
 
 /// Streaming counterpart of [`pre_reconstruction_profiles`]: compares
@@ -279,8 +240,8 @@ where
 ///
 /// # Errors
 ///
-/// [`DnasimError::Config`] for `batch_size == 0`, or whatever the source
-/// reports.
+/// [`DnasimError::Config`] for `batch_size == 0` or a non-contiguous
+/// source, or whatever the source reports.
 pub fn pre_reconstruction_profiles_stream<S>(
     source: &mut S,
     batch_size: usize,
@@ -288,30 +249,11 @@ pub fn pre_reconstruction_profiles_stream<S>(
 where
     S: ClusterSource + ?Sized,
 {
-    if batch_size == 0 {
-        return Err(DnasimError::config(
-            "batch_size",
-            "streaming batch size must be at least 1",
-        ));
-    }
     let mut hamming = PositionalProfile::new(ProfileKind::Hamming, 0);
     let mut gestalt = PositionalProfile::new(ProfileKind::GestaltAligned, 0);
     let mut len: Option<usize> = None;
-    let mut window = WindowStats::default();
-    while let Some(batch) = source.next_batch(batch_size)? {
-        if batch.is_empty() {
-            continue;
-        }
-        window.batches += 1;
-        window.clusters += batch.len();
-        window.high_watermark = window.high_watermark.max(batch.len());
-        let len = *len.get_or_insert_with(|| {
-            batch
-                .clusters()
-                .first()
-                .map(|c| c.reference().len())
-                .unwrap_or(0)
-        });
+    let window = fold_windows(source, batch_size, &Budget::unlimited(), "profile", |batch| {
+        let len = *len.get_or_insert_with(|| first_reference_len(&batch));
         let mut batch_hamming = PositionalProfile::new(ProfileKind::Hamming, len);
         let mut batch_gestalt = PositionalProfile::new(ProfileKind::GestaltAligned, len);
         for cluster in batch.clusters() {
@@ -322,7 +264,8 @@ where
         }
         hamming.merge(&batch_hamming);
         gestalt.merge(&batch_gestalt);
-    }
+        Ok(())
+    })?;
     Ok((hamming, gestalt, window))
 }
 

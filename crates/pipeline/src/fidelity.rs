@@ -11,7 +11,7 @@
 //! Accuracy-after-reconstruction remains the paper's headline metric;
 //! these closed-form distances are cheap complements for quick iteration.
 
-use dnasim_core::{ClusterSource, Dataset, DnasimError, EditOp, WindowStats};
+use dnasim_core::{fold_windows, Budget, ClusterSource, Dataset, DnasimError, EditOp, WindowStats};
 use dnasim_metrics::{chi_square_distance, gestalt_score, normalize_histogram};
 use dnasim_profile::{ErrorStats, TieBreak};
 
@@ -109,8 +109,8 @@ pub fn simulator_fidelity(
 ///
 /// # Errors
 ///
-/// [`DnasimError::Config`] for `batch_size == 0`, or whatever either
-/// source reports.
+/// [`DnasimError::Config`] for `batch_size == 0` or a non-contiguous
+/// source, or whatever either source reports.
 pub fn simulator_fidelity_stream<S1, S2>(
     real: &mut S1,
     simulated: &mut S2,
@@ -160,29 +160,17 @@ fn drain_fidelity_inputs<S: ClusterSource + ?Sized>(
     batch_size: usize,
     rng: &mut SimRng,
 ) -> Result<(ErrorStats, f64, WindowStats), DnasimError> {
-    if batch_size == 0 {
-        return Err(DnasimError::config(
-            "batch_size",
-            "streaming batch size must be at least 1",
-        ));
-    }
     let mut stats = ErrorStats::new();
     let mut gestalt = GestaltAccumulator::default();
-    let mut window = WindowStats::default();
-    while let Some(batch) = source.next_batch(batch_size)? {
-        if batch.is_empty() {
-            continue;
-        }
-        window.batches += 1;
-        window.clusters += batch.len();
-        window.high_watermark = window.high_watermark.max(batch.len());
+    let window = fold_windows(source, batch_size, &Budget::unlimited(), "fidelity", |batch| {
         let mut partial = ErrorStats::new();
         for cluster in batch.clusters() {
             partial.record_cluster(cluster, TieBreak::PreferSubstitution, rng);
             gestalt.record_cluster(cluster);
         }
         stats.merge(&partial);
-    }
+        Ok(())
+    })?;
     Ok((stats, gestalt.mean(), window))
 }
 

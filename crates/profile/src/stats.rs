@@ -10,8 +10,8 @@
 use std::collections::HashMap;
 
 use dnasim_core::{
-    Base, Cluster, ClusterSource, Dataset, DnasimError, EditOp, EditScript, ErrorKind, Strand,
-    WindowStats,
+    fold_windows, Base, Budget, Cluster, ClusterSource, Dataset, DnasimError, EditOp, EditScript,
+    ErrorKind, Strand, WindowStats,
 };
 use dnasim_core::rng::Rng;
 
@@ -97,10 +97,10 @@ impl ErrorStats {
         stats
     }
 
-    /// Streaming counterpart of [`ErrorStats::from_dataset`]: pulls
-    /// clusters from `source` in bounded batches of at most `batch_size`,
-    /// profiles each batch into a batch-local accumulator, and
-    /// [`merge`](ErrorStats::merge)s it into the running total.
+    /// Streaming counterpart of [`ErrorStats::from_dataset`]: folds
+    /// `source` through [`fold_windows`] in bounded batches of at most
+    /// `batch_size`, profiles each batch into a batch-local accumulator,
+    /// and [`merge`](ErrorStats::merge)s it into the running total.
     ///
     /// The RNG is threaded serially through clusters in global order —
     /// exactly as [`ErrorStats::from_dataset`] threads it — so the result
@@ -109,8 +109,8 @@ impl ErrorStats {
     ///
     /// # Errors
     ///
-    /// [`DnasimError::Config`] for `batch_size == 0`, or whatever the
-    /// source reports.
+    /// [`DnasimError::Config`] for `batch_size == 0` or a non-contiguous
+    /// source, or whatever the source reports.
     pub fn from_source<S, R>(
         source: &mut S,
         batch_size: usize,
@@ -121,26 +121,16 @@ impl ErrorStats {
         S: ClusterSource + ?Sized,
         R: Rng + ?Sized,
     {
-        if batch_size == 0 {
-            return Err(DnasimError::config(
-                "batch_size",
-                "streaming batch size must be at least 1",
-            ));
-        }
         let mut total = ErrorStats::new();
-        let mut window = WindowStats::default();
         let mut scratch = EditScratch::new();
-        while let Some(batch) = source.next_batch(batch_size)? {
-            if batch.is_empty() {
-                continue;
-            }
-            window.record_window(batch.len(), dnasim_core::resident_reads(batch.clusters()));
+        let window = fold_windows(source, batch_size, &Budget::unlimited(), "profile", |batch| {
             let mut partial = ErrorStats::new();
             for cluster in batch.clusters() {
                 partial.record_cluster_with(&mut scratch, cluster, tie_break, rng);
             }
             total.merge(&partial);
-        }
+            Ok(())
+        })?;
         Ok((total, window))
     }
 

@@ -2,10 +2,6 @@
 //! look-ahead scan that BMA and Iterative reconstruction build on.
 
 use dnasim_core::{Base, Strand};
-use dnasim_metrics::QGramProfile;
-
-/// Gram length for the unanimity screen — the clusterer's default `q`.
-const UNANIMITY_Q: usize = 5;
 
 /// A per-position vote tally over the four bases.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -121,10 +117,9 @@ impl LookaheadFilterStats {
 ///
 /// Two exact short-circuits:
 ///
-/// * **Unanimity fast path** — a [`QGramProfile`] radius-0 screen (any
-///   nonzero lower bound proves two reads differ) gates a byte-equality
-///   check; a cluster of identical reads skips the scan entirely, since
-///   every column's majority is unanimous and no pointer ever drifts.
+/// * **Unanimity fast path** — a cluster of byte-identical reads skips the
+///   scan entirely, since every column's majority is unanimous and no
+///   pointer ever drifts.
 /// * **Lazy look-ahead** — the future-majority window is only consulted
 ///   when classifying a *disagreeing* read, so columns where every read
 ///   matches the majority never tally it.
@@ -159,29 +154,12 @@ pub fn anchored_one_way_bma_filtered(
 }
 
 /// The scan's output when every read is byte-identical, or `None` when the
-/// reads differ (or might): the lone read value, truncated to the design
-/// length or padded with the scan's `A` filler.
-///
-/// Identity is screened with the q-gram error-ball bound first — a nonzero
-/// lower bound *proves* a difference without touching the bases — and only
-/// bound-0 survivors pay for the exact byte comparison, mirroring how the
-/// clusterer discharges hopeless candidates before the kernel.
+/// reads differ: the lone read value, truncated to the design length or
+/// padded with the scan's `A` filler.
 fn unanimous_consensus(reads: &[Strand], strand_len: usize) -> Option<Strand> {
     let (first, rest) = reads.split_first()?;
-    if rest.iter().any(|r| r.len() != first.len()) {
+    if rest.iter().any(|r| r != first) {
         return None;
-    }
-    if !rest.is_empty() {
-        let profile = QGramProfile::new(first, UNANIMITY_Q);
-        for read in rest.iter() {
-            if profile.distance_lower_bound(&QGramProfile::new(read, UNANIMITY_Q)) != 0 {
-                return None;
-            }
-        }
-        // Bound 0 is necessary but not sufficient: confirm byte identity.
-        if rest.iter().any(|r| r != first) {
-            return None;
-        }
     }
     // Unanimous cluster: every column majority is the read's own base and
     // no pointer ever drifts; past the read's end the scan falls back to

@@ -46,7 +46,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod json;
+/// The JSON codec, re-exported from [`dnasim_core::json`] for protocol
+/// clients.
+pub use dnasim_core::json;
 mod request;
 mod server;
 

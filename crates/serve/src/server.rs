@@ -15,7 +15,9 @@ use std::io::{BufRead, Write};
 
 use dnasim_channel::{CoverageModel, DnaSimulatorModel, ErrorModel, KeoliyaModel, Simulator};
 use dnasim_core::rng::{RngExt, SeedSequence};
-use dnasim_core::{Budget, CancelToken, Dataset, DnasimError, Strand, WindowStats};
+use dnasim_core::{
+    checked_batch_size, Budget, CancelToken, Dataset, DnasimError, Strand, WindowStats,
+};
 use dnasim_dataset::{fnv1a64, read_dataset, AnyDatasetWriter, DatasetWriter, Format, NanoporeTwinConfig};
 use dnasim_par::ThreadPool;
 use dnasim_pipeline::{
@@ -293,11 +295,7 @@ where
     if config.window == 0 {
         return Err(DnasimError::config("window", "serve window must be at least 1").into());
     }
-    if config.batch_size == 0 {
-        return Err(
-            DnasimError::config("batch_size", "streaming batch size must be at least 1").into(),
-        );
-    }
+    checked_batch_size(config.batch_size)?;
     if config.max_batch == 0 {
         return Err(DnasimError::config("max_batch", "admission cap must be at least 1").into());
     }

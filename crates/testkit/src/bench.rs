@@ -163,7 +163,7 @@ fn append_json_line(id: &str, report: &Report) {
     }
     let line = format!(
         "{{\"id\":\"{}\",\"median_ns\":{:.1},\"mad_ns\":{:.1},\"min_ns\":{:.1},\"max_ns\":{:.1},\"samples\":{},\"iters_per_sample\":{}}}\n",
-        escape_json(id),
+        dnasim_core::json::escape(id),
         report.median_ns,
         report.mad_ns,
         report.min_ns,
@@ -180,20 +180,6 @@ fn append_json_line(id: &str, report: &Report) {
     if let Err(err) = result {
         eprintln!("warning: DNASIM_BENCH_JSON append failed for {path:?}: {err}");
     }
-}
-
-/// Escapes a benchmark id for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Handle passed to each benchmark closure; call [`iter`] with the routine
@@ -427,14 +413,6 @@ mod tests {
         assert_eq!(format_ns(12.0), "12.0 ns");
         assert_eq!(format_ns(1_500.0), "1.500 µs");
         assert_eq!(format_ns(2_000_000.0), "2.000 ms");
-    }
-
-    #[test]
-    fn escape_json_handles_specials() {
-        assert_eq!(escape_json("plain/id-110"), "plain/id-110");
-        assert_eq!(escape_json("a\"b"), "a\\\"b");
-        assert_eq!(escape_json("a\\b"), "a\\\\b");
-        assert_eq!(escape_json("a\nb"), "a\\u000ab");
     }
 
     #[test]

@@ -34,8 +34,8 @@
 #    streaming clusterer diffed against the materialised greedy pass on
 #    seeded pools at batch sizes {1, 7, 64, ∞}, and the fully windowed
 #    archive whose peak-resident-reads gauge must stay bounded — and the
-#    CLI `--stream` / `--batch-size` paths must reproduce the
-#    whole-dataset files exactly (DESIGN.md §11, §16). The cluster crate
+#    CLI must write identical files at the default batch size and at
+#    `--batch-size 32`, from text or binary input (DESIGN.md §11, §16). The cluster crate
 #    suite also re-runs under DNASIM_SIMD=off so lane accounting holds on
 #    the portable fallback.
 # 10. Serve soak smoke: the multi-tenant batch RPC tier must answer ≥200
@@ -240,28 +240,28 @@ dnasim=target/release/dnasim
 stream_dir=$(mktemp -d /tmp/dnasim-stream-smoke.XXXXXX)
 "$dnasim" generate --out "$stream_dir/twin.txt" --small --clusters 48 --seed 9
 "$dnasim" generate --out "$stream_dir/twin-stream.txt" --small --clusters 48 --seed 9 \
-    --stream --batch-size 32
+    --batch-size 32
 cmp "$stream_dir/twin.txt" "$stream_dir/twin-stream.txt"
 "$dnasim" simulate --data "$stream_dir/twin.txt" --model keoliya:spatial \
     --out "$stream_dir/sim.txt"
 "$dnasim" simulate --data "$stream_dir/twin.txt" --model keoliya:spatial \
-    --out "$stream_dir/sim-stream.txt" --stream --batch-size 32
+    --out "$stream_dir/sim-stream.txt" --batch-size 32
 cmp "$stream_dir/sim.txt" "$stream_dir/sim-stream.txt"
 "$dnasim" archive --bytes 512 --batch-size 32 | grep -q "round-trip OK"
 
 # Cross-format golden step: the same generation in binary, converted back
 # to text, must be byte-identical to the text-path output — and the
-# binary-input streamed simulate must reproduce the text-input one.
+# binary-input simulate must reproduce the text-input one.
 "$dnasim" generate --out "$stream_dir/twin.dnb" --small --clusters 48 --seed 9 \
-    --stream --batch-size 32 --format binary
+    --batch-size 32 --format binary
 "$dnasim" convert --in "$stream_dir/twin.dnb" --out "$stream_dir/twin-roundtrip.txt" \
     --format text
 cmp "$stream_dir/twin.txt" "$stream_dir/twin-roundtrip.txt"
 "$dnasim" simulate --data "$stream_dir/twin.dnb" --model keoliya:spatial \
-    --out "$stream_dir/sim-binary-in.txt" --stream --batch-size 32 --prefetch
+    --out "$stream_dir/sim-binary-in.txt" --batch-size 32
 cmp "$stream_dir/sim.txt" "$stream_dir/sim-binary-in.txt"
 rm -rf "$stream_dir"
-echo "ok: streamed CLI output is byte-identical across formats; archive decode window bounded"
+echo "ok: CLI output is byte-identical across batch sizes and formats; archive decode window bounded"
 
 echo "== serve soak smoke (differential, multi-tenant) =="
 # ≥240 interleaved requests across 8 tenants at 1/2/4 workers, every
