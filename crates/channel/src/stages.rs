@@ -618,109 +618,3 @@ mod tests {
     }
 }
 
-/// A complete write→store→read channel assembled from the four stages.
-///
-/// This is the composable multi-stage simulation §4.2 calls for, packaged
-/// as one value: configure each stage, then [`run`](StagePipeline::run)
-/// maps reference strands to a clustered [`Dataset`] in a single call.
-#[derive(Debug)]
-pub struct StagePipeline<S, Q> {
-    /// Synthesis stage (writes references into molecules).
-    pub synthesis: SynthesisStage<S>,
-    /// Storage decay stage.
-    pub decay: DecayStage,
-    /// PCR amplification stage.
-    pub pcr: PcrStage,
-    /// Sequencing stage (reads molecules into a dataset). The
-    /// `total_reads` field is treated as reads *per reference* here and
-    /// scaled by the reference count at run time.
-    pub sequencing: SequencingStage<Q>,
-}
-
-impl<S: ErrorModel, Q: ErrorModel> StagePipeline<S, Q> {
-    /// Runs the full pipeline over `references`.
-    pub fn run(&self, references: &[Strand], rng: &mut SimRng) -> Dataset {
-        let pool = self.synthesis.run(references, rng);
-        let pool = self.decay.run(&pool);
-        let pool = self.pcr.run(&pool, rng);
-        let sequencing = SequencingStage {
-            error_model: &self.sequencing.error_model,
-            total_reads: self.sequencing.total_reads * references.len(),
-        };
-        sequencing.run(&pool, references, rng)
-    }
-}
-
-#[cfg(test)]
-mod pipeline_tests {
-    use super::*;
-    use crate::baseline::NaiveModel;
-    use dnasim_core::rng::seeded;
-
-    #[test]
-    fn stage_pipeline_runs_end_to_end() {
-        let mut rng = seeded(41);
-        let references: Vec<Strand> = (0..6).map(|_| Strand::random(60, &mut rng)).collect();
-        let pipeline = StagePipeline {
-            synthesis: SynthesisStage {
-                error_model: NaiveModel::new(0.0002, 0.0005, 0.0003),
-                variants_per_reference: 4,
-                dropout_probability: 0.0,
-                mean_abundance: 10.0,
-            },
-            decay: DecayStage {
-                years: 50.0,
-                half_life_years: 500.0,
-                loss_threshold: 1e-9,
-            },
-            pcr: PcrStage {
-                cycles: 10,
-                efficiency: 0.85,
-                bias_sigma: 0.03,
-                substitution_rate: 0.0001,
-            },
-            sequencing: SequencingStage {
-                error_model: NaiveModel::with_total_rate(0.05),
-                total_reads: 8,
-            },
-        };
-        let ds = pipeline.run(&references, &mut rng);
-        assert_eq!(ds.len(), 6);
-        assert_eq!(ds.total_reads(), 48);
-        assert!(ds.mean_coverage() > 0.0);
-    }
-
-    #[test]
-    fn stage_pipeline_is_deterministic() {
-        let refs: Vec<Strand> = (0..3).map(|i| {
-            let mut rng = seeded(i);
-            Strand::random(40, &mut rng)
-        }).collect();
-        let build = || StagePipeline {
-            synthesis: SynthesisStage {
-                error_model: NaiveModel::with_total_rate(0.002),
-                variants_per_reference: 2,
-                dropout_probability: 0.0,
-                mean_abundance: 5.0,
-            },
-            decay: DecayStage {
-                years: 0.0,
-                half_life_years: 100.0,
-                loss_threshold: 0.0,
-            },
-            pcr: PcrStage {
-                cycles: 5,
-                efficiency: 0.9,
-                bias_sigma: 0.0,
-                substitution_rate: 0.0,
-            },
-            sequencing: SequencingStage {
-                error_model: NaiveModel::with_total_rate(0.03),
-                total_reads: 5,
-            },
-        };
-        let a = build().run(&refs, &mut seeded(7));
-        let b = build().run(&refs, &mut seeded(7));
-        assert_eq!(a, b);
-    }
-}

@@ -36,10 +36,8 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 
-use dnasim_channel::{
-    CoverageModel, DnaSimulatorModel, ErrorModel, KeoliyaModel, Simulator, SimulatorLayer,
-};
-use dnasim_core::rng::{seeded, SeedSequence, SimRng};
+use dnasim_channel::{CoverageModel, Simulator};
+use dnasim_core::rng::{seeded, SeedSequence};
 use dnasim_core::{Dataset, PrefetchSource};
 use dnasim_dataset::{
     read_dataset_auto, AnyDatasetReader, AnyDatasetWriter, Format, NanoporeTwinConfig,
@@ -51,10 +49,8 @@ use dnasim_pipeline::{
     ArchiveMode, Experiments,
 };
 use dnasim_profile::{ErrorStats, LearnedModel, TieBreak};
-use dnasim_reconstruct::{
-    BmaLookahead, DividerBma, Iterative, MajorityVote, TraceReconstructor, TwoWayIterative,
-};
-use dnasim_serve::{serve, ProtocolError, ServeConfig, ServeError};
+use dnasim_reconstruct::TraceReconstructor;
+use dnasim_serve::{serve, AlgorithmSpec, ModelSpec, ProtocolError, ServeConfig, ServeError};
 
 use args::{Args, ArgsError};
 
@@ -263,35 +259,6 @@ fn batch_size(args: &Args) -> Result<usize, ArgsError> {
     args.get_or("batch-size", 256usize)
 }
 
-fn parse_algorithm(name: &str) -> Result<Box<dyn TraceReconstructor>, ArgsError> {
-    match name {
-        "bma" => Ok(Box::new(BmaLookahead::default())),
-        "divbma" => Ok(Box::new(DividerBma)),
-        "iterative" => Ok(Box::new(Iterative::default())),
-        "iterative-twoway" => Ok(Box::new(TwoWayIterative::default())),
-        "majority" => Ok(Box::new(MajorityVote)),
-        other => Err(ArgsError::UnknownChoice {
-            name: "algorithm",
-            value: other.to_owned(),
-            choices: "bma | divbma | iterative | iterative-twoway | majority",
-        }),
-    }
-}
-
-fn parse_layer(name: &str) -> Result<SimulatorLayer, ArgsError> {
-    match name {
-        "naive" => Ok(SimulatorLayer::Naive),
-        "cond" => Ok(SimulatorLayer::ConditionalLongDel),
-        "spatial" => Ok(SimulatorLayer::SpatialSkew),
-        "second" => Ok(SimulatorLayer::SecondOrder),
-        other => Err(ArgsError::UnknownChoice {
-            name: "layer",
-            value: other.to_owned(),
-            choices: "naive | cond | spatial | second",
-        }),
-    }
-}
-
 fn cmd_generate(args: &Args) -> CliResult {
     let out = args.require("out")?;
     let mut config = if args.flag("small") {
@@ -394,76 +361,49 @@ fn cmd_simulate(args: &Args) -> CliResult {
     let out = args.require("out")?;
     let model_spec = args.require("model")?;
     let seed = args.get_or("seed", 1u64)?;
-    let mut rng = seeded(seed);
     let pool = thread_pool(args)?;
     let batch = batch_size(args)?;
-    let seq = SeedSequence::new(seed);
 
-    let learn = |rng: &mut SimRng| -> Result<LearnedModel, Box<dyn std::error::Error>> {
-        match args.get("model-file") {
-            Some(path) => Ok(LearnedModel::from_text(&std::fs::read_to_string(path)?)?),
-            None => {
-                let mut source = PrefetchSource::spawn(open_detected(data)?, batch)?;
-                let (stats, _) =
-                    ErrorStats::from_source(&mut source, batch, TieBreak::Random, rng)?;
-                Ok(LearnedModel::from_stats(&stats, 10))
+    let model = model_spec
+        .parse::<ModelSpec>()
+        .map_err(|_| ArgsError::UnknownChoice {
+            name: "model",
+            value: model_spec.to_owned(),
+            choices: "naive | dnasimulator | keoliya[:naive|cond|spatial|second]",
+        })?
+        .build(|| -> Result<LearnedModel, Box<dyn std::error::Error>> {
+            match args.get("model-file") {
+                Some(path) => Ok(LearnedModel::from_text(&std::fs::read_to_string(path)?)?),
+                None => {
+                    let mut source = PrefetchSource::spawn(open_detected(data)?, batch)?;
+                    let (stats, _) = ErrorStats::from_source(
+                        &mut source,
+                        batch,
+                        TieBreak::Random,
+                        &mut seeded(seed),
+                    )?;
+                    Ok(LearnedModel::from_stats(&stats, 10))
+                }
             }
-        }
-    };
+        })?;
+    let simulator = Simulator::new(model, CoverageModel::Fixed(0));
 
-    let (clusters, reads) = if let Some(layer_name) = model_spec.strip_prefix("keoliya") {
-        let layer = match layer_name.strip_prefix(':') {
-            Some(l) => parse_layer(l)?,
-            None => SimulatorLayer::SecondOrder,
-        };
-        let model = KeoliyaModel::new(learn(&mut rng)?, layer);
-        let simulator = Simulator::new(model, CoverageModel::Fixed(0));
-        resimulate_streamed(&simulator, args, data, out, &seq, batch, &pool)?
-    } else {
-        match model_spec {
-            "naive" => {
-                let model = KeoliyaModel::new(learn(&mut rng)?, SimulatorLayer::Naive);
-                let simulator = Simulator::new(model, CoverageModel::Fixed(0));
-                resimulate_streamed(&simulator, args, data, out, &seq, batch, &pool)?
-            }
-            "dnasimulator" => {
-                let simulator = Simulator::new(
-                    DnaSimulatorModel::nanopore_default(),
-                    CoverageModel::Fixed(0),
-                );
-                resimulate_streamed(&simulator, args, data, out, &seq, batch, &pool)?
-            }
-            other => return Err(format!("unknown model '{other}'").into()),
-        }
-    };
-    println!("simulated {clusters} clusters ({reads} reads) with model '{model_spec}' to {out}");
-    Ok(CliOutcome::Ok)
-}
-
-/// Pipes `data` through `simulator.resimulate_stream` into `out`, printing
-/// the window statistics; returns (clusters, reads) written. Honors
-/// `--format` on the output, auto-detects the input, and decodes batch
-/// k+1 on a dedicated I/O worker while batch k is in the pool.
-fn resimulate_streamed<M: ErrorModel + Sync>(
-    simulator: &Simulator<M>,
-    args: &Args,
-    data: &str,
-    out: &str,
-    seq: &SeedSequence,
-    batch: usize,
-    pool: &ThreadPool,
-) -> Result<(usize, usize), Box<dyn std::error::Error>> {
+    // Resimulate straight into `out`, honoring `--format` on the output;
+    // the input is auto-detected and batch k+1 decodes on a dedicated I/O
+    // worker while batch k is in the pool.
     let mut writer =
         AnyDatasetWriter::new(BufWriter::new(File::create(out)?), parse_format(args)?);
     let mut source = PrefetchSource::spawn(open_detected(data)?, batch)?;
-    let window = simulator.resimulate_stream(&mut source, seq, batch, pool, &mut writer)?;
-    let counts = (writer.clusters_written(), writer.reads_written());
+    let window =
+        simulator.resimulate_stream(&mut source, &SeedSequence::new(seed), batch, &pool, &mut writer)?;
+    let (clusters, reads) = (writer.clusters_written(), writer.reads_written());
     writer.into_inner()?;
     println!(
         "streamed {} batches, window high-watermark {} clusters",
         window.batches, window.high_watermark
     );
-    Ok(counts)
+    println!("simulated {clusters} clusters ({reads} reads) with model '{model_spec}' to {out}");
+    Ok(CliOutcome::Ok)
 }
 
 /// `dnasim convert --in A --out B [--format text|binary]`: stream a
@@ -487,7 +427,15 @@ fn cmd_convert(args: &Args) -> CliResult {
 
 fn cmd_reconstruct(args: &Args) -> CliResult {
     let dataset = load(args.require("data")?)?;
-    let algorithm = parse_algorithm(args.require("algo")?)?;
+    let name = args.require("algo")?;
+    let algorithm = name
+        .parse::<AlgorithmSpec>()
+        .map_err(|_| ArgsError::UnknownChoice {
+            name: "algorithm",
+            value: name.to_owned(),
+            choices: "bma | divbma | iterative | iterative-twoway | majority",
+        })?
+        .build();
     let dataset = match args.get("coverage") {
         Some(_) => {
             let coverage = args.get_or("coverage", 5usize)?;
@@ -526,11 +474,9 @@ fn cmd_evaluate(args: &Args) -> CliResult {
         "{:<12} {:>20} {:>20}",
         "algorithm", "real (str%/chr%)", "sim (str%/chr%)"
     );
-    for algorithm in [
-        parse_algorithm("bma")?,
-        parse_algorithm("divbma")?,
-        parse_algorithm("iterative")?,
-    ] {
+    for algorithm in [AlgorithmSpec::Bma, AlgorithmSpec::DivBma, AlgorithmSpec::Iterative]
+        .map(AlgorithmSpec::build)
+    {
         let r = evaluate_reconstruction(&real, &algorithm);
         let s = evaluate_reconstruction(&sim, &algorithm);
         println!(

@@ -767,3 +767,29 @@ fn simd_rejects_unknown_backend() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("bogus") && stderr.contains("auto"));
 }
+
+#[test]
+fn simulate_rejects_a_model_name_that_only_starts_with_keoliya() {
+    let twin = tmp("twin-bogus-model.txt");
+    let sim = tmp("sim-bogus-model.txt");
+    let generated = dnasim()
+        .args(["generate", "--out", twin.to_str().unwrap(), "--small", "--clusters", "10"])
+        .output()
+        .unwrap();
+    assert!(generated.status.success());
+    let out = dnasim()
+        .args([
+            "simulate",
+            "--data",
+            twin.to_str().unwrap(),
+            "--model",
+            "keoliyaBOGUS",
+            "--out",
+            sim.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stdout));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown model 'keoliyaBOGUS'"), "{stderr}");
+}

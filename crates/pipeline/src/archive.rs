@@ -1,9 +1,17 @@
-//! The full write→store→read archival pipeline, end to end.
+//! The full write→store→read archival pipeline, end to end, and the
+//! storage core it shares with random access.
 //!
 //! Composes every substrate in the workspace: codec (layout + RS + XOR
 //! parity) → multi-stage channel (synthesis, decay, PCR, sequencing) →
 //! clustering → trace reconstruction → decode. This is the "downstream
 //! user" path: store a byte buffer in simulated DNA and get it back.
+//!
+//! How a file becomes strands and how it comes back is decided here,
+//! once: `encode_payload` frames and protects the bytes, `decode_cluster`
+//! runs the inner decode ensemble, `merge_first_wins` fills the strand
+//! slots, and `recover_payload` runs the outer erasure code and
+//! reassembles the bytes. The random-access pool (`FilePool`) stores and
+//! retrieves through the same four functions.
 
 use std::fmt;
 
@@ -12,7 +20,9 @@ use dnasim_channel::NaiveModel;
 use dnasim_cluster::{GreedyClusterer, StreamingClusterer};
 use dnasim_codec::{LayoutError, OuterRsCode, RecoveryOutcome, RsError, StrandLayout, XorParity};
 use dnasim_core::rng::{RngExt, SeedSequence, SimRng};
-use dnasim_core::{checked_batch_size, Budget, Cluster, DnasimError, Strand, WindowStats};
+use dnasim_core::{
+    checked_batch_size, resident_reads, Budget, Cluster, DnasimError, Strand, WindowStats,
+};
 use dnasim_dataset::GroundTruthChannel;
 use dnasim_par::{PoolError, ThreadPool};
 use dnasim_reconstruct::{
@@ -35,6 +45,54 @@ pub enum ErasureScheme {
         /// Payload strands per group.
         payload: usize,
     },
+}
+
+impl ErasureScheme {
+    /// Validates the scheme's parameters, once, into the code that
+    /// protects and recovers strands with them. XOR over `group` payloads
+    /// is the `(group + 1, group)` code, so an empty group is reported in
+    /// the same terms as an invalid Reed–Solomon shape.
+    pub(crate) fn code(self) -> Result<ErasureCode, RsError> {
+        match self {
+            ErasureScheme::Xor { group: 0 } => Err(RsError::InvalidParameters { n: 1, k: 0 }),
+            ErasureScheme::Xor { group } => Ok(ErasureCode::Xor(XorParity::new(group))),
+            ErasureScheme::OuterRs { total, payload } => OuterRsCode::new(total, payload)
+                .map(ErasureCode::OuterRs)
+                .map_err(|_| RsError::InvalidParameters { n: total, k: payload }),
+        }
+    }
+}
+
+/// A validated [`ErasureScheme`]: the outer code both storage paths
+/// protect with and recover through.
+#[derive(Debug, Clone)]
+pub(crate) enum ErasureCode {
+    Xor(XorParity),
+    OuterRs(OuterRsCode),
+}
+
+impl ErasureCode {
+    fn protect(&self, payloads: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        match self {
+            ErasureCode::Xor(code) => code.protect(payloads),
+            ErasureCode::OuterRs(code) => code.protect(payloads),
+        }
+    }
+
+    fn recover_lenient(&self, received: &mut [Option<Vec<u8>>]) -> RecoveryOutcome {
+        match self {
+            ErasureCode::Xor(code) => code.recover_lenient(received),
+            ErasureCode::OuterRs(code) => code.recover_lenient(received),
+        }
+    }
+
+    /// Erased strands per group the code absorbs before data is lost.
+    fn loss_budget(&self) -> usize {
+        match self {
+            ErasureCode::Xor(_) => 1,
+            ErasureCode::OuterRs(code) => code.loss_budget(),
+        }
+    }
 }
 
 /// How the read path reacts when a cluster cannot be decoded even after
@@ -65,8 +123,10 @@ pub struct ArchiveConfig {
     pub sequencing_reads_per_strand: usize,
     /// Storage duration in years.
     pub storage_years: f64,
-    /// Whether to run the real greedy clusterer over a shuffled pool
-    /// (imperfect clustering) instead of perfect clustering.
+    /// Whether to run the real online greedy clusterer over the sequenced
+    /// reads (imperfect clustering) instead of grouping them by origin
+    /// (perfect clustering). The reads reach the clusterer group-major, in
+    /// strand order; nothing shuffles them.
     pub imperfect_clustering: bool,
     /// Reaction to unrecoverable clusters: abort or degrade gracefully.
     pub mode: ArchiveMode,
@@ -157,10 +217,44 @@ impl From<ArchiveError> for DnasimError {
     }
 }
 
+/// The inner decode ensemble, in the order it is tried. Different
+/// reconstructors leave *different* residual indels, and an indel shifts
+/// every downstream payload symbol, so a strand one algorithm cannot
+/// deliver is often decodable from another's estimate.
+pub(crate) fn decode_ensemble() -> Vec<Box<dyn TraceReconstructor + Send + Sync>> {
+    vec![
+        Box::new(TwoWayIterative::default()),
+        Box::new(Iterative::default()),
+        Box::new(BmaLookahead::default()),
+        Box::new(MajorityVote),
+    ]
+}
+
+/// Frames `data` into strands: chunk it into RS payloads (zero-padding the
+/// last chunk, or emitting one zero chunk for empty input), protect the
+/// chunks with `code`, flatten them into one byte stream and let the
+/// layout index the strands, one per protected chunk. Returns the payload
+/// chunk count and the strands.
+pub(crate) fn encode_payload(
+    data: &[u8],
+    layout: &StrandLayout,
+    code: &ErasureCode,
+) -> (usize, Vec<Strand>) {
+    let chunk = layout.payload_bytes();
+    let mut chunks: Vec<Vec<u8>> = data.chunks(chunk).map(<[u8]>::to_vec).collect();
+    if chunks.is_empty() {
+        chunks.push(vec![0; chunk]);
+    }
+    if let Some(last) = chunks.last_mut() {
+        last.resize(chunk, 0);
+    }
+    (chunks.len(), layout.encode_file(&code.protect(&chunks).concat()))
+}
+
 /// Tries every reconstructor in `ensemble` (then raw reads as a last
 /// resort) to decode one cluster into a `(strand index, payload bytes)`
 /// pair. Pure: safe to fan out across workers without changing results.
-fn decode_cluster(
+pub(crate) fn decode_cluster(
     cluster: &Cluster,
     ensemble: &[Box<dyn TraceReconstructor + Send + Sync>],
     layout: &StrandLayout,
@@ -181,6 +275,82 @@ fn decode_cluster(
         .reads()
         .iter()
         .find_map(|read| layout.decode_strand(read).ok())
+}
+
+/// Merges decoded strands into their slots in decode order: the first
+/// decode of a slot wins, so the result does not depend on how clusters
+/// were windowed or scheduled. Indices outside the protected layout (a
+/// misdecoded index) are dropped.
+pub(crate) fn merge_first_wins(
+    received: &mut [Option<Vec<u8>>],
+    decoded: impl IntoIterator<Item = Option<(u32, Vec<u8>)>>,
+) {
+    for (index, bytes) in decoded.into_iter().flatten() {
+        if let Some(slot @ None) = received.get_mut(index as usize) {
+            *slot = Some(bytes);
+        }
+    }
+}
+
+/// Erasure recovery and reassembly: runs `code` over `received` (`None`
+/// marks a quarantined strand), then concatenates the first
+/// `payload_count` slots of `chunk` bytes and truncates to `byte_len`
+/// (at least one byte). Strict mode fails on any group over its loss
+/// budget; lenient mode zero-fills the strands it could not recover.
+/// Returns the bytes, the recovery outcome and the zero-filled count.
+pub(crate) fn recover_payload(
+    code: &ErasureCode,
+    received: &mut [Option<Vec<u8>>],
+    payload_count: usize,
+    chunk: usize,
+    byte_len: usize,
+    mode: ArchiveMode,
+) -> Result<(Vec<u8>, RecoveryOutcome, usize), LayoutError> {
+    let outcome = code.recover_lenient(received);
+    if mode == ArchiveMode::Strict && !outcome.failed_groups.is_empty() {
+        let index = received.iter().position(Option::is_none).unwrap_or(0) as u32;
+        return Err(LayoutError::MissingStrand { index });
+    }
+    let mut out = Vec::with_capacity(payload_count * chunk);
+    let mut zero_filled = 0usize;
+    for (i, slot) in received.iter().take(payload_count).enumerate() {
+        match (slot, mode) {
+            (Some(bytes), _) => out.extend_from_slice(bytes),
+            (None, ArchiveMode::Strict) => {
+                return Err(LayoutError::MissingStrand { index: i as u32 })
+            }
+            (None, ArchiveMode::Lenient) => {
+                out.extend(std::iter::repeat_n(0u8, chunk));
+                zero_filled += 1;
+            }
+        }
+    }
+    out.truncate(byte_len.max(1));
+    Ok((out, outcome, zero_filled))
+}
+
+/// Runs `produce` on every strand group `0..groups`, `window_len` groups at
+/// a time fanned out on `workers`, and hands each window's results to
+/// `consume` in group order. `consume` returns `false` to stop early.
+fn for_each_group_window<T: Send>(
+    groups: usize,
+    window_len: usize,
+    workers: &ThreadPool,
+    produce: impl Fn(usize) -> T + Sync,
+    mut consume: impl FnMut(Vec<T>) -> Result<bool, ArchiveError>,
+) -> Result<(), ArchiveError> {
+    let mut start = 0usize;
+    while start < groups {
+        let len = window_len.min(groups - start);
+        let window = workers
+            .par_map_len(len, |i| produce(start + i))
+            .map_err(ArchiveError::Worker)?;
+        if !consume(window)? {
+            break;
+        }
+        start += len;
+    }
+    Ok(())
 }
 
 /// Stores `data` in simulated DNA and reads it back.
@@ -301,33 +471,11 @@ fn archive_round_trip_windowed(
     batch_size: usize,
     budget: &Budget,
 ) -> Result<(ArchiveReport, WindowStats), ArchiveError> {
-    // --- Encode: chunk → RS payload → strands; protect groups with XOR. ---
+    // --- Encode: chunk → erasure-protect → RS payload strands. ---
     let layout = StrandLayout::new(config.rs_codeword_len, config.rs_data_len, rng)
         .map_err(ArchiveError::Layout)?;
-    let payload_chunks: Vec<Vec<u8>> = {
-        let chunk = layout.payload_bytes();
-        let mut chunks: Vec<Vec<u8>> =
-            data.chunks(chunk).map(<[u8]>::to_vec).collect();
-        if chunks.is_empty() {
-            chunks.push(vec![0; chunk]);
-        }
-        if let Some(last) = chunks.last_mut() {
-            last.resize(chunk, 0);
-        }
-        chunks
-    };
-    let protected = match config.erasure {
-        ErasureScheme::Xor { group } => XorParity::new(group).protect(&payload_chunks),
-        ErasureScheme::OuterRs { total, payload } => OuterRsCode::new(total, payload)
-            .map_err(|_| {
-                ArchiveError::Layout(RsError::InvalidParameters { n: total, k: payload })
-            })?
-            .protect(&payload_chunks),
-    };
-    // Flatten the protected chunks into one logical byte stream and let the
-    // layout index the strands.
-    let flat: Vec<u8> = protected.iter().flatten().copied().collect();
-    let references = layout.encode_file(&flat);
+    let code = config.erasure.code().map_err(ArchiveError::Layout)?;
+    let (payload_count, references) = encode_payload(data, &layout, &code);
 
     // --- Channel: synthesis → decay → PCR → sequencing, sharded per
     // strand group. ---
@@ -373,20 +521,21 @@ fn archive_round_trip_windowed(
     let refs_len = references.len();
     let window_len = batch_size.min(refs_len.max(1));
 
-    // Pass 0: per-group total abundance, windowed — O(references) scalars
+    // Weights pass: per-group total abundance — O(references) scalars
     // resident, never the molecules themselves. The global read budget is
     // then split across groups by the same categorical draw the whole-pool
     // sampler made, collapsed to group granularity.
-    let mut group_weights = vec![0.0f64; refs_len];
-    let mut start = 0usize;
-    while start < refs_len {
-        let len = window_len.min(refs_len - start);
-        let weights = workers
-            .par_map_len(len, |i| group_pool(start + i).total_abundance())
-            .map_err(ArchiveError::Worker)?;
-        group_weights[start..start + len].copy_from_slice(&weights);
-        start += len;
-    }
+    let mut group_weights = Vec::with_capacity(refs_len);
+    for_each_group_window(
+        refs_len,
+        window_len,
+        workers,
+        |g| group_pool(g).total_abundance(),
+        |weights| {
+            group_weights.extend(weights);
+            Ok(true)
+        },
+    )?;
     let read_counts =
         sequencing.allocate_reads(&group_weights, &mut seeds.derive_rng("allocate"));
     // One group's sequenced reads, again a pure function of the group
@@ -396,87 +545,58 @@ fn archive_round_trip_windowed(
     };
 
     // --- Reconstruct and decode every cluster. ---
-    // Different reconstructors leave *different* residual indels, and an
-    // indel shifts every downstream payload symbol, so a strand one
-    // algorithm cannot deliver is often decodable from another's estimate.
-    // Try an ensemble and keep the first estimate that passes RS.
-    let ensemble: Vec<Box<dyn TraceReconstructor + Send + Sync>> = vec![
-        Box::new(TwoWayIterative::default()),
-        Box::new(Iterative::default()),
-        Box::new(BmaLookahead::default()),
-        Box::new(MajorityVote),
-    ];
-    let chunk = layout.payload_bytes();
+    let ensemble = decode_ensemble();
     // Decode over a bounded window: at most `batch_size` clusters'
     // estimates exist at once, and each window merges serially in cluster
     // order (first-wins per slot) so quarantine counts and recovered
     // bytes are independent of both worker scheduling and batch size.
-    let mut received: Vec<Option<Vec<u8>>> = vec![None; protected.len()];
+    let mut received: Vec<Option<Vec<u8>>> = vec![None; refs_len];
     let mut window = WindowStats::default();
     // Decodes one window of clusters, budget-metered (one unit per decode
-    // attempt). Returns the admitted count; an admitted count below the
-    // window length means the budget ran dry — the caller stops decoding
-    // and the remaining clusters stay quarantined for erasure recovery.
-    let decode_window = |clusters: &[Cluster],
-                             resident_reads_now: usize,
-                             window: &mut WindowStats,
-                             received: &mut Vec<Option<Vec<u8>>>|
-     -> Result<usize, ArchiveError> {
-        budget.check("decode").map_err(ArchiveError::Cancelled)?;
-        let (decoded, admitted) = workers
-            .par_map_admitted(budget, clusters, |_, cluster| {
-                decode_cluster(cluster, &ensemble, &layout)
-            })
-            .map_err(ArchiveError::Worker)?;
-        if admitted > 0 {
-            window.record_window(admitted, resident_reads_now);
-        }
-        for (index, bytes) in decoded.into_iter().flatten() {
-            // Each strand carries `chunk` bytes of the flat protected
-            // stream; the strand index orders them.
-            let slot = index as usize;
-            if slot < received.len() && received[slot].is_none() {
-                received[slot] = Some(bytes);
+    // attempt). Returns whether every cluster was admitted; `false` means
+    // the budget ran dry — the caller stops decoding and the remaining
+    // clusters stay quarantined for erasure recovery.
+    let mut decode_window =
+        |clusters: &[Cluster], resident_reads_now: usize| -> Result<bool, ArchiveError> {
+            budget.check("decode").map_err(ArchiveError::Cancelled)?;
+            let (decoded, admitted) = workers
+                .par_map_admitted(budget, clusters, |_, cluster| {
+                    decode_cluster(cluster, &ensemble, &layout)
+                })
+                .map_err(ArchiveError::Worker)?;
+            if admitted > 0 {
+                window.record_window(admitted, resident_reads_now);
             }
-        }
-        Ok(admitted)
-    };
+            merge_first_wins(&mut received, decoded);
+            Ok(admitted == clusters.len())
+        };
 
-    let reads_sequenced: usize;
-    if config.imperfect_clustering {
-        // Pass A: stream the reads (group-major, window by window) through
-        // the online clusterer. Groups are matched to references at
-        // founding time, so every read's reference is known the moment it
-        // is pushed; only the per-read reference index (not the read) is
-        // kept, plus per-reference expected counts. The clusterer itself
-        // holds per-group representatives only.
-        let clusterer_config = GreedyClusterer::default();
-        let mut clusterer = StreamingClusterer::with_references(clusterer_config, &references);
+    let reads_sequenced = if config.imperfect_clustering {
+        // Clustering pass: stream the reads (group-major, window by
+        // window) through the online clusterer. Groups are matched to
+        // references at founding time, so every read's reference is known
+        // the moment it is pushed; only the per-read reference index (not
+        // the read) is kept, plus per-reference expected counts. The
+        // clusterer itself holds per-group representatives only.
+        let mut clusterer =
+            StreamingClusterer::with_references(GreedyClusterer::default(), &references);
         let mut assignments: Vec<Option<u32>> = Vec::new();
         let mut expected = vec![0usize; refs_len];
-        let mut start = 0usize;
-        while start < refs_len {
-            let len = window_len.min(refs_len - start);
-            let reads_per_group = workers
-                .par_map_len(len, |i| sample_reads(start + i))
-                .map_err(ArchiveError::Worker)?;
-            for group_reads in &reads_per_group {
-                for read in group_reads {
-                    let matched = clusterer.push(read).reference;
-                    assignments.push(matched.map(|r| r as u32));
-                    if let Some(r) = matched {
-                        expected[r] += 1;
-                    }
+        for_each_group_window(refs_len, window_len, workers, sample_reads, |reads_per_group| {
+            for read in reads_per_group.iter().flatten() {
+                let matched = clusterer.push(read).reference;
+                assignments.push(matched.map(|r| r as u32));
+                if let Some(r) = matched {
+                    expected[r] += 1;
                 }
             }
-            start += len;
-        }
+            Ok(true)
+        })?;
         clusterer.finish();
-        reads_sequenced = expected.iter().sum();
 
-        // Pass B: regenerate the same reads and route each into its
+        // Routing pass: regenerate the same reads and route each into its
         // reference's pending buffer; a reference decodes (and frees its
-        // buffer) the moment its last read arrives, so peak residency is
+        // buffer) once its last read arrives, so peak residency is
         // governed by how long clusters stay incomplete — audited by the
         // peak_resident_reads gauge — not by the pool size. References
         // that received no reads are quarantined erasures, decoded first
@@ -484,136 +604,93 @@ fn archive_round_trip_windowed(
         let mut pending: Vec<Vec<Strand>> = references.iter().map(|_| Vec::new()).collect();
         let mut ready: Vec<usize> = (0..refs_len).filter(|&r| expected[r] == 0).collect();
         let mut resident = 0usize;
-        let mut cursor = 0usize;
-        let mut exhausted = false;
-        let mut start = 0usize;
-        'route: while start < refs_len {
-            let len = window_len.min(refs_len - start);
-            let reads_per_group = workers
-                .par_map_len(len, |i| sample_reads(start + i))
-                .map_err(ArchiveError::Worker)?;
-            for group_reads in reads_per_group {
-                for read in group_reads {
-                    if let Some(r) = assignments[cursor] {
-                        let r = r as usize;
-                        pending[r].push(read);
-                        resident += 1;
-                        if pending[r].len() == expected[r] {
-                            ready.push(r);
-                        }
-                    }
-                    cursor += 1;
-                }
-            }
-            window.peak_resident_reads = window.peak_resident_reads.max(resident);
-            while ready.len() >= window_len {
-                let batch: Vec<usize> = ready.drain(..window_len).collect();
-                let clusters: Vec<Cluster> = batch
-                    .iter()
-                    .map(|&r| {
-                        Cluster::new(references[r].clone(), std::mem::take(&mut pending[r]))
-                    })
+        let mut peak_resident = 0usize;
+        // Decodes queued references, `window_len` at a time, while at
+        // least `min` are queued; returns `false` once the budget is dry.
+        let mut drain = |ready: &mut Vec<usize>,
+                         pending: &mut [Vec<Strand>],
+                         resident: &mut usize,
+                         min: usize|
+         -> Result<bool, ArchiveError> {
+            while ready.len() >= min {
+                let take = window_len.min(ready.len());
+                let clusters: Vec<Cluster> = ready
+                    .drain(..take)
+                    .map(|r| Cluster::new(references[r].clone(), std::mem::take(&mut pending[r])))
                     .collect();
-                let admitted = decode_window(&clusters, resident, &mut window, &mut received)?;
-                resident -= dnasim_core::resident_reads(&clusters);
-                if admitted < clusters.len() {
-                    exhausted = true;
-                    break 'route;
+                let complete = decode_window(&clusters, *resident)?;
+                *resident -= resident_reads(&clusters);
+                if !complete {
+                    return Ok(false);
                 }
             }
-            start += len;
-        }
-        while !exhausted && !ready.is_empty() {
-            let take = window_len.min(ready.len());
-            let batch: Vec<usize> = ready.drain(..take).collect();
-            let clusters: Vec<Cluster> = batch
-                .iter()
-                .map(|&r| Cluster::new(references[r].clone(), std::mem::take(&mut pending[r])))
-                .collect();
-            let admitted = decode_window(&clusters, resident, &mut window, &mut received)?;
-            resident -= dnasim_core::resident_reads(&clusters);
-            if admitted < clusters.len() {
-                exhausted = true;
+            Ok(true)
+        };
+        let mut cursor = 0usize;
+        let mut live = true;
+        for_each_group_window(refs_len, window_len, workers, sample_reads, |reads_per_group| {
+            for read in reads_per_group.into_iter().flatten() {
+                if let Some(r) = assignments[cursor] {
+                    let r = r as usize;
+                    pending[r].push(read);
+                    resident += 1;
+                    if pending[r].len() == expected[r] {
+                        ready.push(r);
+                    }
+                }
+                cursor += 1;
             }
+            peak_resident = peak_resident.max(resident);
+            live = drain(&mut ready, &mut pending, &mut resident, window_len)?;
+            Ok(live)
+        })?;
+        if live {
+            drain(&mut ready, &mut pending, &mut resident, 1)?;
         }
+        window.peak_resident_reads = window.peak_resident_reads.max(peak_resident);
+        expected.iter().sum()
     } else {
         // Perfect clustering: each reference's cluster is generated and
         // decoded inside one window — sequencing output for a window
         // exists only while that window decodes.
-        reads_sequenced = read_counts.iter().sum();
-        let mut start = 0usize;
-        while start < refs_len {
-            let len = window_len.min(refs_len - start);
-            let clusters: Vec<Cluster> = workers
-                .par_map_len(len, |i| {
-                    let g = start + i;
-                    Cluster::new(references[g].clone(), sample_reads(g))
-                })
-                .map_err(ArchiveError::Worker)?;
-            let resident = dnasim_core::resident_reads(&clusters);
-            let admitted = decode_window(&clusters, resident, &mut window, &mut received)?;
-            if admitted < len {
-                // Budget exhausted mid-decode: the remaining clusters stay
-                // quarantined and erasure recovery absorbs what it can.
-                break;
-            }
-            start += len;
-        }
-    }
+        for_each_group_window(
+            refs_len,
+            window_len,
+            workers,
+            |g| Cluster::new(references[g].clone(), sample_reads(g)),
+            |clusters| decode_window(&clusters, resident_reads(&clusters)),
+        )?;
+        read_counts.iter().sum()
+    };
+
     // --- Erasure recovery: quarantined slots become erasures for the
     // outer code. Strict mode aborts on any budget overrun; lenient mode
     // recovers every group it can and zero-fills the rest. ---
     let clusters_quarantined = received.iter().filter(|slot| slot.is_none()).count();
-    let (outcome, loss_budget_per_group): (RecoveryOutcome, usize) = match config.erasure {
-        ErasureScheme::Xor { group } => {
-            (XorParity::new(group).recover_lenient(&mut received), 1)
-        }
-        ErasureScheme::OuterRs { total, payload } => {
-            let outer = OuterRsCode::new(total, payload).map_err(|_| {
-                ArchiveError::Layout(RsError::InvalidParameters { n: total, k: payload })
-            })?;
-            let budget = outer.loss_budget();
-            (outer.recover_lenient(&mut received), budget)
-        }
-    };
-    if config.mode == ArchiveMode::Strict && !outcome.failed_groups.is_empty() {
-        let index = received.iter().position(Option::is_none).unwrap_or(0) as u32;
-        return Err(ArchiveError::Unrecoverable(LayoutError::MissingStrand { index }));
-    }
-
-    let mut out = Vec::with_capacity(payload_chunks.len() * chunk);
-    let mut strands_unrecovered = 0usize;
-    for (i, slot) in received.iter().take(payload_chunks.len()).enumerate() {
-        match slot {
-            Some(bytes) => out.extend_from_slice(bytes),
-            None => match config.mode {
-                ArchiveMode::Strict => {
-                    return Err(ArchiveError::Unrecoverable(LayoutError::MissingStrand {
-                        index: i as u32,
-                    }))
-                }
-                ArchiveMode::Lenient => {
-                    out.extend(std::iter::repeat_n(0u8, chunk));
-                    strands_unrecovered += 1;
-                }
-            },
-        }
-    }
-    out.truncate(data.len().max(1));
+    let (out, outcome, strands_unrecovered) = recover_payload(
+        &code,
+        &mut received,
+        payload_count,
+        layout.payload_bytes(),
+        data.len(),
+        config.mode,
+    )
+    .map_err(ArchiveError::Unrecoverable)?;
     Ok((
         ArchiveReport {
             data: out,
-            strands_written: references.len(),
+            strands_written: refs_len,
             reads_sequenced,
             strands_recovered_by_parity: outcome.recovered,
             clusters_quarantined,
-            loss_budget_per_group,
+            loss_budget_per_group: code.loss_budget(),
             groups_exceeding_budget: outcome.failed_groups.len(),
             strands_unrecovered,
         },
         window,
     ))
 }
+
 
 #[cfg(test)]
 mod tests {
@@ -801,6 +878,21 @@ mod outer_code_tests {
         };
         let report = archive_round_trip(&data, &config, &mut rng).unwrap();
         assert_eq!(&report.data[..], &data[..]);
+    }
+
+    #[test]
+    fn invalid_erasure_parameters_are_layout_errors() {
+        for erasure in [
+            ErasureScheme::Xor { group: 0 },
+            ErasureScheme::OuterRs { total: 4, payload: 4 },
+        ] {
+            let config = ArchiveConfig {
+                erasure,
+                ..ArchiveConfig::default()
+            };
+            let result = archive_round_trip(&[1, 2, 3], &config, &mut seeded(1));
+            assert!(matches!(result, Err(ArchiveError::Layout(_))), "{erasure:?}");
+        }
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //!   (Tables 2.1–3.2, Figs. 3.2–3.10, the sensitivity grid, and the
 //!   two-way-Iterative extension);
 //! * [`archive_round_trip`] — the full write→store→read pipeline
-//!   composing codec, multi-stage channel, clustering and reconstruction.
+//!   composing codec, multi-stage channel, clustering and reconstruction;
+//! * [`FilePool`] — primer-addressed random access in a shared pool,
+//!   which stores and retrieves through the archive's one encode →
+//!   decode → erasure core.
 //!
 //! Every evaluation entry point has a `_stream` counterpart
 //! ([`evaluate_reconstruction_stream`], [`archive_round_trip_stream`],

@@ -7,18 +7,29 @@
 //! whole pool. This module simulates that: multiple files are written into
 //! one molecule pool, and retrieval amplifies, sequences, reconstructs and
 //! decodes only the requested file.
+//!
+//! Only the physical side — the shared container, selective PCR and the
+//! sequencing of the amplified pool — lives here. How a file becomes
+//! strands and comes back is the archive's storage core: `store` frames
+//! and protects through the same `encode_payload` and XOR
+//! [`ErasureScheme`](crate::ErasureScheme), and `retrieve` decodes
+//! through the same ensemble and first-wins slot merge, then recovers
+//! through the same erasure code in strict mode.
 
 use std::fmt;
 
 use dnasim_channel::stages::{Molecule, MoleculePool, SequencingStage, SynthesisStage};
 use dnasim_channel::NaiveModel;
-use dnasim_codec::{RsError, StrandLayout, XorParity};
+use dnasim_codec::{RsError, StrandLayout};
 use dnasim_core::rng::SimRng;
 use dnasim_core::Strand;
 use dnasim_dataset::GroundTruthChannel;
-use dnasim_reconstruct::{
-    BmaLookahead, Iterative, MajorityVote, TraceReconstructor, TwoWayIterative,
+
+use crate::archive::{
+    decode_cluster, decode_ensemble, encode_payload, merge_first_wins, recover_payload,
+    ErasureCode,
 };
+use crate::{ArchiveMode, ErasureScheme};
 
 /// A multi-file DNA storage pool with primer-based random access.
 ///
@@ -82,8 +93,11 @@ impl Default for PoolConfig {
 struct StoredFile {
     name: String,
     layout: StrandLayout,
+    code: ErasureCode,
     byte_len: usize,
     payload_chunks: usize,
+    /// Strands written: the payload chunks plus their parity.
+    strands: usize,
 }
 
 /// Errors from pool operations.
@@ -155,19 +169,12 @@ impl FilePool {
             rng,
         )
         .map_err(PoolError::Layout)?;
-        let parity = XorParity::new(self.config.parity_group);
-        let chunk = layout.payload_bytes();
-        let mut chunks: Vec<Vec<u8>> = data.chunks(chunk).map(<[u8]>::to_vec).collect();
-        if chunks.is_empty() {
-            chunks.push(vec![0u8; chunk]);
+        let code = ErasureScheme::Xor {
+            group: self.config.parity_group,
         }
-        if let Some(last) = chunks.last_mut() {
-            last.resize(chunk, 0);
-        }
-        let payload_chunks = chunks.len();
-        let protected = parity.protect(&chunks);
-        let flat: Vec<u8> = protected.iter().flatten().copied().collect();
-        let references = layout.encode_file(&flat);
+        .code()
+        .map_err(PoolError::Layout)?;
+        let (payload_chunks, references) = encode_payload(&data, &layout, &code);
 
         // Synthesize into the *shared* pool; molecule origins are offset by
         // the file index so clusters stay attributable.
@@ -190,8 +197,10 @@ impl FilePool {
         self.files.push(StoredFile {
             name: name.to_owned(),
             layout,
+            code,
             byte_len: data.len(),
             payload_chunks,
+            strands: references.len(),
         });
         Ok(())
     }
@@ -213,7 +222,31 @@ impl FilePool {
             .ok_or_else(|| PoolError::UnknownFile {
                 name: name.to_owned(),
             })?;
+        let mut received = self.decode_slots(file_index, file, rng);
+        recover_payload(
+            &file.code,
+            &mut received,
+            file.payload_chunks,
+            file.layout.payload_bytes(),
+            file.byte_len,
+            ArchiveMode::Strict,
+        )
+        .map(|(data, _, _)| data)
+        .map_err(|_| PoolError::Unrecoverable {
+            name: name.to_owned(),
+        })
+    }
 
+    /// The inner half of [`retrieve`](FilePool::retrieve): amplifies and
+    /// sequences the pool, then decodes every cluster of file
+    /// `file_index` into its protected strand slot (`None` where nothing
+    /// decoded), ready for erasure recovery.
+    fn decode_slots(
+        &self,
+        file_index: usize,
+        file: &StoredFile,
+        rng: &mut SimRng,
+    ) -> Vec<Option<Vec<u8>>> {
         // Selective PCR: strands whose head matches the file's primer are
         // amplified; everything else stays at baseline abundance.
         let mut amplified = MoleculePool::new();
@@ -235,9 +268,7 @@ impl FilePool {
         // Sequence the amplified pool. We cannot use SequencingStage's
         // per-reference grouping directly (origins are tagged), so sample
         // reads and group by decoded strand coordinates below.
-        let strand_count = file.payload_chunks
-            + file.payload_chunks.div_ceil(self.config.parity_group);
-        let total_reads = strand_count * self.config.reads_per_strand;
+        let total_reads = file.strands * self.config.reads_per_strand;
         let channel = GroundTruthChannel::new(
             self.config.sequencing_error_rate,
             file.layout.strand_len(),
@@ -279,57 +310,17 @@ impl FilePool {
 
         // Keep only clusters whose reads match this file's primer, then
         // reconstruct and decode.
-        let ensemble: Vec<Box<dyn TraceReconstructor>> = vec![
-            Box::new(TwoWayIterative::default()),
-            Box::new(Iterative::default()),
-            Box::new(BmaLookahead::default()),
-            Box::new(MajorityVote),
-        ];
-        let mut received: Vec<Option<Vec<u8>>> =
-            vec![None; XorParity::new(self.config.parity_group).protected_len(file.payload_chunks)];
-        for (cluster, &origin) in dataset.iter().zip(&origin_of) {
-            if origin >> 32 != file_index || cluster.is_erasure() {
-                continue;
-            }
-            let mut decoded = None;
-            for algorithm in &ensemble {
-                let estimate =
-                    algorithm.reconstruct(cluster.reads(), file.layout.strand_len());
-                if let Ok(hit) = file.layout.decode_strand(&estimate) {
-                    decoded = Some(hit);
-                    break;
-                }
-            }
-            if decoded.is_none() {
-                decoded = cluster
-                    .reads()
-                    .iter()
-                    .find_map(|read| file.layout.decode_strand(read).ok());
-            }
-            if let Some((index, bytes)) = decoded {
-                let slot = index as usize;
-                if slot < received.len() && received[slot].is_none() {
-                    received[slot] = Some(bytes);
-                }
-            }
-        }
-        let parity = XorParity::new(self.config.parity_group);
-        parity.recover(&mut received).map_err(|_| PoolError::Unrecoverable {
-            name: name.to_owned(),
-        })?;
-        let mut out = Vec::with_capacity(file.byte_len);
-        for slot in received.iter().take(file.payload_chunks) {
-            match slot {
-                Some(bytes) => out.extend_from_slice(bytes),
-                None => {
-                    return Err(PoolError::Unrecoverable {
-                        name: name.to_owned(),
-                    })
-                }
-            }
-        }
-        out.truncate(file.byte_len.max(1));
-        Ok(out)
+        let ensemble = decode_ensemble();
+        let mut received = vec![None; file.strands];
+        merge_first_wins(
+            &mut received,
+            dataset
+                .iter()
+                .zip(&origin_of)
+                .filter(|&(_, &origin)| origin >> 32 == file_index)
+                .map(|(cluster, _)| decode_cluster(cluster, &ensemble, &file.layout)),
+        );
+        received
     }
 
     /// Fraction of sequenced reads that belong to `name`'s file when the
@@ -415,5 +406,36 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(pool.retrieve("target", &mut rng).unwrap(), target);
+    }
+
+    #[test]
+    fn lost_strands_are_rebuilt_by_parity_until_the_budget_is_exceeded() {
+        // A starved read-out (7 reads per strand) loses payload strands
+        // that the XOR parity of their group rebuilds.
+        let config = PoolConfig {
+            reads_per_strand: 7,
+            ..PoolConfig::default()
+        };
+        let data: Vec<u8> = (0u8..160).collect();
+        let mut pool = FilePool::new(config.clone());
+        pool.store("target", data.clone(), &mut seeded(1)).unwrap();
+        let file = &pool.files[0];
+        let slots = pool.decode_slots(0, file, &mut seeded(1));
+        let lost = slots[..file.payload_chunks].iter().filter(|s| s.is_none()).count();
+        assert!(lost > 0, "channel too clean to exercise parity recovery");
+        assert_eq!(pool.retrieve("target", &mut seeded(1)).unwrap(), data);
+
+        // Nothing sequenced: every group loses more than its one strand.
+        let starved = FilePool {
+            config: PoolConfig {
+                reads_per_strand: 0,
+                ..config
+            },
+            ..pool
+        };
+        assert!(matches!(
+            starved.retrieve("target", &mut seeded(1)),
+            Err(PoolError::Unrecoverable { .. })
+        ));
     }
 }

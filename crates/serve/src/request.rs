@@ -9,9 +9,15 @@
 //! per-request (see `server`).
 
 use std::fmt;
+use std::str::FromStr;
 
-use dnasim_channel::SimulatorLayer;
+use dnasim_channel::{DnaSimulatorModel, ErrorModel, KeoliyaModel, SimulatorLayer};
+use dnasim_core::DnasimError;
 use dnasim_dataset::Format;
+use dnasim_profile::LearnedModel;
+use dnasim_reconstruct::{
+    BmaLookahead, DividerBma, Iterative, MajorityVote, TraceReconstructor, TwoWayIterative,
+};
 
 use crate::json::{self, Json};
 
@@ -49,7 +55,8 @@ impl fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-/// The channel model a `simulate` request names.
+/// A channel model by name: the one vocabulary `dnasim simulate --model`
+/// and the `simulate` op share.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelSpec {
     /// Uniform learned rates (`naive`).
@@ -73,21 +80,44 @@ impl ModelSpec {
         }
     }
 
-    fn parse(spec: &str) -> Option<ModelSpec> {
+    /// Builds the named model. `learn` runs only for the learned models
+    /// (`naive` and `keoliya`), so `dnasimulator` never learns and draws
+    /// nothing from the caller's randomness.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `learn` reports.
+    pub fn build<E>(
+        self,
+        learn: impl FnOnce() -> Result<LearnedModel, E>,
+    ) -> Result<Box<dyn ErrorModel + Send + Sync>, E> {
+        Ok(match self {
+            ModelSpec::Naive => Box::new(KeoliyaModel::new(learn()?, SimulatorLayer::Naive)),
+            ModelSpec::DnaSimulator => Box::new(DnaSimulatorModel::nanopore_default()),
+            ModelSpec::Keoliya(layer) => Box::new(KeoliyaModel::new(learn()?, layer)),
+        })
+    }
+}
+
+impl FromStr for ModelSpec {
+    type Err = DnasimError;
+
+    fn from_str(spec: &str) -> Result<ModelSpec, DnasimError> {
         match spec {
-            "naive" => Some(ModelSpec::Naive),
-            "dnasimulator" => Some(ModelSpec::DnaSimulator),
-            "keoliya" => Some(ModelSpec::Keoliya(SimulatorLayer::SecondOrder)),
-            "keoliya:naive" => Some(ModelSpec::Keoliya(SimulatorLayer::Naive)),
-            "keoliya:cond" => Some(ModelSpec::Keoliya(SimulatorLayer::ConditionalLongDel)),
-            "keoliya:spatial" => Some(ModelSpec::Keoliya(SimulatorLayer::SpatialSkew)),
-            "keoliya:second" => Some(ModelSpec::Keoliya(SimulatorLayer::SecondOrder)),
-            _ => None,
+            "naive" => Ok(ModelSpec::Naive),
+            "dnasimulator" => Ok(ModelSpec::DnaSimulator),
+            "keoliya" => Ok(ModelSpec::Keoliya(SimulatorLayer::SecondOrder)),
+            "keoliya:naive" => Ok(ModelSpec::Keoliya(SimulatorLayer::Naive)),
+            "keoliya:cond" => Ok(ModelSpec::Keoliya(SimulatorLayer::ConditionalLongDel)),
+            "keoliya:spatial" => Ok(ModelSpec::Keoliya(SimulatorLayer::SpatialSkew)),
+            "keoliya:second" => Ok(ModelSpec::Keoliya(SimulatorLayer::SecondOrder)),
+            _ => Err(DnasimError::config("model", format!("unknown model '{spec}'"))),
         }
     }
 }
 
-/// The reconstruction algorithm an `evaluate` request names.
+/// A trace-reconstruction algorithm by name: the one vocabulary
+/// `dnasim reconstruct --algo` and the `evaluate` op share.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlgorithmSpec {
     /// BMA with lookahead.
@@ -114,14 +144,29 @@ impl AlgorithmSpec {
         }
     }
 
-    fn parse(spec: &str) -> Option<AlgorithmSpec> {
+    /// Builds the named reconstructor with its default parameters.
+    pub fn build(self) -> Box<dyn TraceReconstructor + Send + Sync> {
+        match self {
+            AlgorithmSpec::Bma => Box::new(BmaLookahead::default()),
+            AlgorithmSpec::DivBma => Box::new(DividerBma),
+            AlgorithmSpec::Iterative => Box::new(Iterative::default()),
+            AlgorithmSpec::IterativeTwoWay => Box::new(TwoWayIterative::default()),
+            AlgorithmSpec::Majority => Box::new(MajorityVote),
+        }
+    }
+}
+
+impl FromStr for AlgorithmSpec {
+    type Err = DnasimError;
+
+    fn from_str(spec: &str) -> Result<AlgorithmSpec, DnasimError> {
         match spec {
-            "bma" => Some(AlgorithmSpec::Bma),
-            "divbma" => Some(AlgorithmSpec::DivBma),
-            "iterative" => Some(AlgorithmSpec::Iterative),
-            "iterative-twoway" => Some(AlgorithmSpec::IterativeTwoWay),
-            "majority" => Some(AlgorithmSpec::Majority),
-            _ => None,
+            "bma" => Ok(AlgorithmSpec::Bma),
+            "divbma" => Ok(AlgorithmSpec::DivBma),
+            "iterative" => Ok(AlgorithmSpec::Iterative),
+            "iterative-twoway" => Ok(AlgorithmSpec::IterativeTwoWay),
+            "majority" => Ok(AlgorithmSpec::Majority),
+            _ => Err(DnasimError::config("algorithm", format!("unknown algorithm '{spec}'"))),
         }
     }
 }
@@ -293,7 +338,7 @@ impl Request {
             "simulate" => {
                 let dataset = text_field(&value, "dataset", line_no).map_err(&attach)?;
                 let spec = value.get("model").and_then(Json::as_str).unwrap_or("keoliya");
-                let model = ModelSpec::parse(spec).ok_or_else(|| {
+                let model = spec.parse::<ModelSpec>().map_err(|_| {
                     attach(ProtocolError::new(
                         line_no,
                         format!(
@@ -310,7 +355,7 @@ impl Request {
                     .get("algorithm")
                     .and_then(Json::as_str)
                     .unwrap_or("bma");
-                let algorithm = AlgorithmSpec::parse(spec).ok_or_else(|| {
+                let algorithm = spec.parse::<AlgorithmSpec>().map_err(|_| {
                     attach(ProtocolError::new(
                         line_no,
                         format!(

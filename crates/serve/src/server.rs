@@ -13,7 +13,7 @@
 
 use std::io::{BufRead, Write};
 
-use dnasim_channel::{CoverageModel, DnaSimulatorModel, ErrorModel, KeoliyaModel, Simulator};
+use dnasim_channel::{CoverageModel, DnaSimulatorModel, Simulator};
 use dnasim_core::rng::{RngExt, SeedSequence};
 use dnasim_core::{
     checked_batch_size, Budget, CancelToken, Dataset, DnasimError, Strand, WindowStats,
@@ -25,9 +25,6 @@ use dnasim_pipeline::{
     ArchiveMode,
 };
 use dnasim_profile::{ErrorStats, LearnedModel, TieBreak};
-use dnasim_reconstruct::{
-    BmaLookahead, DividerBma, Iterative, MajorityVote, TraceReconstructor, TwoWayIterative,
-};
 
 use crate::json::Obj;
 use crate::request::{AlgorithmSpec, ModelSpec, Op, ProtocolError, Request};
@@ -808,62 +805,16 @@ fn op_simulate(
     budget: &Budget,
 ) -> Result<OpOutput, DnasimError> {
     let parsed = read_dataset(dataset.as_bytes())?;
-    let channel = namespace.derive_seq("channel");
-    let learn = |namespace: &SeedSequence| -> LearnedModel {
+    let model = model.build(|| {
         let mut rng = namespace.derive_rng("learn");
         let stats = ErrorStats::from_dataset(&parsed, TieBreak::Random, &mut rng);
-        LearnedModel::from_stats(&stats, 10)
-    };
-    match model {
-        ModelSpec::Naive => resimulate(
-            &Simulator::new(
-                KeoliyaModel::new(learn(namespace), dnasim_channel::SimulatorLayer::Naive),
-                CoverageModel::Fixed(0),
-            ),
-            &parsed,
-            &channel,
-            batch_size,
-            pool,
-            budget,
-        ),
-        ModelSpec::DnaSimulator => resimulate(
-            &Simulator::new(
-                DnaSimulatorModel::nanopore_default(),
-                CoverageModel::Fixed(0),
-            ),
-            &parsed,
-            &channel,
-            batch_size,
-            pool,
-            budget,
-        ),
-        ModelSpec::Keoliya(layer) => resimulate(
-            &Simulator::new(
-                KeoliyaModel::new(learn(namespace), layer),
-                CoverageModel::Fixed(0),
-            ),
-            &parsed,
-            &channel,
-            batch_size,
-            pool,
-            budget,
-        ),
-    }
-}
-
-fn resimulate<M: ErrorModel + Sync>(
-    simulator: &Simulator<M>,
-    dataset: &Dataset,
-    channel: &SeedSequence,
-    batch_size: usize,
-    pool: &ThreadPool,
-    budget: &Budget,
-) -> Result<OpOutput, DnasimError> {
+        Ok::<_, DnasimError>(LearnedModel::from_stats(&stats, 10))
+    })?;
     let mut buf = Vec::new();
     let mut writer = DatasetWriter::new(&mut buf);
-    let window = simulator.resimulate_stream_budgeted(
-        &mut dataset.stream(),
-        channel,
+    let window = Simulator::new(model, CoverageModel::Fixed(0)).resimulate_stream_budgeted(
+        &mut parsed.stream(),
+        &namespace.derive_seq("channel"),
         batch_size,
         pool,
         budget,
@@ -889,19 +840,13 @@ fn op_evaluate(
     budget: &Budget,
 ) -> Result<OpOutput, DnasimError> {
     let parsed = read_dataset(dataset.as_bytes())?;
-    let (report, window) = match algorithm {
-        AlgorithmSpec::Bma => {
-            evaluate_with(&BmaLookahead::default(), &parsed, batch_size, pool, budget)
-        }
-        AlgorithmSpec::DivBma => evaluate_with(&DividerBma, &parsed, batch_size, pool, budget),
-        AlgorithmSpec::Iterative => {
-            evaluate_with(&Iterative::default(), &parsed, batch_size, pool, budget)
-        }
-        AlgorithmSpec::IterativeTwoWay => {
-            evaluate_with(&TwoWayIterative::default(), &parsed, batch_size, pool, budget)
-        }
-        AlgorithmSpec::Majority => evaluate_with(&MajorityVote, &parsed, batch_size, pool, budget),
-    }?;
+    let (report, window) = evaluate_reconstruction_stream_budgeted(
+        &mut parsed.stream(),
+        &algorithm.build(),
+        batch_size,
+        pool,
+        budget,
+    )?;
     Ok(OpOutput {
         fields: vec![
             ("algorithm".into(), format!("\"{}\"", algorithm.name())),
@@ -922,22 +867,6 @@ fn op_evaluate(
         window,
         degraded: false,
     })
-}
-
-fn evaluate_with<A: TraceReconstructor + Sync>(
-    algorithm: &A,
-    dataset: &Dataset,
-    batch_size: usize,
-    pool: &ThreadPool,
-    budget: &Budget,
-) -> Result<(dnasim_metrics::AccuracyReport, WindowStats), DnasimError> {
-    evaluate_reconstruction_stream_budgeted(
-        &mut dataset.stream(),
-        algorithm,
-        batch_size,
-        pool,
-        budget,
-    )
 }
 
 fn op_archive(

@@ -8,7 +8,9 @@
 #    expect(), panic!(), unreachable!(), todo!() or unimplemented!()
 #    outside test modules (testkit and bench are test infrastructure and
 #    exempt). Robustness is DESIGN.md §8's contract: typed errors or
-#    quarantine, never a panic.
+#    quarantine, never a panic. The scan stops at a file's first
+#    `#[cfg(test)]`, so every top-level item after it must itself be
+#    `#[cfg(test)]`; a library item there fails the guard.
 # 3. Guard: `crates/parallel` (the thread pool everything else trusts for
 #    determinism) must itself stay free of registry dependencies — every
 #    dependency line in its manifest is `path = …` / `workspace = true`.
@@ -103,22 +105,32 @@ echo "== panic-guard (library sources) =="
 # Library code must degrade with typed errors, never panic. Scan every
 # non-test source: cut each file at its first `#[cfg(test)]` (test modules
 # sit at the end of files in this workspace), skip comment/doc-comment
-# lines, and flag the panicking constructs. testkit and bench are test
-# infrastructure and exempt.
+# lines, and flag the panicking constructs. Past the cut, only
+# `#[cfg(test)]` items may follow: any other top-level item (a line
+# starting at column 0 other than an attribute, comment, brace or
+# `where`) would escape the scan, so it is flagged too. testkit and bench
+# are test infrastructure and exempt.
 fail=0
 while IFS= read -r src; do
     case "$src" in
         ./crates/testkit/*|./crates/bench/*) continue ;;
     esac
     bad=$(awk '
-        /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { tests = 1; gated = /^#/; next }
+        tests {
+            if (/^[A-Za-z]/ && !/^where([[:space:]]|$)/) {
+                if (!gated) printf "%d:non-test item after #[cfg(test)]: %s\n", NR, $0
+                gated = 0
+            }
+            next
+        }
         /^[[:space:]]*\/\// { next }
         /\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(|todo!\(|unimplemented!\(/ {
             printf "%d:%s\n", NR, $0
         }
     ' "$src")
     if [ -n "$bad" ]; then
-        echo "ERROR: panicking construct in non-test library code: $src" >&2
+        echo "ERROR: panicking construct or unscanned item in library code: $src" >&2
         echo "$bad" | sed 's/^/    /' >&2
         fail=1
     fi
