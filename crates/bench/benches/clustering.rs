@@ -16,6 +16,7 @@ use dnasim_metrics::{
     bank_within_with, myers, BankScratch, MyersScratch, PatternBank, QGramProfile, QGramScratch,
     MAX_LANES,
 };
+use dnasim_par::ThreadPool;
 
 fn pool(references: usize, coverage: usize, seed: u64) -> (Vec<Strand>, Vec<Strand>) {
     let mut rng = seeded(seed);
@@ -254,6 +255,7 @@ fn bench_masked_prefilter(c: &mut Criterion) {
 fn bench_streaming_clusterer(c: &mut Criterion) {
     let (refs, reads) = pool(64, 4, 7);
     let clusterer = GreedyClusterer::default();
+    let workers = ThreadPool::from_env();
     c.bench_function("cluster-stream/materialised/64refs", |b| {
         b.iter(|| {
             clusterer
@@ -265,14 +267,20 @@ fn bench_streaming_clusterer(c: &mut Criterion) {
         b.iter(|| {
             let mut stream = StreamingClusterer::with_references(clusterer, black_box(&refs));
             for window in reads.chunks(64) {
-                black_box(stream.push_batch(window));
+                black_box(
+                    stream
+                        .push_batch(window, &workers)
+                        .expect("no worker panics"),
+                );
             }
             stream.reads_seen()
         })
     });
     let mut stream = StreamingClusterer::with_references(clusterer, &refs);
     for window in reads.chunks(64) {
-        stream.push_batch(window);
+        stream
+            .push_batch(window, &workers)
+            .expect("no worker panics");
     }
     c.record_metric(
         "cluster-stream/resident-share-pct",

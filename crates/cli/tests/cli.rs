@@ -729,6 +729,40 @@ fn archive_imperfect_counts_kernel_work() {
 }
 
 #[test]
+fn imperfect_archive_is_identical_across_thread_counts_and_batch_sizes() {
+    let run = |extra: &[&str]| {
+        let out = dnasim()
+            .args(["archive", "--bytes", "2048", "--imperfect", "--lenient"])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let kernel_line = |stdout: &str| {
+        stdout
+            .lines()
+            .find(|l| l.starts_with("cluster kernel:"))
+            .unwrap_or_else(|| panic!("no kernel diagnostic in:\n{stdout}"))
+            .to_owned()
+    };
+    // Clustering fans out on the workers, yet every byte — memberships,
+    // recovered payload and the clustering counters — is the same.
+    let serial = run(&["--threads", "1"]);
+    assert_eq!(serial, run(&["--threads", "4"]));
+    // A smaller window changes the window statistics, not the counters.
+    assert_eq!(
+        kernel_line(&serial),
+        kernel_line(&run(&["--batch-size", "16"]))
+    );
+}
+
+#[test]
 fn simd_off_flag_forces_scalar_backend_with_identical_output() {
     let auto = dnasim().args(["archive", "--bytes", "256", "--imperfect"]).output().unwrap();
     let off = dnasim()

@@ -27,9 +27,7 @@ use std::collections::{BTreeMap, HashMap};
 use dnasim_core::{Cluster, Dataset, PackedStrand, Strand};
 
 use crate::stats::{self, ClusterStats};
-use crate::streaming::{
-    evaluate_candidates, AssignScratch, OnlineState, ReferenceIndex, Representative,
-};
+use crate::streaming::{evaluate_candidates, AssignScratch, Inline, OnlineState, ReferenceIndex};
 
 /// Configuration for greedy clustering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,31 +75,37 @@ impl GreedyClusterer {
     /// [`cluster`](GreedyClusterer::cluster) plus the pass's
     /// [`ClusterStats`] (also folded into the process-wide counters).
     pub fn cluster_stats(&self, pool: &[Strand]) -> (Vec<Vec<usize>>, ClusterStats) {
-        let (clusters, _, run) = self.cluster_impl(pool);
+        let (clusters, state) = self.cluster_impl(pool, None);
+        let run = state.stats();
         stats::record(&run);
         (clusters, run)
     }
 
     /// The single assignment pass shared by every public entry point.
     ///
-    /// Delegates to the online [`OnlineState`] core — the same decision
-    /// sequence the streaming clusterer runs read by read — and
+    /// Runs the online [`OnlineState`] batch core — the same decision
+    /// sequence the streaming clusterer runs — on the calling thread, and
     /// materialises the membership lists the streaming core deliberately
-    /// does not keep. Returns the groups, the per-cluster
-    /// [`Representative`]s (packed strand, signature, and q-gram profile —
-    /// built exactly once, at founding time), and the pass counters.
-    fn cluster_impl(&self, pool: &[Strand]) -> (Vec<Vec<usize>>, Vec<Representative>, ClusterStats) {
+    /// does not keep. Returns the groups and the finished state, which
+    /// holds the per-cluster `Representative`s (packed strand,
+    /// signature, and q-gram profile — built exactly once, at founding
+    /// time), the reference matches when `refs` is given, and the pass
+    /// counters.
+    fn cluster_impl(
+        &self,
+        pool: &[Strand],
+        refs: Option<ReferenceIndex>,
+    ) -> (Vec<Vec<usize>>, OnlineState) {
+        let mut state = OnlineState::new(*self, refs);
+        let Ok(ids) = state.assign_batch(pool, &Inline);
         let mut clusters: Vec<Vec<usize>> = Vec::new();
-        let mut state = OnlineState::new(*self);
-        for (read_idx, read) in pool.iter().enumerate() {
-            let id = state.assign(read);
+        for (read_idx, id) in ids.into_iter().enumerate() {
             if id == clusters.len() {
                 clusters.push(Vec::new());
             }
             clusters[id].push(read_idx);
         }
-        let (reps, run) = state.into_parts();
-        (clusters, reps, run)
+        (clusters, state)
     }
 
     /// Clusters a pool and assigns each group to the nearest reference
@@ -122,28 +126,19 @@ impl GreedyClusterer {
         pool: &[Strand],
         references: &[Strand],
     ) -> (Dataset, ClusterStats) {
-        // References are compared against every group representative, so
-        // pack, sign, and profile them once up front.
-        let refs = ReferenceIndex::new(self, references);
+        // Each group is matched to its nearest reference when it is
+        // founded — a pure function of its representative, so the same
+        // answer a pass over the finished groups would give.
+        let (groups, state) = self.cluster_impl(pool, Some(ReferenceIndex::new(self, references)));
         let mut assigned: Vec<Vec<Strand>> = references.iter().map(|_| Vec::new()).collect();
-
-        // The assignment pass already packed, signed, and profiled every
-        // group representative — reuse them instead of recomputing from
-        // `pool[group[0]]`. Matching is the same pure per-representative
-        // function the streaming clusterer applies at founding time.
-        let (groups, reps, mut run) = self.cluster_impl(pool);
-        let mut scratch = AssignScratch::default();
-        let mut results: Vec<Option<usize>> = Vec::new();
-
         for (gid, group) in groups.iter().enumerate() {
-            let matched =
-                refs.match_representative(self, &reps[gid], &mut scratch, &mut run, &mut results);
-            if let Some(ref_idx) = matched {
+            if let Some(ref_idx) = state.group_reference(gid) {
                 for &read_idx in group {
                     assigned[ref_idx].push(pool[read_idx].clone());
                 }
             }
         }
+        let run = state.stats();
         stats::record(&run);
         let dataset = references
             .iter()
@@ -172,7 +167,8 @@ impl GreedyClusterer {
     /// [`cluster_with_merge`](GreedyClusterer::cluster_with_merge) plus
     /// the combined first-pass and merge-pass [`ClusterStats`].
     pub fn cluster_with_merge_stats(&self, pool: &[Strand]) -> (Vec<Vec<usize>>, ClusterStats) {
-        let (groups, reps, mut run) = self.cluster_impl(pool);
+        let (groups, state) = self.cluster_impl(pool, None);
+        let (reps, mut run) = state.into_parts();
         if groups.len() <= 1 {
             stats::record(&run);
             return (groups, run);

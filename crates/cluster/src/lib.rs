@@ -15,11 +15,12 @@
 //!   and banded edit-distance confirmation batched through the
 //!   multi-pattern SIMD kernel tier;
 //! * [`StreamingClusterer`] — the same decision core driven *online*:
-//!   push reads window by window, keep only per-bucket representatives
-//!   resident (`O(clusters)`, never `O(reads)`), get memberships
-//!   byte-identical to [`GreedyClusterer`] at any batch size, with
-//!   optional founding-time reference matching for the imperfect
-//!   archive path;
+//!   push reads window by window, with each window's per-read work fanned
+//!   out on a worker pool, keep only per-bucket representatives resident
+//!   (`O(clusters)`, never `O(reads)`), get memberships, reference
+//!   matches and counters byte-identical to [`GreedyClusterer`] at any
+//!   batch size and thread count, with optional founding-time reference
+//!   matching for the imperfect archive path;
 //! * [`ClusterStats`] — per-run counters (candidates proposed, pruned by
 //!   the error ball, kernel calls, lanes filled), also accumulated
 //!   process-wide for the CLI's diagnostic line.

@@ -216,7 +216,7 @@ mod tests {
             strands.push(
                 (0..len)
                     .map(|i| {
-                        let bump = usize::from(rng.next_u64() % 8 == 0);
+                        let bump = usize::from(rng.next_u64().is_multiple_of(8));
                         Base::ALL[(i / run + bump) % 4]
                     })
                     .collect(),

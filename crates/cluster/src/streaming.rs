@@ -1,9 +1,9 @@
 //! Online sharded clustering over a read stream.
 //!
 //! [`GreedyClusterer`] batches poorly at paper scale: `cluster(&pool)`
-//! needs the whole read pool in memory even though its decision sequence
-//! is strictly one-read-at-a-time. This module hoists that decision
-//! sequence into an explicitly *online* core:
+//! needs the whole read pool in memory even though its decisions follow
+//! the reads one at a time. This module hoists that decision sequence into
+//! an explicitly *online* core:
 //!
 //! * the k-mer LSH **bucket signatures** ([`QGramSignature`] band hashes)
 //!   are the shard assignment — an incoming read only ever probes the
@@ -21,30 +21,64 @@
 //!   `bound > threshold`, so candidates, pruned counts and kernel lanes
 //!   are the same as with the scan alone.
 //!
-//! Because the materialised [`GreedyClusterer`] entry points now delegate
-//! to this same core, streaming memberships are **byte-identical** to the
-//! materialised ones by construction: feeding reads one at a time, in any
-//! batch shape, replays exactly the same founding/joining decisions. The
-//! differential tests in this module (and the `scripts/verify.sh` step
-//! that repeats them at 1 and 4 threads) pin that equivalence on seeded
-//! noisy pools.
+//! # The batch core
+//!
+//! Every entry point — [`StreamingClusterer::push`] (a batch of one),
+//! [`StreamingClusterer::push_batch`] and the materialised
+//! [`GreedyClusterer`] passes — runs one batch core,
+//! `OnlineState::assign_batch`. It cuts its input into private
+//! fixed-size sub-batches and runs each in three phases:
+//!
+//! 1. *in parallel, read-only on the pre-batch state*: build each read's
+//!    signature, packed strand and q-gram profile, gather its candidate
+//!    groups from the buckets and screen them through the error ball;
+//! 2. *serially, in read order*: gather and screen the groups founded
+//!    earlier in the same sub-batch, append them to the read's survivors,
+//!    run one kernel pass over the union, and join the first match or
+//!    found a group;
+//! 3. *in parallel*: match each group the sub-batch founded to its
+//!    nearest reference (reference mode only).
+//!
+//! This is exactly the one-read-at-a-time decision sequence. A read joins
+//! the lowest-id group within the threshold, and every group founded
+//! before the sub-batch has a lower id than any group founded inside it.
+//! So phase 1's survivors, followed by phase 2's, are the ascending
+//! survivor list the one-at-a-time loop would have built, and one kernel
+//! pass over them finds the same first match. The kernel sees the same
+//! patterns in the same order, and reference matching is pure in the
+//! representative, so memberships, reference attributions and every
+//! [`ClusterStats`] counter are independent of the batch shape, the
+//! sub-batch size and the thread count. `crates/cluster/tests/phase_split.rs`
+//! checks this against a naive one-read-at-a-time oracle.
 //!
 //! In *reference mode* ([`StreamingClusterer::with_references`]) each
 //! group is matched to its nearest reference **at founding time** — the
 //! match is a pure function of the representative and the fixed reference
-//! set, so deciding it eagerly is provably identical to the post-hoc
-//! matching pass `cluster_against_references` used to run; both paths now
-//! share [`ReferenceIndex::match_representative`].
+//! set, so deciding it eagerly is provably identical to a post-hoc
+//! matching pass over the finished groups. Candidate references come from
+//! a sketch-hash index instead of a walk over every reference
+//! ([`ReferenceIndex`]).
 
 use std::collections::{BTreeMap, HashMap};
+use std::convert::Infallible;
 
 use dnasim_core::{PackedStrand, Strand};
 use dnasim_metrics::bank::{bank_within_with, BankScratch, PatternBank, MAX_LANES};
 use dnasim_metrics::{myers, MyersScratch, QGramProfile, QGramScratch};
+use dnasim_par::{PoolError, ThreadPool};
 
 use crate::greedy::GreedyClusterer;
 use crate::signature::QGramSignature;
 use crate::stats::{self, ClusterStats};
+
+/// Reads per private sub-batch of the batch core. Results do not depend
+/// on it (see the module docs); it trades phase 2's serial in-batch
+/// search against the fan-out cost of phases 1 and 3.
+const SUB_BATCH: usize = 256;
+
+/// Contiguous chunks per worker in the fanned-out phases; each chunk
+/// reuses one scratch.
+const CHUNKS_PER_WORKER: usize = 4;
 
 /// Everything the clusterer keeps resident per founded cluster, threaded
 /// through to the merge and reference-assignment passes so nothing is
@@ -61,7 +95,82 @@ pub(crate) struct AssignScratch {
     pub(crate) myers: MyersScratch,
     pub(crate) bank: BankScratch,
     pub(crate) qgram: QGramScratch,
+    pub(crate) gather: CandidateGather,
     pub(crate) lane_out: Vec<Option<usize>>,
+}
+
+/// A reusable bitset that turns bucket hits into an ascending,
+/// deduplicated id list: one bit per hit, then the set bits in order.
+#[derive(Default)]
+pub(crate) struct CandidateGather {
+    words: Vec<u64>,
+    ids: Vec<usize>,
+}
+
+impl CandidateGather {
+    /// Every id at or above `floor` held by the buckets of `hashes`,
+    /// ascending and deduplicated. Each bucket lists its ids in ascending
+    /// order, so its walk stops at the first id below `floor`.
+    pub(crate) fn gather<'h>(
+        &mut self,
+        buckets: &HashMap<u64, Vec<usize>>,
+        hashes: impl IntoIterator<Item = &'h u64>,
+        floor: usize,
+    ) -> &[usize] {
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for h in hashes {
+            let Some(ids) = buckets.get(h) else {
+                continue;
+            };
+            for &id in ids.iter().rev() {
+                if id < floor {
+                    break;
+                }
+                let word = (id - floor) / 64;
+                if word >= self.words.len() {
+                    self.words.resize(word + 1, 0);
+                }
+                self.words[word] |= 1 << ((id - floor) % 64);
+                lo = lo.min(word);
+                hi = hi.max(word);
+            }
+        }
+        self.ids.clear();
+        for word in lo..=hi {
+            let mut bits = std::mem::take(&mut self.words[word]);
+            while bits != 0 {
+                self.ids
+                    .push(floor + word * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        &self.ids
+    }
+}
+
+/// Runs the error-ball screen of `profile` over `ids`: counts every id as
+/// a candidate and every discharged one as pruned, and appends the rest
+/// to `survivors` in order. `target` gives each id's profile.
+fn screen<'p>(
+    config: &GreedyClusterer,
+    qgram: &mut QGramScratch,
+    profile: &QGramProfile,
+    ids: &[usize],
+    target: impl Fn(usize) -> &'p QGramProfile,
+    run: &mut ClusterStats,
+    survivors: &mut Vec<usize>,
+) {
+    run.candidates += ids.len();
+    if config.prefilter && !ids.is_empty() {
+        qgram.load(profile);
+    }
+    for &id in ids {
+        if config.prefilter && qgram.exceeds(target(id), config.distance_threshold) {
+            run.pruned += 1;
+        } else {
+            survivors.push(id);
+        }
+    }
 }
 
 /// Evaluates `text` against every pattern in `patterns`, writing
@@ -128,129 +237,264 @@ pub(crate) fn evaluate_candidates(
     }
 }
 
+/// Where the batch core runs its parallel phases: a caller's
+/// [`ThreadPool`], or [`Inline`] on the calling thread.
+pub(crate) trait Fanout {
+    /// How a fanned-out map fails.
+    type Error;
+
+    /// Workers the map can keep busy.
+    fn threads(&self) -> usize;
+
+    /// `f` over `0..len`, results in index order.
+    fn map<R: Send>(
+        &self,
+        len: usize,
+        f: impl Fn(usize) -> R + Sync,
+    ) -> Result<Vec<R>, Self::Error>;
+}
+
+impl Fanout for ThreadPool {
+    type Error = PoolError;
+
+    fn threads(&self) -> usize {
+        ThreadPool::threads(self)
+    }
+
+    fn map<R: Send>(&self, len: usize, f: impl Fn(usize) -> R + Sync) -> Result<Vec<R>, PoolError> {
+        self.par_map_len(len, f)
+    }
+}
+
+/// The calling thread, for [`StreamingClusterer::push`] and the
+/// materialised [`GreedyClusterer`] passes: a plain loop, which cannot
+/// fail.
+pub(crate) struct Inline;
+
+impl Fanout for Inline {
+    type Error = Infallible;
+
+    fn threads(&self) -> usize {
+        1
+    }
+
+    fn map<R: Send>(
+        &self,
+        len: usize,
+        f: impl Fn(usize) -> R + Sync,
+    ) -> Result<Vec<R>, Infallible> {
+        Ok((0..len).map(f).collect())
+    }
+}
+
+/// `f` over `0..len` in contiguous chunks fanned out on `fanout`, each
+/// chunk reusing one fresh [`AssignScratch`]; results in index order.
+fn map_chunked<F: Fanout, R: Send>(
+    fanout: &F,
+    len: usize,
+    f: impl Fn(usize, &mut AssignScratch) -> R + Sync,
+) -> Result<Vec<R>, F::Error> {
+    let chunk = len.div_ceil(fanout.threads() * CHUNKS_PER_WORKER).max(1);
+    let chunks = fanout.map(len.div_ceil(chunk), |c| {
+        let mut scratch = AssignScratch::default();
+        (c * chunk..len.min((c + 1) * chunk))
+            .map(|i| f(i, &mut scratch))
+            .collect::<Vec<R>>()
+    })?;
+    Ok(chunks.into_iter().flatten().collect())
+}
+
+/// Phase 1's read-only work for one read: the read as a representative,
+/// and its screened candidates among the groups founded before its
+/// sub-batch.
+struct Probe {
+    rep: Representative,
+    /// Surviving pre-batch candidates, ascending.
+    survivors: Vec<usize>,
+    /// Candidates and pruned among the pre-batch groups.
+    run: ClusterStats,
+}
+
 /// The online assignment core shared by [`StreamingClusterer`] and every
 /// materialised [`GreedyClusterer`] entry point.
 ///
 /// Resident state is `O(clusters)`: one [`Representative`] per founded
-/// group plus the band-hash bucket map. Read membership lists are *not*
-/// kept here — callers that want them accumulate the returned group ids.
+/// group plus the band-hash bucket map (and, in reference mode, one
+/// reference match per group). Read membership lists are *not* kept here
+/// — callers that want them accumulate the returned group ids.
 pub(crate) struct OnlineState {
     config: GreedyClusterer,
     reps: Vec<Representative>,
-    /// band hash → cluster ids that expose it (the LSH shard map).
+    /// band hash → cluster ids that expose it, ascending (the LSH shard
+    /// map).
     buckets: HashMap<u64, Vec<usize>>,
+    /// Reference mode: the fixed reference set.
+    refs: Option<ReferenceIndex>,
+    /// Reference mode: each group's founding-time reference match.
+    group_refs: Vec<Option<usize>>,
     scratch: AssignScratch,
     run: ClusterStats,
-    survivors: Vec<usize>,
     results: Vec<Option<usize>>,
 }
 
 impl OnlineState {
-    pub(crate) fn new(config: GreedyClusterer) -> OnlineState {
+    pub(crate) fn new(config: GreedyClusterer, refs: Option<ReferenceIndex>) -> OnlineState {
         OnlineState {
             config,
             reps: Vec::new(),
             buckets: HashMap::new(),
+            refs,
+            group_refs: Vec::new(),
             scratch: AssignScratch::default(),
             run: ClusterStats::default(),
-            survivors: Vec::new(),
             results: Vec::new(),
         }
     }
 
-    /// Assigns one read, returning its group id. A returned id equal to
-    /// the previous group count means the read founded a new group.
+    /// Assigns `reads` in order, returning each read's group id. An id
+    /// equal to the group count before that read means the read founded a
+    /// new group.
     ///
-    /// This is the exact decision sequence the materialised single-pass
-    /// loop ran: candidates from band-bucket collisions (ascending,
-    /// deduped), the q-gram error-ball prefilter, kernel confirmation, and
-    /// first-match-wins joining.
-    pub(crate) fn assign(&mut self, read: &Strand) -> usize {
-        self.run.reads += 1;
-        let sig = QGramSignature::new(read, self.config.qgram_len, self.config.sketch_len);
-        let packed = PackedStrand::from(read);
-        let profile = QGramProfile::new(read, self.config.qgram_len);
-        let mut candidates: Vec<usize> = sig
-            .hashes()
-            .iter()
-            .take(self.config.bands)
-            .filter_map(|h| self.buckets.get(h))
-            .flatten()
-            .copied()
-            .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-        self.run.candidates += candidates.len();
-
-        // Error-ball prefilter: a candidate whose q-gram lower bound
-        // already exceeds the threshold cannot pass the kernel test, so
-        // dropping it cannot change the clustering. The read's histogram
-        // is loaded once; each candidate is a read-only scan.
-        if self.config.prefilter && !candidates.is_empty() {
-            self.scratch.qgram.load(&profile);
-        }
-        self.survivors.clear();
-        for &id in &candidates {
-            if self.config.prefilter
-                && self
-                    .scratch
-                    .qgram
-                    .exceeds(&self.reps[id].profile, self.config.distance_threshold)
-            {
-                self.run.pruned += 1;
-                continue;
+    /// This is the one-read-at-a-time decision sequence — candidates from
+    /// band-bucket collisions (ascending, deduped), the q-gram error-ball
+    /// prefilter, kernel confirmation, first-match-wins joining — run in
+    /// sub-batches whose phases 1 and 3 fan out on `fanout`. The module
+    /// docs give the exactness argument.
+    ///
+    /// # Errors
+    ///
+    /// `F::Error` if a fanned-out phase fails; the state is then partway
+    /// through a sub-batch and must not be used again.
+    pub(crate) fn assign_batch<F: Fanout>(
+        &mut self,
+        reads: &[Strand],
+        fanout: &F,
+    ) -> Result<Vec<usize>, F::Error> {
+        let mut ids = Vec::with_capacity(reads.len());
+        for sub_batch in reads.chunks(SUB_BATCH) {
+            // Phase 1: read-only on the pre-batch state.
+            let probes = {
+                let state = &*self;
+                map_chunked(fanout, sub_batch.len(), |i, scratch| {
+                    state.probe(&sub_batch[i], scratch)
+                })?
+            };
+            // Phase 2: serial, in read order.
+            let first = self.reps.len();
+            for probe in probes {
+                ids.push(self.join_or_found(probe, first));
             }
-            self.survivors.push(id);
         }
+        // Phase 3: reference matches of the groups this call founded.
+        if let Some(refs) = &self.refs {
+            let (config, founded) = (&self.config, &self.reps[self.group_refs.len()..]);
+            let matches = map_chunked(fanout, founded.len(), |k, scratch| {
+                let mut run = ClusterStats::default();
+                let mut results = Vec::new();
+                let matched =
+                    refs.match_representative(config, &founded[k], scratch, &mut run, &mut results);
+                (matched, run)
+            })?;
+            for (matched, run) in matches {
+                self.group_refs.push(matched);
+                self.run.merge(&run);
+            }
+        }
+        Ok(ids)
+    }
+
+    /// Phase 1 for one read: builds its representative and screens its
+    /// candidates among the groups that exist now.
+    fn probe(&self, read: &Strand, scratch: &mut AssignScratch) -> Probe {
+        let rep = Representative {
+            packed: PackedStrand::from(read),
+            sig: QGramSignature::new(read, self.config.qgram_len, self.config.sketch_len),
+            profile: QGramProfile::new(read, self.config.qgram_len),
+        };
+        let mut run = ClusterStats::default();
+        let mut survivors = Vec::new();
+        let bands = rep.sig.hashes().iter().take(self.config.bands);
+        let ids = scratch.gather.gather(&self.buckets, bands, 0);
+        screen(
+            &self.config,
+            &mut scratch.qgram,
+            &rep.profile,
+            ids,
+            |id| &self.reps[id].profile,
+            &mut run,
+            &mut survivors,
+        );
+        Probe {
+            rep,
+            survivors,
+            run,
+        }
+    }
+
+    /// Phase 2 for one read: screens the groups founded earlier in its
+    /// sub-batch (ids from `first` up, all above the probe's survivors),
+    /// runs one kernel pass over the union and joins the first match or
+    /// founds a group.
+    fn join_or_found(&mut self, probe: Probe, first: usize) -> usize {
+        let Probe {
+            rep,
+            mut survivors,
+            run,
+        } = probe;
+        self.run.reads += 1;
+        self.run.merge(&run);
+        let config = self.config;
+        let bands = rep.sig.hashes().iter().take(config.bands);
+        let ids = self.scratch.gather.gather(&self.buckets, bands, first);
+        screen(
+            &config,
+            &mut self.scratch.qgram,
+            &rep.profile,
+            ids,
+            |id| &self.reps[id].profile,
+            &mut self.run,
+            &mut survivors,
+        );
 
         // `survivors` is ascending, so the first match is the lowest
         // cluster id — the same winner the one-at-a-time loop with an
         // early break would have picked.
-        let lanes: Vec<&PackedStrand> =
-            self.survivors.iter().map(|&id| &self.reps[id].packed).collect();
+        let lanes: Vec<&PackedStrand> = survivors.iter().map(|&id| &self.reps[id].packed).collect();
         evaluate_candidates(
             &mut self.scratch,
             &lanes,
-            &packed,
-            self.config.distance_threshold,
+            &rep.packed,
+            config.distance_threshold,
             &mut self.run,
             &mut self.results,
         );
-        let joined = self
-            .survivors
+        if let Some((&id, _)) = survivors
             .iter()
-            .zip(self.results.iter())
+            .zip(&self.results)
             .find(|(_, r)| r.is_some())
-            .map(|(&id, _)| id);
-        match joined {
-            Some(id) => id,
-            None => {
-                let id = self.reps.len();
-                for &h in sig.hashes().iter().take(self.config.bands) {
-                    self.buckets.entry(h).or_default().push(id);
-                }
-                self.reps.push(Representative {
-                    packed,
-                    sig,
-                    profile,
-                });
-                id
-            }
+        {
+            return id;
         }
+        let id = self.reps.len();
+        for &h in rep.sig.hashes().iter().take(config.bands) {
+            self.buckets.entry(h).or_default().push(id);
+        }
+        self.reps.push(rep);
+        id
     }
 
     pub(crate) fn groups(&self) -> usize {
         self.reps.len()
     }
 
-    pub(crate) fn stats(&self) -> ClusterStats {
-        self.run
+    /// The reference a group was matched to at founding time (reference
+    /// mode only).
+    pub(crate) fn group_reference(&self, group: usize) -> Option<usize> {
+        self.group_refs.get(group).copied().flatten()
     }
 
-    pub(crate) fn scratch_and_stats(
-        &mut self,
-    ) -> (&mut AssignScratch, &mut ClusterStats, &[Representative]) {
-        (&mut self.scratch, &mut self.run, &self.reps)
+    pub(crate) fn stats(&self) -> ClusterStats {
+        self.run
     }
 
     pub(crate) fn into_parts(self) -> (Vec<Representative>, ClusterStats) {
@@ -258,38 +502,55 @@ impl OnlineState {
     }
 }
 
-/// Precomputed reference-side state for nearest-reference matching,
-/// shared by the materialised `cluster_against_references` pass and the
-/// streaming clusterer's founding-time matcher.
+/// Precomputed reference-side state for nearest-reference matching.
 pub(crate) struct ReferenceIndex {
-    pub(crate) packed: Vec<PackedStrand>,
-    pub(crate) sigs: Vec<QGramSignature>,
-    pub(crate) profiles: Vec<QGramProfile>,
+    packed: Vec<PackedStrand>,
+    profiles: Vec<QGramProfile>,
+    /// Sketch hash → the references whose sketch holds it, ascending.
+    by_hash: HashMap<u64, Vec<usize>>,
 }
 
 impl ReferenceIndex {
     pub(crate) fn new(config: &GreedyClusterer, references: &[Strand]) -> ReferenceIndex {
+        let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
+        for (r, reference) in references.iter().enumerate() {
+            let sig = QGramSignature::new(reference, config.qgram_len, config.sketch_len);
+            for &h in sig.hashes() {
+                by_hash.entry(h).or_default().push(r);
+            }
+        }
         ReferenceIndex {
             packed: references.iter().map(PackedStrand::from).collect(),
-            sigs: references
-                .iter()
-                .map(|r| QGramSignature::new(r, config.qgram_len, config.sketch_len))
-                .collect(),
             profiles: references
                 .iter()
                 .map(|r| QGramProfile::new(r, config.qgram_len))
                 .collect(),
+            by_hash,
         }
+    }
+
+    /// The references whose sketch shares any hash with `sig`, ascending.
+    ///
+    /// This is the set the old walk over every reference accepted with
+    /// `shares_band || overlap != 0`: a shared leading band hash is a
+    /// shared hash, and the overlap is non-zero exactly when some hash is
+    /// shared.
+    pub(crate) fn candidates<'g>(
+        &self,
+        sig: &QGramSignature,
+        gather: &'g mut CandidateGather,
+    ) -> &'g [usize] {
+        gather.gather(&self.by_hash, sig.hashes(), 0)
     }
 
     /// Matches one group representative to its nearest reference, or
     /// `None` when no reference lies within the distance threshold.
     ///
     /// Pure in `(rep, self, config)` — the answer does not depend on any
-    /// other group — which is what lets the streaming clusterer decide it
-    /// at founding time while staying identical to the post-hoc pass:
-    /// candidate references come from band sharing or sketch overlap, the
-    /// error-ball bound discharges hopeless ones, the kernel confirms,
+    /// other group — which is what lets the clusterer decide it at
+    /// founding time, in parallel, while staying identical to a post-hoc
+    /// pass: the error-ball bound discharges hopeless
+    /// [`candidates`](ReferenceIndex::candidates), the kernel confirms,
     /// and only a strictly smaller distance displaces the incumbent (ties
     /// resolve to the earliest reference).
     pub(crate) fn match_representative(
@@ -301,24 +562,16 @@ impl ReferenceIndex {
         results: &mut Vec<Option<usize>>,
     ) -> Option<usize> {
         let mut cand_refs: Vec<usize> = Vec::new();
-        if config.prefilter {
-            scratch.qgram.load(&rep.profile);
-        }
-        for ref_idx in 0..self.packed.len() {
-            if !rep.sig.shares_band(&self.sigs[ref_idx], config.bands)
-                && rep.sig.overlap(&self.sigs[ref_idx]) == 0.0
-            {
-                continue;
-            }
-            run.candidates += 1;
-            if config.prefilter
-                && scratch.qgram.exceeds(&self.profiles[ref_idx], config.distance_threshold)
-            {
-                run.pruned += 1;
-                continue;
-            }
-            cand_refs.push(ref_idx);
-        }
+        let ids = self.candidates(&rep.sig, &mut scratch.gather);
+        screen(
+            config,
+            &mut scratch.qgram,
+            &rep.profile,
+            ids,
+            |r| &self.profiles[r],
+            run,
+            &mut cand_refs,
+        );
         let lanes: Vec<&PackedStrand> = cand_refs.iter().map(|&r| &self.packed[r]).collect();
         evaluate_candidates(
             scratch,
@@ -360,8 +613,9 @@ pub struct StreamAssignment {
 ///
 /// Memberships are byte-identical to [`GreedyClusterer::cluster`] over the
 /// same reads in the same order — both run the same [`OnlineState`]
-/// decision core — at any push granularity (per read, per batch, whole
-/// pool). See the module docs for the exactness argument.
+/// batch core — at any push granularity (per read, per batch, whole
+/// pool) and on any thread count. See the module docs for the exactness
+/// argument.
 ///
 /// # Examples
 ///
@@ -380,10 +634,6 @@ pub struct StreamAssignment {
 /// ```
 pub struct StreamingClusterer {
     state: OnlineState,
-    refs: Option<ReferenceIndex>,
-    /// Per-group founding-time reference match (reference mode only).
-    group_refs: Vec<Option<usize>>,
-    results: Vec<Option<usize>>,
 }
 
 impl std::fmt::Debug for StreamingClusterer {
@@ -391,7 +641,7 @@ impl std::fmt::Debug for StreamingClusterer {
         f.debug_struct("StreamingClusterer")
             .field("config", &self.state.config)
             .field("resident_groups", &self.state.groups())
-            .field("reference_mode", &self.refs.is_some())
+            .field("reference_mode", &self.state.refs.is_some())
             .finish()
     }
 }
@@ -400,10 +650,7 @@ impl StreamingClusterer {
     /// Creates an online clusterer with the given configuration.
     pub fn new(config: GreedyClusterer) -> StreamingClusterer {
         StreamingClusterer {
-            state: OnlineState::new(config),
-            refs: None,
-            group_refs: Vec::new(),
-            results: Vec::new(),
+            state: OnlineState::new(config, None),
         }
     }
 
@@ -412,45 +659,54 @@ impl StreamingClusterer {
     /// read reports the match in [`StreamAssignment::reference`].
     pub fn with_references(config: GreedyClusterer, references: &[Strand]) -> StreamingClusterer {
         StreamingClusterer {
-            refs: Some(ReferenceIndex::new(&config, references)),
-            state: OnlineState::new(config),
-            group_refs: Vec::new(),
-            results: Vec::new(),
+            state: OnlineState::new(config, Some(ReferenceIndex::new(&config, references))),
         }
     }
 
-    /// Pushes one read, returning its assignment.
+    /// Pushes one read, returning its assignment: a batch of one, run on
+    /// the calling thread.
     pub fn push(&mut self, read: &Strand) -> StreamAssignment {
         let before = self.state.groups();
-        let group = self.state.assign(read);
-        let founded = group == before;
-        if founded {
-            if let Some(refs) = &self.refs {
-                let config = self.state.config;
-                let (scratch, run, reps) = self.state.scratch_and_stats();
-                let matched = refs.match_representative(
-                    &config,
-                    &reps[group],
-                    scratch,
-                    run,
-                    &mut self.results,
-                );
-                self.group_refs.push(matched);
-            }
-        }
-        StreamAssignment {
-            group,
-            founded,
-            reference: self.group_refs.get(group).copied().flatten(),
-        }
+        let Ok(ids) = self.state.assign_batch(std::slice::from_ref(read), &Inline);
+        // One read in, one id out.
+        self.assignments(before, ids)[0]
     }
 
     /// Pushes a window of reads, returning one assignment per read in
-    /// order. Equivalent to calling [`push`](StreamingClusterer::push) in
-    /// a loop — batching is purely a convenience for `ClusterSource`-style
-    /// drivers.
-    pub fn push_batch(&mut self, reads: &[Strand]) -> Vec<StreamAssignment> {
-        reads.iter().map(|r| self.push(r)).collect()
+    /// order, with the per-read work fanned out on `workers`.
+    ///
+    /// The assignments, the group references and [`stats`](Self::stats)
+    /// are exactly those of calling [`push`](StreamingClusterer::push) in
+    /// a loop, at any window size and thread count.
+    ///
+    /// # Errors
+    ///
+    /// [`PoolError`] if a worker panicked. The clusterer is then partway
+    /// through the window and must be discarded.
+    pub fn push_batch(
+        &mut self,
+        reads: &[Strand],
+        workers: &ThreadPool,
+    ) -> Result<Vec<StreamAssignment>, PoolError> {
+        let before = self.state.groups();
+        let ids = self.state.assign_batch(reads, workers)?;
+        Ok(self.assignments(before, ids))
+    }
+
+    /// Turns the group ids of consecutive reads into assignments; `next`
+    /// is the group count before the first of them.
+    fn assignments(&self, mut next: usize, ids: Vec<usize>) -> Vec<StreamAssignment> {
+        ids.into_iter()
+            .map(|group| {
+                let founded = group == next;
+                next += usize::from(founded);
+                StreamAssignment {
+                    group,
+                    founded,
+                    reference: self.state.group_reference(group),
+                }
+            })
+            .collect()
     }
 
     /// Number of groups founded so far — the resident-state gauge: the
@@ -468,7 +724,7 @@ impl StreamingClusterer {
     /// The reference a group was matched to at founding time (reference
     /// mode only).
     pub fn group_reference(&self, group: usize) -> Option<usize> {
-        self.group_refs.get(group).copied().flatten()
+        self.state.group_reference(group)
     }
 
     /// Counters accumulated so far (candidates, pruned, kernel work).
@@ -492,6 +748,10 @@ mod tests {
     use dnasim_channel::{ErrorModel, NaiveModel};
     use dnasim_core::rng::{seeded, SliceRandom};
     use dnasim_core::{Cluster, Dataset};
+
+    fn workers() -> ThreadPool {
+        ThreadPool::new(2)
+    }
 
     /// Seeded noisy pools across several error rates and strand lengths —
     /// the same corpus the greedy filter differential uses.
@@ -539,7 +799,10 @@ mod tests {
                 let mut stream = StreamingClusterer::new(GreedyClusterer::default());
                 let mut assignments = Vec::new();
                 for window in pool.chunks(batch.min(pool.len().max(1))) {
-                    assignments.extend(stream.push_batch(window));
+                    let window = stream
+                        .push_batch(window, &workers())
+                        .expect("no worker panics");
+                    assignments.extend(window);
                 }
                 assert_eq!(
                     memberships(&assignments),
@@ -557,7 +820,9 @@ mod tests {
         for (pool, _) in pools() {
             let (_, run) = GreedyClusterer::default().cluster_stats(&pool);
             let mut stream = StreamingClusterer::new(GreedyClusterer::default());
-            stream.push_batch(&pool);
+            stream
+                .push_batch(&pool, &workers())
+                .expect("no worker panics");
             assert_eq!(stream.stats(), run);
             assert_eq!(stream.finish(), run);
         }
@@ -573,10 +838,11 @@ mod tests {
             // order.
             let mut stream =
                 StreamingClusterer::with_references(GreedyClusterer::default(), &references);
-            let assignments = stream.push_batch(&pool);
+            let assignments = stream
+                .push_batch(&pool, &workers())
+                .expect("no worker panics");
             let groups = memberships(&assignments);
-            let mut assigned: Vec<Vec<Strand>> =
-                references.iter().map(|_| Vec::new()).collect();
+            let mut assigned: Vec<Vec<Strand>> = references.iter().map(|_| Vec::new()).collect();
             for (gid, group) in groups.iter().enumerate() {
                 if let Some(ref_idx) = stream.group_reference(gid) {
                     for &read_idx in group {
@@ -626,11 +892,105 @@ mod tests {
         let a1 = stream.push(&one);
         let a2 = stream.push(&empty);
         assert!(a0.founded);
-        // Empty reads re-join the empty-read group (distance 0 ≤ threshold
-        // via the candidate path only if buckets collide; with no q-grams
-        // there are no bucket hits, so each empty read founds its own
-        // group — the same behaviour the materialised pass has).
+        // Every empty read has the same single whole-strand sketch hash,
+        // so the second empty read finds group 0 in its bucket and joins
+        // it (distance 0) — the same behaviour the materialised pass has.
+        assert_eq!(memberships(&[a0, a1, a2]), [vec![0, 2], vec![1]]);
         let expected = GreedyClusterer::default().cluster(&[empty.clone(), one, empty]);
         assert_eq!(memberships(&[a0, a1, a2]), expected);
+    }
+}
+
+#[cfg(test)]
+mod index_tests {
+    use super::*;
+    use dnasim_core::rng::{seeded, Rng};
+    use dnasim_core::Base;
+
+    /// Random, primer-flanked, homopolymer-heavy and empty/short strands:
+    /// the shapes whose sketches collide in different ways.
+    fn strands(seed: u64) -> Vec<Strand> {
+        let mut rng = seeded(seed);
+        let forward = Strand::random(20, &mut rng);
+        let reverse = Strand::random(20, &mut rng);
+        let mut out = vec![Strand::new(), "A".parse().unwrap(), "ACGT".parse().unwrap()];
+        for _ in 0..40 {
+            let len = (rng.next_u64() % 160) as usize;
+            out.push(Strand::random(len, &mut rng));
+            out.push(
+                forward
+                    .concat(&Strand::random(len, &mut rng))
+                    .concat(&reverse),
+            );
+            let run = 1 + (rng.next_u64() % 20) as usize;
+            out.push(
+                (0..len)
+                    .map(|i| {
+                        let bump = usize::from(rng.next_u64().is_multiple_of(8));
+                        Base::ALL[(i / run + bump) % 4]
+                    })
+                    .collect(),
+            );
+            out.push(Strand::random((rng.next_u64() % 6) as usize, &mut rng));
+        }
+        out
+    }
+
+    #[test]
+    fn reference_index_candidates_equal_the_band_or_overlap_walk() {
+        let references = strands(60);
+        let queries = strands(61);
+        for config in [
+            GreedyClusterer::default(),
+            GreedyClusterer {
+                qgram_len: 3,
+                sketch_len: 4,
+                bands: 1,
+                ..GreedyClusterer::default()
+            },
+        ] {
+            let index = ReferenceIndex::new(&config, &references);
+            let sigs: Vec<QGramSignature> = references
+                .iter()
+                .map(|r| QGramSignature::new(r, config.qgram_len, config.sketch_len))
+                .collect();
+            let mut gather = CandidateGather::default();
+            let mut shared = 0usize;
+            for query in queries.iter().chain(&references) {
+                let sig = QGramSignature::new(query, config.qgram_len, config.sketch_len);
+                let walk: Vec<usize> = (0..sigs.len())
+                    .filter(|&r| {
+                        sig.shares_band(&sigs[r], config.bands) || sig.overlap(&sigs[r]) != 0.0
+                    })
+                    .collect();
+                assert_eq!(
+                    index.candidates(&sig, &mut gather),
+                    walk.as_slice(),
+                    "query {query}"
+                );
+                shared += walk.len();
+            }
+            assert!(
+                shared > queries.len() + references.len(),
+                "no sketch ever collided"
+            );
+        }
+    }
+
+    #[test]
+    fn gather_lists_each_id_at_or_above_the_floor_once_in_order() {
+        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+        buckets.insert(1, vec![0, 3, 64, 130]);
+        buckets.insert(2, vec![3, 65, 130, 200]);
+        buckets.insert(3, vec![5]);
+        let mut gather = CandidateGather::default();
+        assert_eq!(
+            gather.gather(&buckets, &[1, 2, 9], 0),
+            [0, 3, 64, 65, 130, 200]
+        );
+        assert_eq!(gather.gather(&buckets, &[2, 1], 64), [64, 65, 130, 200]);
+        assert_eq!(gather.gather(&buckets, &[3], 6), [] as [usize; 0]);
+        // The bitset is left clear: a fresh gather sees no stale bits.
+        assert_eq!(gather.gather(&buckets, &[3], 0), [5]);
     }
 }

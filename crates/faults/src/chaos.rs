@@ -458,9 +458,16 @@ fn exercise_streaming(fault: FaultKind, seed: u64) -> Verdict {
             }
             let mut clusterer =
                 StreamingClusterer::with_references(GreedyClusterer::default(), &references);
+            // Two workers, so the fanned-out phases meet the hostile reads
+            // too; a worker panic is still the bug class this suite
+            // catches.
+            let workers = ThreadPool::new(2);
             let mut assigned = 0usize;
             for window in reads.chunks(5) {
-                assigned += clusterer.push_batch(window).len();
+                match clusterer.push_batch(window, &workers) {
+                    Ok(assignments) => assigned += assignments.len(),
+                    Err(e) => return Verdict::Panicked(e.panic_message),
+                }
             }
             if clusterer.reads_seen() == reads.len() && assigned == reads.len() {
                 Verdict::Tolerated

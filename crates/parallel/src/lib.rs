@@ -302,12 +302,13 @@ where
     let abort = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(workers);
         for me in 0..workers {
             let queues = &queues;
             let results = &results;
             let failure = &failure;
             let abort = &abort;
-            scope.spawn(move || {
+            handles.push(scope.spawn(move || {
                 while !abort.load(Ordering::Relaxed) {
                     let Some(range) = next_range(queues, me) else {
                         break;
@@ -334,7 +335,20 @@ where
                         slots[i] = Some(value);
                     }
                 }
-            });
+            }));
+        }
+        // Join every worker explicitly. The scope alone returns once the
+        // closures finish, possibly before the OS threads have exited and
+        // handed their allocator arenas back; the next call's workers would
+        // then open fresh arenas, and peak RSS would grow with the call
+        // count.
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                let mut first = lock_unpoisoned(&failure);
+                if first.is_none() {
+                    *first = Some(panic_message(payload));
+                }
+            }
         }
     });
 

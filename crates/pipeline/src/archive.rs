@@ -185,7 +185,8 @@ pub enum ArchiveError {
     Layout(RsError),
     /// Decoding failed even after parity recovery.
     Unrecoverable(LayoutError),
-    /// A thread-pool worker panicked during parallel decoding.
+    /// A thread-pool worker panicked in a parallel stage (channel
+    /// generation, clustering or decoding).
     Worker(PoolError),
     /// The work budget's cancellation token was raised mid-decode (budget
     /// *exhaustion* does not take this path: it quarantines the undecoded
@@ -198,7 +199,7 @@ impl fmt::Display for ArchiveError {
         match self {
             ArchiveError::Layout(e) => write!(f, "layout construction failed: {e}"),
             ArchiveError::Unrecoverable(e) => write!(f, "file unrecoverable: {e}"),
-            ArchiveError::Worker(e) => write!(f, "parallel decode failed: {e}"),
+            ArchiveError::Worker(e) => write!(f, "parallel stage failed: {e}"),
             ArchiveError::Cancelled(e) => write!(f, "archive cancelled: {e}"),
         }
     }
@@ -380,12 +381,15 @@ pub fn archive_round_trip(
     archive_round_trip_on(data, config, rng, &ThreadPool::serial())
 }
 
-/// [`archive_round_trip`] with per-cluster decoding fanned out on `pool`.
+/// [`archive_round_trip`] with its per-group work fanned out on `workers`.
 ///
-/// Only the pure reconstruct-and-decode stage is parallelised; every
-/// RNG-driven channel stage stays serial, and decoded strands are merged
-/// into their slots in cluster order. The report is therefore byte-identical
-/// to [`archive_round_trip`] for any thread count.
+/// Three stages run on the pool. Each strand group's channel output is
+/// generated from an RNG forked by group index. The clustering pass runs
+/// the online clusterer's exact batch core, whose assignments do not
+/// depend on the thread count. Reconstruct-and-decode is pure per
+/// cluster, and decoded strands are merged into their slots in cluster
+/// order. The report is therefore byte-identical to [`archive_round_trip`]
+/// for any thread count.
 ///
 /// # Errors
 ///
@@ -573,18 +577,21 @@ fn archive_round_trip_windowed(
 
     let reads_sequenced = if config.imperfect_clustering {
         // Clustering pass: stream the reads (group-major, window by
-        // window) through the online clusterer. Groups are matched to
-        // references at founding time, so every read's reference is known
-        // the moment it is pushed; only the per-read reference index (not
-        // the read) is kept, plus per-reference expected counts. The
-        // clusterer itself holds per-group representatives only.
+        // window) through the online clusterer, each window fanned out on
+        // the workers. Every group is matched to its reference when it is
+        // founded, so each read's reference is known once its window
+        // returns; only the per-read reference index (not the read) is
+        // kept, plus per-reference expected counts. The clusterer itself
+        // holds per-group representatives only.
         let mut clusterer =
             StreamingClusterer::with_references(GreedyClusterer::default(), &references);
         let mut assignments: Vec<Option<u32>> = Vec::new();
         let mut expected = vec![0usize; refs_len];
         for_each_group_window(refs_len, window_len, workers, sample_reads, |reads_per_group| {
-            for read in reads_per_group.iter().flatten() {
-                let matched = clusterer.push(read).reference;
+            let reads: Vec<Strand> = reads_per_group.into_iter().flatten().collect();
+            let window = clusterer.push_batch(&reads, workers).map_err(ArchiveError::Worker)?;
+            for assignment in window {
+                let matched = assignment.reference;
                 assignments.push(matched.map(|r| r as u32));
                 if let Some(r) = matched {
                     expected[r] += 1;

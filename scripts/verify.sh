@@ -37,7 +37,9 @@
 #    seeded pools at batch sizes {1, 7, 64, ∞}, and the fully windowed
 #    archive whose peak-resident-reads gauge must stay bounded — and the
 #    CLI must write identical files at the default batch size and at
-#    `--batch-size 32`, from text or binary input (DESIGN.md §11, §16). The cluster crate
+#    `--batch-size 32`, from text or binary input, and the imperfect
+#    archive must print the same at 1 and 4 threads (DESIGN.md §11, §16,
+#    §19). The cluster crate
 #    suite also re-runs under DNASIM_SIMD=off so lane accounting holds on
 #    the portable fallback.
 # 10. Serve soak smoke: the multi-tenant batch RPC tier must answer ≥200
@@ -260,6 +262,11 @@ cmp "$stream_dir/twin.txt" "$stream_dir/twin-stream.txt"
     --out "$stream_dir/sim-stream.txt" --batch-size 32
 cmp "$stream_dir/sim.txt" "$stream_dir/sim-stream.txt"
 "$dnasim" archive --bytes 512 --batch-size 32 | grep -q "round-trip OK"
+# The imperfect archive clusters on every worker; its output, including
+# the clustering counters, must not depend on the thread count.
+"$dnasim" archive --bytes 1024 --imperfect --threads 1 > "$stream_dir/archive-t1.txt"
+"$dnasim" archive --bytes 1024 --imperfect --threads 4 > "$stream_dir/archive-t4.txt"
+cmp "$stream_dir/archive-t1.txt" "$stream_dir/archive-t4.txt"
 
 # Cross-format golden step: the same generation in binary, converted back
 # to text, must be byte-identical to the text-path output — and the
@@ -273,7 +280,7 @@ cmp "$stream_dir/twin.txt" "$stream_dir/twin-roundtrip.txt"
     --out "$stream_dir/sim-binary-in.txt" --batch-size 32
 cmp "$stream_dir/sim.txt" "$stream_dir/sim-binary-in.txt"
 rm -rf "$stream_dir"
-echo "ok: CLI output is byte-identical across batch sizes and formats; archive decode window bounded"
+echo "ok: CLI output is byte-identical across batch sizes, formats and thread counts; archive decode window bounded"
 
 echo "== serve soak smoke (differential, multi-tenant) =="
 # ≥240 interleaved requests across 8 tenants at 1/2/4 workers, every

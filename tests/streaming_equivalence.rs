@@ -314,7 +314,10 @@ fn streaming_clusterer_matches_materialised_at_any_batch_size() {
                 let mut groups: Vec<Vec<usize>> = Vec::new();
                 let mut read_idx = 0usize;
                 for window in reads.chunks(batch_size.min(reads.len().max(1))) {
-                    for assignment in clusterer.push_batch(window) {
+                    for assignment in clusterer
+                        .push_batch(window, &pool_workers)
+                        .expect("no worker panics")
+                    {
                         if assignment.group == groups.len() {
                             groups.push(Vec::new());
                         }
