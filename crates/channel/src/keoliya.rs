@@ -110,6 +110,14 @@ pub struct KeoliyaModel {
     /// beyond the paper's four layers; defaults to off so the Tables
     /// 3.1/3.2 ablation stays exactly the paper's).
     use_homopolymer: bool,
+    /// `rate_table[min(pos, L)][base]` → [`compute_rates`] at that
+    /// position, where `L` is the longest positional curve (the spatial
+    /// multipliers and every second-order entry's multipliers). Past `L`
+    /// every multiplier falls back to 1.0, so row `L` is exact for every
+    /// longer position.
+    ///
+    /// [`compute_rates`]: KeoliyaModel::compute_rates
+    rate_table: Vec<[[f64; 3]; 4]>,
 }
 
 impl KeoliyaModel {
@@ -183,14 +191,26 @@ impl KeoliyaModel {
             }
         }
 
-        KeoliyaModel {
+        let mut model = KeoliyaModel {
             learned,
             layer,
             naive_rates,
             long_given_deletion,
             second_order,
             use_homopolymer: false,
-        }
+            rate_table: Vec::new(),
+        };
+        let curve_len = model
+            .second_order
+            .iter()
+            .flatten()
+            .flatten()
+            .map(|entry| entry.multipliers.len())
+            .fold(model.learned.spatial_multipliers.len(), usize::max);
+        model.rate_table = (0..=curve_len)
+            .map(|position| Base::ALL.map(|base| model.compute_rates(base, position)))
+            .collect();
+        model
     }
 
     /// Builds the simulator after validating the learned parameters.
@@ -233,8 +253,18 @@ impl KeoliyaModel {
         &self.learned
     }
 
-    /// The per-kind rates `[sub, del, ins]` for `base` at `position`.
+    /// The per-kind rates `[sub, del, ins]` for `base` at `position`,
+    /// read from the precomputed table.
     fn rates_at(&self, base: Base, position: usize) -> [f64; 3] {
+        // `new` always builds at least row 0.
+        self.rate_table[position.min(self.rate_table.len() - 1)][base.index()]
+    }
+
+    /// The per-kind rates `[sub, del, ins]` for `base` at `position`,
+    /// computed from the learned parameters (what [`rates_at`] caches).
+    ///
+    /// [`rates_at`]: KeoliyaModel::rates_at
+    fn compute_rates(&self, base: Base, position: usize) -> [f64; 3] {
         let mut rates = if self.layer >= SimulatorLayer::ConditionalLongDel {
             let r = self.learned.per_base[base.index()];
             [r.substitution, r.deletion, r.insertion]
@@ -590,6 +620,59 @@ mod tests {
     fn name_includes_layer() {
         let model = KeoliyaModel::new(synthetic_model(0.05, 10), SimulatorLayer::SpatialSkew);
         assert!(model.name().contains("Spatial"));
+    }
+
+    /// A skewed curve of `len` multipliers (period 7).
+    fn skewed_curve(len: usize, scale: f64) -> Vec<f64> {
+        (0..len).map(|i| 0.25 + scale * (i % 7) as f64 / 3.0).collect()
+    }
+
+    /// Second-order entries for three classes with curves of `len`.
+    fn second_order_entries(len: usize) -> Vec<dnasim_profile::SecondOrderError> {
+        let entry = |op, share, scale| dnasim_profile::SecondOrderError {
+            op,
+            share,
+            positional_multipliers: skewed_curve(len, scale),
+        };
+        vec![
+            entry(EditOp::Subst { orig: Base::A, new: Base::G }, 0.05, 1.3),
+            entry(EditOp::Delete(Base::C), 0.08, 0.7),
+            entry(EditOp::Insert(Base::T), 0.04, 2.1),
+        ]
+    }
+
+    #[test]
+    fn rate_table_matches_computed_rates_bit_for_bit() {
+        // Second-order curves longer than the spatial one.
+        let mut long_second_order = synthetic_model(0.2, 30);
+        long_second_order.per_base[Base::G.index()].deletion = 0.11;
+        long_second_order.spatial_multipliers = skewed_curve(30, 4.0);
+        long_second_order.second_order = second_order_entries(45);
+        // Every curve empty: L = 0, one row serves every position.
+        let mut empty = synthetic_model(0.3, 0);
+        empty.spatial_multipliers = Vec::new();
+        empty.second_order = second_order_entries(0);
+        // A curve scaled high enough to trip the 0.95 renormalisation.
+        let mut saturated = synthetic_model(0.6, 20);
+        saturated.spatial_multipliers = skewed_curve(20, 9.0);
+        saturated.second_order = second_order_entries(12);
+
+        for (learned, curve_len) in [(long_second_order, 45), (empty, 0), (saturated, 20)] {
+            for layer in SimulatorLayer::ALL {
+                let plain = KeoliyaModel::new(learned.clone(), layer);
+                assert_eq!(plain.rate_table.len(), curve_len + 1, "{layer}");
+                for model in [plain.clone(), plain.with_homopolymer_modulation()] {
+                    for base in Base::ALL {
+                        for position in 0..curve_len + 16 {
+                            let cached = model.rates_at(base, position).map(f64::to_bits);
+                            let computed =
+                                model.compute_rates(base, position).map(f64::to_bits);
+                            assert_eq!(cached, computed, "{layer} {base:?} @ {position}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -252,6 +252,50 @@ fn evaluate_reports_fidelity() {
 }
 
 #[test]
+fn evaluate_is_identical_across_thread_counts() {
+    let twin = tmp("twin-threads.txt");
+    let sim = tmp("sim-threads.txt");
+    let generated = dnasim()
+        .args(["generate", "--out", twin.to_str().unwrap(), "--small", "--clusters", "40"])
+        .output()
+        .unwrap();
+    assert!(generated.status.success());
+    let simulated = dnasim()
+        .args([
+            "simulate",
+            "--data",
+            twin.to_str().unwrap(),
+            "--model",
+            "keoliya",
+            "--out",
+            sim.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(simulated.status.success(), "{}", String::from_utf8_lossy(&simulated.stderr));
+    let evaluate = |threads: &str| {
+        let out = dnasim()
+            .env("DNASIM_THREADS", threads)
+            .args([
+                "evaluate",
+                "--real",
+                twin.to_str().unwrap(),
+                "--sim",
+                sim.to_str().unwrap(),
+                "--coverage",
+                "5",
+            ])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        out.stdout
+    };
+    let serial = evaluate("1");
+    assert!(String::from_utf8_lossy(&serial).contains("iterative"));
+    assert_eq!(serial, evaluate("4"));
+}
+
+#[test]
 fn profile_save_and_simulate_from_model_file() {
     let twin = tmp("twin5.txt");
     let model = tmp("model5.txt");

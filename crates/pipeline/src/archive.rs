@@ -222,7 +222,7 @@ impl From<ArchiveError> for DnasimError {
 /// reconstructors leave *different* residual indels, and an indel shifts
 /// every downstream payload symbol, so a strand one algorithm cannot
 /// deliver is often decodable from another's estimate.
-pub(crate) fn decode_ensemble() -> Vec<Box<dyn TraceReconstructor + Send + Sync>> {
+pub(crate) fn decode_ensemble() -> Vec<Box<dyn TraceReconstructor>> {
     vec![
         Box::new(TwoWayIterative::default()),
         Box::new(Iterative::default()),
@@ -257,7 +257,7 @@ pub(crate) fn encode_payload(
 /// pair. Pure: safe to fan out across workers without changing results.
 pub(crate) fn decode_cluster(
     cluster: &Cluster,
-    ensemble: &[Box<dyn TraceReconstructor + Send + Sync>],
+    ensemble: &[Box<dyn TraceReconstructor>],
     layout: &StrandLayout,
 ) -> Option<(u32, Vec<u8>)> {
     if cluster.is_erasure() {

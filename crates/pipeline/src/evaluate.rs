@@ -1,14 +1,21 @@
 //! Dataset-level evaluation: run a reconstructor over every cluster and
 //! collect accuracy and positional error profiles.
+//!
+//! Every entry point reconstructs on a thread pool and folds the estimates
+//! in cluster order. Reconstruction is pure, so the results are
+//! byte-identical at every thread count and batch size.
 
+use dnasim_core::rng::SimRng;
 use dnasim_core::{
     fold_windows, Batch, Budget, Cluster, ClusterSource, Dataset, DnasimError, Strand, WindowStats,
 };
 use dnasim_metrics::{AccuracyReport, PositionalProfile, ProfileKind};
 use dnasim_par::ThreadPool;
+use dnasim_profile::{edit_script_with, EditScratch, TieBreak};
 use dnasim_reconstruct::TraceReconstructor;
 
-/// Accuracy of `algorithm` over every cluster of `dataset`.
+/// Accuracy of `algorithm` over every cluster of `dataset`, reconstructed
+/// on the environment's pool ([`ThreadPool::from_env`]).
 ///
 /// Erasures (clusters with zero reads) are counted as total losses, as the
 /// decoder would experience them.
@@ -33,22 +40,16 @@ pub fn evaluate_reconstruction<A: TraceReconstructor + ?Sized>(
     dataset: &Dataset,
     algorithm: &A,
 ) -> AccuracyReport {
-    let mut report = AccuracyReport::new();
-    for cluster in dataset.iter() {
-        if cluster.is_erasure() {
-            report.record_erasure(cluster.reference());
-            continue;
-        }
-        let estimate = algorithm.reconstruct(cluster.reads(), cluster.reference().len());
-        report.record(cluster.reference(), &estimate);
-    }
-    report
+    accuracy_of(
+        dataset.clusters(),
+        &reconstruct_all(dataset, algorithm, &ThreadPool::from_env()),
+    )
 }
 
-/// Parallel counterpart of [`evaluate_reconstruction`]: the streaming path
-/// ([`evaluate_reconstruction_stream`]) with one window. Reconstruction is
-/// pure and the report is folded in cluster order, so the result does not
-/// depend on the thread count.
+/// [`evaluate_reconstruction`] on an explicit `pool`, reporting a worker
+/// panic instead of re-running serially. Reconstruction is pure and the
+/// report is folded in cluster order, so the result does not depend on
+/// the thread count.
 ///
 /// # Errors
 ///
@@ -59,10 +60,10 @@ pub fn evaluate_reconstruction_on<A>(
     pool: &ThreadPool,
 ) -> Result<AccuracyReport, DnasimError>
 where
-    A: TraceReconstructor + Sync + ?Sized,
+    A: TraceReconstructor + ?Sized,
 {
-    evaluate_reconstruction_stream(&mut dataset.stream(), algorithm, usize::MAX, pool)
-        .map(|(report, _)| report)
+    let estimates = reconstruct_batch(dataset.clusters(), algorithm, pool)?;
+    Ok(accuracy_of(dataset.clusters(), &estimates))
 }
 
 /// Streaming counterpart of [`evaluate_reconstruction`]: pulls clusters
@@ -87,7 +88,7 @@ pub fn evaluate_reconstruction_stream<S, A>(
 ) -> Result<(AccuracyReport, WindowStats), DnasimError>
 where
     S: ClusterSource + ?Sized,
-    A: TraceReconstructor + Sync + ?Sized,
+    A: TraceReconstructor + ?Sized,
 {
     evaluate_reconstruction_stream_budgeted(source, algorithm, batch_size, pool, &Budget::unlimited())
 }
@@ -112,17 +113,12 @@ pub fn evaluate_reconstruction_stream_budgeted<S, A>(
 ) -> Result<(AccuracyReport, WindowStats), DnasimError>
 where
     S: ClusterSource + ?Sized,
-    A: TraceReconstructor + Sync + ?Sized,
+    A: TraceReconstructor + ?Sized,
 {
     let mut report = AccuracyReport::new();
     let window = fold_windows(source, batch_size, budget, "reconstruct", |batch| {
         let estimates = reconstruct_batch(batch.clusters(), algorithm, pool)?;
-        for (cluster, estimate) in batch.clusters().iter().zip(&estimates) {
-            match estimate {
-                Some(estimate) => report.record(cluster.reference(), estimate),
-                None => report.record_erasure(cluster.reference()),
-            }
-        }
+        report.merge(&accuracy_of(batch.clusters(), &estimates));
         Ok(())
     })?;
     Ok((report, window))
@@ -136,7 +132,7 @@ fn reconstruct_batch<A>(
     pool: &ThreadPool,
 ) -> Result<Vec<Option<Strand>>, DnasimError>
 where
-    A: TraceReconstructor + Sync + ?Sized,
+    A: TraceReconstructor + ?Sized,
 {
     Ok(pool.par_map_indexed(clusters, |_, cluster| {
         (!cluster.is_erasure())
@@ -144,27 +140,117 @@ where
     })?)
 }
 
-/// Post-reconstruction positional profiles: reconstruct every cluster and
-/// compare the estimate against the reference under both attribution rules.
+/// The serial reconstruction loop: [`reconstruct_batch`] without a pool.
+/// It is the fallback when a worker panics, so a panicking reconstructor
+/// panics again here, from its own frame, and the oracle every pool-driven
+/// evaluation is tested against.
+fn reconstruct_serial<A>(clusters: &[Cluster], algorithm: &A) -> Vec<Option<Strand>>
+where
+    A: TraceReconstructor + ?Sized,
+{
+    clusters
+        .iter()
+        .map(|cluster| {
+            (!cluster.is_erasure())
+                .then(|| algorithm.reconstruct(cluster.reads(), cluster.reference().len()))
+        })
+        .collect()
+}
+
+/// Every cluster's estimate on `pool`, in cluster order (`None` marks an
+/// erasure). Reconstruction is pure, so the estimates equal
+/// [`reconstruct_serial`]'s at every thread count; a worker panic re-runs
+/// that loop instead of surfacing as an error.
+pub(crate) fn reconstruct_all<A>(
+    dataset: &Dataset,
+    algorithm: &A,
+    pool: &ThreadPool,
+) -> Vec<Option<Strand>>
+where
+    A: TraceReconstructor + ?Sized,
+{
+    reconstruct_batch(dataset.clusters(), algorithm, pool)
+        .unwrap_or_else(|_| reconstruct_serial(dataset.clusters(), algorithm))
+}
+
+/// Folds estimates into an accuracy report in cluster order; an erasure
+/// counts as a total loss.
+pub(crate) fn accuracy_of(clusters: &[Cluster], estimates: &[Option<Strand>]) -> AccuracyReport {
+    let mut report = AccuracyReport::new();
+    for (cluster, estimate) in clusters.iter().zip(estimates) {
+        match estimate {
+            Some(estimate) => report.record(cluster.reference(), estimate),
+            None => report.record_erasure(cluster.reference()),
+        }
+    }
+    report
+}
+
+/// Folds estimates into `(hamming, gestalt)` profiles of length `len`,
+/// skipping erasures.
+fn profiles_of(
+    len: usize,
+    clusters: &[Cluster],
+    estimates: &[Option<Strand>],
+) -> (PositionalProfile, PositionalProfile) {
+    let mut hamming = PositionalProfile::new(ProfileKind::Hamming, len);
+    let mut gestalt = PositionalProfile::new(ProfileKind::GestaltAligned, len);
+    for (cluster, estimate) in clusters.iter().zip(estimates) {
+        if let Some(estimate) = estimate {
+            hamming.record(cluster.reference(), estimate);
+            gestalt.record(cluster.reference(), estimate);
+        }
+    }
+    (hamming, gestalt)
+}
+
+/// Share of residual (post-reconstruction) errors that are deletions,
+/// measured by a minimum edit script from reference to estimate. Tie-breaks
+/// draw from `rng` serially in cluster order, so the share depends only on
+/// the estimates, never on how they were computed.
+pub(crate) fn residual_deletion_share(
+    clusters: &[Cluster],
+    estimates: &[Option<Strand>],
+    rng: &mut SimRng,
+) -> f64 {
+    let mut counts = [0usize; 3];
+    let mut scratch = EditScratch::new();
+    for (cluster, estimate) in clusters.iter().zip(estimates) {
+        let Some(estimate) = estimate else { continue };
+        let script = edit_script_with(
+            &mut scratch,
+            cluster.reference(),
+            estimate,
+            TieBreak::Random,
+            rng,
+        );
+        for (c, k) in counts.iter_mut().zip(script.error_kind_counts()) {
+            *c += k;
+        }
+    }
+    let total: usize = counts.iter().sum();
+    if total == 0 {
+        return 0.0;
+    }
+    counts[1] as f64 / total as f64 // deletions
+}
+
+/// Post-reconstruction positional profiles: reconstruct every cluster on
+/// the environment's pool ([`ThreadPool::from_env`]) and compare the
+/// estimate against the reference under both attribution rules.
 ///
 /// Returns `(hamming_profile, gestalt_profile)` — the two panels of every
-/// post-reconstruction figure.
+/// post-reconstruction figure. The profiles do not depend on the thread
+/// count.
 pub fn post_reconstruction_profiles<A: TraceReconstructor + ?Sized>(
     dataset: &Dataset,
     algorithm: &A,
 ) -> (PositionalProfile, PositionalProfile) {
-    let len = dataset.strand_len().unwrap_or(0);
-    let mut hamming = PositionalProfile::new(ProfileKind::Hamming, len);
-    let mut gestalt = PositionalProfile::new(ProfileKind::GestaltAligned, len);
-    for cluster in dataset.iter() {
-        if cluster.is_erasure() {
-            continue;
-        }
-        let estimate = algorithm.reconstruct(cluster.reads(), cluster.reference().len());
-        hamming.record(cluster.reference(), &estimate);
-        gestalt.record(cluster.reference(), &estimate);
-    }
-    (hamming, gestalt)
+    profiles_of(
+        dataset.strand_len().unwrap_or(0),
+        dataset.clusters(),
+        &reconstruct_all(dataset, algorithm, &ThreadPool::from_env()),
+    )
 }
 
 /// Pre-reconstruction profiles: compare every raw read against its
@@ -204,7 +290,7 @@ pub fn post_reconstruction_profiles_stream<S, A>(
 ) -> Result<(PositionalProfile, PositionalProfile, WindowStats), DnasimError>
 where
     S: ClusterSource + ?Sized,
-    A: TraceReconstructor + Sync + ?Sized,
+    A: TraceReconstructor + ?Sized,
 {
     let mut hamming = PositionalProfile::new(ProfileKind::Hamming, 0);
     let mut gestalt = PositionalProfile::new(ProfileKind::GestaltAligned, 0);
@@ -212,14 +298,7 @@ where
     let window = fold_windows(source, batch_size, &Budget::unlimited(), "profile", |batch| {
         let len = *len.get_or_insert_with(|| first_reference_len(&batch));
         let estimates = reconstruct_batch(batch.clusters(), algorithm, pool)?;
-        let mut batch_hamming = PositionalProfile::new(ProfileKind::Hamming, len);
-        let mut batch_gestalt = PositionalProfile::new(ProfileKind::GestaltAligned, len);
-        for (cluster, estimate) in batch.clusters().iter().zip(&estimates) {
-            if let Some(estimate) = estimate {
-                batch_hamming.record(cluster.reference(), estimate);
-                batch_gestalt.record(cluster.reference(), estimate);
-            }
-        }
+        let (batch_hamming, batch_gestalt) = profiles_of(len, batch.clusters(), &estimates);
         hamming.merge(&batch_hamming);
         gestalt.merge(&batch_gestalt);
         Ok(())
@@ -273,22 +352,27 @@ where
 /// `min_coverage`, then truncate every cluster to its first
 /// `target_coverage` reads — so coverage `i` and `i + 1` differ only in the
 /// marginal read.
+///
+/// Filtering and truncating in one pass copies only the kept reads, never
+/// a whole surviving cluster.
 pub fn fixed_coverage_protocol(
     dataset: &Dataset,
     min_coverage: usize,
     target_coverage: usize,
 ) -> Dataset {
     dataset
-        .filter_min_coverage(min_coverage)
-        .with_coverage(target_coverage)
+        .iter()
+        .filter(|cluster| cluster.coverage() >= min_coverage)
+        .map(|cluster| cluster.with_coverage(target_coverage))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dnasim_channel::{CoverageModel, ParametricModel, Simulator, SpatialDistribution};
     use dnasim_core::rng::seeded;
-    use dnasim_core::{Cluster, Strand};
-    use dnasim_reconstruct::{BmaLookahead, MajorityVote};
+    use dnasim_reconstruct::{BmaLookahead, Iterative, MajorityVote};
 
     fn clean_dataset(clusters: usize, coverage: usize, len: usize) -> Dataset {
         let mut rng = seeded(1);
@@ -316,11 +400,104 @@ mod tests {
         assert_eq!(report.per_strand_percent(), 50.0);
     }
 
+    /// A noisy dataset with erasures interleaved, so accuracy, profiles
+    /// and residual kinds all have something to count.
+    fn noisy_dataset(clusters: usize, coverage: usize, len: usize) -> Dataset {
+        let mut rng = seeded(11);
+        let references: Vec<Strand> = (0..clusters).map(|_| Strand::random(len, &mut rng)).collect();
+        let noisy = Simulator::new(
+            ParametricModel::new(0.08, SpatialDistribution::Uniform),
+            CoverageModel::Fixed(coverage),
+        )
+        .simulate(&references, &mut rng);
+        let mut ds = Dataset::new();
+        for (i, cluster) in noisy.iter().enumerate() {
+            ds.push(cluster.clone());
+            if i % 5 == 2 {
+                ds.push(Cluster::erasure(Strand::random(len, &mut rng)));
+            }
+        }
+        ds
+    }
+
+    /// The serial oracle: a fold over the private serial loop.
+    fn serial_report<A: TraceReconstructor>(ds: &Dataset, algorithm: &A) -> AccuracyReport {
+        accuracy_of(ds.clusters(), &reconstruct_serial(ds.clusters(), algorithm))
+    }
+
+    #[test]
+    fn pool_driven_evaluation_matches_serial_oracle() {
+        let ds = noisy_dataset(23, 4, 40);
+        assert!(ds.iter().any(Cluster::is_erasure));
+        let len = ds.strand_len().unwrap_or(0);
+        let bma = BmaLookahead::default();
+        let iterative = Iterative::default();
+        let algorithms: [&dyn TraceReconstructor; 2] = [&bma, &iterative];
+        for algorithm in algorithms {
+            let serial = reconstruct_serial(ds.clusters(), algorithm);
+            let report = accuracy_of(ds.clusters(), &serial);
+            let profiles = profiles_of(len, ds.clusters(), &serial);
+            let share = residual_deletion_share(ds.clusters(), &serial, &mut seeded(3));
+            assert!(report.per_strand_percent() < 100.0, "{algorithm:?}: no residual errors");
+            assert!(share > 0.0, "{algorithm:?}: no residual deletions");
+
+            assert_eq!(evaluate_reconstruction(&ds, algorithm), report);
+            assert_eq!(post_reconstruction_profiles(&ds, algorithm), profiles);
+            for threads in [1, 2, 4] {
+                let pool = ThreadPool::new(threads);
+                let estimates = reconstruct_all(&ds, algorithm, &pool);
+                assert_eq!(estimates, serial, "{algorithm:?} threads={threads}");
+                assert_eq!(accuracy_of(ds.clusters(), &estimates), report);
+                assert_eq!(profiles_of(len, ds.clusters(), &estimates), profiles);
+                let pooled = residual_deletion_share(ds.clusters(), &estimates, &mut seeded(3));
+                assert_eq!(pooled.to_bits(), share.to_bits(), "threads={threads}");
+                assert_eq!(
+                    evaluate_reconstruction_on(&ds, algorithm, &pool).unwrap(),
+                    report
+                );
+            }
+        }
+    }
+
+    /// A reconstructor that panics on every cluster.
+    #[derive(Debug)]
+    struct Panicking;
+
+    impl TraceReconstructor for Panicking {
+        fn reconstruct(&self, _: &[Strand], _: usize) -> Strand {
+            panic!("reconstructor gave up")
+        }
+
+        fn name(&self) -> String {
+            "panicking".to_owned()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "reconstructor gave up")]
+    fn panicking_reconstructor_panics_through_evaluation() {
+        evaluate_reconstruction(&clean_dataset(4, 2, 10), &Panicking);
+    }
+
+    #[test]
+    #[should_panic(expected = "reconstructor gave up")]
+    fn panicking_reconstructor_panics_through_profiles() {
+        post_reconstruction_profiles(&clean_dataset(4, 2, 10), &Panicking);
+    }
+
+    #[test]
+    fn panicking_reconstructor_is_a_typed_error_on_an_explicit_pool() {
+        let ds = clean_dataset(4, 2, 10);
+        for threads in [1, 2] {
+            assert!(evaluate_reconstruction_on(&ds, &Panicking, &ThreadPool::new(threads)).is_err());
+        }
+    }
+
     #[test]
     fn parallel_evaluation_matches_serial() {
         let mut ds = clean_dataset(6, 3, 20);
         ds.push(Cluster::erasure(Strand::random(20, &mut seeded(9))));
-        let serial = evaluate_reconstruction(&ds, &MajorityVote);
+        let serial = serial_report(&ds, &MajorityVote);
         for threads in [1, 2, 4] {
             let par = evaluate_reconstruction_on(&ds, &MajorityVote, &ThreadPool::new(threads))
                 .unwrap();

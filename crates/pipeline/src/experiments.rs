@@ -14,7 +14,7 @@ use dnasim_core::{
 };
 use dnasim_metrics::PositionalProfile;
 use dnasim_par::ThreadPool;
-use dnasim_profile::{edit_script_with, EditScratch, ErrorStats, LearnedModel, TieBreak};
+use dnasim_profile::{EditScratch, ErrorStats, LearnedModel, TieBreak};
 use dnasim_reconstruct::{
     BmaLookahead, DividerBma, Iterative, MsaReconstructor, TraceReconstructor, TwoWayIterative,
     WeightedIterative,
@@ -22,8 +22,8 @@ use dnasim_reconstruct::{
 use dnasim_dataset::NanoporeTwinConfig;
 
 use crate::evaluate::{
-    evaluate_reconstruction, fixed_coverage_protocol, post_reconstruction_profiles,
-    pre_reconstruction_profiles,
+    accuracy_of, evaluate_reconstruction, fixed_coverage_protocol, post_reconstruction_profiles,
+    pre_reconstruction_profiles, reconstruct_all, residual_deletion_share,
 };
 use crate::table::{AccuracyCell, Table, TableRow};
 
@@ -405,18 +405,25 @@ impl Experiments {
         rates: &[f64],
         coverages: &[usize],
     ) -> Vec<SensitivityPoint> {
+        let pool = ThreadPool::from_env();
         let mut out = Vec::new();
         for &p in rates {
             for &n in coverages {
                 let ds = self.parametric_dataset(p, SpatialDistribution::Uniform, n);
                 let bma = evaluate_reconstruction(&ds, &BmaLookahead::default());
-                let iterative = evaluate_reconstruction(&ds, &Iterative::default());
-                let deletion_share = self.residual_deletion_share(&ds, &Iterative::default());
+                // One Iterative pass serves both the accuracy and the
+                // residual-kind split.
+                let iterative = reconstruct_all(&ds, &Iterative::default(), &pool);
+                let deletion_share = residual_deletion_share(
+                    ds.clusters(),
+                    &iterative,
+                    &mut self.seeds.derive_rng("residual-kinds"),
+                );
                 out.push(SensitivityPoint {
                     error_rate: p,
                     coverage: n,
                     bma: bma.into(),
-                    iterative: iterative.into(),
+                    iterative: accuracy_of(ds.clusters(), &iterative).into(),
                     iterative_residual_deletion_share: deletion_share,
                 });
             }
@@ -531,40 +538,6 @@ impl Experiments {
         Simulator::new(ParametricModel::new(p, shape), CoverageModel::Fixed(n))
             .simulate(&self.twin.references(), &mut rng)
     }
-
-    /// Share of residual (post-reconstruction) errors that are deletions,
-    /// measured by minimum edit script from reference to estimate.
-    fn residual_deletion_share<A: TraceReconstructor>(
-        &self,
-        dataset: &Dataset,
-        algorithm: &A,
-    ) -> f64 {
-        let mut rng = self.seeds.derive_rng("residual-kinds");
-        let mut counts = [0usize; 3];
-        let mut scratch = EditScratch::new();
-        for cluster in dataset.iter() {
-            if cluster.is_erasure() {
-                continue;
-            }
-            let estimate = algorithm.reconstruct(cluster.reads(), cluster.reference().len());
-            let script = edit_script_with(
-                &mut scratch,
-                cluster.reference(),
-                &estimate,
-                TieBreak::Random,
-                &mut rng,
-            );
-            let kinds = script.error_kind_counts();
-            for (c, k) in counts.iter_mut().zip(kinds) {
-                *c += k;
-            }
-        }
-        let total: usize = counts.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        counts[1] as f64 / total as f64 // deletions
-    }
 }
 
 /// §4.3 multi-dataset robustness: a channel model learned on one dataset
@@ -583,7 +556,7 @@ pub fn cross_dataset_robustness(
     let exp_b = Experiments::new(config_b);
 
     let row = |label: &str, ds: &Dataset| -> TableRow {
-        let ds = fixed_coverage_protocol(ds, 10, coverage);
+        let ds = fixed_coverage_protocol(ds, PROTOCOL_MIN_COVERAGE, coverage);
         let bma = evaluate_reconstruction(&ds, &BmaLookahead::default());
         let iterative = evaluate_reconstruction(&ds, &Iterative::default());
         TableRow {

@@ -3,7 +3,8 @@
 //! This crate ties the workspace together:
 //!
 //! * [`evaluate_reconstruction`] / [`post_reconstruction_profiles`] /
-//!   [`pre_reconstruction_profiles`] — dataset-level evaluation;
+//!   [`pre_reconstruction_profiles`] — dataset-level evaluation, with
+//!   reconstruction fanned out on the environment's thread pool;
 //! * [`fixed_coverage_protocol`] — the §3.2 first-N-reads protocol;
 //! * [`Experiments`] — one method per table and figure of the paper
 //!   (Tables 2.1–3.2, Figs. 3.2–3.10, the sensitivity grid, and the
@@ -18,7 +19,9 @@
 //! ([`evaluate_reconstruction_stream`], [`archive_round_trip_stream`],
 //! [`simulator_fidelity_stream`], the profile functions) that runs
 //! source→batch→pool→sink with a bounded window of clusters and
-//! byte-identical output (DESIGN.md §11).
+//! byte-identical output (DESIGN.md §11). Reconstruction is pure, so every
+//! evaluation, whole-dataset or streamed, is byte-identical at every
+//! thread count (DESIGN.md §20).
 //!
 //! # Examples
 //!

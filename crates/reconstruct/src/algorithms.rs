@@ -13,8 +13,10 @@ use crate::consensus::{
 /// known design length from a cluster of noisy reads.
 ///
 /// Implementations must return a strand of exactly `strand_len` bases and
-/// be deterministic, so that experiment tables are reproducible.
-pub trait TraceReconstructor: std::fmt::Debug {
+/// be deterministic, so that experiment tables are reproducible. They are
+/// `Send + Sync` so every evaluation can fan clusters out over a thread
+/// pool.
+pub trait TraceReconstructor: std::fmt::Debug + Send + Sync {
     /// Reconstructs an estimate of the reference from `reads`.
     fn reconstruct(&self, reads: &[Strand], strand_len: usize) -> Strand;
 

@@ -48,5 +48,5 @@ pub use consensus::{
     positional_majority, LookaheadFilterStats,
 };
 pub use msa::MsaReconstructor;
-pub use parallel::{reconstruct_clusters, reconstruct_read_sets};
+pub use parallel::reconstruct_clusters;
 pub use weighted::WeightedIterative;

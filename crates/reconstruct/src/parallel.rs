@@ -1,8 +1,9 @@
 //! Parallel per-cluster reconstruction.
 //!
 //! Trace reconstruction is embarrassingly parallel across clusters: each
-//! cluster's estimate depends only on its own reads. These helpers fan a
-//! [`TraceReconstructor`] out over a [`Dataset`] on a [`ThreadPool`],
+//! cluster's estimate depends only on its own reads.
+//! [`reconstruct_clusters`] fans a [`TraceReconstructor`] (`Send + Sync`
+//! for exactly this) out over a [`Dataset`] on a [`ThreadPool`],
 //! preserving cluster order in the output. Because every algorithm in this
 //! crate is deterministic and takes no RNG, the estimates are byte-identical
 //! to a serial loop for any thread count.
@@ -28,32 +29,10 @@ pub fn reconstruct_clusters<A>(
     pool: &ThreadPool,
 ) -> Result<Vec<Strand>, DnasimError>
 where
-    A: TraceReconstructor + Sync + ?Sized,
+    A: TraceReconstructor + ?Sized,
 {
     let estimates = pool.par_map_indexed(dataset.clusters(), |_, cluster: &Cluster| {
         algorithm.reconstruct(cluster.reads(), strand_len)
-    })?;
-    Ok(estimates)
-}
-
-/// Reconstructs every read set in `clusters` (a slice of read vectors) with
-/// `algorithm` on `pool`, for callers that hold raw reads rather than a
-/// [`Dataset`].
-///
-/// # Errors
-///
-/// Returns [`DnasimError::Degraded`] if a worker panicked.
-pub fn reconstruct_read_sets<A>(
-    algorithm: &A,
-    clusters: &[Vec<Strand>],
-    strand_len: usize,
-    pool: &ThreadPool,
-) -> Result<Vec<Strand>, DnasimError>
-where
-    A: TraceReconstructor + Sync + ?Sized,
-{
-    let estimates = pool.par_map_indexed(clusters, |_, reads: &Vec<Strand>| {
-        algorithm.reconstruct(reads, strand_len)
     })?;
     Ok(estimates)
 }
@@ -87,16 +66,6 @@ mod tests {
             let par = reconstruct_clusters(&algo, &ds, 24, &ThreadPool::new(threads)).unwrap();
             assert_eq!(par, serial);
         }
-    }
-
-    #[test]
-    fn read_sets_match_dataset_path() {
-        let ds = toy_dataset(9, 16);
-        let reads: Vec<Vec<Strand>> = ds.iter().map(|c| c.reads().to_vec()).collect();
-        let pool = ThreadPool::new(4);
-        let a = reconstruct_clusters(&MajorityVote, &ds, 16, &pool).unwrap();
-        let b = reconstruct_read_sets(&MajorityVote, &reads, 16, &pool).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

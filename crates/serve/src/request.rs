@@ -145,7 +145,7 @@ impl AlgorithmSpec {
     }
 
     /// Builds the named reconstructor with its default parameters.
-    pub fn build(self) -> Box<dyn TraceReconstructor + Send + Sync> {
+    pub fn build(self) -> Box<dyn TraceReconstructor> {
         match self {
             AlgorithmSpec::Bma => Box::new(BmaLookahead::default()),
             AlgorithmSpec::DivBma => Box::new(DividerBma),

@@ -58,6 +58,9 @@
 #    pipe must answer with a typed `deadline` response and exit 0
 #    (DESIGN.md §13).
 # 13. Lint gate: `cargo clippy --all-targets -- -D warnings` must pass.
+# 14. Paper harness thread invariance: every table reconstructs on the
+#    pool, so `repro all` must print byte-identical stdout at
+#    DNASIM_THREADS=1 and =4 (DESIGN.md §20).
 #
 # Usage: scripts/verify.sh
 
@@ -281,6 +284,21 @@ cmp "$stream_dir/twin.txt" "$stream_dir/twin-roundtrip.txt"
 cmp "$stream_dir/sim.txt" "$stream_dir/sim-binary-in.txt"
 rm -rf "$stream_dir"
 echo "ok: CLI output is byte-identical across batch sizes, formats and thread counts; archive decode window bounded"
+
+echo "== repro harness thread invariance (DNASIM_THREADS=1 and 4) =="
+# The harness reconstructs on the pool; its tables must not depend on the
+# worker count. Progress lines go to stderr and are kept on failure.
+repro_dir=$(mktemp -d /tmp/dnasim-repro-smoke.XXXXXX)
+for threads in 1 4; do
+    if ! DNASIM_THREADS=$threads target/release/repro all \
+        > "$repro_dir/t$threads.txt" 2> "$repro_dir/t$threads.err"; then
+        cat "$repro_dir/t$threads.err" >&2
+        exit 1
+    fi
+done
+cmp "$repro_dir/t1.txt" "$repro_dir/t4.txt"
+rm -rf "$repro_dir"
+echo "ok: repro all prints identical tables at 1 and 4 threads"
 
 echo "== serve soak smoke (differential, multi-tenant) =="
 # ≥240 interleaved requests across 8 tenants at 1/2/4 workers, every
