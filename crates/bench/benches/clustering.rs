@@ -38,12 +38,13 @@ fn bench_clustering(c: &mut Criterion) {
     let (refs, reads) = pool(50, 6, 1);
     let clusterer = GreedyClusterer::default();
     c.bench_function("greedy-cluster/300-reads", |b| {
-        b.iter(|| clusterer.cluster(black_box(&reads)).len())
+        b.iter(|| clusterer.cluster(black_box(&reads)).0.len())
     });
     c.bench_function("cluster-vs-references/300-reads", |b| {
         b.iter(|| {
             clusterer
                 .cluster_against_references(black_box(&reads), black_box(&refs))
+                .0
                 .total_reads()
         })
     });
@@ -260,6 +261,7 @@ fn bench_streaming_clusterer(c: &mut Criterion) {
         b.iter(|| {
             clusterer
                 .cluster_against_references(black_box(&reads), black_box(&refs))
+                .0
                 .total_reads()
         })
     });

@@ -12,7 +12,7 @@ use std::hint::black_box;
 use dnasim_channel::{CoverageModel, NaiveModel, Simulator};
 use dnasim_core::rng::{seeded, SeedSequence};
 use dnasim_core::{Dataset, Strand};
-use dnasim_par::ThreadPool;
+use dnasim_par::{RunCtx, ThreadPool};
 use dnasim_reconstruct::{reconstruct_clusters, Iterative};
 
 const STRAND_LEN: usize = 110;
@@ -39,9 +39,13 @@ fn bench_simulate(c: &mut Criterion) {
     let seq = SeedSequence::new(42);
     let mut group = c.benchmark_group("par-simulate-400x110bp");
     for threads in thread_counts() {
-        let pool = ThreadPool::new(threads);
+        let ctx = RunCtx::new(&ThreadPool::new(threads), usize::MAX).expect("nonzero batch");
         group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, _| {
-            b.iter(|| sim.simulate_on(black_box(&references), &seq, &pool))
+            b.iter(|| {
+                let mut out = Dataset::new();
+                sim.simulate_in(black_box(&references), &seq, &ctx, &mut out)
+                    .map(|_| out)
+            })
         });
     }
     group.finish();

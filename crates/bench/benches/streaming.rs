@@ -16,7 +16,7 @@ use dnasim_channel::{CoverageModel, KeoliyaModel, Simulator, SimulatorLayer};
 use dnasim_core::rng::{seeded, SeedSequence};
 use dnasim_core::NullSink;
 use dnasim_dataset::{write_dataset, DatasetReader, NanoporeTwinConfig};
-use dnasim_par::ThreadPool;
+use dnasim_par::{RunCtx, ThreadPool};
 use dnasim_profile::{ErrorStats, LearnedModel, TieBreak};
 
 /// Clusters per benchmarked run — larger than the biggest batch size so
@@ -37,9 +37,8 @@ fn bench_streaming_generate(c: &mut Criterion) {
         c.bench_function(format!("streaming/generate/batch-{batch_size}"), |b| {
             b.iter(|| {
                 let mut sink = NullSink::default();
-                let window = config
-                    .generate_stream(black_box(batch_size), &pool, &mut sink)
-                    .expect("stream generation");
+                let ctx = RunCtx::new(&pool, black_box(batch_size)).expect("nonzero batch");
+                let window = config.generate_in(&ctx, &mut sink).expect("stream generation");
                 assert!(window.high_watermark <= batch_size);
                 window.clusters
             })
@@ -69,8 +68,9 @@ fn bench_streaming_resimulate(c: &mut Criterion) {
             b.iter(|| {
                 let mut source = DatasetReader::new(black_box(&text[..]));
                 let mut sink = NullSink::default();
+                let ctx = RunCtx::new(&pool, batch_size).expect("nonzero batch");
                 let window = simulator
-                    .resimulate_stream(&mut source, &seq, batch_size, &pool, &mut sink)
+                    .resimulate_in(&mut source, &seq, &ctx, &mut sink)
                     .expect("stream resimulation");
                 assert!(window.high_watermark <= batch_size);
                 window.clusters

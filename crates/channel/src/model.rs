@@ -2,10 +2,10 @@
 
 use dnasim_core::rng::{SeedSequence, SimRng};
 use dnasim_core::{
-    produce_windows, pump_budgeted, Batch, Budget, Cluster, ClusterSink, ClusterSource, Dataset,
+    produce_windows, pump_budgeted, Batch, Cluster, ClusterSink, ClusterSource, Dataset,
     DnasimError, Strand, WindowStats,
 };
-use dnasim_par::ThreadPool;
+use dnasim_par::RunCtx;
 
 use crate::coverage::CoverageModel;
 
@@ -126,34 +126,6 @@ impl<M: ErrorModel> Simulator<M> {
         Cluster::new(reference.clone(), reads)
     }
 
-    /// Parallel counterpart of [`Simulator::simulate`] with per-cluster
-    /// forked RNG streams: the streaming path
-    /// ([`Simulator::simulate_stream`]) with one window.
-    ///
-    /// Where [`Simulator::simulate`] threads one RNG serially through every
-    /// cluster, this method gives cluster `i` its own stream via
-    /// [`SeedSequence::fork`], so the resulting dataset is byte-identical
-    /// for every thread count (including a serial pool). The two methods
-    /// therefore produce *different* (but equally valid) datasets for the
-    /// same seed; pick one discipline per experiment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DnasimError::Degraded`] if a worker panicked; completed
-    /// clusters are discarded rather than returned partially.
-    pub fn simulate_on(
-        &self,
-        references: &[Strand],
-        seq: &SeedSequence,
-        pool: &ThreadPool,
-    ) -> Result<Dataset, DnasimError>
-    where
-        M: Sync,
-    {
-        let mut out = Dataset::new();
-        self.simulate_stream(references, seq, usize::MAX, pool, &mut out).map(|_| out)
-    }
-
     /// Resimulates a real dataset with *custom coverage*: the same
     /// reference strands, with each simulated cluster given exactly the
     /// coverage its real counterpart had (the Table 2.1 protocol).
@@ -163,78 +135,39 @@ impl<M: ErrorModel> Simulator<M> {
             .collect()
     }
 
-    /// Parallel counterpart of [`Simulator::resimulate_matching`]: the
-    /// streaming path ([`Simulator::resimulate_stream`]) with one window.
-    /// Cluster `i` is resimulated on the stream [`SeedSequence::fork`]`(i)`,
-    /// so the output does not depend on the pool's thread count.
+    /// Simulates one cluster per reference, pushing finished windows of
+    /// at most `ctx.batch_size()` clusters into `sink`, each window fanned
+    /// out on `ctx.pool()`.
     ///
-    /// # Errors
+    /// Where [`Simulator::simulate`] threads one RNG serially through every
+    /// cluster, cluster `i` here is simulated on its own stream,
+    /// [`SeedSequence::fork`]`(i)` of its *global* index, so the output is
+    /// byte-identical for every batch size and thread count. The two
+    /// methods therefore produce *different* (but equally valid) datasets
+    /// for the same seed; pick one discipline per experiment.
     ///
-    /// Returns [`DnasimError::Degraded`] if a worker panicked.
-    pub fn resimulate_matching_on(
-        &self,
-        real: &Dataset,
-        seq: &SeedSequence,
-        pool: &ThreadPool,
-    ) -> Result<Dataset, DnasimError>
-    where
-        M: Sync,
-    {
-        let mut out = Dataset::new();
-        self.resimulate_stream(&mut real.stream(), seq, usize::MAX, pool, &mut out).map(|_| out)
-    }
-
-    /// Simulates the references in bounded batches of at most
-    /// `batch_size` clusters, pushing each finished batch into `sink`.
-    ///
-    /// Cluster `i` is simulated on the stream [`SeedSequence::fork`]`(i)`
-    /// of its *global* index — never its within-batch position — so the
-    /// output is byte-identical for every batch size and thread count
-    /// ([`Simulator::simulate_on`] is this path with one window).
-    ///
-    /// # Errors
-    ///
-    /// [`DnasimError::Config`] for `batch_size == 0`,
-    /// [`DnasimError::Degraded`] if a worker panicked, or whatever the
-    /// sink reports.
-    pub fn simulate_stream<K>(
-        &self,
-        references: &[Strand],
-        seq: &SeedSequence,
-        batch_size: usize,
-        pool: &ThreadPool,
-        sink: &mut K,
-    ) -> Result<WindowStats, DnasimError>
-    where
-        M: Sync,
-        K: ClusterSink + ?Sized,
-    {
-        self.simulate_stream_budgeted(references, seq, batch_size, pool, &Budget::unlimited(), sink)
-    }
-
-    /// [`Simulator::simulate_stream`] metered by a [`Budget`] through
-    /// [`produce_windows`]: one work unit per cluster, admitted before the
-    /// window fans out, so exhaustion lands on the same global cluster
-    /// index at any batch size or thread count. The admitted prefix is
-    /// still emitted before the typed error.
+    /// The budget is charged through [`produce_windows`]: one work unit
+    /// per cluster, admitted before the window fans out, so exhaustion
+    /// lands on the same global cluster index at any batch size or thread
+    /// count. The admitted prefix is still emitted before the typed error.
     ///
     /// # Errors
     ///
     /// [`DnasimError::DeadlineExceeded`] on exhaustion or cancellation,
-    /// plus everything [`Simulator::simulate_stream`] can report.
-    pub fn simulate_stream_budgeted<K>(
+    /// [`DnasimError::Degraded`] if a worker panicked, or whatever the
+    /// sink reports.
+    pub fn simulate_in<K>(
         &self,
         references: &[Strand],
         seq: &SeedSequence,
-        batch_size: usize,
-        pool: &ThreadPool,
-        budget: &Budget,
+        ctx: &RunCtx,
         sink: &mut K,
     ) -> Result<WindowStats, DnasimError>
     where
         M: Sync,
         K: ClusterSink + ?Sized,
     {
+        let (pool, batch_size, budget) = (ctx.pool(), ctx.batch_size(), ctx.budget());
         produce_windows(references.len(), sink, batch_size, budget, "simulate", |range| {
             let start = range.start;
             Ok(pool.par_map_indexed(&references[range], |i, reference| {
@@ -247,50 +180,27 @@ impl<M: ErrorModel> Simulator<M> {
     }
 
     /// Resimulates a real dataset window by window: pulls real clusters
-    /// from `source` in bounded batches, resimulates each with its real
-    /// coverage, and pushes the results into `sink`.
+    /// from `source` in windows of at most `ctx.batch_size()`, resimulates
+    /// each with its real coverage on `ctx.pool()`, and pushes the results
+    /// into `sink` — the parallel counterpart of
+    /// [`Simulator::resimulate_matching`].
     ///
-    /// Per-cluster RNG streams fork from the cluster's global index, so
-    /// the output is byte-identical at any batch size or thread count
-    /// ([`Simulator::resimulate_matching_on`] is this path with one
-    /// window).
-    ///
-    /// # Errors
-    ///
-    /// [`DnasimError::Config`] for `batch_size == 0`,
-    /// [`DnasimError::Degraded`] if a worker panicked, or whatever the
-    /// source or sink reports.
-    pub fn resimulate_stream<S, K>(
-        &self,
-        source: &mut S,
-        seq: &SeedSequence,
-        batch_size: usize,
-        pool: &ThreadPool,
-        sink: &mut K,
-    ) -> Result<WindowStats, DnasimError>
-    where
-        M: Sync,
-        S: ClusterSource + ?Sized,
-        K: ClusterSink + ?Sized,
-    {
-        self.resimulate_stream_budgeted(source, seq, batch_size, pool, &Budget::unlimited(), sink)
-    }
-
-    /// [`Simulator::resimulate_stream`] metered by a [`Budget`] through
-    /// [`pump_budgeted`]: one work unit per cluster pulled, with the
-    /// admitted prefix emitted before the typed deadline error.
+    /// Cluster `i` is resimulated on [`SeedSequence::fork`]`(i)` of its
+    /// global index, so the output is byte-identical at any batch size or
+    /// thread count. The budget is charged through [`pump_budgeted`]: one
+    /// work unit per cluster pulled, with the admitted prefix emitted
+    /// before the typed deadline error.
     ///
     /// # Errors
     ///
     /// [`DnasimError::DeadlineExceeded`] on exhaustion or cancellation,
-    /// plus everything [`Simulator::resimulate_stream`] can report.
-    pub fn resimulate_stream_budgeted<S, K>(
+    /// [`DnasimError::Degraded`] if a worker panicked, or whatever the
+    /// source or sink reports.
+    pub fn resimulate_in<S, K>(
         &self,
         source: &mut S,
         seq: &SeedSequence,
-        batch_size: usize,
-        pool: &ThreadPool,
-        budget: &Budget,
+        ctx: &RunCtx,
         sink: &mut K,
     ) -> Result<WindowStats, DnasimError>
     where
@@ -298,6 +208,7 @@ impl<M: ErrorModel> Simulator<M> {
         S: ClusterSource + ?Sized,
         K: ClusterSink + ?Sized,
     {
+        let (pool, batch_size, budget) = (ctx.pool(), ctx.batch_size(), ctx.budget());
         pump_budgeted(source, sink, batch_size, budget, "resimulate", |batch| {
             let start = batch.start();
             let clusters = pool.par_map_indexed(batch.clusters(), |i, cluster| {
@@ -313,6 +224,7 @@ impl<M: ErrorModel> Simulator<M> {
 mod tests {
     use super::*;
     use dnasim_core::rng::seeded;
+    use dnasim_par::ThreadPool;
 
     #[test]
     fn identity_model_is_lossless() {
@@ -357,36 +269,47 @@ mod tests {
         assert_eq!(resim.references(), real.references());
     }
 
+    /// Runs `simulate_in` into a fresh dataset.
+    fn simulated<M: ErrorModel + Sync>(
+        sim: &Simulator<M>,
+        refs: &[Strand],
+        seq: &SeedSequence,
+        ctx: &RunCtx,
+    ) -> (Dataset, WindowStats) {
+        let mut out = Dataset::new();
+        let stats = sim.simulate_in(refs, seq, ctx, &mut out).unwrap();
+        (out, stats)
+    }
+
     #[test]
-    fn simulate_on_is_thread_count_invariant() {
+    fn simulate_in_is_thread_count_invariant() {
         let mut rng = seeded(6);
         let refs: Vec<Strand> = (0..10).map(|_| Strand::random(20, &mut rng)).collect();
         let sim = Simulator::new(IdentityModel, CoverageModel::negative_binomial(6.0, 2.0));
         let seq = SeedSequence::new(99);
-        let serial = sim.simulate_on(&refs, &seq, &ThreadPool::serial()).unwrap();
+        let (serial, _) = simulated(&sim, &refs, &seq, &RunCtx::serial());
         for threads in [2, 4, 8] {
-            let par = sim.simulate_on(&refs, &seq, &ThreadPool::new(threads)).unwrap();
-            assert_eq!(serial, par);
+            let ctx = RunCtx::new(&ThreadPool::new(threads), usize::MAX).unwrap();
+            assert_eq!(serial, simulated(&sim, &refs, &seq, &ctx).0);
         }
-        let resim = sim
-            .resimulate_matching_on(&serial, &seq, &ThreadPool::new(3))
+        let mut resim = Dataset::new();
+        let ctx = RunCtx::new(&ThreadPool::new(3), usize::MAX).unwrap();
+        sim.resimulate_in(&mut serial.stream(), &seq, &ctx, &mut resim)
             .unwrap();
         assert_eq!(resim.coverages(), serial.coverages());
     }
 
     #[test]
-    fn simulate_stream_matches_simulate_on_at_any_batch_size() {
+    fn simulate_in_matches_one_window_at_any_batch_size() {
         let mut rng = seeded(7);
         let refs: Vec<Strand> = (0..11).map(|_| Strand::random(20, &mut rng)).collect();
         let sim = Simulator::new(IdentityModel, CoverageModel::negative_binomial(5.0, 2.0));
         let seq = SeedSequence::new(42);
         let pool = ThreadPool::new(3);
-        let whole = sim.simulate_on(&refs, &seq, &pool).unwrap();
+        let (whole, _) = simulated(&sim, &refs, &seq, &RunCtx::serial());
         for batch_size in [1, 3, 7, usize::MAX] {
-            let mut streamed = Dataset::new();
-            let stats = sim
-                .simulate_stream(&refs, &seq, batch_size, &pool, &mut streamed)
-                .unwrap();
+            let ctx = RunCtx::new(&pool, batch_size).unwrap();
+            let (streamed, stats) = simulated(&sim, &refs, &seq, &ctx);
             assert_eq!(streamed, whole, "batch_size={batch_size}");
             assert_eq!(stats.clusters, refs.len());
             assert!(stats.high_watermark <= batch_size);
@@ -394,31 +317,24 @@ mod tests {
     }
 
     #[test]
-    fn resimulate_stream_matches_resimulate_matching_on() {
+    fn resimulate_in_matches_one_window_at_any_batch_size() {
         let mut rng = seeded(8);
         let refs: Vec<Strand> = (0..9).map(|_| Strand::random(20, &mut rng)).collect();
         let real = Simulator::new(IdentityModel, CoverageModel::negative_binomial(6.0, 2.0))
             .simulate(&refs, &mut rng);
         let sim = Simulator::new(IdentityModel, CoverageModel::Fixed(0));
         let seq = SeedSequence::new(17);
-        let pool = ThreadPool::new(4);
-        let whole = sim.resimulate_matching_on(&real, &seq, &pool).unwrap();
+        let mut whole = Dataset::new();
+        sim.resimulate_in(&mut real.stream(), &seq, &RunCtx::serial(), &mut whole)
+            .unwrap();
+        assert_eq!(whole.coverages(), real.coverages());
         for batch_size in [1, 2, 5, usize::MAX] {
+            let ctx = RunCtx::new(&ThreadPool::new(4), batch_size).unwrap();
             let mut streamed = Dataset::new();
-            sim.resimulate_stream(&mut real.stream(), &seq, batch_size, &pool, &mut streamed)
+            sim.resimulate_in(&mut real.stream(), &seq, &ctx, &mut streamed)
                 .unwrap();
             assert_eq!(streamed, whole, "batch_size={batch_size}");
         }
-    }
-
-    #[test]
-    fn simulate_stream_rejects_zero_batch() {
-        let sim = Simulator::new(IdentityModel, CoverageModel::Fixed(1));
-        let seq = SeedSequence::new(1);
-        let mut out = Dataset::new();
-        assert!(sim
-            .simulate_stream(&[], &seq, 0, &ThreadPool::serial(), &mut out)
-            .is_err());
     }
 
     #[test]

@@ -37,15 +37,16 @@ use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 
 use dnasim_channel::{CoverageModel, Simulator};
+use dnasim_cluster::ClusterStats;
 use dnasim_core::rng::{seeded, SeedSequence};
 use dnasim_core::{Dataset, PrefetchSource};
 use dnasim_dataset::{
     read_dataset_auto, AnyDatasetReader, AnyDatasetWriter, Format, NanoporeTwinConfig,
 };
 use dnasim_faults::ChaosSuite;
-use dnasim_par::ThreadPool;
+use dnasim_par::{RunCtx, ThreadPool};
 use dnasim_pipeline::{
-    archive_round_trip_stream, evaluate_reconstruction, fixed_coverage_protocol, ArchiveConfig,
+    archive_round_trip_in, evaluate_reconstruction, fixed_coverage_protocol, ArchiveConfig,
     ArchiveMode, Experiments,
 };
 use dnasim_profile::{ErrorStats, LearnedModel, TieBreak};
@@ -142,11 +143,10 @@ fn apply_simd_mode(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     }
 }
 
-/// The clustering diagnostic line: process-wide kernel/prune counters and
-/// the active SIMD backend. Identical wording everywhere it appears so
-/// output comparisons across runs stay byte-equal.
-fn cluster_kernel_line() -> String {
-    let stats = dnasim_cluster::process_cluster_stats();
+/// The clustering diagnostic line: a run's kernel/prune counters and the
+/// active SIMD backend. Identical wording everywhere it appears so output
+/// comparisons across runs stay byte-equal.
+fn cluster_kernel_line(stats: &ClusterStats) -> String {
     format!(
         "cluster kernel: {} calls ({} lanes), {} candidates, {} pruned by error ball, simd {}",
         stats.kernel_calls,
@@ -271,7 +271,7 @@ fn cmd_generate(args: &Args) -> CliResult {
     config.seed = args.get_or("seed", config.seed)?;
     let pool = thread_pool(args)?;
     let mut writer = AnyDatasetWriter::new(BufWriter::new(File::create(out)?), parse_format(args)?);
-    let window = config.generate_stream(batch_size(args)?, &pool, &mut writer)?;
+    let window = config.generate_in(&RunCtx::new(&pool, batch_size(args)?)?, &mut writer)?;
     let (clusters, reads, erasures) = (
         writer.clusters_written(),
         writer.reads_written(),
@@ -342,7 +342,7 @@ fn cmd_profile(args: &Args) -> CliResult {
     );
     // Profiling never clusters, so the counters are zero here — the line
     // documents the active SIMD backend.
-    println!("{}", cluster_kernel_line());
+    println!("{}", cluster_kernel_line(&ClusterStats::default()));
     if let Some(path) = args.get("save") {
         std::fs::write(path, model.to_text())?;
         println!("saved learned model to {path}");
@@ -394,8 +394,8 @@ fn cmd_simulate(args: &Args) -> CliResult {
     let mut writer =
         AnyDatasetWriter::new(BufWriter::new(File::create(out)?), parse_format(args)?);
     let mut source = PrefetchSource::spawn(open_detected(data)?, batch)?;
-    let window =
-        simulator.resimulate_stream(&mut source, &SeedSequence::new(seed), batch, &pool, &mut writer)?;
+    let ctx = RunCtx::new(&pool, batch)?;
+    let window = simulator.resimulate_in(&mut source, &SeedSequence::new(seed), &ctx, &mut writer)?;
     let (clusters, reads) = (writer.clusters_written(), writer.reads_written());
     writer.into_inner()?;
     println!(
@@ -585,13 +585,8 @@ fn cmd_archive(args: &Args) -> CliResult {
         mode,
         ..defaults
     };
-    let (report, window) = archive_round_trip_stream(
-        &data,
-        &config,
-        &mut rng,
-        &thread_pool(args)?,
-        batch_size(args)?,
-    )?;
+    let ctx = RunCtx::new(&thread_pool(args)?, batch_size(args)?)?;
+    let (report, window, cluster_stats) = archive_round_trip_in(&data, &config, &mut rng, &ctx)?;
     println!(
         "decoded {} windows, high-watermark {} clusters, peak {} reads resident",
         window.batches, window.high_watermark, window.peak_resident_reads
@@ -600,7 +595,7 @@ fn cmd_archive(args: &Args) -> CliResult {
     if config.imperfect_clustering {
         // Imperfect clustering ran the greedy pass: surface how much
         // kernel work the error-ball filter and bank tier saved.
-        println!("{}", cluster_kernel_line());
+        println!("{}", cluster_kernel_line(&cluster_stats));
     }
     println!(
         "archived {bytes} bytes as {} strands, sequenced {} reads, parity recoveries: {}, \
@@ -710,7 +705,7 @@ fn cmd_chaos(args: &Args) -> CliResult {
             pool.threads()
         );
     }
-    let report = suite.run_on(&pool);
+    let report = suite.run(&pool);
     if json {
         // Machine-readable: stdout is exactly one JSON object.
         println!("{}", report.to_json());

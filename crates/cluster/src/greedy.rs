@@ -17,17 +17,15 @@
 //!    read advances up to [`MAX_LANES`] representatives at once (AVX2 /
 //!    NEON / scalar, runtime selected).
 //!
-//! Both layers are exact, so `cluster`, `cluster_with_merge`, and
-//! `cluster_against_references` return byte-identical groupings with any
-//! backend and with the prefilter disabled; only the counters in
-//! [`ClusterStats`] differ.
+//! Both layers are exact, so `cluster` and `cluster_against_references`
+//! return byte-identical groupings with any backend and with the
+//! prefilter disabled; only the counters in [`ClusterStats`] (returned
+//! alongside every grouping) differ.
 
-use std::collections::{BTreeMap, HashMap};
+use dnasim_core::{Cluster, Dataset, Strand};
 
-use dnasim_core::{Cluster, Dataset, PackedStrand, Strand};
-
-use crate::stats::{self, ClusterStats};
-use crate::streaming::{evaluate_candidates, AssignScratch, Inline, OnlineState, ReferenceIndex};
+use crate::stats::ClusterStats;
+use crate::streaming::{Inline, OnlineState, ReferenceIndex};
 
 /// Configuration for greedy clustering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,22 +61,14 @@ impl Default for GreedyClusterer {
 
 impl GreedyClusterer {
     /// Groups a pool of reads into clusters, returning read indices per
-    /// cluster.
+    /// cluster and the pass's [`ClusterStats`].
     ///
     /// Single pass: each read joins the first existing cluster whose
     /// representative is within the distance threshold (candidates proposed
     /// by signature band collisions), or founds a new cluster.
-    pub fn cluster(&self, pool: &[Strand]) -> Vec<Vec<usize>> {
-        self.cluster_stats(pool).0
-    }
-
-    /// [`cluster`](GreedyClusterer::cluster) plus the pass's
-    /// [`ClusterStats`] (also folded into the process-wide counters).
-    pub fn cluster_stats(&self, pool: &[Strand]) -> (Vec<Vec<usize>>, ClusterStats) {
+    pub fn cluster(&self, pool: &[Strand]) -> (Vec<Vec<usize>>, ClusterStats) {
         let (clusters, state) = self.cluster_impl(pool, None);
-        let run = state.stats();
-        stats::record(&run);
-        (clusters, run)
+        (clusters, state.stats())
     }
 
     /// The single assignment pass shared by every public entry point.
@@ -110,18 +100,12 @@ impl GreedyClusterer {
 
     /// Clusters a pool and assigns each group to the nearest reference
     /// strand, producing an evaluable [`Dataset`] (references with no
-    /// assigned group become erasures).
+    /// assigned group become erasures) and the combined assignment-pass
+    /// and reference-matching [`ClusterStats`].
     ///
     /// Reads whose group matches no reference within the threshold are
     /// dropped — exactly the data loss imperfect clustering causes.
-    pub fn cluster_against_references(&self, pool: &[Strand], references: &[Strand]) -> Dataset {
-        self.cluster_against_references_stats(pool, references).0
-    }
-
-    /// [`cluster_against_references`](GreedyClusterer::cluster_against_references)
-    /// plus the combined assignment-pass and reference-matching
-    /// [`ClusterStats`].
-    pub fn cluster_against_references_stats(
+    pub fn cluster_against_references(
         &self,
         pool: &[Strand],
         references: &[Strand],
@@ -138,129 +122,12 @@ impl GreedyClusterer {
                 }
             }
         }
-        let run = state.stats();
-        stats::record(&run);
         let dataset = references
             .iter()
             .zip(assigned)
             .map(|(reference, reads)| Cluster::new(reference.clone(), reads))
             .collect();
-        (dataset, run)
-    }
-}
-
-impl GreedyClusterer {
-    /// A second pass over [`cluster`](GreedyClusterer::cluster)'s output
-    /// that merges groups whose representatives are within the distance
-    /// threshold of each other.
-    ///
-    /// Single-pass greedy clustering is order-dependent: a noisy early read
-    /// can found a splinter cluster that later reads of the same strand
-    /// never rejoin. Merging representative-close groups repairs most of
-    /// these splits; candidate pairs come from band-bucket collisions (the
-    /// same `HashMap` discipline as the first pass), so the merge scales
-    /// with collisions rather than groups².
-    pub fn cluster_with_merge(&self, pool: &[Strand]) -> Vec<Vec<usize>> {
-        self.cluster_with_merge_stats(pool).0
-    }
-
-    /// [`cluster_with_merge`](GreedyClusterer::cluster_with_merge) plus
-    /// the combined first-pass and merge-pass [`ClusterStats`].
-    pub fn cluster_with_merge_stats(&self, pool: &[Strand]) -> (Vec<Vec<usize>>, ClusterStats) {
-        let (groups, state) = self.cluster_impl(pool, None);
-        let (reps, mut run) = state.into_parts();
-        if groups.len() <= 1 {
-            stats::record(&run);
-            return (groups, run);
-        }
-
-        // Bucket-driven candidate pairs: two groups can merge only if
-        // their signatures share one of the first `bands` hashes, i.e.
-        // only if they collide in a band bucket. Collecting pairs per
-        // bucket enumerates exactly the pairs `shares_band` would accept
-        // (`max(1)` mirrors its floor), without touching the g² pairs
-        // that share nothing.
-        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (gid, rep) in reps.iter().enumerate() {
-            for &h in rep.sig.hashes().iter().take(self.bands.max(1)) {
-                buckets.entry(h).or_default().push(gid);
-            }
-        }
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for ids in buckets.values() {
-            for (a, &i) in ids.iter().enumerate() {
-                for &j in &ids[a + 1..] {
-                    pairs.push((i.min(j), i.max(j)));
-                }
-            }
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-
-        // Union-find over groups.
-        let mut parent: Vec<usize> = (0..groups.len()).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
-        let mut scratch = AssignScratch::default();
-        let mut results: Vec<Option<usize>> = Vec::new();
-        let mut idx = 0;
-        while idx < pairs.len() {
-            let i = pairs[idx].0;
-            let mut end = idx;
-            while end < pairs.len() && pairs[end].0 == i {
-                end += 1;
-            }
-            // Batch group i's partners into banks. Partners that become
-            // connected to i mid-batch are evaluated anyway; merging an
-            // already-connected pair is a no-op, so the final partition
-            // matches the strictly sequential pair loop.
-            let mut partners: Vec<usize> = Vec::new();
-            if self.prefilter {
-                scratch.qgram.load(&reps[i].profile);
-            }
-            for &(_, j) in &pairs[idx..end] {
-                if find(&mut parent, i) == find(&mut parent, j) {
-                    continue;
-                }
-                run.candidates += 1;
-                if self.prefilter
-                    && scratch.qgram.exceeds(&reps[j].profile, self.distance_threshold)
-                {
-                    run.pruned += 1;
-                    continue;
-                }
-                partners.push(j);
-            }
-            let lanes: Vec<&PackedStrand> = partners.iter().map(|&j| &reps[j].packed).collect();
-            evaluate_candidates(
-                &mut scratch,
-                &lanes,
-                &reps[i].packed,
-                self.distance_threshold,
-                &mut run,
-                &mut results,
-            );
-            for (&j, r) in partners.iter().zip(results.iter()) {
-                if r.is_some() {
-                    let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                    if ri != rj {
-                        parent[ri.max(rj)] = ri.min(rj);
-                    }
-                }
-            }
-            idx = end;
-        }
-        let mut merged: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, group) in groups.into_iter().enumerate() {
-            merged.entry(find(&mut parent, i)).or_default().extend(group);
-        }
-        stats::record(&run);
-        (merged.into_values().collect(), run)
+        (dataset, state.stats())
     }
 }
 
@@ -281,7 +148,7 @@ mod tests {
     fn identical_reads_form_one_cluster() {
         let read: Strand = "ACGTACGTACGTACGTACGT".parse().unwrap();
         let pool = vec![read.clone(), read.clone(), read];
-        let clusters = GreedyClusterer::default().cluster(&pool);
+        let clusters = GreedyClusterer::default().cluster(&pool).0;
         assert_eq!(clusters.len(), 1);
         assert_eq!(clusters[0], vec![0, 1, 2]);
     }
@@ -292,7 +159,7 @@ mod tests {
         let a = Strand::random(60, &mut rng);
         let b = Strand::random(60, &mut rng);
         let pool = vec![a.clone(), b.clone(), a, b];
-        let clusters = GreedyClusterer::default().cluster(&pool);
+        let clusters = GreedyClusterer::default().cluster(&pool).0;
         assert_eq!(clusters.len(), 2);
     }
 
@@ -309,7 +176,7 @@ mod tests {
                 origin.push(i);
             }
         }
-        let clusters = GreedyClusterer::default().cluster(&pool);
+        let clusters = GreedyClusterer::default().cluster(&pool).0;
         // Every cluster should be pure: all members share an origin.
         for group in &clusters {
             let first = origin[group[0]];
@@ -337,7 +204,7 @@ mod tests {
         use dnasim_core::rng::SliceRandom;
         pool.shuffle(&mut rng);
         let dataset =
-            GreedyClusterer::default().cluster_against_references(&pool, &references);
+            GreedyClusterer::default().cluster_against_references(&pool, &references).0;
         assert_eq!(dataset.len(), 6);
         // Most reads should be recovered into their clusters.
         assert!(
@@ -356,7 +223,7 @@ mod tests {
         let references = vec![Strand::random(110, &mut rng)];
         let junk = Strand::random(110, &mut rng);
         let dataset = GreedyClusterer::default()
-            .cluster_against_references(&[junk], &references);
+            .cluster_against_references(&[junk], &references).0;
         assert_eq!(dataset.len(), 1);
         assert_eq!(dataset.total_reads(), 0);
     }
@@ -365,7 +232,7 @@ mod tests {
     fn empty_pool_yields_erasures() {
         let mut rng = seeded(5);
         let references = vec![Strand::random(50, &mut rng)];
-        let dataset = GreedyClusterer::default().cluster_against_references(&[], &references);
+        let dataset = GreedyClusterer::default().cluster_against_references(&[], &references).0;
         assert_eq!(dataset.erasure_count(), 1);
     }
 
@@ -388,67 +255,12 @@ mod tests {
                 pool.push(model.corrupt(r, &mut rng));
             }
         }
-        let (_, run) = GreedyClusterer::default().cluster_stats(&pool);
+        let (_, run) = GreedyClusterer::default().cluster(&pool);
         assert_eq!(run.reads, pool.len());
         assert!(run.candidates >= run.pruned);
         // Every surviving candidate occupies exactly one kernel lane.
         assert_eq!(run.kernel_lanes, run.candidates - run.pruned);
         assert!(run.kernel_calls <= run.kernel_lanes);
-    }
-}
-
-#[cfg(test)]
-mod merge_tests {
-    use super::*;
-    use dnasim_channel::{ErrorModel, NaiveModel};
-    use dnasim_core::rng::seeded;
-
-    #[test]
-    fn merge_repairs_splinter_clusters() {
-        // A clusterer with a tight threshold splinters heavy-noise reads;
-        // the merge pass with the same threshold rejoins groups whose
-        // representatives are mutually close.
-        let mut rng = seeded(10);
-        let model = NaiveModel::with_total_rate(0.08);
-        let references: Vec<Strand> = (0..6).map(|_| Strand::random(110, &mut rng)).collect();
-        let mut pool = Vec::new();
-        for r in &references {
-            for _ in 0..8 {
-                pool.push(model.corrupt(r, &mut rng));
-            }
-        }
-        let clusterer = GreedyClusterer {
-            distance_threshold: 22,
-            ..GreedyClusterer::default()
-        };
-        let single_pass = clusterer.cluster(&pool);
-        let merged = clusterer.cluster_with_merge(&pool);
-        assert!(merged.len() <= single_pass.len());
-        // Every read is still assigned exactly once.
-        let mut seen: Vec<usize> = merged.iter().flatten().copied().collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..pool.len()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn merge_is_identity_when_nothing_overlaps() {
-        let mut rng = seeded(11);
-        let a = Strand::random(80, &mut rng);
-        let b = Strand::random(80, &mut rng);
-        let pool = vec![a.clone(), a, b.clone(), b];
-        let clusterer = GreedyClusterer::default();
-        assert_eq!(
-            clusterer.cluster_with_merge(&pool).len(),
-            clusterer.cluster(&pool).len()
-        );
-    }
-
-    #[test]
-    fn merge_handles_trivial_pools() {
-        let clusterer = GreedyClusterer::default();
-        assert!(clusterer.cluster_with_merge(&[]).is_empty());
-        let one = vec![Strand::random(30, &mut seeded(12))];
-        assert_eq!(clusterer.cluster_with_merge(&one).len(), 1);
     }
 }
 
@@ -492,14 +304,10 @@ mod filter_tests {
             ..GreedyClusterer::default()
         };
         for (pool, references) in pools() {
-            assert_eq!(with.cluster(&pool), without.cluster(&pool));
+            assert_eq!(with.cluster(&pool).0, without.cluster(&pool).0);
             assert_eq!(
-                with.cluster_with_merge(&pool),
-                without.cluster_with_merge(&pool)
-            );
-            assert_eq!(
-                with.cluster_against_references(&pool, &references),
-                without.cluster_against_references(&pool, &references)
+                with.cluster_against_references(&pool, &references).0,
+                without.cluster_against_references(&pool, &references).0
             );
         }
     }
@@ -513,8 +321,8 @@ mod filter_tests {
         };
         let mut pruned_total = 0usize;
         for (pool, _) in pools() {
-            let (_, on) = with.cluster_stats(&pool);
-            let (_, off) = without.cluster_stats(&pool);
+            let (_, on) = with.cluster(&pool);
+            let (_, off) = without.cluster(&pool);
             assert_eq!(off.pruned, 0, "disabled filter must prune nothing");
             assert_eq!(on.candidates, off.candidates, "proposal stage unchanged");
             assert_eq!(
@@ -532,7 +340,7 @@ mod filter_tests {
         let mut rng = seeded(40);
         let references: Vec<Strand> = (0..4).map(|_| Strand::random(90, &mut rng)).collect();
         let (dataset, run) =
-            GreedyClusterer::default().cluster_against_references_stats(&[], &references);
+            GreedyClusterer::default().cluster_against_references(&[], &references);
         assert_eq!(dataset.len(), 4);
         assert_eq!(dataset.erasure_count(), 4);
         assert_eq!(run, ClusterStats::default(), "no reads, no counters");
@@ -543,7 +351,7 @@ mod filter_tests {
         let mut rng = seeded(41);
         let pool: Vec<Strand> = (0..5).map(|_| Strand::random(90, &mut rng)).collect();
         let (dataset, run) =
-            GreedyClusterer::default().cluster_against_references_stats(&pool, &[]);
+            GreedyClusterer::default().cluster_against_references(&pool, &[]);
         assert!(dataset.is_empty());
         assert_eq!(run.reads, 5);
         // Lane accounting must hold even with nothing to match: every
@@ -560,7 +368,7 @@ mod filter_tests {
         let references: Vec<Strand> = (0..6).map(|_| Strand::random(110, &mut rng)).collect();
         let pool: Vec<Strand> = references.clone();
         let (dataset, run) =
-            GreedyClusterer::default().cluster_against_references_stats(&pool, &references);
+            GreedyClusterer::default().cluster_against_references(&pool, &references);
         assert_eq!(dataset.len(), 6);
         assert_eq!(dataset.total_reads(), 6);
         assert_eq!(dataset.erasure_count(), 0);
@@ -577,7 +385,7 @@ mod filter_tests {
         let pool = vec![read.clone(); 12];
         let references = vec![read.clone()];
         let (dataset, run) = GreedyClusterer::default()
-            .cluster_against_references_stats(&pool, &references);
+            .cluster_against_references(&pool, &references);
         assert_eq!(dataset.len(), 1);
         assert_eq!(dataset.total_reads(), 12);
         assert!(dataset.iter().all(|c| c.reads().iter().all(|r| r == &read)));
@@ -607,20 +415,9 @@ mod filter_tests {
             prefilter: false,
             ..GreedyClusterer::default()
         };
-        let (_, run) = clusterer.cluster_against_references_stats(&pool, &references);
+        let (_, run) = clusterer.cluster_against_references(&pool, &references);
         assert_eq!(run.pruned, 0);
         assert_eq!(run.kernel_lanes, run.candidates);
         assert!(run.kernel_calls <= run.kernel_lanes);
-    }
-
-    #[test]
-    fn process_counters_accumulate_across_runs() {
-        let (pool, references) = pools().remove(0);
-        let before = stats::process_cluster_stats();
-        let (_, run) = GreedyClusterer::default()
-            .cluster_against_references_stats(&pool, &references);
-        let after = stats::process_cluster_stats();
-        assert!(after.reads >= before.reads + run.reads);
-        assert!(after.kernel_calls >= before.kernel_calls + run.kernel_calls);
     }
 }

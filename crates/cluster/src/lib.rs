@@ -22,8 +22,8 @@
 //!   batch size and thread count, with optional founding-time reference
 //!   matching for the imperfect archive path;
 //! * [`ClusterStats`] — per-run counters (candidates proposed, pruned by
-//!   the error ball, kernel calls, lanes filled), also accumulated
-//!   process-wide for the CLI's diagnostic line.
+//!   the error ball, kernel calls, lanes filled), returned by value from
+//!   every clustering pass.
 //!
 //! # Examples
 //!
@@ -33,8 +33,9 @@
 //!
 //! let a: Strand = "ACGTACGTACGTACGTACGT".parse()?;
 //! let pool = vec![a.clone(), a.clone(), a];
-//! let clusters = GreedyClusterer::default().cluster(&pool);
+//! let (clusters, stats) = GreedyClusterer::default().cluster(&pool);
 //! assert_eq!(clusters.len(), 1);
+//! assert_eq!(stats.reads, 3);
 //! # Ok::<(), dnasim_core::ParseStrandError>(())
 //! ```
 
@@ -48,5 +49,5 @@ mod streaming;
 
 pub use greedy::{perfect_clustering, GreedyClusterer};
 pub use signature::QGramSignature;
-pub use stats::{process_cluster_stats, reset_process_cluster_stats, ClusterStats};
+pub use stats::ClusterStats;
 pub use streaming::{StreamAssignment, StreamingClusterer};

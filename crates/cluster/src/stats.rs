@@ -1,4 +1,4 @@
-//! Per-run and process-wide counters for the clustering hot path.
+//! Per-run counters for the clustering hot path.
 //!
 //! The multi-pattern kernel tier and the q-gram error-ball prefilter are
 //! pure throughput optimisations — they must never change a cluster — so
@@ -7,16 +7,15 @@
 //! bound discharged without a kernel, and how densely the survivors were
 //! packed into multi-pattern banks.
 //!
-//! Every public clustering entry point returns a [`ClusterStats`] via its
-//! `*_stats` variant and also accumulates the same numbers into
-//! process-wide atomics, which the CLI reads to print its
-//! `cluster kernel:` diagnostic line (e.g. after `dnasim archive
-//! --imperfect`).
+//! Every clustering entry point returns its pass's [`ClusterStats`] by
+//! value: [`GreedyClusterer::cluster`](crate::GreedyClusterer::cluster)
+//! and its reference-matching sibling alongside their groups,
+//! [`StreamingClusterer::finish`](crate::StreamingClusterer::finish) at
+//! the end of a stream. Nothing is accumulated process-wide; the CLI's
+//! `cluster kernel:` line prints the counters the archive round trip
+//! hands back.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Counters from one clustering pass (or, via
-/// [`process_cluster_stats`], accumulated across a whole process).
+/// Counters from one clustering pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClusterStats {
     /// Reads processed by the assignment pass.
@@ -65,42 +64,6 @@ impl ClusterStats {
             self.kernel_lanes as f64 / self.kernel_calls as f64
         }
     }
-}
-
-static READS: AtomicUsize = AtomicUsize::new(0);
-static CANDIDATES: AtomicUsize = AtomicUsize::new(0);
-static PRUNED: AtomicUsize = AtomicUsize::new(0);
-static KERNEL_CALLS: AtomicUsize = AtomicUsize::new(0);
-static KERNEL_LANES: AtomicUsize = AtomicUsize::new(0);
-
-/// Folds one pass's counters into the process-wide totals.
-pub(crate) fn record(stats: &ClusterStats) {
-    READS.fetch_add(stats.reads, Ordering::Relaxed);
-    CANDIDATES.fetch_add(stats.candidates, Ordering::Relaxed);
-    PRUNED.fetch_add(stats.pruned, Ordering::Relaxed);
-    KERNEL_CALLS.fetch_add(stats.kernel_calls, Ordering::Relaxed);
-    KERNEL_LANES.fetch_add(stats.kernel_lanes, Ordering::Relaxed);
-}
-
-/// Snapshot of the counters accumulated by every clustering pass in this
-/// process (what the CLI's diagnostic line prints).
-pub fn process_cluster_stats() -> ClusterStats {
-    ClusterStats {
-        reads: READS.load(Ordering::Relaxed),
-        candidates: CANDIDATES.load(Ordering::Relaxed),
-        pruned: PRUNED.load(Ordering::Relaxed),
-        kernel_calls: KERNEL_CALLS.load(Ordering::Relaxed),
-        kernel_lanes: KERNEL_LANES.load(Ordering::Relaxed),
-    }
-}
-
-/// Resets the process-wide counters (test isolation).
-pub fn reset_process_cluster_stats() {
-    READS.store(0, Ordering::Relaxed);
-    CANDIDATES.store(0, Ordering::Relaxed);
-    PRUNED.store(0, Ordering::Relaxed);
-    KERNEL_CALLS.store(0, Ordering::Relaxed);
-    KERNEL_LANES.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]

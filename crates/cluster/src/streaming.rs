@@ -69,7 +69,7 @@ use dnasim_par::{PoolError, ThreadPool};
 
 use crate::greedy::GreedyClusterer;
 use crate::signature::QGramSignature;
-use crate::stats::{self, ClusterStats};
+use crate::stats::ClusterStats;
 
 /// Reads per private sub-batch of the batch core. Results do not depend
 /// on it (see the module docs); it trades phase 2's serial in-batch
@@ -496,10 +496,6 @@ impl OnlineState {
     pub(crate) fn stats(&self) -> ClusterStats {
         self.run
     }
-
-    pub(crate) fn into_parts(self) -> (Vec<Representative>, ClusterStats) {
-        (self.reps, self.run)
-    }
 }
 
 /// Precomputed reference-side state for nearest-reference matching.
@@ -612,7 +608,7 @@ pub struct StreamAssignment {
 /// representatives stay resident.
 ///
 /// Memberships are byte-identical to [`GreedyClusterer::cluster`] over the
-/// same reads in the same order — both run the same [`OnlineState`]
+/// same reads in the same order — both run the same `OnlineState`
 /// batch core — at any push granularity (per read, per batch, whole
 /// pool) and on any thread count. See the module docs for the exactness
 /// argument.
@@ -732,13 +728,11 @@ impl StreamingClusterer {
         self.state.stats()
     }
 
-    /// Finishes the stream, folding the pass counters into the
-    /// process-wide totals (the same discipline every materialised
-    /// [`GreedyClusterer`] entry point follows) and returning them.
+    /// Finishes the stream, returning the pass counters — the same
+    /// [`ClusterStats`] the materialised [`GreedyClusterer`] passes return
+    /// alongside their groups.
     pub fn finish(self) -> ClusterStats {
-        let (_, run) = self.state.into_parts();
-        stats::record(&run);
-        run
+        self.state.stats()
     }
 }
 
@@ -794,7 +788,7 @@ mod tests {
     #[test]
     fn streaming_matches_materialised_memberships_at_any_batch_size() {
         for (pool, _) in pools() {
-            let expected = GreedyClusterer::default().cluster(&pool);
+            let expected = GreedyClusterer::default().cluster(&pool).0;
             for batch in [1usize, 7, 64, usize::MAX] {
                 let mut stream = StreamingClusterer::new(GreedyClusterer::default());
                 let mut assignments = Vec::new();
@@ -818,7 +812,7 @@ mod tests {
     #[test]
     fn streaming_stats_match_materialised_stats() {
         for (pool, _) in pools() {
-            let (_, run) = GreedyClusterer::default().cluster_stats(&pool);
+            let (_, run) = GreedyClusterer::default().cluster(&pool);
             let mut stream = StreamingClusterer::new(GreedyClusterer::default());
             stream
                 .push_batch(&pool, &workers())
@@ -832,7 +826,7 @@ mod tests {
     fn founding_time_reference_match_equals_post_hoc_pass() {
         for (pool, references) in pools() {
             let expected =
-                GreedyClusterer::default().cluster_against_references(&pool, &references);
+                GreedyClusterer::default().cluster_against_references(&pool, &references).0;
             // Stream the pool read by read, buffering read indices per
             // group to reproduce the post-hoc pass's group-major read
             // order.
@@ -896,7 +890,7 @@ mod tests {
         // so the second empty read finds group 0 in its bucket and joins
         // it (distance 0) — the same behaviour the materialised pass has.
         assert_eq!(memberships(&[a0, a1, a2]), [vec![0, 2], vec![1]]);
-        let expected = GreedyClusterer::default().cluster(&[empty.clone(), one, empty]);
+        let expected = GreedyClusterer::default().cluster(&[empty.clone(), one, empty]).0;
         assert_eq!(memberships(&[a0, a1, a2]), expected);
     }
 }

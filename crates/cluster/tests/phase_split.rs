@@ -256,7 +256,7 @@ fn check(name: &str, pool: &[Strand], references: &[Strand]) {
             }
         }
         // The materialised pass runs the same core.
-        let memberships = config.cluster(pool);
+        let (memberships, _) = config.cluster(pool);
         let mut groups = vec![0; pool.len()];
         for (g, members) in memberships.iter().enumerate() {
             for &read in members {

@@ -14,10 +14,10 @@
 use dnasim_channel::{CoverageModel, ErrorModel};
 use dnasim_core::rng::{SeedSequence, SimRng};
 use dnasim_core::{
-    produce_windows, Base, Budget, Cluster, ClusterSink, Dataset, DnasimError, Strand, WindowStats,
+    produce_windows, Base, Cluster, ClusterSink, Dataset, DnasimError, Strand, WindowStats,
 };
 use dnasim_core::rng::RngExt;
-use dnasim_par::ThreadPool;
+use dnasim_par::{RunCtx, ThreadPool};
 
 /// The error "personality" of a twin dataset: kind mix, terminal skew,
 /// substitution bias and burstiness.
@@ -145,7 +145,7 @@ impl NanoporeTwinConfig {
     /// threading one serial RNG through the whole dataset. Stream
     /// independence means the bytes of cluster `i` do not depend on how
     /// many clusters precede it — so the windowed, parallel
-    /// [`NanoporeTwinConfig::generate_stream`] produces identical bytes.
+    /// [`NanoporeTwinConfig::generate_in`] produces identical bytes.
     pub fn generate(&self) -> Dataset {
         let seq = SeedSequence::new(self.seed);
         let channel = self.channel();
@@ -159,32 +159,48 @@ impl NanoporeTwinConfig {
         Dataset::from_clusters(clusters)
     }
 
-    /// Parallel counterpart of [`NanoporeTwinConfig::generate`]: the
-    /// streaming path ([`NanoporeTwinConfig::generate_stream`]) with one
-    /// window, so the bytes are the same for any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DnasimError::Degraded`] if a worker panicked.
-    pub fn generate_on(&self, pool: &ThreadPool) -> Result<Dataset, DnasimError> {
-        let mut out = Dataset::new();
-        self.generate_stream(usize::MAX, pool, &mut out).map(|_| out)
-    }
-
-    /// Generates the twin in bounded batches of at most `batch_size`
-    /// clusters, pushing each finished batch into `sink` — at no point
-    /// does more than one batch exist in memory.
+    /// Generates the twin in windows of at most `ctx.batch_size()`
+    /// clusters, each fanned out on `ctx.pool()`, pushing every finished
+    /// window into `sink` — at no point does more than one window exist in
+    /// memory.
     ///
     /// Cluster `i` is always generated on [`SeedSequence::fork`]`(i)` of
     /// its global index, so the emitted clusters are byte-identical to
     /// [`NanoporeTwinConfig::generate`] for every batch size and thread
-    /// count.
+    /// count. The budget is charged through [`produce_windows`]: one work
+    /// unit per cluster, admitted before the window fans out, so an
+    /// exhausted budget always cuts the twin at global cluster `limit`,
+    /// after emitting the admitted prefix.
     ///
     /// # Errors
     ///
-    /// [`DnasimError::Config`] for `batch_size == 0`,
+    /// [`DnasimError::DeadlineExceeded`] on exhaustion or cancellation,
     /// [`DnasimError::Degraded`] if a worker panicked, or whatever the
     /// sink reports.
+    pub fn generate_in<K>(&self, ctx: &RunCtx, sink: &mut K) -> Result<WindowStats, DnasimError>
+    where
+        K: ClusterSink + ?Sized,
+    {
+        let seq = SeedSequence::new(self.seed);
+        let channel = self.channel();
+        let coverage = self.coverage_model();
+        let (pool, batch_size, budget) = (ctx.pool(), ctx.batch_size(), ctx.budget());
+        produce_windows(self.cluster_count, sink, batch_size, budget, "generate", |range| {
+            Ok(pool.par_map_len(range.len(), |i| {
+                let index = range.start + i;
+                let mut rng = seq.fork_rng(index as u64);
+                self.generate_cluster(index, &channel, &coverage, &mut rng)
+            })?)
+        })
+    }
+
+    /// [`NanoporeTwinConfig::generate_in`] with an unlimited budget. Kept
+    /// because the benchmark under `perfbench/` calls this signature.
+    ///
+    /// # Errors
+    ///
+    /// [`DnasimError::Config`] for `batch_size == 0`, plus everything
+    /// [`NanoporeTwinConfig::generate_in`] reports.
     pub fn generate_stream<K>(
         &self,
         batch_size: usize,
@@ -194,39 +210,7 @@ impl NanoporeTwinConfig {
     where
         K: ClusterSink + ?Sized,
     {
-        self.generate_stream_budgeted(batch_size, pool, &Budget::unlimited(), sink)
-    }
-
-    /// [`NanoporeTwinConfig::generate_stream`] metered by a [`Budget`]
-    /// through [`produce_windows`]: one work unit per generated cluster,
-    /// admitted before the window fans out, so an exhausted budget always
-    /// cuts the twin at global cluster `limit` — at any batch size or
-    /// thread count — after emitting the admitted prefix.
-    ///
-    /// # Errors
-    ///
-    /// [`DnasimError::DeadlineExceeded`] on exhaustion or cancellation,
-    /// plus everything [`NanoporeTwinConfig::generate_stream`] can report.
-    pub fn generate_stream_budgeted<K>(
-        &self,
-        batch_size: usize,
-        pool: &ThreadPool,
-        budget: &Budget,
-        sink: &mut K,
-    ) -> Result<WindowStats, DnasimError>
-    where
-        K: ClusterSink + ?Sized,
-    {
-        let seq = SeedSequence::new(self.seed);
-        let channel = self.channel();
-        let coverage = self.coverage_model();
-        produce_windows(self.cluster_count, sink, batch_size, budget, "generate", |range| {
-            Ok(pool.par_map_len(range.len(), |i| {
-                let index = range.start + i;
-                let mut rng = seq.fork_rng(index as u64);
-                self.generate_cluster(index, &channel, &coverage, &mut rng)
-            })?)
-        })
+        self.generate_in(&RunCtx::new(pool, batch_size)?, sink)
     }
 
     fn channel(&self) -> GroundTruthChannel {
@@ -528,32 +512,38 @@ mod tests {
     use dnasim_metrics::levenshtein;
 
     #[test]
-    fn generate_on_matches_generate_for_any_thread_count() {
+    fn generate_in_matches_generate_for_any_thread_count() {
         let mut config = NanoporeTwinConfig::small();
         config.cluster_count = 40;
         let serial = config.generate();
         for threads in [1, 2, 4, 8] {
-            let par = config.generate_on(&ThreadPool::new(threads)).unwrap();
+            let mut par = Dataset::new();
+            let ctx = RunCtx::new(&ThreadPool::new(threads), usize::MAX).unwrap();
+            config.generate_in(&ctx, &mut par).unwrap();
             assert_eq!(par, serial);
         }
     }
 
     #[test]
-    fn generate_stream_matches_generate_at_any_batch_size() {
+    fn generate_in_matches_generate_at_any_batch_size() {
         let mut config = NanoporeTwinConfig::small();
         config.cluster_count = 30;
         let whole = config.generate();
         for batch_size in [1, 7, 30, usize::MAX] {
             for threads in [1, 4] {
                 let mut streamed = Dataset::new();
-                let stats = config
-                    .generate_stream(batch_size, &ThreadPool::new(threads), &mut streamed)
-                    .unwrap();
+                let ctx = RunCtx::new(&ThreadPool::new(threads), batch_size).unwrap();
+                let stats = config.generate_in(&ctx, &mut streamed).unwrap();
                 assert_eq!(streamed, whole, "batch_size={batch_size} threads={threads}");
                 assert_eq!(stats.clusters, 30);
                 assert!(stats.high_watermark <= batch_size);
             }
         }
+        let mut forwarded = Dataset::new();
+        config
+            .generate_stream(7, &ThreadPool::new(2), &mut forwarded)
+            .unwrap();
+        assert_eq!(forwarded, whole);
     }
 
     #[test]

@@ -193,8 +193,9 @@ impl ChaosReport {
 ///
 /// ```
 /// use dnasim_faults::{ChaosSuite, Verdict};
+/// use dnasim_par::ThreadPool;
 ///
-/// let report = ChaosSuite::new(1).run();
+/// let report = ChaosSuite::new(1).run(&ThreadPool::serial());
 /// assert!(report.is_clean(), "{}", report.summary());
 /// assert!(report
 ///     .outcomes()
@@ -241,23 +242,18 @@ impl ChaosSuite {
         FaultKind::ALL.len() * self.seeds_per_fault as usize
     }
 
-    /// Runs the sweep. Panics raised by faulty stages are caught and
-    /// recorded as [`Verdict::Panicked`]; the default panic hook is
-    /// silenced for the duration so expected-to-be-absent backtraces don't
-    /// flood the output of a failing run.
-    pub fn run(&self) -> ChaosReport {
-        self.run_on(&ThreadPool::serial())
-    }
-
-    /// Runs the sweep with cases fanned out on `pool`.
+    /// Runs the sweep with cases fanned out on `pool`. Panics raised by
+    /// faulty stages are caught and recorded as [`Verdict::Panicked`]; the
+    /// default panic hook is silenced for the duration so
+    /// expected-to-be-absent backtraces don't flood the output of a
+    /// failing run.
     ///
     /// Each case's seed depends only on its grid position and the report
-    /// keeps grid order, so the verdicts are identical to
-    /// [`ChaosSuite::run`] for any thread count. Worker panics cannot
-    /// happen in practice — [`run_case`] already wraps every case in
-    /// `catch_unwind` — but if the pool reports one anyway the grid is
-    /// re-run serially, keeping this method infallible.
-    pub fn run_on(&self, pool: &ThreadPool) -> ChaosReport {
+    /// keeps grid order, so the verdicts are identical for any thread
+    /// count. Worker panics cannot happen in practice — `run_case` already
+    /// wraps every case in `catch_unwind` — but if the pool reports one
+    /// anyway the grid is re-run serially, keeping this method infallible.
+    pub fn run(&self, pool: &ThreadPool) -> ChaosReport {
         let previous_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let grid: Vec<(FaultKind, u64)> = FaultKind::ALL
@@ -520,7 +516,7 @@ mod tests {
 
     #[test]
     fn single_seed_grid_is_panic_free() {
-        let report = ChaosSuite::new(1).run();
+        let report = ChaosSuite::new(1).run(&ThreadPool::serial());
         assert_eq!(report.cases(), FaultKind::ALL.len());
         assert!(report.is_clean(), "{}", report.summary());
     }
@@ -528,9 +524,9 @@ mod tests {
     #[test]
     fn parallel_sweep_matches_serial() {
         let suite = ChaosSuite::new(2);
-        let serial = suite.run();
+        let serial = suite.run(&ThreadPool::serial());
         for threads in [2, 4] {
-            let par = suite.run_on(&ThreadPool::new(threads));
+            let par = suite.run(&ThreadPool::new(threads));
             assert_eq!(par, serial);
         }
     }
@@ -559,7 +555,7 @@ mod tests {
 
     #[test]
     fn summary_counts_every_case() {
-        let report = ChaosSuite::smoke().run();
+        let report = ChaosSuite::smoke().run(&ThreadPool::serial());
         let summary = report.summary();
         assert!(summary.contains(&format!("{} cases", report.cases())), "{summary}");
     }
@@ -596,9 +592,9 @@ mod tests {
 
     #[test]
     fn json_summary_is_deterministic_and_counts_match() {
-        let report = ChaosSuite::smoke().run();
+        let report = ChaosSuite::smoke().run(&ThreadPool::serial());
         let json = report.to_json();
-        assert_eq!(json, ChaosSuite::smoke().run().to_json());
+        assert_eq!(json, ChaosSuite::smoke().run(&ThreadPool::serial()).to_json());
         assert!(json.starts_with(&format!("{{\"cases\":{}", report.cases())), "{json}");
         assert!(json.contains("\"clean\":true"), "{json}");
         assert!(json.contains("\"stalled-source\":{\"cases\":2,\"panicked\":0}"), "{json}");

@@ -22,8 +22,9 @@
 //!
 //! ```
 //! use dnasim_faults::ChaosSuite;
+//! use dnasim_par::ThreadPool;
 //!
-//! let report = ChaosSuite::smoke().run();
+//! let report = ChaosSuite::smoke().run(&ThreadPool::serial());
 //! assert!(report.is_clean(), "{}", report.summary());
 //! ```
 

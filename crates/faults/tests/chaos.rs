@@ -6,6 +6,7 @@
 //! by `scripts/verify.sh`).
 
 use dnasim_faults::{ChaosSuite, FaultKind, Verdict};
+use dnasim_par::ThreadPool;
 
 fn suite() -> ChaosSuite {
     ChaosSuite::from_env()
@@ -14,7 +15,7 @@ fn suite() -> ChaosSuite {
 #[test]
 fn chaos_grid_is_panic_free() {
     let picked = suite();
-    let report = picked.run();
+    let report = picked.run(&ThreadPool::serial());
     if picked == ChaosSuite::full() {
         assert!(
             report.cases() >= 200,
@@ -27,7 +28,7 @@ fn chaos_grid_is_panic_free() {
 
 #[test]
 fn every_fault_kind_is_exercised() {
-    let report = suite().run();
+    let report = suite().run(&ThreadPool::serial());
     for fault in FaultKind::ALL {
         assert!(
             report.outcomes().iter().any(|o| o.fault == fault),
@@ -39,7 +40,7 @@ fn every_fault_kind_is_exercised() {
 
 #[test]
 fn hostile_model_parameters_always_yield_typed_errors() {
-    let report = suite().run();
+    let report = suite().run(&ThreadPool::serial());
     let model_faults = [
         FaultKind::NanModelParam,
         FaultKind::InfModelParam,
@@ -61,7 +62,7 @@ fn hostile_model_parameters_always_yield_typed_errors() {
 
 #[test]
 fn zero_coverage_faults_are_quarantined_not_fatal() {
-    let report = suite().run();
+    let report = suite().run(&ThreadPool::serial());
     let quarantine_cases: Vec<_> = report
         .outcomes()
         .iter()

@@ -51,7 +51,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use dnasim_core::{Budget, DnasimError};
+use dnasim_core::{checked_batch_size, Budget, DnasimError};
 
 /// Environment variable overriding the default worker count
 /// ([`ThreadPool::from_env`]). `0`, empty, or unparsable values fall back
@@ -244,6 +244,76 @@ impl Default for ThreadPool {
     }
 }
 
+/// How one stage call runs: the pool it fans out on, the most clusters
+/// it holds per window, and the budget that meters it.
+///
+/// Every fan-out stage has one entry point taking a `&RunCtx` (`*_in`).
+/// The batch size is validated once, here, so a stage never sees `0`.
+/// Output never depends on any of the three: only the window gauges and
+/// the point where a budget runs dry do.
+///
+/// ```
+/// use dnasim_core::Budget;
+/// use dnasim_par::{RunCtx, ThreadPool};
+///
+/// let ctx = RunCtx::new(&ThreadPool::new(2), 64)?.with_budget(Budget::limited(100));
+/// assert_eq!((ctx.pool().threads(), ctx.batch_size()), (2, 64));
+/// assert!(RunCtx::new(&ThreadPool::serial(), 0).is_err());
+/// # Ok::<(), dnasim_core::DnasimError>(())
+/// ```
+#[derive(Debug)]
+pub struct RunCtx {
+    pool: ThreadPool,
+    batch_size: usize,
+    budget: Budget,
+}
+
+impl RunCtx {
+    /// A context fanning out on `pool` in windows of at most
+    /// `batch_size` clusters, with an unlimited budget.
+    ///
+    /// # Errors
+    ///
+    /// [`DnasimError::Config`] for `batch_size == 0`.
+    pub fn new(pool: &ThreadPool, batch_size: usize) -> Result<RunCtx, DnasimError> {
+        Ok(RunCtx {
+            pool: *pool,
+            batch_size: checked_batch_size(batch_size)?,
+            budget: Budget::unlimited(),
+        })
+    }
+
+    /// One thread, one window, no budget: the baseline every other
+    /// context must match byte for byte.
+    pub fn serial() -> RunCtx {
+        RunCtx {
+            pool: ThreadPool::serial(),
+            batch_size: usize::MAX,
+            budget: Budget::unlimited(),
+        }
+    }
+
+    /// Meters the run by `budget`.
+    pub fn with_budget(self, budget: Budget) -> RunCtx {
+        RunCtx { budget, ..self }
+    }
+
+    /// The pool stages fan out on.
+    pub fn pool(&self) -> &ThreadPool {
+        &self.pool
+    }
+
+    /// The most clusters one window holds (at least 1).
+    pub fn batch_size(&self) -> usize {
+        self.batch_size
+    }
+
+    /// The budget stages charge.
+    pub fn budget(&self) -> &Budget {
+        &self.budget
+    }
+}
+
 /// The inline (single-worker) execution path. Panic semantics match the
 /// threaded path: the first panicking item aborts the region with a
 /// [`PoolError`].
@@ -410,6 +480,30 @@ mod tests {
     use super::*;
     use dnasim_core::rng::SeedSequence;
     use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn run_ctx_rejects_a_zero_batch_at_construction() {
+        let err = RunCtx::new(&ThreadPool::new(2), 0).unwrap_err();
+        assert!(matches!(err, DnasimError::Config { .. }), "{err:?}");
+        assert_eq!(
+            err.to_string(),
+            DnasimError::config("batch_size", "streaming batch size must be at least 1")
+                .to_string()
+        );
+        let ctx = RunCtx::new(&ThreadPool::new(3), 7).expect("valid");
+        assert_eq!((ctx.pool().threads(), ctx.batch_size()), (3, 7));
+    }
+
+    #[test]
+    fn serial_run_ctx_is_one_thread_one_window_and_unlimited() {
+        let ctx = RunCtx::serial();
+        assert_eq!(ctx.pool().threads(), 1);
+        assert_eq!(ctx.batch_size(), usize::MAX);
+        assert_eq!(ctx.budget().limit(), u64::MAX);
+        let metered = ctx.with_budget(Budget::limited(5));
+        assert_eq!(metered.budget().limit(), 5);
+        assert_eq!(metered.pool().threads(), 1);
+    }
 
     #[test]
     fn map_matches_serial_iteration() {

@@ -17,14 +17,12 @@ use std::fmt;
 
 use dnasim_channel::stages::{DecayStage, PcrStage, SequencingStage, SynthesisStage};
 use dnasim_channel::NaiveModel;
-use dnasim_cluster::{GreedyClusterer, StreamingClusterer};
+use dnasim_cluster::{ClusterStats, GreedyClusterer, StreamingClusterer};
 use dnasim_codec::{LayoutError, OuterRsCode, RecoveryOutcome, RsError, StrandLayout, XorParity};
 use dnasim_core::rng::{RngExt, SeedSequence, SimRng};
-use dnasim_core::{
-    checked_batch_size, resident_reads, Budget, Cluster, DnasimError, Strand, WindowStats,
-};
+use dnasim_core::{resident_reads, Cluster, DnasimError, Strand, WindowStats};
 use dnasim_dataset::GroundTruthChannel;
-use dnasim_par::{PoolError, ThreadPool};
+use dnasim_par::{PoolError, RunCtx, ThreadPool};
 use dnasim_reconstruct::{
     BmaLookahead, Iterative, MajorityVote, TraceReconstructor, TwoWayIterative,
 };
@@ -378,35 +376,14 @@ pub fn archive_round_trip(
     config: &ArchiveConfig,
     rng: &mut SimRng,
 ) -> Result<ArchiveReport, ArchiveError> {
-    archive_round_trip_on(data, config, rng, &ThreadPool::serial())
+    archive_round_trip_windowed(data, config, rng, &RunCtx::serial()).map(|(report, ..)| report)
 }
 
-/// [`archive_round_trip`] with its per-group work fanned out on `workers`.
-///
-/// Three stages run on the pool. Each strand group's channel output is
-/// generated from an RNG forked by group index. The clustering pass runs
-/// the online clusterer's exact batch core, whose assignments do not
-/// depend on the thread count. Reconstruct-and-decode is pure per
-/// cluster, and decoded strands are merged into their slots in cluster
-/// order. The report is therefore byte-identical to [`archive_round_trip`]
-/// for any thread count.
-///
-/// # Errors
-///
-/// Everything [`archive_round_trip`] returns, plus [`ArchiveError::Worker`]
-/// if a pool worker panicked.
-pub fn archive_round_trip_on(
-    data: &[u8],
-    config: &ArchiveConfig,
-    rng: &mut SimRng,
-    workers: &ThreadPool,
-) -> Result<ArchiveReport, ArchiveError> {
-    archive_round_trip_windowed(data, config, rng, workers, usize::MAX, &Budget::unlimited())
-        .map(|(report, _)| report)
-}
-
-/// [`archive_round_trip_on`] run window by window, with at most
-/// `batch_size` strand groups' molecules or clusters in flight.
+/// [`archive_round_trip`] run window by window on `ctx.pool()`, with at
+/// most `ctx.batch_size()` strand groups' molecules or clusters in flight,
+/// metered by `ctx.budget()`. Returns the report, the window gauges and
+/// the clustering counters (all zero unless the config clusters
+/// imperfectly).
 ///
 /// The molecule pool never exists as a whole. Each strand group's
 /// synthesis → decay → PCR pool is regenerated on demand from an RNG
@@ -415,17 +392,47 @@ pub fn archive_round_trip_on(
 /// the sequenced reads are then regenerated per group. Perfect clustering
 /// decodes each window as it is sequenced. Imperfect clustering makes two
 /// more passes: a clustering pass streams the reads through the online
-/// clusterer and keeps only each read's reference index, and a routing
-/// pass regenerates the reads and decodes each reference as soon as its
-/// last read arrives. The report is byte-identical to
-/// [`archive_round_trip_on`] for every batch size and thread count; the
-/// returned [`WindowStats`] exposes the high-watermarks for tests to
-/// audit.
+/// clusterer's exact batch core (assignments do not depend on the thread
+/// count) and keeps only each read's reference index, and a routing pass
+/// regenerates the reads and decodes each reference as soon as its last
+/// read arrives. Decoding is pure per cluster and merges into the strand
+/// slots in cluster order, so the report is byte-identical to
+/// [`archive_round_trip`] for every batch size and thread count.
+///
+/// The budget is charged one work unit per decode attempt (the expensive
+/// stage), admitted in the serial window loop. Budget *exhaustion* does
+/// not abort the round trip — the archive layer already has a vocabulary
+/// for partial results, so undecoded clusters are quarantined as erasures
+/// and handed to the outer code, exactly as if the channel had destroyed
+/// them: within the redundancy budget the payload still comes back
+/// intact; beyond it, lenient mode reports degradation and strict mode
+/// fails with the existing `Unrecoverable` error. Cancellation, by
+/// contrast, returns [`DnasimError::DeadlineExceeded`] at the next window
+/// boundary. Both cut points are deterministic at any batch size or
+/// thread count.
+///
+/// # Errors
+///
+/// [`DnasimError::DeadlineExceeded`] on cancellation, plus everything
+/// [`archive_round_trip`] reports (converted into [`DnasimError`]),
+/// including a worker panic.
+pub fn archive_round_trip_in(
+    data: &[u8],
+    config: &ArchiveConfig,
+    rng: &mut SimRng,
+    ctx: &RunCtx,
+) -> Result<(ArchiveReport, WindowStats, ClusterStats), DnasimError> {
+    archive_round_trip_windowed(data, config, rng, ctx).map_err(DnasimError::from)
+}
+
+/// [`archive_round_trip_in`] with an unlimited budget, without the
+/// clustering counters. Kept because the benchmark under `perfbench/`
+/// calls this signature.
 ///
 /// # Errors
 ///
 /// [`DnasimError::Config`] for `batch_size == 0`, plus everything
-/// [`archive_round_trip_on`] reports (converted into [`DnasimError`]).
+/// [`archive_round_trip_in`] reports.
 pub fn archive_round_trip_stream(
     data: &[u8],
     config: &ArchiveConfig,
@@ -433,48 +440,17 @@ pub fn archive_round_trip_stream(
     workers: &ThreadPool,
     batch_size: usize,
 ) -> Result<(ArchiveReport, WindowStats), DnasimError> {
-    archive_round_trip_stream_budgeted(data, config, rng, workers, batch_size, &Budget::unlimited())
-}
-
-/// [`archive_round_trip_stream`] metered by a [`Budget`]: one work unit
-/// per decode attempt (the expensive stage), admitted in the serial
-/// window loop.
-///
-/// Budget *exhaustion* does not abort the round trip — the archive layer
-/// already has a vocabulary for partial results, so undecoded clusters
-/// are quarantined as erasures and handed to the outer code, exactly as
-/// if the channel had destroyed them: within the redundancy budget the
-/// payload still comes back intact; beyond it, lenient mode reports
-/// degradation and strict mode fails with the existing `Unrecoverable`
-/// error. Cancellation, by contrast, returns
-/// [`DnasimError::DeadlineExceeded`] at the next window boundary. Both
-/// cut points are deterministic at any batch size or thread count.
-///
-/// # Errors
-///
-/// [`DnasimError::DeadlineExceeded`] on cancellation, plus everything
-/// [`archive_round_trip_stream`] reports.
-pub fn archive_round_trip_stream_budgeted(
-    data: &[u8],
-    config: &ArchiveConfig,
-    rng: &mut SimRng,
-    workers: &ThreadPool,
-    batch_size: usize,
-    budget: &Budget,
-) -> Result<(ArchiveReport, WindowStats), DnasimError> {
-    checked_batch_size(batch_size)?;
-    archive_round_trip_windowed(data, config, rng, workers, batch_size, budget)
-        .map_err(DnasimError::from)
+    let ctx = RunCtx::new(workers, batch_size)?;
+    archive_round_trip_in(data, config, rng, &ctx).map(|(report, window, _)| (report, window))
 }
 
 fn archive_round_trip_windowed(
     data: &[u8],
     config: &ArchiveConfig,
     rng: &mut SimRng,
-    workers: &ThreadPool,
-    batch_size: usize,
-    budget: &Budget,
-) -> Result<(ArchiveReport, WindowStats), ArchiveError> {
+    ctx: &RunCtx,
+) -> Result<(ArchiveReport, WindowStats, ClusterStats), ArchiveError> {
+    let (workers, budget) = (ctx.pool(), ctx.budget());
     // --- Encode: chunk → erasure-protect → RS payload strands. ---
     let layout = StrandLayout::new(config.rs_codeword_len, config.rs_data_len, rng)
         .map_err(ArchiveError::Layout)?;
@@ -523,7 +499,7 @@ fn archive_round_trip_windowed(
         pcr.run(&pool, &mut grng)
     };
     let refs_len = references.len();
-    let window_len = batch_size.min(refs_len.max(1));
+    let window_len = ctx.batch_size().min(refs_len.max(1));
 
     // Weights pass: per-group total abundance — O(references) scalars
     // resident, never the molecules themselves. The global read budget is
@@ -575,7 +551,7 @@ fn archive_round_trip_windowed(
             Ok(admitted == clusters.len())
         };
 
-    let reads_sequenced = if config.imperfect_clustering {
+    let (reads_sequenced, cluster_stats) = if config.imperfect_clustering {
         // Clustering pass: stream the reads (group-major, window by
         // window) through the online clusterer, each window fanned out on
         // the workers. Every group is matched to its reference when it is
@@ -599,7 +575,7 @@ fn archive_round_trip_windowed(
             }
             Ok(true)
         })?;
-        clusterer.finish();
+        let cluster_stats = clusterer.finish();
 
         // Routing pass: regenerate the same reads and route each into its
         // reference's pending buffer; a reference decodes (and frees its
@@ -655,7 +631,7 @@ fn archive_round_trip_windowed(
             drain(&mut ready, &mut pending, &mut resident, 1)?;
         }
         window.peak_resident_reads = window.peak_resident_reads.max(peak_resident);
-        expected.iter().sum()
+        (expected.iter().sum(), cluster_stats)
     } else {
         // Perfect clustering: each reference's cluster is generated and
         // decoded inside one window — sequencing output for a window
@@ -667,7 +643,7 @@ fn archive_round_trip_windowed(
             |g| Cluster::new(references[g].clone(), sample_reads(g)),
             |clusters| decode_window(&clusters, resident_reads(&clusters)),
         )?;
-        read_counts.iter().sum()
+        (read_counts.iter().sum(), ClusterStats::default())
     };
 
     // --- Erasure recovery: quarantined slots become erasures for the
@@ -695,6 +671,7 @@ fn archive_round_trip_windowed(
             strands_unrecovered,
         },
         window,
+        cluster_stats,
     ))
 }
 
@@ -733,13 +710,10 @@ mod tests {
         let serial =
             archive_round_trip(&data, &ArchiveConfig::default(), &mut seeded(31)).unwrap();
         for threads in [2, 4] {
-            let par = archive_round_trip_on(
-                &data,
-                &ArchiveConfig::default(),
-                &mut seeded(31),
-                &ThreadPool::new(threads),
-            )
-            .unwrap();
+            let ctx = RunCtx::new(&ThreadPool::new(threads), usize::MAX).unwrap();
+            let (par, ..) =
+                archive_round_trip_in(&data, &ArchiveConfig::default(), &mut seeded(31), &ctx)
+                    .unwrap();
             assert_eq!(par, serial);
         }
     }
@@ -750,14 +724,10 @@ mod tests {
         let whole =
             archive_round_trip(&data, &ArchiveConfig::default(), &mut seeded(31)).unwrap();
         for batch_size in [1, 4, 32, usize::MAX] {
-            let (streamed, window) = archive_round_trip_stream(
-                &data,
-                &ArchiveConfig::default(),
-                &mut seeded(31),
-                &ThreadPool::new(3),
-                batch_size,
-            )
-            .unwrap();
+            let ctx = RunCtx::new(&ThreadPool::new(3), batch_size).unwrap();
+            let (streamed, window, _) =
+                archive_round_trip_in(&data, &ArchiveConfig::default(), &mut seeded(31), &ctx)
+                    .unwrap();
             assert_eq!(streamed, whole, "batch_size={batch_size}");
             assert!(window.high_watermark <= batch_size);
             assert_eq!(window.clusters, whole.strands_written);

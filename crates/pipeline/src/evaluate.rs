@@ -7,10 +7,10 @@
 
 use dnasim_core::rng::SimRng;
 use dnasim_core::{
-    fold_windows, Batch, Budget, Cluster, ClusterSource, Dataset, DnasimError, Strand, WindowStats,
+    fold_windows, Cluster, ClusterSource, Dataset, DnasimError, Strand, WindowStats,
 };
 use dnasim_metrics::{AccuracyReport, PositionalProfile, ProfileKind};
-use dnasim_par::ThreadPool;
+use dnasim_par::{RunCtx, ThreadPool};
 use dnasim_profile::{edit_script_with, EditScratch, TieBreak};
 use dnasim_reconstruct::TraceReconstructor;
 
@@ -46,78 +46,38 @@ pub fn evaluate_reconstruction<A: TraceReconstructor + ?Sized>(
     )
 }
 
-/// [`evaluate_reconstruction`] on an explicit `pool`, reporting a worker
-/// panic instead of re-running serially. Reconstruction is pure and the
-/// report is folded in cluster order, so the result does not depend on
-/// the thread count.
-///
-/// # Errors
-///
-/// Returns [`DnasimError::Degraded`] if a worker panicked.
-pub fn evaluate_reconstruction_on<A>(
-    dataset: &Dataset,
-    algorithm: &A,
-    pool: &ThreadPool,
-) -> Result<AccuracyReport, DnasimError>
-where
-    A: TraceReconstructor + ?Sized,
-{
-    let estimates = reconstruct_batch(dataset.clusters(), algorithm, pool)?;
-    Ok(accuracy_of(dataset.clusters(), &estimates))
-}
-
-/// Streaming counterpart of [`evaluate_reconstruction`]: pulls clusters
-/// from `source` in bounded batches of at most `batch_size`,
-/// reconstructs each batch on `pool`, and folds the accuracy report in
-/// cluster order — at no point are more than `batch_size` clusters (plus
-/// their estimates) in flight.
+/// [`evaluate_reconstruction`] over a stream: pulls clusters from
+/// `source` in windows of at most `ctx.batch_size()`, reconstructs each
+/// window on `ctx.pool()`, and folds the accuracy report in cluster order
+/// — at no point are more than one window's clusters (plus their
+/// estimates) in flight.
 ///
 /// Reconstruction is pure, so the report is byte-identical to
-/// [`evaluate_reconstruction`] for every batch size and thread count.
+/// [`evaluate_reconstruction`] for every batch size and thread count. The
+/// budget is charged through [`fold_windows`]: one work unit per
+/// reconstructed cluster (an empty batch charges one unit, so a stalled
+/// source trips the deadline instead of spinning), admitted before the
+/// window fans out, so exhaustion cuts the stream at the same global
+/// cluster at any batch size or thread count.
 ///
 /// # Errors
 ///
-/// [`DnasimError::Config`] for `batch_size == 0` or a non-contiguous
-/// source, [`DnasimError::Degraded`] if a worker panicked, or whatever
-/// the source reports.
-pub fn evaluate_reconstruction_stream<S, A>(
+/// [`DnasimError::Config`] for a non-contiguous source,
+/// [`DnasimError::DeadlineExceeded`] on exhaustion or cancellation,
+/// [`DnasimError::Degraded`] if a worker panicked, or whatever the source
+/// reports.
+pub fn evaluate_reconstruction_in<S, A>(
     source: &mut S,
     algorithm: &A,
-    batch_size: usize,
-    pool: &ThreadPool,
-) -> Result<(AccuracyReport, WindowStats), DnasimError>
-where
-    S: ClusterSource + ?Sized,
-    A: TraceReconstructor + ?Sized,
-{
-    evaluate_reconstruction_stream_budgeted(source, algorithm, batch_size, pool, &Budget::unlimited())
-}
-
-/// [`evaluate_reconstruction_stream`] metered by a [`Budget`]: one work
-/// unit per reconstructed cluster through [`fold_windows`] (an empty
-/// batch charges one unit, so a stalled source trips the deadline instead
-/// of spinning). Admission happens before the window fans out, so
-/// exhaustion cuts the stream at the same global cluster at any batch
-/// size or thread count.
-///
-/// # Errors
-///
-/// [`DnasimError::DeadlineExceeded`] on exhaustion or cancellation, plus
-/// everything [`evaluate_reconstruction_stream`] can report.
-pub fn evaluate_reconstruction_stream_budgeted<S, A>(
-    source: &mut S,
-    algorithm: &A,
-    batch_size: usize,
-    pool: &ThreadPool,
-    budget: &Budget,
+    ctx: &RunCtx,
 ) -> Result<(AccuracyReport, WindowStats), DnasimError>
 where
     S: ClusterSource + ?Sized,
     A: TraceReconstructor + ?Sized,
 {
     let mut report = AccuracyReport::new();
-    let window = fold_windows(source, batch_size, budget, "reconstruct", |batch| {
-        let estimates = reconstruct_batch(batch.clusters(), algorithm, pool)?;
+    let window = fold_windows(source, ctx.batch_size(), ctx.budget(), "reconstruct", |batch| {
+        let estimates = reconstruct_batch(batch.clusters(), algorithm, ctx.pool())?;
         report.merge(&accuracy_of(batch.clusters(), &estimates));
         Ok(())
     })?;
@@ -268,86 +228,6 @@ pub fn pre_reconstruction_profiles(dataset: &Dataset) -> (PositionalProfile, Pos
     (hamming, gestalt)
 }
 
-/// Streaming counterpart of [`post_reconstruction_profiles`]: profiles
-/// accumulate batch-by-batch via [`PositionalProfile::merge`], with
-/// reconstruction fanned out on `pool`.
-///
-/// The profile length is pinned by the first cluster seen (exactly as
-/// [`post_reconstruction_profiles`] pins it with `dataset.strand_len()`),
-/// so overflow clamping — and therefore the counts — match the
-/// whole-dataset profiles for every batch size.
-///
-/// # Errors
-///
-/// [`DnasimError::Config`] for `batch_size == 0` or a non-contiguous
-/// source, [`DnasimError::Degraded`] if a worker panicked, or whatever
-/// the source reports.
-pub fn post_reconstruction_profiles_stream<S, A>(
-    source: &mut S,
-    algorithm: &A,
-    batch_size: usize,
-    pool: &ThreadPool,
-) -> Result<(PositionalProfile, PositionalProfile, WindowStats), DnasimError>
-where
-    S: ClusterSource + ?Sized,
-    A: TraceReconstructor + ?Sized,
-{
-    let mut hamming = PositionalProfile::new(ProfileKind::Hamming, 0);
-    let mut gestalt = PositionalProfile::new(ProfileKind::GestaltAligned, 0);
-    let mut len: Option<usize> = None;
-    let window = fold_windows(source, batch_size, &Budget::unlimited(), "profile", |batch| {
-        let len = *len.get_or_insert_with(|| first_reference_len(&batch));
-        let estimates = reconstruct_batch(batch.clusters(), algorithm, pool)?;
-        let (batch_hamming, batch_gestalt) = profiles_of(len, batch.clusters(), &estimates);
-        hamming.merge(&batch_hamming);
-        gestalt.merge(&batch_gestalt);
-        Ok(())
-    })?;
-    Ok((hamming, gestalt, window))
-}
-
-/// The profile length a stream pins: its first cluster's reference
-/// length, exactly as the whole-dataset functions pin it with
-/// `dataset.strand_len()`.
-fn first_reference_len(batch: &Batch) -> usize {
-    batch.clusters().first().map_or(0, |c| c.reference().len())
-}
-
-/// Streaming counterpart of [`pre_reconstruction_profiles`]: compares
-/// every raw read against its reference, one bounded batch at a time,
-/// merging per-batch profiles into the totals.
-///
-/// # Errors
-///
-/// [`DnasimError::Config`] for `batch_size == 0` or a non-contiguous
-/// source, or whatever the source reports.
-pub fn pre_reconstruction_profiles_stream<S>(
-    source: &mut S,
-    batch_size: usize,
-) -> Result<(PositionalProfile, PositionalProfile, WindowStats), DnasimError>
-where
-    S: ClusterSource + ?Sized,
-{
-    let mut hamming = PositionalProfile::new(ProfileKind::Hamming, 0);
-    let mut gestalt = PositionalProfile::new(ProfileKind::GestaltAligned, 0);
-    let mut len: Option<usize> = None;
-    let window = fold_windows(source, batch_size, &Budget::unlimited(), "profile", |batch| {
-        let len = *len.get_or_insert_with(|| first_reference_len(&batch));
-        let mut batch_hamming = PositionalProfile::new(ProfileKind::Hamming, len);
-        let mut batch_gestalt = PositionalProfile::new(ProfileKind::GestaltAligned, len);
-        for cluster in batch.clusters() {
-            for read in cluster.reads() {
-                batch_hamming.record(cluster.reference(), read);
-                batch_gestalt.record(cluster.reference(), read);
-            }
-        }
-        hamming.merge(&batch_hamming);
-        gestalt.merge(&batch_gestalt);
-        Ok(())
-    })?;
-    Ok((hamming, gestalt, window))
-}
-
 /// The §3.2 fixed-coverage protocol: keep only clusters with coverage ≥
 /// `min_coverage`, then truncate every cluster to its first
 /// `target_coverage` reads — so coverage `i` and `i + 1` differ only in the
@@ -420,6 +300,17 @@ mod tests {
         ds
     }
 
+    /// [`evaluate_reconstruction_in`] over a whole dataset.
+    fn evaluated<A: TraceReconstructor + ?Sized>(
+        ds: &Dataset,
+        algorithm: &A,
+        pool: &ThreadPool,
+        batch_size: usize,
+    ) -> Result<AccuracyReport, DnasimError> {
+        let ctx = RunCtx::new(pool, batch_size)?;
+        Ok(evaluate_reconstruction_in(&mut ds.stream(), algorithm, &ctx)?.0)
+    }
+
     /// The serial oracle: a fold over the private serial loop.
     fn serial_report<A: TraceReconstructor>(ds: &Dataset, algorithm: &A) -> AccuracyReport {
         accuracy_of(ds.clusters(), &reconstruct_serial(ds.clusters(), algorithm))
@@ -451,10 +342,7 @@ mod tests {
                 assert_eq!(profiles_of(len, ds.clusters(), &estimates), profiles);
                 let pooled = residual_deletion_share(ds.clusters(), &estimates, &mut seeded(3));
                 assert_eq!(pooled.to_bits(), share.to_bits(), "threads={threads}");
-                assert_eq!(
-                    evaluate_reconstruction_on(&ds, algorithm, &pool).unwrap(),
-                    report
-                );
+                assert_eq!(evaluated(&ds, algorithm, &pool, usize::MAX).unwrap(), report);
             }
         }
     }
@@ -489,7 +377,7 @@ mod tests {
     fn panicking_reconstructor_is_a_typed_error_on_an_explicit_pool() {
         let ds = clean_dataset(4, 2, 10);
         for threads in [1, 2] {
-            assert!(evaluate_reconstruction_on(&ds, &Panicking, &ThreadPool::new(threads)).is_err());
+            assert!(evaluated(&ds, &Panicking, &ThreadPool::new(threads), usize::MAX).is_err());
         }
     }
 
@@ -499,8 +387,7 @@ mod tests {
         ds.push(Cluster::erasure(Strand::random(20, &mut seeded(9))));
         let serial = serial_report(&ds, &MajorityVote);
         for threads in [1, 2, 4] {
-            let par = evaluate_reconstruction_on(&ds, &MajorityVote, &ThreadPool::new(threads))
-                .unwrap();
+            let par = evaluated(&ds, &MajorityVote, &ThreadPool::new(threads), usize::MAX).unwrap();
             assert_eq!(par, serial);
         }
     }
@@ -512,58 +399,14 @@ mod tests {
         let whole = evaluate_reconstruction(&ds, &MajorityVote);
         for batch_size in [1, 3, 5, usize::MAX] {
             for threads in [1, 4] {
-                let (report, window) = evaluate_reconstruction_stream(
-                    &mut ds.stream(),
-                    &MajorityVote,
-                    batch_size,
-                    &ThreadPool::new(threads),
-                )
-                .unwrap();
+                let ctx = RunCtx::new(&ThreadPool::new(threads), batch_size).unwrap();
+                let (report, window) =
+                    evaluate_reconstruction_in(&mut ds.stream(), &MajorityVote, &ctx).unwrap();
                 assert_eq!(report, whole, "batch_size={batch_size} threads={threads}");
                 assert_eq!(window.clusters, ds.len());
                 assert!(window.high_watermark <= batch_size);
             }
         }
-    }
-
-    #[test]
-    fn streaming_profiles_match_in_memory() {
-        let mut rng = seeded(5);
-        let mut ds = Dataset::new();
-        for _ in 0..6 {
-            let r = Strand::random(20, &mut rng);
-            let reads = (0..3).map(|_| Strand::random(19, &mut rng)).collect();
-            ds.push(Cluster::new(r, reads));
-        }
-        let (post_h, post_g) = post_reconstruction_profiles(&ds, &MajorityVote);
-        let (pre_h, pre_g) = pre_reconstruction_profiles(&ds);
-        for batch_size in [1, 2, 4, usize::MAX] {
-            let (h, g, _) = post_reconstruction_profiles_stream(
-                &mut ds.stream(),
-                &MajorityVote,
-                batch_size,
-                &ThreadPool::serial(),
-            )
-            .unwrap();
-            assert_eq!(h, post_h, "post hamming batch_size={batch_size}");
-            assert_eq!(g, post_g, "post gestalt batch_size={batch_size}");
-            let (h, g, _) =
-                pre_reconstruction_profiles_stream(&mut ds.stream(), batch_size).unwrap();
-            assert_eq!(h, pre_h, "pre hamming batch_size={batch_size}");
-            assert_eq!(g, pre_g, "pre gestalt batch_size={batch_size}");
-        }
-    }
-
-    #[test]
-    fn streaming_evaluation_rejects_zero_batch() {
-        let ds = clean_dataset(2, 2, 10);
-        assert!(evaluate_reconstruction_stream(
-            &mut ds.stream(),
-            &MajorityVote,
-            0,
-            &ThreadPool::serial()
-        )
-        .is_err());
     }
 
     #[test]

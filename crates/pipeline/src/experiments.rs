@@ -13,7 +13,7 @@ use dnasim_core::{
     Batch, Cluster, ClusterSink, Dataset, DnasimError, EditOp, Strand, WindowStats,
 };
 use dnasim_metrics::PositionalProfile;
-use dnasim_par::ThreadPool;
+use dnasim_par::{RunCtx, ThreadPool};
 use dnasim_profile::{EditScratch, ErrorStats, LearnedModel, TieBreak};
 use dnasim_reconstruct::{
     BmaLookahead, DividerBma, Iterative, MsaReconstructor, TraceReconstructor, TwoWayIterative,
@@ -105,8 +105,9 @@ impl Experiments {
             scratch: EditScratch::new(),
             seen: 0,
         };
-        let pool = ThreadPool::from_env();
-        let generation = match config.generate_stream(GENERATE_BATCH, &pool, &mut tee) {
+        let generated = RunCtx::new(&ThreadPool::from_env(), GENERATE_BATCH)
+            .and_then(|ctx| config.generate_in(&ctx, &mut tee));
+        let generation = match generated {
             Ok(stats) => stats,
             Err(_) => {
                 // A worker died mid-stream: fall back to the serial

@@ -11,7 +11,7 @@
 //! Accuracy-after-reconstruction remains the paper's headline metric;
 //! these closed-form distances are cheap complements for quick iteration.
 
-use dnasim_core::{fold_windows, Budget, ClusterSource, Dataset, DnasimError, EditOp, WindowStats};
+use dnasim_core::{Dataset, EditOp};
 use dnasim_metrics::{chi_square_distance, gestalt_score, normalize_histogram};
 use dnasim_profile::{ErrorStats, TieBreak};
 
@@ -83,12 +83,20 @@ pub fn simulator_fidelity(
     let real_stats = ErrorStats::from_dataset(real, TieBreak::PreferSubstitution, rng);
     let sim_stats = ErrorStats::from_dataset(simulated, TieBreak::PreferSubstitution, rng);
 
+    // Mean gestalt score over (reference, read) pairs.
     let mean_gestalt = |ds: &Dataset| -> f64 {
-        let mut acc = GestaltAccumulator::default();
+        let (mut total, mut count) = (0.0, 0usize);
         for cluster in ds.iter() {
-            acc.record_cluster(cluster);
+            for read in cluster.reads() {
+                total += gestalt_score(cluster.reference().as_bases(), read.as_bases());
+                count += 1;
+            }
         }
-        acc.mean()
+        if count == 0 {
+            1.0
+        } else {
+            total / count as f64
+        }
     };
     report_from_parts(
         &real_stats,
@@ -96,82 +104,6 @@ pub fn simulator_fidelity(
         mean_gestalt(real),
         mean_gestalt(simulated),
     )
-}
-
-/// Streaming counterpart of [`simulator_fidelity`]: pulls the real and
-/// simulated clusters from two [`ClusterSource`]s in bounded batches of
-/// at most `batch_size`, accumulating the error statistics (via
-/// [`ErrorStats::merge`]) and the mean gestalt score incrementally.
-///
-/// The real source drains first, then the simulated one — the same order
-/// [`simulator_fidelity`] profiles the two datasets — so the report is
-/// identical for every batch size.
-///
-/// # Errors
-///
-/// [`DnasimError::Config`] for `batch_size == 0` or a non-contiguous
-/// source, or whatever either source reports.
-pub fn simulator_fidelity_stream<S1, S2>(
-    real: &mut S1,
-    simulated: &mut S2,
-    batch_size: usize,
-    rng: &mut SimRng,
-) -> Result<(FidelityReport, WindowStats), DnasimError>
-where
-    S1: ClusterSource + ?Sized,
-    S2: ClusterSource + ?Sized,
-{
-    let (real_stats, real_gestalt, mut window) = drain_fidelity_inputs(real, batch_size, rng)?;
-    let (sim_stats, sim_gestalt, sim_window) = drain_fidelity_inputs(simulated, batch_size, rng)?;
-    window.absorb(sim_window);
-    Ok((
-        report_from_parts(&real_stats, &sim_stats, real_gestalt, sim_gestalt),
-        window,
-    ))
-}
-
-/// Mean gestalt score over (reference, read) pairs, accumulated one
-/// cluster at a time.
-#[derive(Debug, Default, Clone, Copy)]
-struct GestaltAccumulator {
-    total: f64,
-    count: usize,
-}
-
-impl GestaltAccumulator {
-    fn record_cluster(&mut self, cluster: &dnasim_core::Cluster) {
-        for read in cluster.reads() {
-            self.total += gestalt_score(cluster.reference().as_bases(), read.as_bases());
-            self.count += 1;
-        }
-    }
-
-    fn mean(&self) -> f64 {
-        if self.count == 0 {
-            1.0
-        } else {
-            self.total / self.count as f64
-        }
-    }
-}
-
-fn drain_fidelity_inputs<S: ClusterSource + ?Sized>(
-    source: &mut S,
-    batch_size: usize,
-    rng: &mut SimRng,
-) -> Result<(ErrorStats, f64, WindowStats), DnasimError> {
-    let mut stats = ErrorStats::new();
-    let mut gestalt = GestaltAccumulator::default();
-    let window = fold_windows(source, batch_size, &Budget::unlimited(), "fidelity", |batch| {
-        let mut partial = ErrorStats::new();
-        for cluster in batch.clusters() {
-            partial.record_cluster(cluster, TieBreak::PreferSubstitution, rng);
-            gestalt.record_cluster(cluster);
-        }
-        stats.merge(&partial);
-        Ok(())
-    })?;
-    Ok((stats, gestalt.mean(), window))
 }
 
 fn report_from_parts(
@@ -273,38 +205,6 @@ mod tests {
             skew_report.positional_distance,
             naive_report.positional_distance
         );
-    }
-
-    #[test]
-    fn streaming_fidelity_matches_in_memory() {
-        let real = twin(20);
-        let simulated = {
-            let mut rng = seeded(3);
-            Simulator::new(
-                KeoliyaModel::new(
-                    LearnedModel::from_stats(
-                        &ErrorStats::from_dataset(&real, TieBreak::Random, &mut rng),
-                        10,
-                    ),
-                    SimulatorLayer::Naive,
-                ),
-                CoverageModel::Fixed(0),
-            )
-            .resimulate_matching(&real, &mut rng)
-        };
-        let whole = simulator_fidelity(&real, &simulated, &mut seeded(5));
-        for batch_size in [1, 3, 8, usize::MAX] {
-            let (streamed, window) = simulator_fidelity_stream(
-                &mut real.stream(),
-                &mut simulated.stream(),
-                batch_size,
-                &mut seeded(5),
-            )
-            .unwrap();
-            assert_eq!(streamed, whole, "batch_size={batch_size}");
-            assert_eq!(window.clusters, real.len() + simulated.len());
-            assert!(window.high_watermark <= batch_size);
-        }
     }
 
     #[test]

@@ -15,13 +15,12 @@
 //!   which stores and retrieves through the archive's one encode →
 //!   decode → erasure core.
 //!
-//! Every evaluation entry point has a `_stream` counterpart
-//! ([`evaluate_reconstruction_stream`], [`archive_round_trip_stream`],
-//! [`simulator_fidelity_stream`], the profile functions) that runs
-//! source→batch→pool→sink with a bounded window of clusters and
-//! byte-identical output (DESIGN.md §11). Reconstruction is pure, so every
-//! evaluation, whole-dataset or streamed, is byte-identical at every
-//! thread count (DESIGN.md §20).
+//! Each fan-out stage has one entry point taking a
+//! [`RunCtx`](dnasim_par::RunCtx) — [`evaluate_reconstruction_in`],
+//! [`archive_round_trip_in`] — that runs source→batch→pool→sink with a
+//! bounded window of clusters and byte-identical output (DESIGN.md §11,
+//! §21). Reconstruction is pure, so every evaluation, whole-dataset or
+//! streamed, is byte-identical at every thread count (DESIGN.md §20).
 //!
 //! # Examples
 //!
@@ -47,17 +46,14 @@ mod experiments;
 mod table;
 
 pub use archive::{
-    archive_round_trip, archive_round_trip_on, archive_round_trip_stream,
-    archive_round_trip_stream_budgeted, ArchiveConfig, ArchiveError, ArchiveMode, ArchiveReport,
-    ErasureScheme,
+    archive_round_trip, archive_round_trip_in, archive_round_trip_stream, ArchiveConfig,
+    ArchiveError, ArchiveMode, ArchiveReport, ErasureScheme,
 };
-pub use fidelity::{simulator_fidelity, simulator_fidelity_stream, FidelityReport};
+pub use fidelity::{simulator_fidelity, FidelityReport};
 pub use random_access::{FilePool, PoolConfig, PoolError};
 pub use evaluate::{
-    evaluate_reconstruction, evaluate_reconstruction_on, evaluate_reconstruction_stream,
-    evaluate_reconstruction_stream_budgeted, fixed_coverage_protocol,
-    post_reconstruction_profiles, post_reconstruction_profiles_stream,
-    pre_reconstruction_profiles, pre_reconstruction_profiles_stream,
+    evaluate_reconstruction, evaluate_reconstruction_in, fixed_coverage_protocol,
+    post_reconstruction_profiles, pre_reconstruction_profiles,
 };
 pub use experiments::{cross_dataset_robustness, references_of, Experiments, SensitivityPoint};
 pub use table::{AccuracyCell, Table, TableRow};

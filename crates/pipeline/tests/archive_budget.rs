@@ -9,10 +9,8 @@
 
 use dnasim_core::rng::seeded;
 use dnasim_core::{Budget, CancelToken, DnasimError};
-use dnasim_par::ThreadPool;
-use dnasim_pipeline::{
-    archive_round_trip_stream_budgeted, ArchiveConfig, ArchiveMode, ArchiveReport,
-};
+use dnasim_par::{RunCtx, ThreadPool};
+use dnasim_pipeline::{archive_round_trip_in, ArchiveConfig, ArchiveMode, ArchiveReport};
 
 const BATCHES: [usize; 3] = [1, 7, usize::MAX];
 const THREADS: [usize; 2] = [1, 4];
@@ -32,17 +30,11 @@ fn config(imperfect_clustering: bool) -> ArchiveConfig {
 
 /// One budgeted round trip: the report and the work units it spent.
 fn run(config: &ArchiveConfig, batch_size: usize, threads: usize, limit: u64) -> (ArchiveReport, u64) {
-    let budget = Budget::limited(limit);
-    let (report, _) = archive_round_trip_stream_budgeted(
-        &payload(),
-        config,
-        &mut seeded(17),
-        &ThreadPool::new(threads),
-        batch_size,
-        &budget,
-    )
-    .unwrap();
-    (report, budget.spent())
+    let ctx = RunCtx::new(&ThreadPool::new(threads), batch_size)
+        .unwrap()
+        .with_budget(Budget::limited(limit));
+    let (report, ..) = archive_round_trip_in(&payload(), config, &mut seeded(17), &ctx).unwrap();
+    (report, ctx.budget().spent())
 }
 
 #[test]
@@ -84,16 +76,11 @@ fn cancelled_token_is_a_typed_deadline() {
         for batch_size in BATCHES {
             let token = CancelToken::new();
             token.cancel();
-            let budget = Budget::unlimited().with_token(token);
-            let err = archive_round_trip_stream_budgeted(
-                &payload(),
-                &config(imperfect),
-                &mut seeded(17),
-                &ThreadPool::new(2),
-                batch_size,
-                &budget,
-            )
-            .unwrap_err();
+            let ctx = RunCtx::new(&ThreadPool::new(2), batch_size)
+                .unwrap()
+                .with_budget(Budget::unlimited().with_token(token));
+            let err = archive_round_trip_in(&payload(), &config(imperfect), &mut seeded(17), &ctx)
+                .unwrap_err();
             assert!(
                 matches!(err, DnasimError::DeadlineExceeded { spent: 0, .. }),
                 "imperfect={imperfect} batch={batch_size}: {err:?}"

@@ -4,126 +4,117 @@
 
 use dnasim_channel::{CoverageModel, IdentityModel, Simulator};
 use dnasim_core::rng::{seeded, SeedSequence};
-use dnasim_core::{
-    resident_reads, Batch, ClusterSource, Dataset, DnasimError, Strand, WindowStats,
-};
+use dnasim_core::{resident_reads, Batch, ClusterSource, Dataset, DnasimError, WindowStats};
 use dnasim_dataset::NanoporeTwinConfig;
-use dnasim_par::ThreadPool;
+use dnasim_par::{RunCtx, ThreadPool};
 use dnasim_pipeline::{
-    evaluate_reconstruction_stream, post_reconstruction_profiles_stream,
-    pre_reconstruction_profiles_stream, simulator_fidelity_stream,
+    archive_round_trip_in, archive_round_trip_stream, evaluate_reconstruction_in, ArchiveConfig,
 };
 use dnasim_profile::{ErrorStats, TieBreak};
 use dnasim_reconstruct::MajorityVote;
 
-fn twin(clusters: usize) -> Dataset {
+const TWIN_CLUSTERS: usize = 23;
+
+fn twin_config(clusters: usize) -> NanoporeTwinConfig {
     let mut config = NanoporeTwinConfig::small();
     config.cluster_count = clusters;
-    config.generate()
+    config
+}
+
+fn twin(clusters: usize) -> Dataset {
+    twin_config(clusters).generate()
+}
+
+fn ctx(batch_size: usize) -> RunCtx {
+    RunCtx::new(&ThreadPool::new(2), batch_size).unwrap()
 }
 
 /// The most reads any window of `batch_size` consecutive clusters holds.
-fn largest_window_reads(datasets: &[&Dataset], batch_size: usize) -> usize {
-    datasets
-        .iter()
-        .flat_map(|ds| ds.clusters().chunks(batch_size.min(ds.len().max(1))))
+fn largest_window_reads(dataset: &Dataset, batch_size: usize) -> usize {
+    dataset
+        .clusters()
+        .chunks(batch_size.min(dataset.len().max(1)))
         .map(resident_reads)
         .max()
         .unwrap_or(0)
 }
 
-type Stage = fn(&Dataset, &Dataset, usize) -> WindowStats;
+/// One `_in` entry run over the twin at one batch size: its window
+/// gauges, and the reads its largest window must have held (`None` where
+/// the stage's windows are not a slice of the twin).
+type Stage = fn(&Dataset, usize) -> (WindowStats, Option<usize>);
 
-fn simulate(real: &Dataset, _: &Dataset, batch_size: usize) -> WindowStats {
-    let sim = Simulator::new(IdentityModel, CoverageModel::negative_binomial(6.0, 2.0));
+fn simulator() -> Simulator<IdentityModel> {
+    Simulator::new(IdentityModel, CoverageModel::negative_binomial(6.0, 2.0))
+}
+
+fn simulate(real: &Dataset, batch_size: usize) -> (WindowStats, Option<usize>) {
+    let references = real.references();
+    let seq = SeedSequence::new(5);
+    let mut produced = Dataset::new();
+    simulator()
+        .simulate_in(&references, &seq, &RunCtx::serial(), &mut produced)
+        .unwrap();
     let mut out = Dataset::new();
-    sim.simulate_stream(
-        &real.references(),
-        &SeedSequence::new(5),
-        batch_size,
-        &ThreadPool::new(2),
-        &mut out,
-    )
-    .unwrap()
+    let window = simulator()
+        .simulate_in(&references, &seq, &ctx(batch_size), &mut out)
+        .unwrap();
+    assert_eq!(out, produced);
+    (window, Some(largest_window_reads(&produced, batch_size)))
 }
 
-fn evaluate(real: &Dataset, _: &Dataset, batch_size: usize) -> WindowStats {
-    evaluate_reconstruction_stream(
-        &mut real.stream(),
-        &MajorityVote,
-        batch_size,
-        &ThreadPool::new(2),
-    )
-    .unwrap()
-    .1
+fn resimulate(real: &Dataset, batch_size: usize) -> (WindowStats, Option<usize>) {
+    let mut out = Dataset::new();
+    let window = Simulator::new(IdentityModel, CoverageModel::Fixed(0))
+        .resimulate_in(&mut real.stream(), &SeedSequence::new(5), &ctx(batch_size), &mut out)
+        .unwrap();
+    (window, Some(largest_window_reads(real, batch_size)))
 }
 
-fn pre_profiles(real: &Dataset, _: &Dataset, batch_size: usize) -> WindowStats {
-    pre_reconstruction_profiles_stream(&mut real.stream(), batch_size)
-        .unwrap()
-        .2
+fn generate(real: &Dataset, batch_size: usize) -> (WindowStats, Option<usize>) {
+    let mut out = Dataset::new();
+    let window = twin_config(real.len())
+        .generate_in(&ctx(batch_size), &mut out)
+        .unwrap();
+    assert_eq!(&out, real);
+    (window, Some(largest_window_reads(real, batch_size)))
 }
 
-fn post_profiles(real: &Dataset, _: &Dataset, batch_size: usize) -> WindowStats {
-    post_reconstruction_profiles_stream(
-        &mut real.stream(),
-        &MajorityVote,
-        batch_size,
-        &ThreadPool::new(2),
-    )
-    .unwrap()
-    .2
+fn evaluate(real: &Dataset, batch_size: usize) -> (WindowStats, Option<usize>) {
+    let (_, window) =
+        evaluate_reconstruction_in(&mut real.stream(), &MajorityVote, &ctx(batch_size)).unwrap();
+    (window, Some(largest_window_reads(real, batch_size)))
 }
 
-fn fidelity(real: &Dataset, simulated: &Dataset, batch_size: usize) -> WindowStats {
-    simulator_fidelity_stream(
-        &mut real.stream(),
-        &mut simulated.stream(),
-        batch_size,
-        &mut seeded(3),
-    )
-    .unwrap()
-    .1
+fn archive(_: &Dataset, batch_size: usize) -> (WindowStats, Option<usize>) {
+    let data: Vec<u8> = (0u8..=255).cycle().take(200).collect();
+    let (report, window, _) =
+        archive_round_trip_in(&data, &ArchiveConfig::default(), &mut seeded(3), &ctx(batch_size))
+            .unwrap();
+    assert!(window.peak_resident_reads <= report.reads_sequenced);
+    (window, None)
 }
 
 #[test]
 fn every_stage_gauges_the_largest_window_it_held() {
-    let real = twin(23);
-    let simulated = twin(17);
-    let references: Vec<Strand> = real.references();
-    let sim = Simulator::new(IdentityModel, CoverageModel::negative_binomial(6.0, 2.0));
-    let produced = sim
-        .simulate_on(&references, &SeedSequence::new(5), &ThreadPool::serial())
-        .unwrap();
-    // (stage, name, datasets whose windows the stage holds)
-    let table: [(Stage, &str, Vec<&Dataset>); 5] = [
-        (simulate, "simulate_stream", vec![&produced]),
-        (evaluate, "evaluate_reconstruction_stream", vec![&real]),
-        (
-            pre_profiles,
-            "pre_reconstruction_profiles_stream",
-            vec![&real],
-        ),
-        (
-            post_profiles,
-            "post_reconstruction_profiles_stream",
-            vec![&real],
-        ),
-        (
-            fidelity,
-            "simulator_fidelity_stream",
-            vec![&real, &simulated],
-        ),
+    let real = twin(TWIN_CLUSTERS);
+    let table: [(Stage, &str); 5] = [
+        (simulate, "Simulator::simulate_in"),
+        (resimulate, "Simulator::resimulate_in"),
+        (generate, "NanoporeTwinConfig::generate_in"),
+        (evaluate, "evaluate_reconstruction_in"),
+        (archive, "archive_round_trip_in"),
     ];
-    for (stage, name, held) in &table {
+    for (stage, name) in table {
         for batch_size in [1, 7, usize::MAX] {
-            let window = stage(&real, &simulated, batch_size);
-            let expected = largest_window_reads(held, batch_size);
-            assert!(expected > 0, "{name}: fixture holds no reads");
-            assert_eq!(
-                window.peak_resident_reads, expected,
-                "{name} at batch {batch_size}"
-            );
+            let (window, expected) = stage(&real, batch_size);
+            assert!(window.peak_resident_reads > 0, "{name}: no reads held");
+            if let Some(expected) = expected {
+                assert_eq!(
+                    window.peak_resident_reads, expected,
+                    "{name} at batch {batch_size}"
+                );
+            }
             assert!(
                 window.high_watermark <= batch_size,
                 "{name} at batch {batch_size}"
@@ -166,28 +157,16 @@ fn every_consumer_stage_rejects_a_non_contiguous_source() {
         cursor: 0,
         gap: 2,
     };
-    let pool = ThreadPool::new(2);
-    let results: [(&str, Result<(), DnasimError>); 6] = [
+    let ctx = ctx(4);
+    let results: [(&str, Result<(), DnasimError>); 3] = [
         (
-            "evaluate_reconstruction_stream",
-            evaluate_reconstruction_stream(&mut gapped(), &MajorityVote, 4, &pool).map(drop),
+            "evaluate_reconstruction_in",
+            evaluate_reconstruction_in(&mut gapped(), &MajorityVote, &ctx).map(drop),
         ),
         (
-            "pre_reconstruction_profiles_stream",
-            pre_reconstruction_profiles_stream(&mut gapped(), 4).map(drop),
-        ),
-        (
-            "post_reconstruction_profiles_stream",
-            post_reconstruction_profiles_stream(&mut gapped(), &MajorityVote, 4, &pool).map(drop),
-        ),
-        (
-            "simulator_fidelity_stream (real side)",
-            simulator_fidelity_stream(&mut gapped(), &mut real.stream(), 4, &mut seeded(1))
-                .map(drop),
-        ),
-        (
-            "simulator_fidelity_stream (simulated side)",
-            simulator_fidelity_stream(&mut real.stream(), &mut gapped(), 4, &mut seeded(1))
+            "Simulator::resimulate_in",
+            simulator()
+                .resimulate_in(&mut gapped(), &SeedSequence::new(1), &ctx, &mut Dataset::new())
                 .map(drop),
         ),
         (
@@ -203,14 +182,21 @@ fn every_consumer_stage_rejects_a_non_contiguous_source() {
     }
 }
 
+/// A zero batch size is rejected where the batch size enters: by
+/// [`RunCtx::new`] before any `_in` stage runs, and by the entry points
+/// that still take a bare batch size.
 #[test]
-fn every_consumer_stage_rejects_a_zero_batch_size() {
+fn a_zero_batch_size_is_rejected_where_it_enters() {
     let real = twin(3);
     let pool = ThreadPool::serial();
-    let results: [Result<(), DnasimError>; 3] = [
-        evaluate_reconstruction_stream(&mut real.stream(), &MajorityVote, 0, &pool).map(drop),
-        pre_reconstruction_profiles_stream(&mut real.stream(), 0).map(drop),
+    let results: [Result<(), DnasimError>; 4] = [
+        RunCtx::new(&pool, 0).map(drop),
         ErrorStats::from_source(&mut real.stream(), 0, TieBreak::Random, &mut seeded(1)).map(drop),
+        twin_config(3)
+            .generate_stream(0, &pool, &mut Dataset::new())
+            .map(drop),
+        archive_round_trip_stream(&[1, 2, 3], &ArchiveConfig::default(), &mut seeded(1), &pool, 0)
+            .map(drop),
     ];
     for result in results {
         assert!(

@@ -19,10 +19,9 @@ use dnasim_core::{
     checked_batch_size, Budget, CancelToken, Dataset, DnasimError, Strand, WindowStats,
 };
 use dnasim_dataset::{fnv1a64, read_dataset, AnyDatasetWriter, DatasetWriter, Format, NanoporeTwinConfig};
-use dnasim_par::ThreadPool;
+use dnasim_par::{RunCtx, ThreadPool};
 use dnasim_pipeline::{
-    archive_round_trip_stream_budgeted, evaluate_reconstruction_stream_budgeted, ArchiveConfig,
-    ArchiveMode,
+    archive_round_trip_in, evaluate_reconstruction_in, ArchiveConfig, ArchiveMode,
 };
 use dnasim_profile::{ErrorStats, LearnedModel, TieBreak};
 
@@ -554,7 +553,8 @@ pub fn execute_with(
             (None, Some(token)) => Budget::unlimited().with_token(token.clone()),
             (None, None) => Budget::unlimited(),
         };
-        let result = run_op(request, &attempt_ns, batch_size, &pool, &budget);
+        let result = RunCtx::new(&pool, batch_size)
+            .and_then(|ctx| run_op(request, &attempt_ns, &ctx.with_budget(budget)));
         attempts += 1;
         match &result {
             Err(DnasimError::DeadlineExceeded { .. }) => break result,
@@ -652,25 +652,17 @@ struct OpOutput {
 fn run_op(
     request: &Request,
     namespace: &SeedSequence,
-    batch_size: usize,
-    pool: &ThreadPool,
-    budget: &Budget,
+    ctx: &RunCtx,
 ) -> Result<OpOutput, DnasimError> {
     match &request.op {
         Op::Generate {
             clusters,
             len,
             format,
-        } => op_generate(namespace, *clusters, *len, *format, batch_size, pool, budget),
-        Op::Corrupt { count, len, reads } => {
-            op_corrupt(namespace, *count, *len, *reads, batch_size, pool, budget)
-        }
-        Op::Simulate { dataset, model } => {
-            op_simulate(namespace, dataset, *model, batch_size, pool, budget)
-        }
-        Op::Evaluate { dataset, algorithm } => {
-            op_evaluate(dataset, *algorithm, batch_size, pool, budget)
-        }
+        } => op_generate(namespace, *clusters, *len, *format, ctx),
+        Op::Corrupt { count, len, reads } => op_corrupt(namespace, *count, *len, *reads, ctx),
+        Op::Simulate { dataset, model } => op_simulate(namespace, dataset, *model, ctx),
+        Op::Evaluate { dataset, algorithm } => op_evaluate(dataset, *algorithm, ctx),
         // The archive format is admission-validated (unknown values are
         // rejected before the op runs) but does not change the round trip:
         // the coded payload never leaves the server as a cluster file.
@@ -679,7 +671,7 @@ fn run_op(
             reads,
             lenient,
             format: _,
-        } => op_archive(namespace, *bytes, *reads, *lenient, batch_size, pool, budget),
+        } => op_archive(namespace, *bytes, *reads, *lenient, ctx),
     }
 }
 
@@ -695,9 +687,7 @@ fn op_generate(
     clusters: usize,
     len: usize,
     format: Format,
-    batch_size: usize,
-    pool: &ThreadPool,
-    budget: &Budget,
+    ctx: &RunCtx,
 ) -> Result<OpOutput, DnasimError> {
     let mut config = NanoporeTwinConfig::small();
     config.cluster_count = clusters;
@@ -707,7 +697,7 @@ fn op_generate(
     config.seed = namespace.derive("twin");
     let mut buf = Vec::new();
     let mut writer = AnyDatasetWriter::new(&mut buf, format);
-    let window = config.generate_stream_budgeted(batch_size, pool, budget, &mut writer)?;
+    let window = config.generate_in(ctx, &mut writer)?;
     let (written, reads) = (writer.clusters_written(), writer.reads_written());
     writer
         .into_inner()
@@ -744,9 +734,7 @@ fn op_corrupt(
     count: usize,
     len: usize,
     reads: usize,
-    batch_size: usize,
-    pool: &ThreadPool,
-    budget: &Budget,
+    ctx: &RunCtx,
 ) -> Result<OpOutput, DnasimError> {
     let mut reference_rng = namespace.derive_rng("references");
     let references: Vec<Strand> = (0..count)
@@ -758,14 +746,7 @@ fn op_corrupt(
     );
     let channel = namespace.derive_seq("channel");
     let mut noisy = Dataset::new();
-    let window = simulator.simulate_stream_budgeted(
-        &references,
-        &channel,
-        batch_size,
-        pool,
-        budget,
-        &mut noisy,
-    )?;
+    let window = simulator.simulate_in(&references, &channel, ctx, &mut noisy)?;
     let mut pairs = String::from("[");
     for (i, cluster) in noisy.iter().enumerate() {
         if i > 0 {
@@ -800,9 +781,7 @@ fn op_simulate(
     namespace: &SeedSequence,
     dataset: &str,
     model: ModelSpec,
-    batch_size: usize,
-    pool: &ThreadPool,
-    budget: &Budget,
+    ctx: &RunCtx,
 ) -> Result<OpOutput, DnasimError> {
     let parsed = read_dataset(dataset.as_bytes())?;
     let model = model.build(|| {
@@ -812,12 +791,10 @@ fn op_simulate(
     })?;
     let mut buf = Vec::new();
     let mut writer = DatasetWriter::new(&mut buf);
-    let window = Simulator::new(model, CoverageModel::Fixed(0)).resimulate_stream_budgeted(
+    let window = Simulator::new(model, CoverageModel::Fixed(0)).resimulate_in(
         &mut parsed.stream(),
         &namespace.derive_seq("channel"),
-        batch_size,
-        pool,
-        budget,
+        ctx,
         &mut writer,
     )?;
     let (clusters, reads) = (writer.clusters_written(), writer.reads_written());
@@ -835,18 +812,11 @@ fn op_simulate(
 fn op_evaluate(
     dataset: &str,
     algorithm: AlgorithmSpec,
-    batch_size: usize,
-    pool: &ThreadPool,
-    budget: &Budget,
+    ctx: &RunCtx,
 ) -> Result<OpOutput, DnasimError> {
     let parsed = read_dataset(dataset.as_bytes())?;
-    let (report, window) = evaluate_reconstruction_stream_budgeted(
-        &mut parsed.stream(),
-        &algorithm.build(),
-        batch_size,
-        pool,
-        budget,
-    )?;
+    let (report, window) =
+        evaluate_reconstruction_in(&mut parsed.stream(), &algorithm.build(), ctx)?;
     Ok(OpOutput {
         fields: vec![
             ("algorithm".into(), format!("\"{}\"", algorithm.name())),
@@ -874,9 +844,7 @@ fn op_archive(
     bytes: usize,
     reads: usize,
     lenient: bool,
-    batch_size: usize,
-    pool: &ThreadPool,
-    budget: &Budget,
+    ctx: &RunCtx,
 ) -> Result<OpOutput, DnasimError> {
     let mut payload_rng = namespace.derive_rng("payload");
     let data: Vec<u8> = (0..bytes).map(|_| payload_rng.random::<u8>()).collect();
@@ -890,8 +858,7 @@ fn op_archive(
         ..ArchiveConfig::default()
     };
     let mut channel_rng = namespace.derive_rng("channel");
-    let (report, window) =
-        archive_round_trip_stream_budgeted(&data, &config, &mut channel_rng, pool, batch_size, budget)?;
+    let (report, window, _) = archive_round_trip_in(&data, &config, &mut channel_rng, ctx)?;
     let intact = report
         .data
         .get(..data.len())

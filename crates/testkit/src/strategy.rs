@@ -221,7 +221,7 @@ where
     out
 }
 
-/// Helper arithmetic for [`shrink_toward`].
+/// Helper arithmetic for the integer range strategies' shrink candidates.
 pub trait HalfStep {
     /// Half of `self` (integer division).
     fn half(self) -> Self;

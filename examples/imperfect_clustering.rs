@@ -31,7 +31,7 @@ fn main() {
     let total_reads = perfect.total_reads();
     let pool = perfect.clone().into_read_pool(&mut rng);
     let clusterer = GreedyClusterer::default();
-    let reclustered = clusterer.cluster_against_references(&pool, &references);
+    let (reclustered, _) = clusterer.cluster_against_references(&pool, &references);
     println!(
         "re-clustering recovered {} of {} reads ({} erasures created)",
         reclustered.total_reads(),

@@ -61,6 +61,10 @@
 # 14. Paper harness thread invariance: every table reconstructs on the
 #    pool, so `repro all` must print byte-identical stdout at
 #    DNASIM_THREADS=1 and =4 (DESIGN.md §20).
+# 15. Doc gate: `cargo doc --no-deps --workspace --lib` must build with
+#    `-D warnings`, so no intra-doc link can point at a deleted or private
+#    item. `--lib` keeps the `dnasim` CLI binary's docs from colliding
+#    with the `dnasim` facade library's.
 #
 # Usage: scripts/verify.sh
 
@@ -345,6 +349,10 @@ echo "ok: chaos grid clean; deadlines and shedding answer with typed responses"
 echo "== clippy lint gate =="
 CARGO_NET_OFFLINE=true cargo clippy --all-targets -q -- -D warnings
 echo "ok: clippy is clean at -D warnings"
+
+echo "== doc gate (intra-doc links) =="
+CARGO_NET_OFFLINE=true RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib -q
+echo "ok: workspace docs build with no broken links"
 
 echo "== bench smoke (fast mode) =="
 smoke_report=$(mktemp /tmp/dnasim-bench-smoke.XXXXXX.json)

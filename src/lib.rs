@@ -79,11 +79,10 @@ pub mod prelude {
         DatasetReader, DatasetWriter, Format, NanoporeTwinConfig,
     };
     pub use dnasim_metrics::{gestalt_score, hamming, levenshtein, AccuracyReport};
-    pub use dnasim_par::ThreadPool;
+    pub use dnasim_par::{RunCtx, ThreadPool};
     pub use dnasim_pipeline::{
-        archive_round_trip, archive_round_trip_on, archive_round_trip_stream,
-        evaluate_reconstruction, evaluate_reconstruction_on, evaluate_reconstruction_stream,
-        fixed_coverage_protocol, simulator_fidelity, simulator_fidelity_stream, ArchiveConfig,
+        archive_round_trip, archive_round_trip_in, evaluate_reconstruction,
+        evaluate_reconstruction_in, fixed_coverage_protocol, simulator_fidelity, ArchiveConfig,
         Experiments, FilePool, PoolConfig,
     };
     pub use dnasim_profile::{ErrorStats, LearnedModel, TieBreak};

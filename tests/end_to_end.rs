@@ -87,7 +87,7 @@ fn imperfect_clustering_recovers_most_reads() {
     let mut rng = seeded(3);
     let total = real.total_reads();
     let pool = real.into_read_pool(&mut rng);
-    let clustered = GreedyClusterer::default().cluster_against_references(&pool, &references);
+    let (clustered, _) = GreedyClusterer::default().cluster_against_references(&pool, &references);
     assert_eq!(clustered.len(), 40);
     assert!(
         clustered.total_reads() * 10 >= total * 9,

@@ -24,7 +24,7 @@ const SNAPSHOT_PATH: &str = "golden_pipeline.txt";
 const SEED: u64 = 0x0060_1DE2;
 
 fn summary() -> String {
-    let pool = ThreadPool::from_env();
+    let ctx = RunCtx::new(&ThreadPool::from_env(), usize::MAX).expect("nonzero batch size");
 
     // --- Simulate: a fixed twin dataset (fork-per-cluster discipline). ---
     let config = NanoporeTwinConfig {
@@ -33,14 +33,17 @@ fn summary() -> String {
         seed: SEED,
         ..NanoporeTwinConfig::small()
     };
-    let twin = config.generate_on(&pool).expect("twin generation");
+    let mut twin = Dataset::new();
+    config
+        .generate_in(&ctx, &mut twin)
+        .expect("twin generation");
 
     // --- Cluster: greedy clustering of the shuffled read pool back against
     // the known references. ---
     let references = dnasim::pipeline::references_of(&twin);
     let mut rng = seeded(SEED ^ 0xC1);
     let reads = twin.clone().into_read_pool(&mut rng);
-    let clustered = GreedyClusterer::default().cluster_against_references(&reads, &references);
+    let (clustered, _) = GreedyClusterer::default().cluster_against_references(&reads, &references);
 
     // --- Reconstruct: per-algorithm accuracy over the clustered dataset. ---
     let mut out = String::new();
@@ -69,7 +72,7 @@ fn summary() -> String {
         Box::new(TwoWayIterative::default()),
         Box::new(MajorityVote),
     ] {
-        let report = evaluate_reconstruction_on(&clustered, &algorithm, &pool)
+        let (report, _) = evaluate_reconstruction_in(&mut clustered.stream(), &algorithm, &ctx)
             .expect("parallel evaluation");
         let _ = writeln!(
             out,

@@ -12,12 +12,17 @@ use dnasim::channel::{CoverageModel, NaiveModel, Simulator};
 use dnasim::dataset::{write_dataset, NanoporeTwinConfig};
 use dnasim::faults::ChaosSuite;
 use dnasim::par::ThreadPool;
-use dnasim::pipeline::{archive_round_trip_on, ArchiveConfig};
+use dnasim::pipeline::{archive_round_trip_in, ArchiveConfig};
 use dnasim::prelude::*;
 use dnasim::reconstruct::reconstruct_clusters;
 
 const SEEDS: [u64; 5] = [1, 7, 42, 0xD151_C0DE, u64::MAX - 3];
 const THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// One window on `pool`: the whole input fans out at once.
+fn one_window(pool: &ThreadPool) -> RunCtx {
+    RunCtx::new(pool, usize::MAX).expect("nonzero batch size")
+}
 
 /// Serialises a dataset to its on-disk byte representation.
 fn dataset_bytes(ds: &Dataset) -> Vec<u8> {
@@ -36,15 +41,14 @@ fn simulated_reads_are_identical_across_thread_counts() {
             CoverageModel::negative_binomial(8.0, 2.0),
         );
         let seq = SeedSequence::new(seed);
-        let baseline = dataset_bytes(
-            &sim.simulate_on(&references, &seq, &ThreadPool::serial())
-                .unwrap(),
-        );
+        let simulate = |pool: &ThreadPool| {
+            let mut out = Dataset::new();
+            sim.simulate_in(&references, &seq, &one_window(pool), &mut out)
+                .map(|_| out)
+        };
+        let baseline = dataset_bytes(&simulate(&ThreadPool::serial()).unwrap());
         for threads in THREADS {
-            let out = dataset_bytes(
-                &sim.simulate_on(&references, &seq, &ThreadPool::new(threads))
-                    .unwrap(),
-            );
+            let out = dataset_bytes(&simulate(&ThreadPool::new(threads)).unwrap());
             assert_eq!(out, baseline, "simulate: seed {seed}, {threads} threads");
         }
     }
@@ -60,7 +64,11 @@ fn twin_generation_is_identical_across_thread_counts() {
         };
         let baseline = dataset_bytes(&config.generate());
         for threads in THREADS {
-            let out = dataset_bytes(&config.generate_on(&ThreadPool::new(threads)).unwrap());
+            let mut twin = Dataset::new();
+            config
+                .generate_in(&one_window(&ThreadPool::new(threads)), &mut twin)
+                .unwrap();
+            let out = dataset_bytes(&twin);
             assert_eq!(out, baseline, "twin: seed {seed}, {threads} threads");
         }
     }
@@ -109,9 +117,9 @@ fn accuracy_reports_are_identical_across_thread_counts() {
         let dataset = config.generate();
         let baseline = evaluate_reconstruction(&dataset, &MajorityVote);
         for threads in THREADS {
-            let report =
-                evaluate_reconstruction_on(&dataset, &MajorityVote, &ThreadPool::new(threads))
-                    .unwrap();
+            let ctx = one_window(&ThreadPool::new(threads));
+            let (report, _) =
+                evaluate_reconstruction_in(&mut dataset.stream(), &MajorityVote, &ctx).unwrap();
             assert_eq!(report, baseline, "evaluate: seed {seed}, {threads} threads");
         }
     }
@@ -125,10 +133,13 @@ fn archive_reports_are_identical_across_thread_counts() {
             sequencing_reads_per_strand: 10,
             ..ArchiveConfig::default()
         };
-        let baseline = archive_round_trip_on(&data, &config, &mut seeded(seed), &ThreadPool::serial());
+        let round_trip = |pool: &ThreadPool| {
+            archive_round_trip_in(&data, &config, &mut seeded(seed), &one_window(pool))
+                .map(|(report, ..)| report)
+        };
+        let baseline = round_trip(&ThreadPool::serial());
         for threads in THREADS {
-            let report =
-                archive_round_trip_on(&data, &config, &mut seeded(seed), &ThreadPool::new(threads));
+            let report = round_trip(&ThreadPool::new(threads));
             match (&baseline, &report) {
                 (Ok(a), Ok(b)) => assert_eq!(a, b, "archive: seed {seed}, {threads} threads"),
                 (Err(a), Err(b)) => assert_eq!(
@@ -148,9 +159,9 @@ fn chaos_verdicts_are_identical_across_thread_counts() {
     // itself, so one sweep per thread count covers the whole fault × seed
     // product (ChaosSuite::new(5) runs 5 case seeds per fault kind).
     let suite = ChaosSuite::new(5);
-    let baseline = suite.run();
+    let baseline = suite.run(&ThreadPool::serial());
     for threads in THREADS {
-        let report = suite.run_on(&ThreadPool::new(threads));
+        let report = suite.run(&ThreadPool::new(threads));
         assert_eq!(report, baseline, "chaos verdicts: {threads} threads");
     }
 }

@@ -30,6 +30,11 @@ fn twin_config(seed: u64) -> NanoporeTwinConfig {
     }
 }
 
+/// The run context for one cell of the matrix.
+fn ctx(pool: &ThreadPool, batch_size: usize) -> RunCtx {
+    RunCtx::new(pool, batch_size).expect("nonzero batch size")
+}
+
 fn to_bytes(dataset: &Dataset) -> Vec<u8> {
     let mut bytes = Vec::new();
     write_dataset(dataset, &mut bytes).expect("write to memory");
@@ -46,7 +51,7 @@ fn streamed_generation_is_byte_identical() {
             for batch_size in BATCH_SIZES {
                 let mut writer = DatasetWriter::new(Vec::new());
                 let window = config
-                    .generate_stream(batch_size, &pool, &mut writer)
+                    .generate_in(&ctx(&pool, batch_size), &mut writer)
                     .expect("stream generation");
                 assert!(
                     window.high_watermark <= batch_size,
@@ -80,7 +85,7 @@ fn streamed_generation_is_byte_identical_in_every_format() {
                 for batch_size in BATCH_SIZES {
                     let mut writer = AnyDatasetWriter::new(Vec::new(), format);
                     let window = config
-                        .generate_stream(batch_size, &pool, &mut writer)
+                        .generate_in(&ctx(&pool, batch_size), &mut writer)
                         .expect("stream generation");
                     assert!(window.high_watermark <= batch_size);
                     assert_eq!(window.clusters, config.cluster_count);
@@ -152,18 +157,20 @@ fn streamed_resimulation_is_byte_identical() {
         );
         let simulator = Simulator::new(model, CoverageModel::Fixed(0));
         let seq = SeedSequence::new(seed);
-        let whole = to_bytes(
-            &simulator
-                .resimulate_matching_on(&twin, &seq, &ThreadPool::serial())
-                .expect("in-memory resimulation"),
-        );
+        let whole = to_bytes(&{
+            let mut out = Dataset::new();
+            simulator
+                .resimulate_in(&mut twin.stream(), &seq, &RunCtx::serial(), &mut out)
+                .expect("in-memory resimulation");
+            out
+        });
         for threads in [1, 4] {
             let pool = ThreadPool::new(threads);
             for batch_size in BATCH_SIZES {
                 let mut source = twin.stream();
                 let mut writer = DatasetWriter::new(Vec::new());
                 let window = simulator
-                    .resimulate_stream(&mut source, &seq, batch_size, &pool, &mut writer)
+                    .resimulate_in(&mut source, &seq, &ctx(&pool, batch_size), &mut writer)
                     .expect("stream resimulation");
                 assert!(window.high_watermark <= batch_size);
                 assert_eq!(window.clusters, twin.len());
@@ -198,7 +205,7 @@ fn streamed_round_trip_through_io_is_lossless() {
 /// Re-runs the checked-in golden pipeline (`tests/golden_pipeline.rs`)
 /// with every stage swapped for its streaming counterpart — twin
 /// generation through a [`DatasetWriter`]-less [`Dataset`] sink, and
-/// reconstruction through [`evaluate_reconstruction_stream`] — and diffs
+/// reconstruction through [`evaluate_reconstruction_in`] — and diffs
 /// the summary against the same `golden_pipeline.txt` snapshot.
 #[test]
 fn streamed_pipeline_matches_golden_snapshot() {
@@ -219,7 +226,7 @@ fn streamed_pipeline_matches_golden_snapshot() {
         // --- Simulate, streamed. ---
         let mut twin = Dataset::new();
         let window = config
-            .generate_stream(batch_size, &pool, &mut twin)
+            .generate_in(&ctx(&pool, batch_size), &mut twin)
             .expect("stream generation");
         assert!(window.high_watermark <= batch_size);
 
@@ -234,7 +241,7 @@ fn streamed_pipeline_matches_golden_snapshot() {
         let references = dnasim::pipeline::references_of(&twin);
         let mut rng = seeded(SEED ^ 0xC1);
         let reads = twin.clone().into_read_pool(&mut rng);
-        let clustered =
+        let (clustered, _) =
             GreedyClusterer::default().cluster_against_references(&reads, &references);
 
         // --- Reconstruct, streamed. ---
@@ -264,11 +271,10 @@ fn streamed_pipeline_matches_golden_snapshot() {
             Box::new(TwoWayIterative::default()),
             Box::new(MajorityVote),
         ] {
-            let (report, window) = evaluate_reconstruction_stream(
+            let (report, window) = evaluate_reconstruction_in(
                 &mut clustered.stream(),
                 &algorithm,
-                batch_size,
-                &pool,
+                &ctx(&pool, batch_size),
             )
             .expect("streamed evaluation");
             assert!(window.high_watermark <= batch_size);
@@ -301,12 +307,12 @@ fn streaming_clusterer_matches_materialised_at_any_batch_size() {
             let pool_workers = ThreadPool::new(threads);
             let mut twin = Dataset::new();
             config
-                .generate_stream(16, &pool_workers, &mut twin)
+                .generate_in(&ctx(&pool_workers, 16), &mut twin)
                 .expect("stream generation");
             let references = dnasim::pipeline::references_of(&twin);
             let mut rng = seeded(seed ^ 0xC1);
             let reads = twin.into_read_pool(&mut rng);
-            let expected =
+            let (expected, _) =
                 GreedyClusterer::default().cluster_against_references(&reads, &references);
             for batch_size in BATCH_SIZES {
                 let mut clusterer =
@@ -372,12 +378,11 @@ fn windowed_archive_report_is_batch_and_thread_invariant() {
         for threads in [1usize, 4] {
             for batch_size in BATCH_SIZES {
                 let mut rng = seeded(7);
-                let (report, window) = archive_round_trip_stream(
+                let (report, window, _) = archive_round_trip_in(
                     &data,
                     &config,
                     &mut rng,
-                    &ThreadPool::new(threads),
-                    batch_size,
+                    &ctx(&ThreadPool::new(threads), batch_size),
                 )
                 .expect("windowed archive");
                 assert_eq!(&report.data[..data.len()], &data[..], "payload lost");
@@ -411,8 +416,8 @@ fn windowed_archive_bounds_resident_reads_by_batch() {
             ..ArchiveConfig::default()
         };
         let mut rng = seeded(7);
-        let (report, window) =
-            archive_round_trip_stream(&data, &config, &mut rng, &ThreadPool::new(2), 4)
+        let (report, window, _) =
+            archive_round_trip_in(&data, &config, &mut rng, &ctx(&ThreadPool::new(2), 4))
                 .expect("windowed archive");
         assert!(
             window.peak_resident_reads < report.reads_sequenced / 2,
