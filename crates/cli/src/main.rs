@@ -675,7 +675,7 @@ fn cmd_serve(args: &Args) -> CliResult {
         Err(e) => return Err(Box::new(e)),
     };
     eprintln!(
-        "served {} request(s) in {} window(s): {} ok, {} degraded, {} error, {} rejected, \
+        "served {} request(s) in {} busy period(s): {} ok, {} degraded, {} error, {} rejected, \
          {} deadline, {} shed",
         report.requests, report.windows, report.ok, report.degraded, report.errors,
         report.rejected, report.deadlines, report.shed

@@ -330,21 +330,32 @@ fn utf8_len(first: u8) -> usize {
 }
 
 /// Escapes a string for embedding inside a JSON string literal.
+///
+/// Runs of bytes that need no escape are copied with one `push_str`. Every
+/// escaped byte is ASCII, so each run boundary is a char boundary and
+/// multibyte UTF-8 passes through untouched.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run_start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run_start..i]);
+        if escaped.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escaped);
         }
+        run_start = i + 1;
     }
+    out.push_str(&s[run_start..]);
     out
 }
 
@@ -470,6 +481,48 @@ mod tests {
         let rendered = format!("\"{}\"", escape(original));
         let back = parse(&rendered).unwrap();
         assert_eq!(back.as_str(), Some(original));
+    }
+
+    /// The char-by-char escaper `escape` replaced, kept as its oracle.
+    fn escape_per_char(s: &str) -> String {
+        let mut out = String::with_capacity(s.len() + 2);
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn escape_matches_the_per_char_oracle() {
+        use crate::rng::{seeded, RngExt};
+        // Every byte below 0x20, the two escaped printables, DEL, plain
+        // ASCII, and 2-, 3- and 4-byte UTF-8.
+        let mut alphabet: Vec<char> = (0u8..0x20).map(char::from).collect();
+        alphabet.extend([
+            '"', '\\', '\u{7f}', 'a', 'Z', ' ', '/', 'é', 'ß', '€', '中', '𝄞',
+        ]);
+        let mut rng = seeded(0x0E5C);
+        for case in 0..2_000 {
+            let len = rng.random_range(0..40usize);
+            let s: String = (0..len)
+                .map(|_| alphabet[rng.random_range(0..alphabet.len())])
+                .collect();
+            assert_eq!(escape(&s), escape_per_char(&s), "case {case}: {s:?}");
+        }
+        let fixed = ["", "plain", "\"", "\\", "\u{0}", "\u{1f}x", "x\u{7f}", "é\n𝄞\t"];
+        for s in fixed {
+            assert_eq!(escape(s), escape_per_char(s), "{s:?}");
+        }
     }
 
     #[test]

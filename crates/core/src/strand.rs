@@ -285,10 +285,20 @@ impl Index<usize> for Strand {
     }
 }
 
+/// Bases rendered per `write_str` by `Strand`'s `Display`.
+const DISPLAY_CHUNK: usize = 256;
+
 impl fmt::Display for Strand {
+    /// Renders the bases as ASCII, one `write_str` per 256-base chunk.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for b in &self.bases {
-            write!(f, "{b}")?;
+        let mut buf = [0u8; DISPLAY_CHUNK];
+        for chunk in self.bases.chunks(DISPLAY_CHUNK) {
+            for (byte, base) in buf.iter_mut().zip(chunk) {
+                *byte = base.to_char() as u8;
+            }
+            // Base characters are ASCII, so the chunk is always UTF-8.
+            let text = std::str::from_utf8(&buf[..chunk.len()]).map_err(|_| fmt::Error)?;
+            f.write_str(text)?;
         }
         Ok(())
     }
@@ -384,6 +394,18 @@ mod tests {
         let s: Strand = text.parse().unwrap();
         assert_eq!(s.to_string(), text);
         assert_eq!(s.len(), text.len());
+    }
+
+    #[test]
+    fn display_matches_the_per_base_oracle_across_chunk_edges() {
+        let mut rng = seeded(0xD15);
+        for len in [0, 1, 255, 256, 257, 1_000] {
+            let s = Strand::random(len, &mut rng);
+            let oracle: String = s.iter().map(|b| b.to_string()).collect();
+            assert_eq!(s.to_string(), oracle, "len {len}");
+            // Through a formatter with surrounding text, as the writers use it.
+            assert_eq!(format!(">{s}<"), format!(">{oracle}<"), "len {len}");
+        }
     }
 
     #[test]

@@ -240,8 +240,10 @@ impl NanoporeTwinConfig {
         } else {
             coverage.sample(index, rng).min(self.max_coverage)
         };
+        // The reference-only half of the channel, built once for all reads.
+        let context = channel.context(&reference);
         let reads = (0..n)
-            .map(|_| channel.corrupt(&reference, rng))
+            .map(|_| channel.corrupt_in(&reference, &context, rng))
             .collect();
         Cluster::new(reference, reads)
     }
@@ -349,32 +351,6 @@ impl GroundTruthChannel {
         2
     }
 
-    /// If the 4-mer context ending at `position` is an error hotspot,
-    /// returns the (deterministic, context-derived) per-read miscall
-    /// probability. Roughly 0.25% of contexts qualify, with strengths in
-    /// [0.35, 0.85].
-    fn hotspot_probability(&self, bases: &[Base], position: usize) -> Option<f64> {
-        if position < 2 || position + 1 >= bases.len() {
-            return None;
-        }
-        // FNV-1a over the 4-mer around the position, SplitMix64-finalised.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in &bases[position - 2..=position + 1] {
-            h ^= b.index() as u64 + 1;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        h ^= h >> 31;
-        if h % 10_000 < 25 {
-            // Strength derived from the hash: [0.35, 0.85].
-            Some(0.35 + (h >> 32) as f64 / u32::MAX as f64 * 0.5)
-        } else {
-            None
-        }
-    }
-
     /// Substitution target with transition bias: the affinity partner at
     /// 0.7, each remaining base at 0.15. The tail of the strand further
     /// biases T→C (a second-order skew for the profiler to discover).
@@ -398,11 +374,50 @@ impl GroundTruthChannel {
             pick
         }
     }
-}
 
-impl ErrorModel for GroundTruthChannel {
-    fn corrupt(&self, reference: &Strand, rng: &mut SimRng) -> Strand {
+    /// The per-position facts `corrupt_in` reads that depend on the
+    /// reference alone. Building them draws no randomness.
+    pub(crate) fn context(&self, reference: &Strand) -> ReferenceContext {
         let bases = reference.as_bases();
+        // Whole homopolymer runs of length ≥ 3 are error-boosted.
+        let mut homopolymer = vec![false; bases.len()];
+        let mut run_start = 0usize;
+        for i in 1..=bases.len() {
+            if i == bases.len() || bases[i] != bases[run_start] {
+                if i - run_start >= 3 {
+                    homopolymer[run_start..i].iter_mut().for_each(|m| *m = true);
+                }
+                run_start = i;
+            }
+        }
+        // Position i's context is the 4-mer bases[i - 2..=i + 1].
+        let hotspots = bases
+            .windows(4)
+            .enumerate()
+            .filter_map(|(start, kmer)| {
+                let index = kmer.iter().fold(0, |k, b| k << 2 | b.index());
+                Some((start + 2, HOTSPOTS[index]?))
+            })
+            .collect();
+        ReferenceContext {
+            homopolymer,
+            hotspots,
+        }
+    }
+
+    /// Corrupts `reference` into one read, given its
+    /// [`context`](GroundTruthChannel::context). This is the channel's one
+    /// kernel: [`ErrorModel::corrupt`] builds the context and delegates
+    /// here, and twin generation builds it once per cluster. The draws and
+    /// their order do not depend on where the context was built.
+    pub(crate) fn corrupt_in(
+        &self,
+        reference: &Strand,
+        context: &ReferenceContext,
+        rng: &mut SimRng,
+    ) -> Strand {
+        let bases = reference.as_bases();
+        let homopolymer = &context.homopolymer[..bases.len()];
         let mut read = Strand::with_capacity(bases.len() + 8);
 
         // Per-read quality multiplier: lognormal (σ = 0.45) — some reads
@@ -425,18 +440,6 @@ impl ErrorModel for GroundTruthChannel {
             None
         };
 
-        // Whole homopolymer runs of length ≥ 3 are error-boosted.
-        let mut homopolymer = vec![false; bases.len()];
-        let mut run_start = 0usize;
-        for i in 1..=bases.len() {
-            if i == bases.len() || bases[i] != bases[run_start] {
-                if i - run_start >= 3 {
-                    homopolymer[run_start..i].iter_mut().for_each(|m| *m = true);
-                }
-                run_start = i;
-            }
-        }
-
         let mut i = 0usize;
         while i < bases.len() {
             let base = bases[i];
@@ -445,7 +448,7 @@ impl ErrorModel for GroundTruthChannel {
             // cluster (a documented Nanopore failure mode). Majority voting
             // cannot outvote them, which is a key reason real data
             // reconstructs far worse than rate-matched uniform simulations.
-            if let Some(p_hot) = self.hotspot_probability(bases, i) {
+            if let Some(p_hot) = context.hotspot(i) {
                 if rng.random::<f64>() < p_hot {
                     read.push(base.transition_partner());
                     i += 1;
@@ -498,6 +501,67 @@ impl ErrorModel for GroundTruthChannel {
             i += 1;
         }
         read
+    }
+}
+
+/// Systematic error hotspots: the per-read miscall probability of every
+/// 4-mer context, indexed two bits per base with the first base highest.
+/// Roughly 0.25% of contexts qualify, with strengths in [0.35, 0.85];
+/// the rest are `None`.
+const HOTSPOTS: [Option<f64>; 256] = {
+    let mut table = [None; 256];
+    let mut kmer = 0;
+    while kmer < table.len() {
+        table[kmer] = hotspot_of(kmer);
+        kmer += 1;
+    }
+    table
+};
+
+/// The hotspot probability of one 4-mer: FNV-1a over its bases,
+/// SplitMix64-finalised, qualifying for 25 hash values in 10,000.
+const fn hotspot_of(kmer: usize) -> Option<f64> {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut shift = 8;
+    while shift > 0 {
+        shift -= 2;
+        h ^= ((kmer >> shift) & 3) as u64 + 1;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^= h >> 31;
+    if h % 10_000 < 25 {
+        // Strength derived from the hash: [0.35, 0.85].
+        Some(0.35 + (h >> 32) as f64 / u32::MAX as f64 * 0.5)
+    } else {
+        None
+    }
+}
+
+/// What [`GroundTruthChannel`] derives from one reference alone.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ReferenceContext {
+    /// Whether each position lies in a homopolymer run of length ≥ 3.
+    homopolymer: Vec<bool>,
+    /// The hotspot positions, ascending, with their miscall probability.
+    /// About 0.25% of positions qualify, so this is usually empty; a
+    /// position not listed draws nothing.
+    hotspots: Vec<(usize, f64)>,
+}
+
+impl ReferenceContext {
+    /// The miscall probability at `position` if it is a hotspot.
+    fn hotspot(&self, position: usize) -> Option<f64> {
+        let k = self.hotspots.binary_search_by_key(&position, |&(at, _)| at).ok()?;
+        Some(self.hotspots[k].1)
+    }
+}
+
+impl ErrorModel for GroundTruthChannel {
+    fn corrupt(&self, reference: &Strand, rng: &mut SimRng) -> Strand {
+        self.corrupt_in(reference, &self.context(reference), rng)
     }
 
     fn name(&self) -> String {
@@ -674,6 +738,203 @@ mod tests {
         assert_eq!(config.strand_len, 110);
         assert_eq!(config.erasure_count, 16);
         assert!((config.aggregate_error_rate - 0.059).abs() < 1e-12);
+    }
+
+    /// The hotspot hash as computed per position before the 4-mer table:
+    /// the oracle for [`HOTSPOTS`].
+    fn hotspot_probability(bases: &[Base], position: usize) -> Option<f64> {
+        if position < 2 || position + 1 >= bases.len() {
+            return None;
+        }
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &b in &bases[position - 2..=position + 1] {
+            h ^= b.index() as u64 + 1;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^= h >> 31;
+        if h % 10_000 < 25 {
+            Some(0.35 + (h >> 32) as f64 / u32::MAX as f64 * 0.5)
+        } else {
+            None
+        }
+    }
+
+    /// Every 4-mer, in the hotspot table's index order.
+    fn all_kmers() -> impl Iterator<Item = [Base; 4]> {
+        (0..256usize).map(|k| [k >> 6, (k >> 4) & 3, (k >> 2) & 3, k & 3].map(|b| Base::ALL[b]))
+    }
+
+    #[test]
+    fn hotspot_table_matches_the_per_position_hash() {
+        for (index, kmer) in all_kmers().enumerate() {
+            let expected = hotspot_probability(&kmer, 2);
+            assert_eq!(HOTSPOTS[index].map(f64::to_bits), expected.map(f64::to_bits), "{kmer:?}");
+        }
+        let hot = HOTSPOTS.iter().filter(|p| p.is_some()).count();
+        assert!(hot > 0, "no 4-mer is a hotspot");
+    }
+
+    /// The per-read kernel before the reference context was hoisted: the
+    /// homopolymer mask and the hotspot hash recomputed for every read.
+    /// Kept as the oracle `corrupt_in` must match draw for draw.
+    fn corrupt_per_read(
+        channel: &GroundTruthChannel,
+        reference: &Strand,
+        rng: &mut SimRng,
+    ) -> Strand {
+        let bases = reference.as_bases();
+        let mut read = Strand::with_capacity(bases.len() + 8);
+        let quality = {
+            let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
+            let u2: f64 = rng.random();
+            let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+            (0.45 * z).exp()
+        };
+        let burst: Option<(usize, usize)> =
+            if !bases.is_empty() && rng.random::<f64>() < channel.burst_probability {
+                let len = 5 + rng.random_range(0..4usize);
+                let start = rng.random_range(0..bases.len());
+                Some((start, (start + len).min(bases.len())))
+            } else {
+                None
+            };
+        let mut homopolymer = vec![false; bases.len()];
+        let mut run_start = 0usize;
+        for i in 1..=bases.len() {
+            if i == bases.len() || bases[i] != bases[run_start] {
+                if i - run_start >= 3 {
+                    homopolymer[run_start..i].iter_mut().for_each(|m| *m = true);
+                }
+                run_start = i;
+            }
+        }
+        let mut i = 0usize;
+        while i < bases.len() {
+            let base = bases[i];
+            if let Some(p_hot) = hotspot_probability(bases, i) {
+                if rng.random::<f64>() < p_hot {
+                    read.push(base.transition_partner());
+                    i += 1;
+                    continue;
+                }
+            }
+            if let Some((lo, hi)) = burst {
+                if i >= lo && i < hi {
+                    if rng.random::<f64>() < 0.5 {
+                        read.push(base.random_other(rng));
+                    }
+                    i += 1;
+                    continue;
+                }
+            }
+            let spatial = channel.spatial_multiplier(i);
+            let homopolymer_boost = if homopolymer[i] { 1.8 } else { 1.0 };
+            let modulation = (spatial * quality * homopolymer_boost).min(12.0);
+            let p_sub = (channel.base_rates[0] * modulation).min(0.45);
+            let p_del = (channel.base_rates[1] * modulation).min(0.45);
+            let head = i * 10 < channel.strand_len;
+            let p_ins =
+                (channel.base_rates[2] * modulation * if head { 2.0 } else { 0.9 }).min(0.45);
+            let u: f64 = rng.random();
+            if u < p_sub {
+                read.push(channel.substitution_target(base, i, rng));
+            } else if u < p_sub + p_del {
+                if rng.random::<f64>() < channel.long_del_given_del {
+                    i += channel.sample_long_del_len(rng);
+                    continue;
+                }
+            } else if u < p_sub + p_del + p_ins {
+                let inserted = if head && rng.random::<f64>() < 0.6 {
+                    Base::A
+                } else {
+                    Base::random(rng)
+                };
+                read.push(inserted);
+                read.push(base);
+            } else {
+                read.push(base);
+            }
+            i += 1;
+        }
+        read
+    }
+
+
+    /// Reads `reads` reads of `reference` through the hoisted kernel (one
+    /// context) and through the per-read oracle on a twin RNG, and checks
+    /// both the reads and the RNG state they leave behind.
+    fn assert_hoisted_matches_oracle(channel: &GroundTruthChannel, reference: &Strand, seed: u64) {
+        let context = channel.context(reference);
+        let (mut hoisted_rng, mut oracle_rng, mut model_rng) =
+            (seeded(seed), seeded(seed), seeded(seed));
+        for read in 0..6 {
+            let hoisted = channel.corrupt_in(reference, &context, &mut hoisted_rng);
+            let oracle = corrupt_per_read(channel, reference, &mut oracle_rng);
+            let model = channel.corrupt(reference, &mut model_rng);
+            assert_eq!(hoisted, oracle, "read {read} of {reference}");
+            assert_eq!(model, oracle, "read {read} of {reference}");
+        }
+        // Equal streams afterwards: the context added or skipped no draw.
+        let next = oracle_rng.random::<u64>();
+        assert_eq!(hoisted_rng.random::<u64>(), next, "{reference}");
+        assert_eq!(model_rng.random::<u64>(), next, "{reference}");
+    }
+
+    #[test]
+    fn hoisted_context_matches_the_per_read_kernel() {
+        let channels = [
+            GroundTruthChannel::new(0.059, 110),
+            GroundTruthChannel::with_profile(0.3, 40, TwinProfile::high_error_variant()),
+        ];
+        let mut rng = seeded(0x7C0);
+        let hotspots: Vec<[Base; 4]> = all_kmers()
+            .filter(|kmer| hotspot_probability(kmer, 2).is_some())
+            .collect();
+        assert!(!hotspots.is_empty(), "no hotspot 4-mer to force");
+        for (c, channel) in channels.iter().enumerate() {
+            for case in 0..200u64 {
+                let seed = case + 1_000 * c as u64;
+                // Random references, including lengths beyond the spatial
+                // profile.
+                let len = rng.random_range(0..130usize);
+                assert_hoisted_matches_oracle(channel, &Strand::random(len, &mut rng), seed);
+                // Homopolymer-heavy references: runs of 1–6 of one base.
+                let mut runs = Strand::new();
+                while runs.len() < 60 {
+                    let base = Base::random(&mut rng);
+                    for _ in 0..rng.random_range(1..7usize) {
+                        runs.push(base);
+                    }
+                }
+                assert_hoisted_matches_oracle(channel, &runs, seed);
+                // One to four forced hotspot contexts between random runs.
+                let mut forced = Strand::new();
+                for _ in 0..rng.random_range(1..5usize) {
+                    forced = forced.concat(&Strand::random(rng.random_range(0..12usize), &mut rng));
+                    for &b in &hotspots[rng.random_range(0..hotspots.len())] {
+                        forced.push(b);
+                    }
+                }
+                assert!(!channel.context(&forced).hotspots.is_empty());
+                assert_hoisted_matches_oracle(channel, &forced, seed);
+            }
+            // Strands of length 0–3 have no hotspot position; at length 4
+            // a forced 4-mer is one.
+            for len in 0..=4 {
+                for seed in 0..50 {
+                    let short = Strand::random(len, &mut rng);
+                    if len < 4 {
+                        assert!(channel.context(&short).hotspots.is_empty());
+                    }
+                    assert_hoisted_matches_oracle(channel, &short, seed);
+                }
+            }
+            let kmer: Strand = hotspots[0].iter().copied().collect();
+            assert_hoisted_matches_oracle(channel, &kmer, 7);
+        }
     }
 }
 

@@ -14,7 +14,10 @@
 //!   not serialise on the slowest worker;
 //! * a worker panic is **isolated**: it aborts the remaining work and
 //!   surfaces as a typed [`PoolError`] (convertible to
-//!   [`DnasimError::Degraded`]), never as a hang or a cross-thread abort.
+//!   [`DnasimError::Degraded`]), never as a hang or a cross-thread abort;
+//! * [`ThreadPool::ordered`] is the streaming form: workers that live for
+//!   one call take items as the caller submits them, and results come
+//!   back strictly in submission order through a [`Lane`].
 //!
 //! # The determinism contract
 //!
@@ -49,7 +52,7 @@ use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 use dnasim_core::{checked_batch_size, Budget, DnasimError};
 
@@ -104,6 +107,14 @@ impl From<PoolError> for DnasimError {
 /// and queue pops), so a poisoned guard still protects consistent data.
 fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     match mutex.lock() {
+        Ok(guard) => guard,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
+/// [`Condvar::wait`] with the same poison recovery as [`lock_unpoisoned`].
+fn wait_unpoisoned<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    match condvar.wait(guard) {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
     }
@@ -235,6 +246,90 @@ impl ThreadPool {
         Ok((out, admitted))
     }
 
+    /// Runs `body` with a [`Lane`]: the caller submits items one at a
+    /// time, `threads()` workers apply `f` to them, and the caller takes
+    /// the results back strictly in submission order.
+    ///
+    /// The workers are spawned once, when the call starts, and live until
+    /// `body` returns. Then items not yet started are dropped, running
+    /// ones finish, and every worker is joined before `ordered` returns.
+    /// Each item runs under `catch_unwind`, so a panic becomes that item's
+    /// [`PoolError`] and the other items are unaffected. With one thread
+    /// no worker is spawned: [`Lane::submit`] runs the item inline.
+    ///
+    /// How many items are in flight at once is the caller's choice; see
+    /// [`Lane::in_flight`].
+    ///
+    /// ```
+    /// use dnasim_par::ThreadPool;
+    ///
+    /// let squares = ThreadPool::new(2).ordered(
+    ///     |x: u64| x * x,
+    ///     |lane| {
+    ///         let mut out = Vec::new();
+    ///         for x in 0..10 {
+    ///             if lane.in_flight() == 3 {
+    ///                 out.push(lane.wait().expect("one in flight")?);
+    ///             }
+    ///             lane.submit(x);
+    ///         }
+    ///         while let Some(result) = lane.wait() {
+    ///             out.push(result?);
+    ///         }
+    ///         Ok::<_, dnasim_par::PoolError>(out)
+    ///     },
+    /// )?;
+    /// assert_eq!(squares, (0..10).map(|x| x * x).collect::<Vec<u64>>());
+    /// # Ok::<(), dnasim_par::PoolError>(())
+    /// ```
+    pub fn ordered<T, R, F, B, O>(&self, f: F, body: B) -> O
+    where
+        T: Send,
+        R: Send,
+        F: Fn(T) -> R + Sync,
+        B: FnOnce(&mut Lane<'_, T, R>) -> O,
+    {
+        let state = LaneState {
+            inner: Mutex::new(LaneInner {
+                queue: VecDeque::new(),
+                slots: VecDeque::new(),
+                first: 0,
+                closed: false,
+            }),
+            work: Condvar::new(),
+            done: Condvar::new(),
+        };
+        let mut lane = Lane {
+            state: &state,
+            run: &f,
+            inline: self.threads == 1,
+            submitted: 0,
+            taken: 0,
+        };
+        if lane.inline {
+            return body(&mut lane);
+        }
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..self.threads)
+                .map(|_| scope.spawn(|| lane_worker(&state, &f)))
+                .collect();
+            // Closes the lane when `body` returns or unwinds, so no worker
+            // waits for an item that will never come.
+            let closer = CloseOnDrop(&state);
+            let out = body(&mut lane);
+            drop(closer);
+            // Join explicitly, as `map_stealing` does, so each worker has
+            // exited (and returned its allocator arena) before the call
+            // returns. A worker runs every item under `catch_unwind`, so a
+            // failed join means the lane itself is broken: re-raise it.
+            for handle in handles {
+                if let Err(payload) = handle.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+            out
+        })
+    }
 }
 
 impl Default for ThreadPool {
@@ -311,6 +406,162 @@ impl RunCtx {
     /// The budget stages charge.
     pub fn budget(&self) -> &Budget {
         &self.budget
+    }
+}
+
+/// The caller's end of [`ThreadPool::ordered`]: submit items, take
+/// results back in submission order.
+///
+/// An item is *in flight* from [`submit`](Lane::submit) until its result
+/// is taken by [`poll`](Lane::poll) or [`wait`](Lane::wait). A taken
+/// `Err` is a [`PoolError`] whose `completed` counts the results before
+/// it, all of which were taken first.
+pub struct Lane<'a, T, R> {
+    state: &'a LaneState<T, R>,
+    run: &'a (dyn Fn(T) -> R + Sync),
+    inline: bool,
+    submitted: usize,
+    taken: usize,
+}
+
+impl<T, R> fmt::Debug for Lane<'_, T, R> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Lane")
+            .field("inline", &self.inline)
+            .field("submitted", &self.submitted)
+            .field("taken", &self.taken)
+            .finish()
+    }
+}
+
+impl<T, R> Lane<'_, T, R> {
+    /// Hands `item` to the workers; on a one-thread pool, runs it now.
+    pub fn submit(&mut self, item: T) {
+        if self.inline {
+            let result = catch_unwind(AssertUnwindSafe(|| (self.run)(item))).map_err(panic_message);
+            let mut inner = lock_unpoisoned(&self.state.inner);
+            inner.slots.push_back(Some(result));
+        } else {
+            let mut inner = lock_unpoisoned(&self.state.inner);
+            inner.slots.push_back(None);
+            inner.queue.push_back((self.submitted, item));
+            drop(inner);
+            self.state.work.notify_one();
+        }
+        self.submitted += 1;
+    }
+
+    /// Items submitted whose results have not been taken yet, finished or
+    /// not.
+    pub fn in_flight(&self) -> usize {
+        self.submitted - self.taken
+    }
+
+    /// The oldest in-flight item's result if it has finished; `None`
+    /// without blocking otherwise.
+    pub fn poll(&mut self) -> Option<Result<R, PoolError>> {
+        let result = lock_unpoisoned(&self.state.inner).take_finished()?;
+        Some(self.deliver(result))
+    }
+
+    /// Waits for the oldest in-flight item and returns its result; `None`
+    /// when nothing is in flight.
+    pub fn wait(&mut self) -> Option<Result<R, PoolError>> {
+        if self.in_flight() == 0 {
+            return None;
+        }
+        let mut inner = lock_unpoisoned(&self.state.inner);
+        loop {
+            if let Some(result) = inner.take_finished() {
+                drop(inner);
+                return Some(self.deliver(result));
+            }
+            inner = wait_unpoisoned(&self.state.done, inner);
+        }
+    }
+
+    fn deliver(&mut self, result: Result<R, String>) -> Result<R, PoolError> {
+        let completed = self.taken;
+        self.taken += 1;
+        result.map_err(|panic_message| PoolError {
+            panic_message,
+            completed,
+            total: self.submitted,
+        })
+    }
+}
+
+/// What a lane's caller and workers share.
+struct LaneState<T, R> {
+    inner: Mutex<LaneInner<T, R>>,
+    /// Signalled when an item is queued or the lane closes.
+    work: Condvar,
+    /// Signalled when an item finishes.
+    done: Condvar,
+}
+
+struct LaneInner<T, R> {
+    /// Submitted items no worker has started, with their sequence numbers.
+    queue: VecDeque<(usize, T)>,
+    /// One slot per in-flight item, oldest first; `Some` once it finished.
+    slots: VecDeque<Option<Result<R, String>>>,
+    /// The sequence number of `slots[0]`.
+    first: usize,
+    closed: bool,
+}
+
+impl<T, R> LaneInner<T, R> {
+    /// Removes the oldest slot and returns its result, if it finished.
+    fn take_finished(&mut self) -> Option<Result<R, String>> {
+        let result = self.slots.front_mut()?.take()?;
+        self.slots.pop_front();
+        self.first += 1;
+        Some(result)
+    }
+}
+
+/// Closes a lane on drop: queued items are dropped and idle workers exit.
+struct CloseOnDrop<'a, T, R>(&'a LaneState<T, R>);
+
+impl<T, R> Drop for CloseOnDrop<'_, T, R> {
+    fn drop(&mut self) {
+        let mut inner = lock_unpoisoned(&self.0.inner);
+        inner.closed = true;
+        inner.queue.clear();
+        drop(inner);
+        self.0.work.notify_all();
+    }
+}
+
+/// One lane worker: take the oldest queued item, run it, fill its slot,
+/// until the lane closes.
+fn lane_worker<T, R, F>(state: &LaneState<T, R>, f: &F)
+where
+    F: Fn(T) -> R,
+{
+    loop {
+        let (seq, item) = {
+            let mut inner = lock_unpoisoned(&state.inner);
+            loop {
+                if let Some(next) = inner.queue.pop_front() {
+                    break next;
+                }
+                if inner.closed {
+                    return;
+                }
+                inner = wait_unpoisoned(&state.work, inner);
+            }
+        };
+        let result = catch_unwind(AssertUnwindSafe(|| f(item))).map_err(panic_message);
+        let mut inner = lock_unpoisoned(&state.inner);
+        // Only finished slots leave the front, so this unfinished item's
+        // slot is still there, `seq - first` from the front.
+        let offset = seq.wrapping_sub(inner.first);
+        if let Some(slot) = inner.slots.get_mut(offset) {
+            *slot = Some(result);
+        }
+        drop(inner);
+        state.done.notify_one();
     }
 }
 
@@ -599,6 +850,176 @@ mod tests {
             assert_eq!(admitted, 11);
             assert_eq!(prefix, full[..11], "threads = {threads}");
         }
+    }
+
+    /// A one-shot latch: `wait` blocks until `open` was called.
+    #[derive(Default)]
+    struct Latch {
+        open: Mutex<bool>,
+        opened: Condvar,
+    }
+
+    impl Latch {
+        fn open(&self) {
+            *self.open.lock().unwrap() = true;
+            self.opened.notify_all();
+        }
+
+        fn wait(&self) {
+            let mut open = self.open.lock().unwrap();
+            while !*open {
+                open = self.opened.wait(open).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn lane_returns_results_in_submission_order_when_completion_is_reversed() {
+        // Four items on four workers; item i finishes only after item i + 1
+        // has, so they complete in exactly reverse order.
+        const ITEMS: usize = 4;
+        let finished: Vec<Latch> = (0..ITEMS).map(|_| Latch::default()).collect();
+        let completion = Mutex::new(Vec::new());
+        let taken = ThreadPool::new(ITEMS).ordered(
+            |i: usize| {
+                if i + 1 < ITEMS {
+                    finished[i + 1].wait();
+                }
+                completion.lock().unwrap().push(i);
+                finished[i].open();
+                i * 10
+            },
+            |lane| {
+                for i in 0..ITEMS {
+                    lane.submit(i);
+                }
+                let mut taken = Vec::new();
+                while let Some(result) = lane.wait() {
+                    taken.push(result.expect("no panics"));
+                }
+                taken
+            },
+        );
+        assert_eq!(taken, vec![0, 10, 20, 30]);
+        assert_eq!(*completion.lock().unwrap(), vec![3, 2, 1, 0]);
+    }
+
+    #[test]
+    fn lane_keeps_order_under_reverse_cost_and_bounded_in_flight() {
+        // Early items cost the most; the caller keeps at most CAP in flight.
+        const CAP: usize = 3;
+        let running = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let cost = |i: u64| {
+            let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            let mut h = i;
+            for _ in 0..(64 - i) * 2_000 {
+                h = std::hint::black_box(h.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(7));
+            }
+            running.fetch_sub(1, Ordering::SeqCst);
+            (i, h)
+        };
+        let expected: Vec<(u64, u64)> = (0..64).map(cost).collect();
+        for threads in [1, 2, 4] {
+            peak.store(0, Ordering::SeqCst);
+            let got = ThreadPool::new(threads).ordered(cost, |lane| {
+                let mut got = Vec::new();
+                for i in 0..64 {
+                    while lane.in_flight() >= CAP {
+                        got.push(lane.wait().expect("in flight").expect("no panics"));
+                    }
+                    lane.submit(i);
+                    assert!(lane.in_flight() <= CAP);
+                    while let Some(result) = lane.poll() {
+                        got.push(result.expect("no panics"));
+                    }
+                }
+                while let Some(result) = lane.wait() {
+                    got.push(result.expect("no panics"));
+                }
+                got
+            });
+            assert_eq!(got, expected, "threads = {threads}");
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(peak <= CAP.min(threads), "threads = {threads}: {peak}");
+        }
+    }
+
+    #[test]
+    fn lane_panic_is_that_items_error_after_every_earlier_result() {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        for threads in [1, 2, 4] {
+            let taken = ThreadPool::new(threads).ordered(
+                |x: usize| {
+                    assert!(x != 7, "injected failure at {x}");
+                    x
+                },
+                |lane| {
+                    for x in 0..20 {
+                        lane.submit(x);
+                    }
+                    let mut taken = Vec::new();
+                    while let Some(result) = lane.wait() {
+                        taken.push(result);
+                    }
+                    taken
+                },
+            );
+            assert_eq!(taken.len(), 20, "threads = {threads}");
+            for (x, result) in taken.iter().enumerate() {
+                match result {
+                    Ok(value) => assert_eq!(*value, x),
+                    Err(err) => {
+                        assert_eq!(x, 7, "threads = {threads}");
+                        assert!(err.panic_message.contains("injected failure at 7"), "{err}");
+                        assert_eq!((err.completed, err.total), (7, 20));
+                    }
+                }
+            }
+            assert!(taken[7].is_err());
+            // Returning with items still in flight drops them without a hang.
+            let first = ThreadPool::new(threads).ordered(
+                |x: usize| {
+                    assert!(x != 0, "injected failure at {x}");
+                    x
+                },
+                |lane| {
+                    for x in 0..8 {
+                        lane.submit(x);
+                    }
+                    lane.wait()
+                },
+            );
+            assert!(matches!(first, Some(Err(PoolError { completed: 0, .. }))));
+        }
+        std::panic::set_hook(previous);
+    }
+
+    #[test]
+    fn one_thread_lane_runs_inline_at_submit() {
+        let caller = std::thread::current().id();
+        let ids = Mutex::new(Vec::new());
+        ThreadPool::serial().ordered(
+            |x: u32| {
+                ids.lock().unwrap().push(std::thread::current().id());
+                x + 1
+            },
+            |lane| {
+                for x in 0..5 {
+                    lane.submit(x);
+                    // Already finished: submit ran it.
+                    assert_eq!(lane.poll().expect("ran inline").expect("no panics"), x + 1);
+                    assert_eq!(lane.in_flight(), 0);
+                }
+                assert!(lane.poll().is_none());
+                assert!(lane.wait().is_none());
+            },
+        );
+        let ids = ids.into_inner().unwrap();
+        assert_eq!(ids.len(), 5);
+        assert!(ids.iter().all(|id| *id == caller));
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //! independent of the surrounding traffic, the admission windowing, and
 //! the worker-thread count.
 //!
-//! Admission control is load-based: requests accumulate into a bounded
-//! in-flight window until either the request cap or the cluster budget
-//! (the same quantity [`WindowStats`](dnasim_core::WindowStats) audits)
-//! would be exceeded, then the window executes on the worker pool and
-//! responses flush in order. Per-request failures reuse the workspace
+//! Admission control is load-based: a request is admitted once the
+//! in-flight set has room under both the request cap and the cluster
+//! budget (the same quantity [`WindowStats`](dnasim_core::WindowStats)
+//! audits). Admitted requests run on workers that live for the whole
+//! session, and each response is written as soon as every earlier one
+//! has been, which frees its slot. Per-request failures reuse the workspace
 //! `Degraded`/quarantine taxonomy: a malformed dataset or an
 //! over-budget archive answers in place with `"status":"error"` or
 //! `"status":"degraded"` and never disturbs its neighbours.

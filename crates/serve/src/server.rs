@@ -1,16 +1,19 @@
-//! The batch RPC loop: bounded in-flight windows over per-request seed
+//! The batch RPC loop: ordered completion over per-request seed
 //! namespaces.
 //!
-//! [`serve`] reads JSONL requests, admits them into a window bounded both
-//! by request count and by a cluster budget (the sum of each request's
-//! [`Request::load_estimate`], the same quantity `WindowStats` audits),
-//! executes the window on the worker pool, and writes responses in
-//! request order. Each request runs as a pure function of `(request,
-//! namespace seed)` via [`execute`], with all internal parallelism
-//! disabled — so the response stream is byte-identical at every worker
-//! count, and any single request replayed alone via [`execute`]
-//! reproduces its in-service response exactly.
+//! [`serve`] reads JSONL requests and admits each onto an ordered lane
+//! ([`ThreadPool::ordered`]) whose workers live for the whole session. The
+//! set of requests in flight is bounded both by count and by a cluster
+//! budget (the sum of each request's [`Request::load_estimate`], the same
+//! quantity `WindowStats` audits). There is no barrier: response `k` is
+//! written as soon as responses `0..k` are, and each written response
+//! frees its slot for the next admission. Each request runs as a pure
+//! function of `(request, namespace seed)` via [`execute`], with all
+//! internal parallelism disabled — so the response stream is
+//! byte-identical at every worker count, and any single request replayed
+//! alone via [`execute`] reproduces its in-service response exactly.
 
+use std::collections::VecDeque;
 use std::io::{BufRead, Write};
 
 use dnasim_channel::{CoverageModel, DnaSimulatorModel, Simulator};
@@ -19,7 +22,7 @@ use dnasim_core::{
     checked_batch_size, Budget, CancelToken, Dataset, DnasimError, Strand, WindowStats,
 };
 use dnasim_dataset::{fnv1a64, read_dataset, AnyDatasetWriter, DatasetWriter, Format, NanoporeTwinConfig};
-use dnasim_par::{RunCtx, ThreadPool};
+use dnasim_par::{Lane, PoolError, RunCtx, ThreadPool};
 use dnasim_pipeline::{
     archive_round_trip_in, evaluate_reconstruction_in, ArchiveConfig, ArchiveMode,
 };
@@ -34,7 +37,7 @@ pub struct ServeConfig {
     /// Root seed of the service namespace; every request's randomness is
     /// `SeedSequence::new(seed).derive_seq(tenant).derive_seq(request_id)`.
     pub seed: u64,
-    /// Maximum requests admitted into one in-flight window.
+    /// Most requests in flight at once: admitted, and not yet written.
     pub window: usize,
     /// Streaming batch size each op runs with (bounds its in-flight
     /// clusters; audited by `WindowStats::high_watermark`).
@@ -42,8 +45,9 @@ pub struct ServeConfig {
     /// Admission cap on request size (`clusters` / `count`; `bytes / 16`
     /// for archive).
     pub max_batch: usize,
-    /// Cluster budget for one in-flight window; `None` means
-    /// `window * batch_size` (count-bound only).
+    /// Most clusters in flight at once, summed over the in-flight
+    /// requests' load estimates; `None` means `window * batch_size`
+    /// (count-bound only).
     pub cluster_budget: Option<usize>,
     /// Lenient protocol handling: malformed lines become `rejected`
     /// responses instead of aborting the stream.
@@ -225,11 +229,13 @@ pub struct ServeReport {
     /// Requests shed at admission because their total work estimate
     /// exceeded the configured cluster budget.
     pub shed: usize,
-    /// In-flight windows executed.
+    /// Busy periods: admissions into an empty in-flight set. How the
+    /// session's work was grouped in time; it depends on scheduling, and
+    /// on one worker it equals the number of admissions.
     pub windows: usize,
-    /// Most requests any window held.
+    /// Most requests in flight at once.
     pub peak_inflight_requests: usize,
-    /// Largest cluster-load estimate any window carried — the admission
+    /// Largest cluster-load estimate in flight at once — the admission
     /// high-watermark, never above the configured cluster budget.
     pub peak_inflight_clusters: usize,
     /// Aggregated op streaming counters across all requests.
@@ -240,15 +246,16 @@ pub struct ServeReport {
 ///
 /// Responses are written in request order, one line per non-blank input
 /// line, and are byte-identical for every worker-pool size. In strict
-/// mode (the default) the first protocol violation flushes the admitted
-/// window and returns [`ServeError::Protocol`]; in lenient mode it
-/// becomes a `rejected` response and the stream continues.
+/// mode (the default) the first protocol violation writes every admitted
+/// request's response and returns [`ServeError::Protocol`]; in lenient
+/// mode it becomes a `rejected` response and the stream continues.
 ///
 /// # Errors
 ///
 /// [`ServeError::Protocol`] for a strict-mode protocol violation;
-/// [`ServeError::Runtime`] for transport I/O failures, a degraded worker
-/// pool, or an invalid configuration.
+/// [`ServeError::Runtime`] for transport I/O failures, an invalid
+/// configuration, or a worker panic (after every earlier response was
+/// written).
 pub fn serve<R, W>(
     input: R,
     output: &mut W,
@@ -264,14 +271,16 @@ where
 
 /// [`serve`] with cooperative shutdown.
 ///
-/// `shutdown` is observed at two points: before each new request line is
-/// read (no further admissions once cancelled), and inside every running
-/// op at its next batch boundary (via the budget's linked token). On
-/// cancellation the in-flight window drains — already-finished requests
-/// answer normally, interrupted ones answer with status `deadline` — and
-/// responses are still written in request order before the session
-/// returns its report. Stdin EOF drains the same way, minus the
-/// cancellation: the partial window executes and flushes in order.
+/// `shutdown` is observed at one serial point: right after each non-blank
+/// request line is read. Once it has tripped, that request is answered
+/// through [`execute_with`] on a cancelled budget (status `deadline`, the
+/// bytes any cancelled op gets), admission stops, and the requests
+/// already in flight run to completion and are written in request order
+/// before the session returns its report. Dispatched requests run under
+/// budgets *not* linked to the token, so the drained bytes depend only on
+/// which line was read when it tripped — never on the worker count or on
+/// how far the in-flight requests had got. End of input drains the same
+/// way, minus the cancelled line.
 ///
 /// # Errors
 ///
@@ -296,152 +305,160 @@ where
         return Err(DnasimError::config("max_batch", "admission cap must be at least 1").into());
     }
     let root = SeedSequence::new(config.seed);
+    let policy = config.policy();
     let budget = config.effective_cluster_budget();
-    let mut report = ServeReport::default();
-    let mut window: Vec<WorkItem> = Vec::new();
-    let mut load = 0usize;
-
-    let mut lines = input.lines().enumerate();
-    loop {
-        // Graceful drain: once shutdown is raised, stop admitting and fall
-        // through to the final flush, which answers the in-flight window
-        // (cancelled ops report `deadline`) in request order.
-        if shutdown.is_cancelled() {
-            break;
+    // Dispatched requests run under budgets not linked to `shutdown`: the
+    // token is observed only here, at the serial point right after a line
+    // is read, which is what makes the drain identical at every worker
+    // count.
+    let run = |item: WorkItem| match item {
+        WorkItem::Run(request) => execute_with(&request, &root, config.batch_size, &policy, None),
+        WorkItem::Cancelled(request) => {
+            execute_with(&request, &root, config.batch_size, &policy, Some(shutdown))
         }
-        let Some((idx, line)) = lines.next() else { break };
-        let line_no = idx + 1;
-        let line = line.map_err(DnasimError::Io)?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        report.requests += 1;
-        match Request::parse(&line, line_no, config.max_batch) {
-            Ok(request) => {
+        WorkItem::Reject(protocol) => rejection(&protocol),
+        WorkItem::Shed(request) => shed_response(&request, budget),
+    };
+    pool.ordered(run, |lane| {
+        let mut session = Session {
+            lane,
+            output,
+            report: ServeReport::default(),
+            loads: VecDeque::new(),
+            load: 0,
+            window: config.window,
+            budget,
+        };
+        let mut lines = input.lines().enumerate();
+        loop {
+            // Backpressure: read no line while the window is full.
+            session.make_room()?;
+            let Some((idx, line)) = lines.next() else { break };
+            let line = line.map_err(DnasimError::Io)?;
+            if line.trim().is_empty() {
+                continue;
+            }
+            session.report.requests += 1;
+            let cancelled = shutdown.is_cancelled();
+            match Request::parse(&line, idx + 1, config.max_batch) {
                 // Overload shedding: an explicit cluster budget also caps
                 // the *total* work any one request may demand. A shed
-                // request holds a window slot (responses stay 1:1 with
-                // input lines) but adds no load and never runs.
-                if config.cluster_budget.is_some() && request.work_estimate() > budget {
-                    if window.len() >= config.window {
-                        flush_window(
-                            &mut window,
-                            &mut load,
-                            config,
-                            &root,
-                            pool,
-                            output,
-                            &mut report,
-                            shutdown,
-                        )?;
-                    }
-                    window.push(WorkItem::Shed(request));
-                    continue;
-                }
-                let estimate = request.load_estimate(config.batch_size);
-                if !window.is_empty()
-                    && (window.len() >= config.window || load + estimate > budget)
+                // request holds a slot (responses stay 1:1 with input
+                // lines) but adds no load and never runs.
+                Ok(request)
+                    if config.cluster_budget.is_some() && request.work_estimate() > budget =>
                 {
-                    flush_window(
-                        &mut window,
-                        &mut load,
-                        config,
-                        &root,
-                        pool,
-                        output,
-                        &mut report,
-                        shutdown,
-                    )?;
+                    session.admit(WorkItem::Shed(request), 0)?;
                 }
-                load += estimate;
-                window.push(WorkItem::Run(request));
-            }
-            Err(protocol) if config.lenient => {
-                if window.len() >= config.window {
-                    flush_window(
-                        &mut window,
-                        &mut load,
-                        config,
-                        &root,
-                        pool,
-                        output,
-                        &mut report,
-                        shutdown,
-                    )?;
+                // Shutdown: the line read as the token tripped is answered
+                // on a cancelled budget (a `deadline` response), and
+                // admission stops below.
+                Ok(request) if cancelled => session.admit(WorkItem::Cancelled(request), 0)?,
+                Ok(request) => {
+                    let estimate = request.load_estimate(config.batch_size);
+                    session.admit(WorkItem::Run(request), estimate)?;
                 }
-                window.push(WorkItem::Reject(protocol));
+                Err(protocol) if config.lenient => {
+                    session.admit(WorkItem::Reject(protocol), 0)?;
+                }
+                Err(protocol) => {
+                    // Drain what was admitted so the output is a faithful
+                    // prefix, then abort with the diagnostic.
+                    session.drain()?;
+                    let _ = session.output.flush();
+                    return Err(protocol.into());
+                }
             }
-            Err(protocol) => {
-                // Drain what was admitted so the output is a faithful
-                // prefix, then abort with the diagnostic.
-                flush_window(
-                    &mut window,
-                    &mut load,
-                    config,
-                    &root,
-                    pool,
-                    output,
-                    &mut report,
-                    shutdown,
-                )?;
-                let _ = output.flush();
-                return Err(protocol.into());
+            if cancelled {
+                break;
             }
         }
-    }
-    flush_window(
-        &mut window,
-        &mut load,
-        config,
-        &root,
-        pool,
-        output,
-        &mut report,
-        shutdown,
-    )?;
-    output.flush().map_err(ServeError::Output)?;
-    Ok(report)
+        session.drain()?;
+        session.output.flush().map_err(ServeError::Output)?;
+        Ok(session.report)
+    })
 }
 
-/// A slot in the in-flight window: an admitted request, a (lenient mode)
-/// protocol rejection, or a request shed at admission — the latter two
+/// A slot in the in-flight set: an admitted request, the request read as
+/// the shutdown token tripped (run on a cancelled budget), a (lenient
+/// mode) protocol rejection, or a request shed at admission. The last two
 /// hold their place so responses stay 1:1 with input lines.
 #[derive(Debug)]
 enum WorkItem {
     Run(Request),
+    Cancelled(Request),
     Reject(ProtocolError),
     Shed(Request),
 }
 
-#[allow(clippy::too_many_arguments)]
-fn flush_window<W: Write>(
-    window: &mut Vec<WorkItem>,
-    load: &mut usize,
-    config: &ServeConfig,
-    root: &SeedSequence,
-    pool: &ThreadPool,
-    output: &mut W,
-    report: &mut ServeReport,
-    shutdown: &CancelToken,
-) -> Result<(), ServeError> {
-    if window.is_empty() {
-        return Ok(());
+/// The admission loop's state: the ordered lane, the response stream, and
+/// the load each in-flight request was admitted with.
+struct Session<'s, 'l, W> {
+    lane: &'s mut Lane<'l, WorkItem, Outcome>,
+    output: &'s mut W,
+    report: ServeReport,
+    /// Load estimates of the in-flight requests, oldest first.
+    loads: VecDeque<usize>,
+    /// Their sum.
+    load: usize,
+    window: usize,
+    budget: usize,
+}
+
+impl<W: Write> Session<'_, '_, W> {
+    /// Admits `item` once fewer than `window` requests are in flight and
+    /// either none is or `load + estimate` fits the cluster budget. Until
+    /// then it writes the oldest responses, each releasing its load.
+    fn admit(&mut self, item: WorkItem, estimate: usize) -> Result<(), ServeError> {
+        while let Some(result) = self.lane.poll() {
+            self.write(result)?;
+        }
+        self.make_room()?;
+        while self.lane.in_flight() > 0 && self.load + estimate > self.budget {
+            self.write_oldest()?;
+        }
+        if self.lane.in_flight() == 0 {
+            self.report.windows += 1;
+        }
+        self.load += estimate;
+        self.loads.push_back(estimate);
+        self.lane.submit(item);
+        let report = &mut self.report;
+        report.peak_inflight_requests = report.peak_inflight_requests.max(self.lane.in_flight());
+        report.peak_inflight_clusters = report.peak_inflight_clusters.max(self.load);
+        Ok(())
     }
-    report.windows += 1;
-    report.peak_inflight_requests = report.peak_inflight_requests.max(window.len());
-    report.peak_inflight_clusters = report.peak_inflight_clusters.max(*load);
-    let batch_size = config.batch_size;
-    let policy = config.policy();
-    let outcomes = pool
-        .par_map_indexed(window, |_, item| match item {
-            WorkItem::Run(request) => {
-                execute_with(request, root, batch_size, &policy, Some(shutdown))
-            }
-            WorkItem::Reject(protocol) => rejection(protocol),
-            WorkItem::Shed(request) => shed_response(request, config.effective_cluster_budget()),
-        })
-        .map_err(|e| ServeError::Runtime(e.into()))?;
-    for outcome in outcomes {
+
+    /// Writes the oldest responses until fewer than `window` requests are
+    /// in flight.
+    fn make_room(&mut self) -> Result<(), ServeError> {
+        while self.lane.in_flight() >= self.window {
+            self.write_oldest()?;
+        }
+        Ok(())
+    }
+
+    /// Writes every in-flight response, in request order.
+    fn drain(&mut self) -> Result<(), ServeError> {
+        while self.lane.in_flight() > 0 {
+            self.write_oldest()?;
+        }
+        Ok(())
+    }
+
+    fn write_oldest(&mut self) -> Result<(), ServeError> {
+        match self.lane.wait() {
+            Some(result) => self.write(result),
+            None => Ok(()),
+        }
+    }
+
+    /// Writes the oldest response. A worker panic ends the session here,
+    /// after every earlier response was written.
+    fn write(&mut self, result: Result<Outcome, PoolError>) -> Result<(), ServeError> {
+        self.load -= self.loads.pop_front().unwrap_or(0);
+        let outcome = result.map_err(|e| ServeError::Runtime(e.into()))?;
+        let report = &mut self.report;
         report.stream.absorb(outcome.window);
         match outcome.status {
             ResponseStatus::Ok => report.ok += 1,
@@ -451,14 +468,11 @@ fn flush_window<W: Write>(
             ResponseStatus::Deadline => report.deadlines += 1,
             ResponseStatus::Overloaded => report.shed += 1,
         }
-        output
+        self.output
             .write_all(outcome.line.as_bytes())
             .map_err(ServeError::Output)?;
-        output.write_all(b"\n").map_err(ServeError::Output)?;
+        self.output.write_all(b"\n").map_err(ServeError::Output)
     }
-    window.clear();
-    *load = 0;
-    Ok(())
 }
 
 /// Renders the response for a request shed at admission: `rejected` with
@@ -1304,16 +1318,19 @@ mod tests {
         .expect("drain succeeds");
         let text = String::from_utf8(out).expect("utf8");
         let lines: Vec<&str> = text.lines().collect();
-        // Lines 0..=2 were admitted before the loop observed the token;
-        // 3..6 were never read. Every admitted request answers, in
-        // request order, with a typed deadline response.
+        // r0 and r1 were admitted before the token tripped and run to
+        // completion; r2 is the line read as it tripped, answered on a
+        // cancelled budget; 3..6 were never read. Responses stay in
+        // request order.
         assert_eq!(lines.len(), 3, "{text}");
         for (i, line) in lines.iter().enumerate() {
             assert!(line.contains(&format!("\"request_id\":\"r{i}\"")), "{line}");
-            assert!(line.contains("\"status\":\"deadline\""), "{line}");
+            let status = if i < 2 { "ok" } else { "deadline" };
+            assert!(line.contains(&format!("\"status\":\"{status}\"")), "{line}");
         }
         assert_eq!(report.requests, 3);
-        assert_eq!(report.deadlines, 3);
+        assert_eq!(report.ok, 2);
+        assert_eq!(report.deadlines, 1);
     }
 
     #[test]

@@ -46,7 +46,9 @@
 #    interleaved requests byte-identically to isolated serial execution
 #    (tests/serve_soak.rs in smoke mode), and the `dnasim serve` pipe must
 #    honour the exit-code contract (responses + exit 0 on valid JSONL,
-#    usage + exit 2 on a malformed line, never a panic).
+#    usage + exit 2 on a malformed line, never a panic). One mixed stream,
+#    slow archive requests first, must also answer byte-identically over
+#    a real pipe at --threads 1/4 and --window 1/8.
 # 11. Bench smoke: scripts/bench.sh --fast must produce parseable reports
 #    (the workspace groups, the cross-format parse group, the
 #    multi-pattern clustering group, and the streaming-clusterer group),
@@ -325,6 +327,36 @@ set -e
 [ "$serve_code" -eq 2 ]
 printf '%s' "$serve_err" | grep -q "request line 1"
 echo "ok: serve answers valid JSONL and rejects malformed lines with exit 2"
+
+echo "== serve invariance over a pipe (threads and window) =="
+# One mixed stream through `dnasim serve` four ways. The archive requests
+# come first and are the slowest, so on several workers later requests
+# finish before them; responses must still come out in request order and
+# byte-identical at 1 and 4 workers and at window 1 and 8 (DESIGN.md §12,
+# §22). printf '%s' keeps each `\n` as a JSON escape.
+serve_dir=$(mktemp -d /tmp/dnasim-serve-pipe.XXXXXX)
+printf '%s\n' \
+    '{"tenant":"acme","request_id":"a1","op":"archive","bytes":64,"reads":4}' \
+    '{"tenant":"beta","request_id":"a2","op":"archive","bytes":48,"lenient":true}' \
+    '{"tenant":"acme","request_id":"c1","op":"corrupt","count":3,"len":30,"reads":2}' \
+    '{"tenant":"gamma","request_id":"g1","op":"generate","clusters":6,"len":30}' \
+    '{"tenant":"beta","request_id":"g2","op":"generate","clusters":4,"len":24,"format":"binary"}' \
+    '{"tenant":"gamma","request_id":"e1","op":"evaluate","dataset":">ACGTACGTAC\nACGTACGTAC\nACGAACGTAC\nACGTACTAC\n","algorithm":"bma"}' \
+    '{"tenant":"acme","request_id":"s1","op":"simulate","dataset":">ACGTACGTAC\nACGTACGTAC\nACGAACGTAC\n","model":"naive"}' \
+    '{"tenant":"beta","request_id":"c2","op":"corrupt","count":2,"len":24,"reads":3}' \
+    > "$serve_dir/in.jsonl"
+"$dnasim" serve --seed 3 --threads 1 < "$serve_dir/in.jsonl" > "$serve_dir/t1.out" 2>/dev/null
+"$dnasim" serve --seed 3 --threads 4 < "$serve_dir/in.jsonl" > "$serve_dir/t4.out" 2>/dev/null
+"$dnasim" serve --seed 3 --threads 4 --window 1 < "$serve_dir/in.jsonl" \
+    > "$serve_dir/w1.out" 2>/dev/null
+"$dnasim" serve --seed 3 --threads 4 --window 8 < "$serve_dir/in.jsonl" \
+    > "$serve_dir/w8.out" 2>/dev/null
+[ "$(grep -c '"status":"ok"' "$serve_dir/t1.out")" -eq 8 ]
+cmp "$serve_dir/t1.out" "$serve_dir/t4.out"
+cmp "$serve_dir/t1.out" "$serve_dir/w1.out"
+cmp "$serve_dir/t1.out" "$serve_dir/w8.out"
+rm -rf "$serve_dir"
+echo "ok: serve responses are identical at 1/4 workers and window 1/8"
 
 echo "== cancellation chaos smoke (budgets, deadlines, shedding) =="
 # The machine-readable chaos grid must be clean, including the streaming
