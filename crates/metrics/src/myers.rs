@@ -17,6 +17,9 @@
 //! * [`distance`] computes the exact Levenshtein distance.
 //!   [`distance_bases_with`] computes it from unpacked base slices,
 //!   building the shorter operand's masks in the scratch.
+//! * [`DeltaColumns`] runs the same blocked loop but keeps every column's
+//!   vertical and horizontal delta words, so an edit-script traceback can
+//!   test each cell's neighbours with single bit tests.
 //! * [`within`] is the banded variant: it returns the exact distance when
 //!   it is ≤ `limit` and `None` otherwise, abandoning the column loop as
 //!   soon as the running score minus the remaining columns (a lower bound
@@ -80,12 +83,12 @@ fn choose<'s>(a: &'s PackedStrand, b: &'s PackedStrand) -> (&'s PackedStrand, &'
 
 /// One blocked-kernel step: advances one 64-row block of the current
 /// column. `hin` is the horizontal delta entering the block's bottom row
-/// (+1, 0 or −1); the return value is the horizontal delta read off at
-/// `out_bit` *before* the shift — bit 63 for interior blocks (the carry
-/// into the next block), or the pattern's last-row bit for the top block
-/// (the score delta).
+/// (+1, 0 or −1). Returns the horizontal delta read off at `out_bit`
+/// *before* the shift — bit 63 for interior blocks (the carry into the
+/// next block), or the pattern's last-row bit for the top block (the
+/// score delta) — and the block's `Ph`/`Mh` words before the shift.
 #[inline(always)]
-fn step(pv: &mut u64, mv: &mut u64, eq0: u64, hin: i32, out_bit: u64) -> i32 {
+fn step(pv: &mut u64, mv: &mut u64, eq0: u64, hin: i32, out_bit: u64) -> (i32, u64, u64) {
     let hin_neg = (hin < 0) as u64;
     let xv = eq0 | *mv;
     let eq = eq0 | hin_neg;
@@ -93,41 +96,12 @@ fn step(pv: &mut u64, mv: &mut u64, eq0: u64, hin: i32, out_bit: u64) -> i32 {
     let ph = *mv | !(xh | *pv);
     let mh = *pv & xh;
     let hout = ((ph & out_bit) != 0) as i32 - ((mh & out_bit) != 0) as i32;
+    let (ph_out, mh_out) = (ph, mh);
     let ph = (ph << 1) | (hin > 0) as u64;
     let mh = (mh << 1) | hin_neg;
     *pv = mh | !(xv | ph);
     *mv = ph & xv;
-    hout
-}
-
-/// Single-word fast path: pattern fits one machine word, so `Pv`/`Mv`
-/// stay in registers for the whole text scan.
-fn distance_one_word(pattern: &PackedStrand, text: &PackedStrand) -> usize {
-    let m = pattern.len();
-    let eqs: [u64; 4] = std::array::from_fn(|c| {
-        pattern.eq_by_code(c as u8).first().copied().unwrap_or(0)
-    });
-    let mut pv = !0u64;
-    let mut mv = 0u64;
-    let mut score = m;
-    let score_bit = 1u64 << (m - 1);
-    for c in text.codes() {
-        let eq = eqs[(c & 3) as usize];
-        let xv = eq | mv;
-        let xh = (((eq & pv).wrapping_add(pv)) ^ pv) | eq;
-        let ph = mv | !(xh | pv);
-        let mh = pv & xh;
-        if ph & score_bit != 0 {
-            score += 1;
-        } else if mh & score_bit != 0 {
-            score -= 1;
-        }
-        let ph = (ph << 1) | 1;
-        let mh = mh << 1;
-        pv = mh | !(xv | ph);
-        mv = ph & xv;
-    }
-    score
+    (hout, ph_out, mh_out)
 }
 
 /// Exact Levenshtein distance between two packed strands.
@@ -151,21 +125,21 @@ pub fn distance_with(scratch: &mut MyersScratch, a: &PackedStrand, b: &PackedStr
     if p == t {
         return 0;
     }
-    let words = p.words();
-    if words == 1 {
-        return distance_one_word(p, t);
-    }
-    blocked_distance(&mut scratch.pv, &mut scratch.mv, m, t.codes(), |c| {
-        p.eq_by_code(c)
-    })
+    blocked_distance(
+        &mut scratch.pv,
+        &mut scratch.mv,
+        m,
+        t.codes(),
+        |c| p.eq_by_code(c),
+        |_| {},
+    )
 }
 
 /// [`distance_with`] over unpacked base slices.
 ///
 /// The shorter operand's equality planes are built into `scratch` rather
-/// than into a fresh [`PackedStrand`], so callers that hold plain strands
-/// (the profiler's edit-script DP, which needs the distance to size its
-/// band) pay no allocation once the scratch has grown.
+/// than into a fresh [`PackedStrand`], so callers holding plain strands
+/// pay no allocation once the scratch has grown.
 pub fn distance_bases_with(scratch: &mut MyersScratch, a: &[Base], b: &[Base]) -> usize {
     let (p, t) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if p.is_empty() {
@@ -174,12 +148,7 @@ pub fn distance_bases_with(scratch: &mut MyersScratch, a: &[Base], b: &[Base]) -
     if p == t {
         return 0;
     }
-    let words = p.len().div_ceil(64);
-    scratch.eq.clear();
-    scratch.eq.resize(4 * words, 0);
-    for (i, base) in p.iter().enumerate() {
-        scratch.eq[base.index() * words + (i >> 6)] |= 1u64 << (i & 63);
-    }
+    let words = eq_planes(&mut scratch.eq, p);
     let eq = &scratch.eq;
     blocked_distance(
         &mut scratch.pv,
@@ -187,25 +156,62 @@ pub fn distance_bases_with(scratch: &mut MyersScratch, a: &[Base], b: &[Base]) -
         p.len(),
         t.iter().map(|base| base.index() as u8),
         |c| &eq[(c & 3) as usize * words..][..words],
+        |_| {},
     )
+}
+
+/// Builds the equality planes of `pattern` into `eq`, laid out as
+/// `eq[code * words + w]`, and returns the word count ⌈m/64⌉.
+fn eq_planes(eq: &mut Vec<u64>, pattern: &[Base]) -> usize {
+    let words = pattern.len().div_ceil(64);
+    eq.clear();
+    eq.resize(4 * words, 0);
+    for (i, base) in pattern.iter().enumerate() {
+        eq[base.index() * words + (i >> 6)] |= 1u64 << (i & 63);
+    }
+    words
 }
 
 /// The blocked column loop shared by the exact kernels: streams `text`
 /// codes against a non-empty `m`-base pattern whose equality words for a
-/// code are `eq(code)` (⌈m/64⌉ words each).
+/// code are `eq(code)` (⌈m/64⌉ words each). After each block step,
+/// `record` sees that block's `[Pv, Mv, Ph, Mh]` — the new vertical words
+/// and the horizontal words before the shift — in column-major order.
 fn blocked_distance<'e>(
     pv: &mut Vec<u64>,
     mv: &mut Vec<u64>,
     m: usize,
     text: impl Iterator<Item = u8>,
     eq: impl Fn(u8) -> &'e [u64],
+    record: impl FnMut([u64; 4]),
 ) -> usize {
-    let words = m.div_ceil(64);
-    pv.clear();
-    pv.resize(words, !0u64);
-    mv.clear();
-    mv.resize(words, 0);
-    let last = words - 1;
+    // One- and two-block patterns (every strand up to 128 nt) keep their
+    // delta words in fixed arrays, which the compiler holds in registers.
+    match m.div_ceil(64) {
+        1 => column_loop(&mut [!0; 1], &mut [0; 1], m, text, eq, record),
+        2 => column_loop(&mut [!0; 2], &mut [0; 2], m, text, eq, record),
+        words => {
+            pv.clear();
+            pv.resize(words, !0u64);
+            mv.clear();
+            mv.resize(words, 0);
+            column_loop(pv, mv, m, text, eq, record)
+        }
+    }
+}
+
+/// [`blocked_distance`]'s column loop over `Pv`/`Mv` words already set to
+/// the first column's all-`+1` deltas.
+#[inline(always)]
+fn column_loop<'e>(
+    pv: &mut [u64],
+    mv: &mut [u64],
+    m: usize,
+    text: impl Iterator<Item = u8>,
+    eq: impl Fn(u8) -> &'e [u64],
+    mut record: impl FnMut([u64; 4]),
+) -> usize {
+    let last = pv.len() - 1;
     let score_bit = 1u64 << ((m - 1) & 63);
     let mut score = m as isize;
     for c in text {
@@ -216,11 +222,98 @@ fn blocked_distance<'e>(
             .zip(mv[..last].iter_mut())
             .zip(&eqs[..last])
         {
-            hin = step(pv, mv, eq, hin, 1 << 63);
+            let (hout, ph, mh) = step(pv, mv, eq, hin, 1 << 63);
+            record([*pv, *mv, ph, mh]);
+            hin = hout;
         }
-        score += step(&mut pv[last], &mut mv[last], eqs[last], hin, score_bit) as isize;
+        let (hout, ph, mh) = step(&mut pv[last], &mut mv[last], eqs[last], hin, score_bit);
+        record([pv[last], mv[last], ph, mh]);
+        score += hout as isize;
     }
     score.max(0) as usize
+}
+
+/// Every column of the edit-distance matrix of a pattern (rows `i`)
+/// against a text (columns `j`), kept as Myers delta words so that a
+/// traceback reads each neighbour relation of a cell with one bit test.
+///
+/// Column `j` holds, per 64-row block, `[Pv, Mv, Ph, Mh]`: bit `i − 1` of
+/// `Pv`/`Mv` is set when `D(i, j) − D(i − 1, j)` is +1/−1, and bit `i − 1`
+/// of `Ph`/`Mh` when `D(i, j) − D(i, j − 1)` is +1/−1. Column 0 is the
+/// matrix border, whose vertical deltas are all +1. These are the full
+/// matrix's deltas, so [`up`](DeltaColumns::up),
+/// [`left`](DeltaColumns::left) and [`diag`](DeltaColumns::diag) answer
+/// exactly as a filled `O(m·n)` table would. Storage is
+/// `(n + 1)·⌈m/64⌉·4` words, reused across calls.
+#[derive(Debug, Clone, Default)]
+pub struct DeltaColumns {
+    words: usize,
+    cols: Vec<[u64; 4]>,
+    scratch: MyersScratch,
+}
+
+impl DeltaColumns {
+    /// Runs the blocked kernel over `pattern` against `text` and keeps
+    /// every column's delta words, replacing the previous recording.
+    pub fn record(&mut self, pattern: &[Base], text: &[Base]) {
+        let words = pattern.len().div_ceil(64);
+        self.words = words;
+        self.cols.clear();
+        self.cols.resize(words, [!0, 0, 0, 0]);
+        if words == 0 {
+            return;
+        }
+        self.cols.reserve(text.len() * words);
+        let s = &mut self.scratch;
+        eq_planes(&mut s.eq, pattern);
+        let (eq, cols) = (&s.eq, &mut self.cols);
+        blocked_distance(
+            &mut s.pv,
+            &mut s.mv,
+            pattern.len(),
+            text.iter().map(|base| base.index() as u8),
+            |c| &eq[(c & 3) as usize * words..][..words],
+            |block| cols.push(block),
+        );
+    }
+
+    /// Column `j`'s delta words for the block holding row `i ≥ 1`, and the
+    /// row's bit in them.
+    #[inline]
+    fn block(&self, i: usize, j: usize) -> ([u64; 4], u64) {
+        let r = i - 1;
+        (self.cols[j * self.words + (r >> 6)], 1u64 << (r & 63))
+    }
+
+    /// `D(i − 1, j) + 1 == D(i, j)`, for `i ≥ 1`.
+    #[inline]
+    pub fn up(&self, i: usize, j: usize) -> bool {
+        let ([pv, ..], bit) = self.block(i, j);
+        pv & bit != 0
+    }
+
+    /// `D(i, j − 1) + 1 == D(i, j)`, for `j ≥ 1`. Row 0 always is.
+    #[inline]
+    pub fn left(&self, i: usize, j: usize) -> bool {
+        if i == 0 {
+            return true;
+        }
+        let ([_, _, ph, _], bit) = self.block(i, j);
+        ph & bit != 0
+    }
+
+    /// `D(i − 1, j − 1) + 1 == D(i, j)`, for `i, j ≥ 1`: the horizontal
+    /// delta `h(i, j)` plus the vertical delta `v(i, j − 1)` is 1.
+    #[inline]
+    pub fn diag(&self, i: usize, j: usize) -> bool {
+        let ([_, _, ph, mh], bit) = self.block(i, j);
+        let ([pv, mv, ..], _) = self.block(i, j - 1);
+        let h_plus = ph & bit != 0;
+        let h_zero = (ph | mh) & bit == 0;
+        let v_plus = pv & bit != 0;
+        let v_zero = (pv | mv) & bit == 0;
+        (h_plus && v_zero) || (h_zero && v_plus)
+    }
 }
 
 /// Banded distance: `Some(d)` with the exact distance when `d ≤ limit`,
@@ -270,7 +363,7 @@ pub fn within_with(
             .zip(scratch.mv[..last].iter_mut())
             .zip(&eqs[..last])
         {
-            hin = step(pv, mv, eq, hin, 1 << 63);
+            hin = step(pv, mv, eq, hin, 1 << 63).0;
         }
         score += step(
             &mut scratch.pv[last],
@@ -278,7 +371,8 @@ pub fn within_with(
             eqs[last],
             hin,
             score_bit,
-        ) as isize;
+        )
+        .0 as isize;
         // The bottom-row score changes by at most one per column, so the
         // final distance is at least `score - columns_remaining`.
         let remaining = (n - j - 1) as isize;

@@ -25,7 +25,7 @@ fn homopolymer_heavy(len: usize, rng: &mut SimRng) -> Strand {
     let mut base = Base::random(rng);
     (0..len)
         .map(|i| {
-            if i % run == 0 && rng.next_u64() % 3 == 0 {
+            if i % run == 0 && rng.next_u64().is_multiple_of(3) {
                 base = Base::random(rng);
             }
             base

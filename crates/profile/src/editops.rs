@@ -9,8 +9,8 @@
 //! over-counted (the deterministic alternative is kept for ablation).
 
 use dnasim_core::rng::{Rng, RngExt};
-use dnasim_core::{Base, EditOp, EditScript, Strand};
-use dnasim_metrics::{myers, MyersScratch};
+use dnasim_core::{EditOp, EditScript, Strand};
+use dnasim_metrics::myers::DeltaColumns;
 
 /// Tie-breaking policy when several minimal edit paths exist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,16 +24,17 @@ pub enum TieBreak {
     PreferSubstitution,
 }
 
-/// Reusable buffers for [`edit_script_with`]: the banded DP matrix and the
-/// Myers scratch that sizes its band.
+/// Reusable buffers for [`edit_script_with`] and [`edit_ops_with`]: the
+/// Myers delta words of every DP column, which the traceback reads with
+/// bit tests.
 ///
-/// Profiling a dataset or refining a consensus calls the DP once per read,
-/// so hot loops allocate one scratch and thread it through every call. The
-/// buffers only ever grow, to the largest band seen.
+/// Profiling a dataset or refining a consensus traces one script per
+/// read, so hot loops allocate one scratch and thread it through every
+/// call. The buffers only ever grow, to `(n + 1)·⌈m/64⌉·4` words for the
+/// largest `m`-base reference and `n`-base read seen.
 #[derive(Debug, Clone, Default)]
 pub struct EditScratch {
-    dp: Vec<u32>,
-    myers: MyersScratch,
+    columns: DeltaColumns,
 }
 
 impl EditScratch {
@@ -75,125 +76,9 @@ pub fn edit_script<R: Rng + ?Sized>(
     edit_script_with(&mut EditScratch::new(), reference, read, tie_break, rng)
 }
 
-/// Off-band sentinel: larger than any distance, and `+ 1` cannot overflow.
-const INF: u32 = u32::MAX / 2;
-
-/// The diagonals `k = i − j` of the DP matrix that an optimal path can
-/// visit, and the row layout that stores only their cells.
-///
-/// Let `d` be the distance and `δ = m − n`. A cell on an optimal path has
-/// prefix cost `≥ |k|` and suffix cost `≥ |δ − k|`, and the two sum to
-/// `d`, so `|k| + |δ − k| ≤ d`: the diagonals from `min(0, δ)` to
-/// `max(0, δ)`, widened by `⌊(d − |δ|)/2⌋` on either side.
-#[derive(Debug, Clone, Copy)]
-struct Band {
-    /// The band's largest diagonal: `k ≤ hi`.
-    hi: usize,
-    /// The band's smallest diagonal, negated: `k ≥ −reach`.
-    reach: usize,
-    /// The read length, which is the last column.
-    n: usize,
-    /// Slots per row: the widest row's cells plus at least one trailing
-    /// [`INF`] slot, which the next row reads as its off-band `up`.
-    stride: usize,
-}
-
-impl Band {
-    fn new(m: usize, n: usize, distance: usize) -> Band {
-        let slack = (distance - m.abs_diff(n)) / 2;
-        let (hi, reach) = (m.saturating_sub(n) + slack, n.saturating_sub(m) + slack);
-        // A row never holds more than every column, so a long reference
-        // against a short read costs no more than the full matrix.
-        let width = (hi + reach + 1).min(n + 1);
-        Band {
-            hi,
-            reach,
-            n,
-            stride: width + 1,
-        }
-    }
-
-    /// The first column of row `i` inside the band.
-    fn first(self, i: usize) -> usize {
-        i.saturating_sub(self.hi)
-    }
-
-    /// The last column of row `i` inside the band.
-    fn last(self, i: usize) -> usize {
-        (i + self.reach).min(self.n)
-    }
-
-    /// The value of cell `(i, j)` (with `j ≤ n`), or [`INF`] off the band.
-    fn get(self, dp: &[u32], i: usize, j: usize) -> u32 {
-        if j < self.first(i) || j > i + self.reach {
-            return INF;
-        }
-        dp[i * self.stride + j - self.first(i)]
-    }
-
-    /// Fills the banded matrix for `a` (rows) against `b` (columns). Row
-    /// `i` keeps columns `first(i)..=last(i)` from slot 0; both bounds
-    /// grow by at most one per row, so the `diag` and `up` neighbours of a
-    /// run of cells are a contiguous run of the row above.
-    fn fill(self, dp: &mut Vec<u32>, a: &[Base], b: &[Base]) {
-        let stride = self.stride;
-        let size = (a.len() + 1) * stride;
-        if dp.len() < size {
-            dp.resize(size, INF);
-        }
-        let dp = &mut dp[..size];
-        // Slots past each row's last column must read as off-band.
-        dp.fill(INF);
-        for (j, cell) in dp[..=self.last(0)].iter_mut().enumerate() {
-            *cell = j as u32;
-        }
-        for (i, &ai) in (1..=a.len()).zip(a) {
-            let (prev, row) = dp[(i - 1) * stride..(i + 1) * stride].split_at_mut(stride);
-            let (first, last) = (self.first(i), self.last(i));
-            // The left neighbour of the row's first cell is off the band,
-            // unless that cell is column 0, whose value is `i`.
-            let mut left = INF;
-            let mut j = first;
-            if j == 0 {
-                left = i as u32;
-                row[0] = left;
-                j = 1;
-            }
-            if j > last {
-                continue;
-            }
-            let cells = row[j - first..=last - first].iter_mut();
-            let above = prev[j - 1 - self.first(i - 1)..=last - self.first(i - 1)].windows(2);
-            for ((cell, above), &bj) in cells.zip(above).zip(&b[j - 1..last]) {
-                let diag = above[0] + u32::from(ai != bj);
-                left = diag.min(above[1] + 1).min(left + 1);
-                *cell = left;
-            }
-        }
-    }
-}
-
 /// [`edit_script`] with a caller-provided scratch — identical output, no
-/// per-call allocation beyond the script once the scratch has grown.
-///
-/// The DP is *banded*: the exact distance `d` (Myers' bit-parallel kernel)
-/// bounds the diagonals any optimal path can use (see `Band`), and only
-/// those are filled — for an `m`-base reference and an `n`-base read,
-/// `O(m · min(d, n))` cells instead of `O(m · n)`. The result is identical
-/// to the full matrix's, tie-break draws included:
-///
-/// * every cell on an optimal path has all its optimal prefix paths
-///   inside the band, so its banded value is exact;
-/// * the traceback only visits such cells, and a predecessor is minimal
-///   (`value + 1 == here`) exactly when it lies on an optimal path — so
-///   it is in the band with its exact value;
-/// * a non-minimal predecessor's banded value is at least its true value,
-///   which is at least `here`, so it is rejected in the band as in the
-///   full matrix.
-///
-/// The candidate sets and their order are therefore unchanged, and so is
-/// every `random_range` draw. `crates/profile/tests/banded_differential.rs`
-/// checks this against the full-matrix DP.
+/// per-call allocation beyond the script once the scratch has grown: the
+/// ops of [`edit_ops_with`], collected and reversed.
 pub fn edit_script_with<R: Rng + ?Sized>(
     scratch: &mut EditScratch,
     reference: &Strand,
@@ -201,41 +86,69 @@ pub fn edit_script_with<R: Rng + ?Sized>(
     tie_break: TieBreak,
     rng: &mut R,
 ) -> EditScript {
+    let mut ops: Vec<EditOp> = Vec::with_capacity(reference.len().max(read.len()));
+    edit_ops_with(scratch, reference, read, tie_break, rng, |op, _| {
+        ops.push(op)
+    });
+    ops.reverse();
+    EditScript::from_ops(ops)
+}
+
+/// Traces a minimal edit script from `reference` to `read` and hands each
+/// op to `visit` with its reference position, in traceback order (last op
+/// first). The position is the number of reference bases before the op:
+/// the base an `Equal`, `Subst` or `Delete` consumes, or the base an
+/// `Insert` precedes (`reference.len()` at the end).
+///
+/// The blocked Myers kernel records every column's delta words
+/// ([`DeltaColumns`]), and each traceback test is one bit test on them:
+///
+/// * `D(i−1, j) + 1 == D(i, j)` iff the vertical delta `v(i, j)` is +1;
+/// * `D(i, j−1) + 1 == D(i, j)` iff the horizontal delta `h(i, j)` is +1
+///   (always, in row 0);
+/// * `D(i−1, j−1) + 1 == D(i, j)` iff `h(i, j) + v(i, j−1) == 1`.
+///
+/// These are the full matrix's values, so the candidate sets, their order
+/// and every `TieBreak::Random` draw are the full-matrix DP's.
+/// `crates/profile/tests/banded_differential.rs` checks this against that
+/// DP.
+pub fn edit_ops_with<R: Rng + ?Sized>(
+    scratch: &mut EditScratch,
+    reference: &Strand,
+    read: &Strand,
+    tie_break: TieBreak,
+    rng: &mut R,
+    mut visit: impl FnMut(EditOp, usize),
+) {
     let a = reference.as_bases();
     let b = read.as_bases();
-    let (m, n) = (a.len(), b.len());
-    let band = Band::new(m, n, myers::distance_bases_with(&mut scratch.myers, a, b));
-    band.fill(&mut scratch.dp, a, b);
-    let dp = &scratch.dp;
-
-    // Traceback from (m, n), collecting ops in reverse.
-    let mut ops: Vec<EditOp> = Vec::with_capacity(m.max(n));
-    let (mut i, mut j) = (m, n);
+    let cols = &mut scratch.columns;
+    cols.record(a, b);
+    let (mut i, mut j) = (a.len(), b.len());
     // Reused candidate buffer for the ≤3 minimal predecessors at each cell.
     let mut candidates: [Option<EditOp>; 3] = [None; 3];
     while i > 0 || j > 0 {
         if i > 0 && j > 0 && a[i - 1] == b[j - 1] {
             // Matching characters always admit the zero-cost diagonal (the
             // paper's EQUAL branch is unconditional).
-            ops.push(EditOp::Equal(a[i - 1]));
             i -= 1;
             j -= 1;
+            visit(EditOp::Equal(a[i]), i);
             continue;
         }
-        let here = band.get(dp, i, j);
         let mut count = 0;
-        if i > 0 && j > 0 && band.get(dp, i - 1, j - 1) + 1 == here {
+        if i > 0 && j > 0 && cols.diag(i, j) {
             candidates[count] = Some(EditOp::Subst {
                 orig: a[i - 1],
                 new: b[j - 1],
             });
             count += 1;
         }
-        if i > 0 && band.get(dp, i - 1, j) + 1 == here {
+        if i > 0 && cols.up(i, j) {
             candidates[count] = Some(EditOp::Delete(a[i - 1]));
             count += 1;
         }
-        if j > 0 && band.get(dp, i, j - 1) + 1 == here {
+        if j > 0 && cols.left(i, j) {
             candidates[count] = Some(EditOp::Insert(b[j - 1]));
             count += 1;
         }
@@ -245,7 +158,7 @@ pub fn edit_script_with<R: Rng + ?Sized>(
             TieBreak::PreferSubstitution => 0,
         };
         let Some(op) = candidates.get(pick).copied().flatten() else {
-            // A well-formed DP table always admits a predecessor; if the
+            // The exact deltas always admit a predecessor; if the
             // invariant is ever violated, stop the traceback rather than
             // panic — the partial script is still a valid edit script.
             break;
@@ -258,10 +171,8 @@ pub fn edit_script_with<R: Rng + ?Sized>(
             EditOp::Delete(_) => i = i.saturating_sub(1),
             EditOp::Insert(_) => j = j.saturating_sub(1),
         }
-        ops.push(op);
+        visit(op, i);
     }
-    ops.reverse();
-    EditScript::from_ops(ops)
 }
 
 #[cfg(test)]
@@ -379,18 +290,21 @@ mod tests {
     }
 
     #[test]
-    fn band_storage_never_exceeds_the_full_matrix() {
-        // A long reference against a short read has a distance far above
-        // the read length; the band's rows must still be clipped to it.
+    fn extreme_length_gaps_apply_back() {
+        // A long reference against a short read, and the reverse: many
+        // pattern blocks over few columns, and one block over many.
         let mut rng = seeded(10);
         let mut scratch = EditScratch::new();
-        for (m, n) in [(3000, 10), (10, 3000), (500, 0), (110, 110)] {
+        for (m, n) in [(3000, 10), (10, 3000), (500, 0), (0, 500), (110, 110)] {
             let a = Strand::random(m, &mut rng);
             let b = Strand::random(n, &mut rng);
             let script = edit_script_with(&mut scratch, &a, &b, TieBreak::Random, &mut rng);
-            assert_eq!(script.apply(&a).unwrap(), b);
-            assert!(scratch.dp.len() <= (m + 1) * (n + 2), "({m}, {n})");
-            scratch = EditScratch::new();
+            assert_eq!(script.apply(&a).unwrap(), b, "({m}, {n})");
+            assert_eq!(
+                script.error_count(),
+                dnasim_metrics::levenshtein(a.as_bases(), b.as_bases()),
+                "({m}, {n})"
+            );
         }
     }
 

@@ -37,7 +37,7 @@ mod model;
 mod persist;
 mod stats;
 
-pub use editops::{edit_script, edit_script_with, EditScratch, TieBreak};
+pub use editops::{edit_ops_with, edit_script, edit_script_with, EditScratch, TieBreak};
 pub use model::{
     BaseErrorRates, LearnedModel, LongDeletionParams, ModelValidationError, SecondOrderError,
 };

@@ -88,8 +88,8 @@ impl ErrorStats {
         rng: &mut R,
     ) -> ErrorStats {
         let mut stats = ErrorStats::new();
-        // One DP scratch for the whole dataset: the edit-script matrix is
-        // the profiler's dominant allocation.
+        // One traceback scratch for the whole dataset: the delta columns
+        // are the profiler's dominant allocation.
         let mut scratch = EditScratch::new();
         for cluster in dataset.iter() {
             stats.record_cluster_with(&mut scratch, cluster, tie_break, rng);
@@ -144,8 +144,8 @@ impl ErrorStats {
         self.record_cluster_with(&mut EditScratch::new(), cluster, tie_break, rng);
     }
 
-    /// [`record_cluster`](ErrorStats::record_cluster) with a shared DP
-    /// scratch, for callers that profile many clusters.
+    /// [`record_cluster`](ErrorStats::record_cluster) with a shared
+    /// traceback scratch, for callers that profile many clusters.
     pub fn record_cluster_with<R: Rng + ?Sized>(
         &mut self,
         scratch: &mut EditScratch,
@@ -169,7 +169,8 @@ impl ErrorStats {
         self.record_pair_with(&mut EditScratch::new(), reference, read, tie_break, rng);
     }
 
-    /// [`record_pair`](ErrorStats::record_pair) with a shared DP scratch.
+    /// [`record_pair`](ErrorStats::record_pair) with a shared traceback
+    /// scratch.
     pub fn record_pair_with<R: Rng + ?Sized>(
         &mut self,
         scratch: &mut EditScratch,

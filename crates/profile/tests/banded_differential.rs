@@ -1,20 +1,23 @@
-//! Differential tests: the banded edit-script DP against the full
-//! `O(m·n)` matrix it replaced.
+//! Differential tests: the bit-vector edit-script traceback against the
+//! full `O(m·n)` matrix DP.
 //!
-//! The band is sized by the exact distance, and the exactness argument on
-//! `edit_script_with` says that every optimal path, every minimal
-//! predecessor, and therefore every random tie-break draw is unchanged.
-//! These tests hold the banded DP to that: the same script, and the RNG
-//! left in the same state, under both tie-break policies. Pairs span
-//! lengths 0–300, from identical strands through realistic noisy reads to
-//! unrelated strands, plus low-entropy strands that maximise ties.
+//! `edit_script_with` traces back over the Myers delta words of every
+//! column, and its exactness argument says that each neighbour test reads
+//! the full matrix's value, so every minimal predecessor, and therefore
+//! every random tie-break draw, is unchanged. These tests hold the kernel
+//! to that: the same script, and the RNG left in the same state, under
+//! both tie-break policies. Pairs span lengths 0–1,000, from identical
+//! strands through realistic noisy reads to unrelated strands, with
+//! lengths on both sides of every 64-row block boundary up to 193, plus
+//! one- and two-letter strands that maximise ties. The traceback visitor
+//! `edit_ops_with` is checked against the script it builds.
 
 use dnasim_testkit::prelude::*;
 
 use dnasim_channel::{ErrorModel, NaiveModel};
 use dnasim_core::rng::{seeded, Rng, RngExt};
 use dnasim_core::{Base, EditOp, EditScript, Strand};
-use dnasim_profile::{edit_script_with, EditScratch, TieBreak};
+use dnasim_profile::{edit_ops_with, edit_script_with, EditScratch, TieBreak};
 
 /// The full-matrix DP and traceback the banded kernel replaced, kept
 /// verbatim as the oracle.
@@ -203,5 +206,123 @@ fn banded_matches_full_on_pinned_shapes() {
             check_pair(&mut scratch, x, y, la as u64 * 1000 + lb as u64)
                 .unwrap_or_else(|e| panic!("({la}, {lb}): {e:?}"));
         }
+    }
+}
+
+/// Lengths on both sides of the first three 64-row block boundaries, in
+/// every pairing, so length gaps cross a boundary in both directions:
+/// unrelated pairs, noisy reads and prefixes.
+#[test]
+fn bit_vector_matches_full_at_block_boundaries() {
+    const LENGTHS: [usize; 9] = [63, 64, 65, 127, 128, 129, 191, 192, 193];
+    let mut rng = seeded(21);
+    let mut scratch = EditScratch::new();
+    let model = NaiveModel::with_total_rate(0.08);
+    for la in LENGTHS {
+        for lb in LENGTHS {
+            let a = Strand::random(la, &mut rng);
+            let b = Strand::random(lb, &mut rng);
+            let noisy = model.corrupt(&a, &mut rng);
+            let cut = a.substrand(0..lb.min(la));
+            let seed = (la * 1000 + lb) as u64;
+            for (x, y) in [(&a, &b), (&a, &noisy), (&noisy, &a), (&a, &cut), (&cut, &a)] {
+                check_pair(&mut scratch, x, y, seed)
+                    .unwrap_or_else(|e| panic!("({la}, {lb}): {e:?}"));
+            }
+        }
+    }
+}
+
+/// The imperfect archive's strand shape: 176-nt references against reads
+/// at the archive's error rates, in both orientations.
+#[test]
+fn bit_vector_matches_full_on_archive_strands() {
+    let mut rng = seeded(22);
+    let mut scratch = EditScratch::new();
+    for rate in [0.0, 0.02, 0.059, 0.12] {
+        let model = NaiveModel::with_total_rate(rate);
+        for k in 0..24u64 {
+            let reference = Strand::random(176, &mut rng);
+            let read = model.corrupt(&reference, &mut rng);
+            check_pair(&mut scratch, &reference, &read, k).unwrap_or_else(|e| panic!("{e:?}"));
+            check_pair(&mut scratch, &read, &reference, !k).unwrap_or_else(|e| panic!("{e:?}"));
+        }
+    }
+}
+
+/// A 1,000-nt near-identical pair: sixteen pattern blocks, a narrow
+/// optimal path, and a traceback that crosses every block.
+#[test]
+fn bit_vector_matches_full_on_a_long_near_identical_pair() {
+    let mut rng = seeded(23);
+    let mut scratch = EditScratch::new();
+    let reference = Strand::random(1000, &mut rng);
+    for rate in [0.005, 0.02] {
+        let read = NaiveModel::with_total_rate(rate).corrupt(&reference, &mut rng);
+        check_pair(&mut scratch, &reference, &read, 5).unwrap_or_else(|e| panic!("{e:?}"));
+        check_pair(&mut scratch, &read, &reference, 6).unwrap_or_else(|e| panic!("{e:?}"));
+    }
+}
+
+/// The traceback visitor's ops, reversed, are `edit_script_with`'s
+/// script, and each op's position is the number of reference bases the
+/// forward script consumed before it.
+fn check_visitor(scratch: &mut EditScratch, a: &Strand, b: &Strand, seed: u64) {
+    for tie_break in [TieBreak::Random, TieBreak::PreferSubstitution] {
+        let script = edit_script_with(scratch, a, b, tie_break, &mut seeded(seed));
+        let mut visited = Vec::new();
+        edit_ops_with(scratch, a, b, tie_break, &mut seeded(seed), |op, p| {
+            visited.push((op, p))
+        });
+        visited.reverse();
+        let mut consumed = 0;
+        for (k, (&(op, p), &expect)) in visited.iter().zip(script.ops()).enumerate() {
+            assert_eq!(op, expect, "{tie_break:?} op {k} for {a} -> {b}");
+            assert_eq!(p, consumed, "{tie_break:?} position {k} for {a} -> {b}");
+            consumed += op.reference_advance();
+        }
+        assert_eq!(visited.len(), script.len(), "{tie_break:?} for {a} -> {b}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One-letter strands: every alignment of a shorter run against a
+    /// longer one is optimal, across block boundaries.
+    #[test]
+    fn bit_vector_matches_full_on_one_letter_strands(
+        a in strand(0..200, 1),
+        b in strand(0..200, 1),
+        seed in any::<u64>(),
+    ) {
+        check_pair(&mut EditScratch::new(), &a, &b, seed)?;
+    }
+
+    /// Two-letter strands past the first block boundary, where the
+    /// homopolymer ties straddle two pattern words.
+    #[test]
+    fn bit_vector_matches_full_on_multi_block_two_letter_strands(
+        a in strand(60..200, 2),
+        b in strand(60..200, 2),
+        seed in any::<u64>(),
+    ) {
+        check_pair(&mut EditScratch::new(), &a, &b, seed)?;
+    }
+
+    /// The visitor against the script, on noisy reads and unrelated
+    /// strands.
+    #[test]
+    fn visitor_reversed_is_the_edit_script(
+        reference in strand(0..200, 4),
+        other in strand(0..200, 4),
+        rate in 0.0f64..0.3,
+        seed in any::<u64>(),
+    ) {
+        let read = NaiveModel::with_total_rate(rate).corrupt(&reference, &mut seeded(seed));
+        let mut scratch = EditScratch::new();
+        check_visitor(&mut scratch, &reference, &read, seed);
+        check_visitor(&mut scratch, &read, &reference, seed);
+        check_visitor(&mut scratch, &reference, &other, seed);
     }
 }

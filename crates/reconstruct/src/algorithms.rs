@@ -1,12 +1,10 @@
 //! The trace-reconstruction algorithm suite.
 
-use dnasim_core::rng::seeded;
-use dnasim_core::{Base, EditOp, Strand};
-use dnasim_profile::{edit_script_with, EditScratch, TieBreak};
+use dnasim_core::Strand;
 
 use crate::consensus::{
-    anchored_one_way_bma_filtered, one_way_bma_filtered, positional_majority,
-    LookaheadFilterStats, VoteTally,
+    anchored_one_way_bma_filtered, one_way_bma_filtered, positional_majority, AlignmentVotes,
+    LookaheadFilterStats,
 };
 
 /// A trace-reconstruction algorithm: estimates the reference strand of
@@ -212,71 +210,14 @@ impl Default for Iterative {
 }
 
 impl Iterative {
-    /// One alignment-and-vote refinement round.
-    fn refine(&self, estimate: &Strand, reads: &[Strand], strand_len: usize) -> Strand {
-        let est_len = estimate.len();
-        let mut sub_votes: Vec<VoteTally> = vec![VoteTally::new(); est_len];
-        let mut del_votes: Vec<usize> = vec![0; est_len];
-        // ins_votes[p]: insertions observed before estimate position p
-        // (p == est_len → at the very end).
-        let mut ins_votes: Vec<VoteTally> = vec![VoteTally::new(); est_len + 1];
-        // The deterministic tie-break never consults the RNG.
-        let mut rng = seeded(0);
-        let mut scratch = EditScratch::new();
-        for read in reads {
-            let script =
-                edit_script_with(&mut scratch, estimate, read, TieBreak::PreferSubstitution, &mut rng);
-            let mut p = 0usize;
-            for &op in script.ops() {
-                match op {
-                    EditOp::Equal(b) => sub_votes[p].vote(b),
-                    EditOp::Subst { new, .. } => sub_votes[p].vote(new),
-                    EditOp::Delete(_) => del_votes[p] += 1,
-                    EditOp::Insert(b) => ins_votes[p].vote(b),
-                }
-                p += op.reference_advance();
-            }
-        }
-        let half = reads.len() / 2;
-        let mut out = Strand::with_capacity(strand_len);
-        for p in 0..est_len {
-            if let Some(winner) = ins_votes[p].winner() {
-                if ins_votes[p].count(winner) > half {
-                    out.push(winner);
-                }
-            }
-            // Relative majority: drop the estimate base when more reads
-            // deleted it than kept it (absolute majority is too
-            // conservative when some reads are misaligned).
-            if del_votes[p] > sub_votes[p].total() {
-                continue;
-            }
-            out.push(sub_votes[p].winner().unwrap_or(estimate[p]));
-        }
-        if let Some(winner) = ins_votes[est_len].winner() {
-            if ins_votes[est_len].count(winner) > half {
-                out.push(winner);
-            }
-        }
-        // Enforce the design length: truncate overshoot, pad undershoot
-        // from the unaligned tail majority of the raw reads.
-        out.truncate(strand_len);
-        while out.len() < strand_len {
-            let j = out.len();
-            let mut tally = VoteTally::new();
-            for read in reads {
-                if let Some(b) = read.get(j) {
-                    tally.vote(b);
-                }
-            }
-            out.push(tally.winner().unwrap_or(Base::A));
-        }
-        out
-    }
-}
-
-impl TraceReconstructor for Iterative {
-    fn reconstruct(&self, reads: &[Strand], strand_len: usize) -> Strand {
+    /// [`TraceReconstructor::reconstruct`] over a caller's vote
+    /// accumulator.
+    fn reconstruct_with(
+        &self,
+        votes: &mut AlignmentVotes,
+        reads: &[Strand],
+        strand_len: usize,
+    ) -> Strand {
         let mut stats = LookaheadFilterStats::default();
         let mut estimate = one_way_bma_filtered(reads, strand_len, self.lookahead, &mut stats);
         for _ in 0..self.max_rounds {
@@ -290,13 +231,19 @@ impl TraceReconstructor for Iterative {
                 self.lookahead,
                 &mut stats,
             );
-            let refined = self.refine(&rescanned, reads, strand_len);
+            let refined = votes.refine(&rescanned, reads, strand_len);
             if refined == estimate {
                 break;
             }
             estimate = refined;
         }
         estimate
+    }
+}
+
+impl TraceReconstructor for Iterative {
+    fn reconstruct(&self, reads: &[Strand], strand_len: usize) -> Strand {
+        self.reconstruct_with(&mut AlignmentVotes::new(), reads, strand_len)
     }
 
     fn name(&self) -> String {
@@ -319,16 +266,17 @@ pub struct TwoWayIterative {
 
 impl TraceReconstructor for TwoWayIterative {
     fn reconstruct(&self, reads: &[Strand], strand_len: usize) -> Strand {
-        let forward = self.inner.reconstruct(reads, strand_len);
+        let votes = &mut AlignmentVotes::new();
+        let forward = self.inner.reconstruct_with(votes, reads, strand_len);
         let reversed: Vec<Strand> = reads.iter().map(Strand::reversed).collect();
-        let backward = self.inner.reconstruct(&reversed, strand_len);
+        let backward = self.inner.reconstruct_with(votes, &reversed, strand_len);
         let head_len = strand_len.div_ceil(2);
         let mut out = forward.substrand(0..head_len);
         let tail = backward.substrand(0..strand_len - head_len).reversed();
         out.extend(tail.iter());
         // The stitch point can misalign by a base or two when the halves
         // drifted differently; a final alignment-vote pass heals it.
-        self.inner.refine(&out, reads, strand_len)
+        votes.refine(&out, reads, strand_len)
     }
 
     fn name(&self) -> String {

@@ -1,7 +1,10 @@
-//! Shared consensus primitives: per-position voting and the one-way
-//! look-ahead scan that BMA and Iterative reconstruction build on.
+//! Shared consensus primitives: per-position voting, alignment voting, and
+//! the one-way look-ahead scan that BMA and Iterative reconstruction build
+//! on.
 
-use dnasim_core::{Base, Strand};
+use dnasim_core::rng::{seeded, SimRng};
+use dnasim_core::{Base, EditOp, Strand};
+use dnasim_profile::{edit_ops_with, EditScratch, TieBreak};
 
 /// A per-position vote tally over the four bases.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -15,7 +18,11 @@ impl VoteTally {
     }
 
     pub(crate) fn vote(&mut self, base: Base) {
-        self.counts[base.index()] += 1;
+        self.add(base, 1);
+    }
+
+    pub(crate) fn add(&mut self, base: Base, votes: usize) {
+        self.counts[base.index()] += votes;
     }
 
     pub(crate) fn total(&self) -> usize {
@@ -39,23 +46,134 @@ impl VoteTally {
     }
 }
 
+/// Alignment votes in an estimate's coordinates, shared by every
+/// alignment-vote reconstructor (Iterative, its two-way and weighted
+/// variants, and star-MSA).
+///
+/// Each read's minimal edit script against the estimate is traced with
+/// [`edit_ops_with`] and voted straight from the traceback: matches and
+/// substitutions vote for a base at their position, deletions vote the
+/// position absent, insertions vote in the gap before it. One accumulator
+/// lives for one `reconstruct` call, so the traceback scratch and the vote
+/// vectors are reused across its rounds and directions, and nothing
+/// crosses calls.
+#[derive(Debug)]
+pub(crate) struct AlignmentVotes {
+    scratch: EditScratch,
+    /// The deterministic tie-break never consults the RNG.
+    rng: SimRng,
+    sub: Vec<VoteTally>,
+    del: Vec<usize>,
+    /// `ins[p]`: insertions before estimate position `p` (`p == len` → at
+    /// the very end).
+    ins: Vec<VoteTally>,
+}
+
+impl AlignmentVotes {
+    pub(crate) fn new() -> AlignmentVotes {
+        AlignmentVotes {
+            scratch: EditScratch::new(),
+            rng: seeded(0),
+            sub: Vec::new(),
+            del: Vec::new(),
+            ins: Vec::new(),
+        }
+    }
+
+    /// Clears every vote for an estimate of `len` bases.
+    pub(crate) fn reset(&mut self, len: usize) {
+        self.sub.clear();
+        self.sub.resize(len, VoteTally::new());
+        self.del.clear();
+        self.del.resize(len, 0);
+        self.ins.clear();
+        self.ins.resize(len + 1, VoteTally::new());
+    }
+
+    /// Aligns `read` to `estimate` and casts `weight` votes along its
+    /// minimal edit script.
+    pub(crate) fn align(&mut self, estimate: &Strand, read: &Strand, weight: usize) {
+        let AlignmentVotes {
+            scratch,
+            rng,
+            sub,
+            del,
+            ins,
+        } = self;
+        let tie_break = TieBreak::PreferSubstitution;
+        edit_ops_with(scratch, estimate, read, tie_break, rng, |op, p| match op {
+            EditOp::Equal(b) | EditOp::Subst { new: b, .. } => sub[p].add(b, weight),
+            EditOp::Delete(_) => del[p] += weight,
+            EditOp::Insert(b) => ins[p].add(b, weight),
+        });
+    }
+
+    /// One unweighted alignment-and-vote round: every read votes once per
+    /// op, and an insertion needs more than half of the reads.
+    pub(crate) fn refine(
+        &mut self,
+        estimate: &Strand,
+        reads: &[Strand],
+        strand_len: usize,
+    ) -> Strand {
+        self.reset(estimate.len());
+        for read in reads {
+            self.align(estimate, read, 1);
+        }
+        self.consensus(estimate, reads, reads.len() / 2, strand_len)
+    }
+
+    /// The corrected estimate: an insertion is applied when its base wins
+    /// more than `half` of the votes, and a base is dropped when more
+    /// votes deleted it than kept it (relative majority: an absolute one
+    /// is too conservative when some reads are misaligned). The result is
+    /// cut to `strand_len`, or padded from the unaligned column majority
+    /// of the raw `reads`.
+    pub(crate) fn consensus(
+        &self,
+        estimate: &Strand,
+        reads: &[Strand],
+        half: usize,
+        strand_len: usize,
+    ) -> Strand {
+        let mut out = Strand::with_capacity(strand_len);
+        for (p, ins) in self.ins.iter().enumerate() {
+            if let Some(winner) = ins.winner().filter(|&w| ins.count(w) > half) {
+                out.push(winner);
+            }
+            if let Some(base) = estimate.get(p) {
+                if self.del[p] <= self.sub[p].total() {
+                    out.push(self.sub[p].winner().unwrap_or(base));
+                }
+            }
+        }
+        out.truncate(strand_len);
+        while out.len() < strand_len {
+            out.push(column_majority(reads, out.len()));
+        }
+        out
+    }
+}
+
+/// The majority base at position `j` over the reads long enough to have
+/// one, or `A` when none does.
+fn column_majority(reads: &[Strand], j: usize) -> Base {
+    let mut tally = VoteTally::new();
+    for read in reads {
+        if let Some(b) = read.get(j) {
+            tally.vote(b);
+        }
+    }
+    tally.winner().unwrap_or(Base::A)
+}
+
 /// Plain per-position majority vote over unaligned reads — the simplest
 /// possible reconstructor and the column rule other algorithms reuse.
 ///
 /// Position `j` of the output is the majority of `reads[t][j]` over all
 /// reads long enough; positions no read covers fall back to `A`.
 pub fn positional_majority(reads: &[Strand], strand_len: usize) -> Strand {
-    let mut out = Strand::with_capacity(strand_len);
-    for j in 0..strand_len {
-        let mut tally = VoteTally::new();
-        for read in reads {
-            if let Some(b) = read.get(j) {
-                tally.vote(b);
-            }
-        }
-        out.push(tally.winner().unwrap_or(Base::A));
-    }
-    out
+    (0..strand_len).map(|j| column_majority(reads, j)).collect()
 }
 
 /// One-way Bitwise Majority Alignment with a look-ahead window.

@@ -9,14 +9,12 @@
 
 use std::collections::BTreeMap;
 
-use dnasim_core::rng::seeded;
-use dnasim_core::{Base, EditOp, PackedStrand, Strand};
+use dnasim_core::{PackedStrand, Strand};
 use dnasim_metrics::bank::{bank_distances_with, BankScratch, PatternBank, MAX_LANES};
 use dnasim_metrics::myers;
-use dnasim_profile::{edit_script_with, EditScratch, TieBreak};
 
 use crate::algorithms::TraceReconstructor;
-use crate::consensus::{positional_majority, VoteTally};
+use crate::consensus::{positional_majority, AlignmentVotes};
 
 /// Star-MSA reconstruction: centre-read alignment plus column voting.
 ///
@@ -115,69 +113,10 @@ impl TraceReconstructor for MsaReconstructor {
         }
         let centre_idx = MsaReconstructor::centre_index(reads);
         let centre = &reads[centre_idx];
-        let centre_len = centre.len();
 
-        // Column votes in centre coordinates: matches/substitutions vote at
-        // the centre position, deletions vote "absent", insertions vote in
-        // the gap before a centre position.
-        let mut column_votes: Vec<VoteTally> = vec![VoteTally::new(); centre_len];
-        let mut absent_votes: Vec<usize> = vec![0; centre_len];
-        let mut gap_votes: Vec<VoteTally> = vec![VoteTally::new(); centre_len + 1];
-        let mut rng = seeded(0); // deterministic tie-break ignores the RNG
-        let mut scratch = EditScratch::new();
-        for (j, read) in reads.iter().enumerate() {
-            if j == centre_idx {
-                for (p, b) in centre.iter().enumerate() {
-                    column_votes[p].vote(b);
-                }
-                continue;
-            }
-            let script =
-                edit_script_with(&mut scratch, centre, read, TieBreak::PreferSubstitution, &mut rng);
-            let mut p = 0usize;
-            for &op in script.ops() {
-                match op {
-                    EditOp::Equal(b) => column_votes[p].vote(b),
-                    EditOp::Subst { new, .. } => column_votes[p].vote(new),
-                    EditOp::Delete(_) => absent_votes[p] += 1,
-                    EditOp::Insert(b) => gap_votes[p].vote(b),
-                }
-                p += op.reference_advance();
-            }
-        }
-
-        let half = reads.len() / 2;
-        let mut out = Strand::with_capacity(strand_len);
-        for p in 0..centre_len {
-            if let Some(winner) = gap_votes[p].winner() {
-                if gap_votes[p].count(winner) > half {
-                    out.push(winner);
-                }
-            }
-            if absent_votes[p] > column_votes[p].total() {
-                continue; // most reads lack this centre base
-            }
-            out.push(column_votes[p].winner().unwrap_or(centre[p]));
-        }
-        if let Some(winner) = gap_votes[centre_len].winner() {
-            if gap_votes[centre_len].count(winner) > half {
-                out.push(winner);
-            }
-        }
-
-        // Enforce the design length, padding from unaligned tail majority.
-        out.truncate(strand_len);
-        while out.len() < strand_len {
-            let j = out.len();
-            let mut tally = VoteTally::new();
-            for read in reads {
-                if let Some(b) = read.get(j) {
-                    tally.vote(b);
-                }
-            }
-            out.push(tally.winner().unwrap_or(Base::A));
-        }
-        out
+        // Column votes in centre coordinates. The centre aligns to itself
+        // as all matches, so it votes its own bases.
+        AlignmentVotes::new().refine(centre, reads, strand_len)
     }
 
     fn name(&self) -> String {

@@ -7,13 +7,11 @@
 //! near-junk reads stop dragging the consensus, without being discarded
 //! outright (they still contribute where they do align).
 
-use dnasim_core::rng::seeded;
-use dnasim_core::{Base, EditOp, Strand};
+use dnasim_core::Strand;
 use dnasim_metrics::gestalt_score;
-use dnasim_profile::{edit_script_with, EditScratch, TieBreak};
 
 use crate::algorithms::TraceReconstructor;
-use crate::consensus::{one_way_bma, VoteTally};
+use crate::consensus::{one_way_bma, AlignmentVotes};
 
 /// Iterative reconstruction with per-read alignment weighting.
 ///
@@ -60,13 +58,13 @@ const VOTE_SCALE: f64 = 4.0;
 
 impl WeightedIterative {
     /// One weighted alignment-and-vote round.
-    fn refine(&self, estimate: &Strand, reads: &[Strand], strand_len: usize) -> Strand {
-        let est_len = estimate.len();
-        let mut sub_votes: Vec<VoteTally> = vec![VoteTally::new(); est_len];
-        let mut del_votes: Vec<usize> = vec![0; est_len];
-        let mut ins_votes: Vec<VoteTally> = vec![VoteTally::new(); est_len + 1];
-        let mut rng = seeded(0);
-
+    fn refine(
+        &self,
+        votes: &mut AlignmentVotes,
+        estimate: &Strand,
+        reads: &[Strand],
+        strand_len: usize,
+    ) -> Strand {
         // Score each read against the current estimate.
         let scores: Vec<f64> = reads
             .iter()
@@ -79,69 +77,22 @@ impl WeightedIterative {
             .collect();
         let total_weight: usize = weights.iter().sum();
 
-        let mut scratch = EditScratch::new();
+        votes.reset(estimate.len());
         for (read, &weight) in reads.iter().zip(&weights) {
-            if weight == 0 {
-                continue;
-            }
-            let script =
-                edit_script_with(&mut scratch, estimate, read, TieBreak::PreferSubstitution, &mut rng);
-            let mut p = 0usize;
-            for &op in script.ops() {
-                match op {
-                    EditOp::Equal(b) => vote_n(&mut sub_votes[p], b, weight),
-                    EditOp::Subst { new, .. } => vote_n(&mut sub_votes[p], new, weight),
-                    EditOp::Delete(_) => del_votes[p] += weight,
-                    EditOp::Insert(b) => vote_n(&mut ins_votes[p], b, weight),
-                }
-                p += op.reference_advance();
+            if weight > 0 {
+                votes.align(estimate, read, weight);
             }
         }
-
-        let half = total_weight / 2;
-        let mut out = Strand::with_capacity(strand_len);
-        for p in 0..est_len {
-            if let Some(winner) = ins_votes[p].winner() {
-                if ins_votes[p].count(winner) > half {
-                    out.push(winner);
-                }
-            }
-            if del_votes[p] > sub_votes[p].total() {
-                continue;
-            }
-            out.push(sub_votes[p].winner().unwrap_or(estimate[p]));
-        }
-        if let Some(winner) = ins_votes[est_len].winner() {
-            if ins_votes[est_len].count(winner) > half {
-                out.push(winner);
-            }
-        }
-        out.truncate(strand_len);
-        while out.len() < strand_len {
-            let j = out.len();
-            let mut tally = VoteTally::new();
-            for read in reads {
-                if let Some(b) = read.get(j) {
-                    tally.vote(b);
-                }
-            }
-            out.push(tally.winner().unwrap_or(Base::A));
-        }
-        out
-    }
-}
-
-fn vote_n(tally: &mut VoteTally, base: Base, n: usize) {
-    for _ in 0..n {
-        tally.vote(base);
+        votes.consensus(estimate, reads, total_weight / 2, strand_len)
     }
 }
 
 impl TraceReconstructor for WeightedIterative {
     fn reconstruct(&self, reads: &[Strand], strand_len: usize) -> Strand {
+        let votes = &mut AlignmentVotes::new();
         let mut estimate = one_way_bma(reads, strand_len, self.lookahead);
         for _ in 0..self.max_rounds {
-            let refined = self.refine(&estimate, reads, strand_len);
+            let refined = self.refine(votes, &estimate, reads, strand_len);
             if refined == estimate {
                 break;
             }

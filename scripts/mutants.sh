@@ -1,0 +1,81 @@
+#!/usr/bin/env bash
+# Mutant tier: each exactness argument in DESIGN.md ships with
+# deliberately broken copies of its code, and the differential test that
+# guards the argument must reject every one of them.
+#
+# A mutant is a sed expression on one source file plus the `cargo test`
+# arguments that must then fail. The script checks out the committed HEAD
+# in one detached `git worktree` under a temp dir, applies each mutant in
+# turn (resetting the tree between them, so only the mutated crates
+# rebuild), and fails when:
+#
+# - an expression no longer changes its file (the code moved: update the
+#   mutant);
+# - a mutant does not compile (it would be "killed" for the wrong reason);
+# - a mutant survives, i.e. its tests pass (a test is missing: add it,
+#   never delete the mutant).
+#
+# Every mutant is a rebuild, so this tier is not part of Tier-1; run it
+# with `scripts/verify.sh --mutants` or directly.
+#
+# Usage: scripts/mutants.sh
+
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+
+tmp=$(mktemp -d /tmp/dnasim-mutants.XXXXXX)
+tree="$tmp/tree"
+cleanup() {
+    git worktree remove --force "$tree" >/dev/null 2>&1 || true
+    rm -rf "$tmp"
+}
+trap cleanup EXIT
+git worktree add -q --detach "$tree" HEAD
+
+survivors=0
+
+# mutant NAME FILE SED-EXPRESSION CARGO-TEST-ARGS...
+mutant() {
+    local name=$1 file=$2 expr=$3
+    shift 3
+    git -C "$tree" checkout -q -- .
+    sed -i "$expr" "$tree/$file"
+    if git -C "$tree" diff --quiet; then
+        echo "ERROR: mutant '$name' no longer changes $file" >&2
+        exit 1
+    fi
+    if ! (cd "$tree" && CARGO_NET_OFFLINE=true cargo test -q --no-run "$@" >"$tmp/build.log" 2>&1); then
+        cat "$tmp/build.log" >&2
+        echo "ERROR: mutant '$name' does not compile" >&2
+        exit 1
+    fi
+    if (cd "$tree" && CARGO_NET_OFFLINE=true cargo test -q "$@" >"$tmp/test.log" 2>&1); then
+        echo "SURVIVED: $name (cargo test $*)" >&2
+        survivors=$((survivors + 1))
+    else
+        echo "killed: $name"
+    fi
+}
+
+# DESIGN.md §17: the bit-vector edit-script traceback.
+mutant "drop the row-0 +1 carry-in" crates/metrics/src/myers.rs \
+    '0,/let mut hin = 1i32;/s//let mut hin = 0i32;/' \
+    -p dnasim-profile --test banded_differential
+mutant "read the diagonal's vertical delta from column j, not j-1" crates/metrics/src/myers.rs \
+    's/self\.block(i, j - 1)/self.block(i, j)/' \
+    -p dnasim-profile --test banded_differential
+mutant "drop the inter-block hout -> hin carry" crates/metrics/src/myers.rs \
+    '/^ *hin = hout;$/d' \
+    -p dnasim-profile --test banded_differential
+
+# DESIGN.md §17: alignment votes cast straight from the traceback.
+mutant "cast one vote per match whatever the read's weight" crates/reconstruct/src/consensus.rs \
+    's/=> sub\[p\]\.add(b, weight)/=> sub[p].add(b, 1)/' \
+    -p dnasim-reconstruct --test vote_differential
+
+if [ "$survivors" -ne 0 ]; then
+    echo "mutants: $survivors survived" >&2
+    exit 1
+fi
+echo "mutants: all killed"

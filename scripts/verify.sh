@@ -68,11 +68,22 @@
 #    item. `--lib` keeps the `dnasim` CLI binary's docs from colliding
 #    with the `dnasim` facade library's.
 #
-# Usage: scripts/verify.sh
+# 16. With --mutants only: the mutant tier (scripts/mutants.sh). Every
+#    deliberately broken copy of an exact kernel must fail its
+#    differential test. Each mutant is a rebuild, so the tier is opt-in.
+#
+# Usage: scripts/verify.sh [--mutants]
 
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+mutants=0
+case "${1:-}" in
+    "") ;;
+    --mutants) mutants=1 ;;
+    *) echo "usage: scripts/verify.sh [--mutants]" >&2; exit 2 ;;
+esac
 
 echo "== hermetic-dependency guard =="
 
@@ -411,5 +422,10 @@ for report in BENCH_004.json BENCH_005.json BENCH_006.json BENCH_007.json BENCH_
             check "$report"
     fi
 done
+
+if [ "$mutants" -eq 1 ]; then
+    echo "== mutant tier =="
+    scripts/mutants.sh
+fi
 
 echo "verify: OK"
