@@ -6,6 +6,7 @@ use dnasim_core::{Base, Strand};
 use dnasim_core::rng::RngExt;
 
 use crate::model::ErrorModel;
+use crate::sampler::sample_weighted_index;
 
 /// The naive simulator: three aggregate probabilities, independent of base
 /// type, position, and error history.
@@ -214,25 +215,6 @@ impl ErrorModel for DnaSimulatorModel {
     fn name(&self) -> String {
         "dnasimulator".to_owned()
     }
-}
-
-/// Samples an index proportional to `weights` (0 if all weights are zero or
-/// the slice is empty, so callers always get a valid in-range choice).
-pub(crate) fn sample_weighted_index(weights: &[f64], rng: &mut SimRng) -> usize {
-    let total: f64 = weights.iter().filter(|w| w.is_finite() && **w > 0.0).sum();
-    if total <= 0.0 || weights.is_empty() {
-        return 0;
-    }
-    let mut target = rng.random::<f64>() * total;
-    for (i, &w) in weights.iter().enumerate() {
-        if w.is_finite() && w > 0.0 {
-            target -= w;
-            if target <= 0.0 {
-                return i;
-            }
-        }
-    }
-    weights.len() - 1
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use dnasim_core::{Base, EditOp, Strand};
 use dnasim_profile::ErrorStats;
 use dnasim_core::rng::RngExt;
 
-use crate::baseline::sample_weighted_index;
+use crate::sampler::sample_weighted_index;
 use crate::model::ErrorModel;
 
 /// Per-position rate table for one strand position.

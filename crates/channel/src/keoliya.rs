@@ -21,7 +21,7 @@ use dnasim_core::{Base, EditOp, ErrorKind, Strand};
 use dnasim_profile::LearnedModel;
 use dnasim_core::rng::RngExt;
 
-use crate::baseline::sample_weighted_index;
+use crate::sampler::sample_weighted_index;
 use crate::model::ErrorModel;
 
 /// Which refinement layers are active (each includes all previous ones).

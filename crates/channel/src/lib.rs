@@ -47,6 +47,7 @@ mod histogram;
 mod keoliya;
 mod model;
 mod parametric;
+mod sampler;
 mod spatial;
 pub mod stages;
 

@@ -14,7 +14,7 @@ use dnasim_core::rng::SimRng;
 use dnasim_core::{Cluster, Dataset, Strand};
 use dnasim_core::rng::RngExt;
 
-use crate::baseline::sample_weighted_index;
+use crate::sampler::WeightedSampler;
 use crate::model::ErrorModel;
 
 /// One physical molecule species in the pool: a (possibly corrupted)
@@ -253,11 +253,12 @@ impl<M: ErrorModel> SequencingStage<M> {
         rng: &mut SimRng,
     ) -> Dataset {
         let weights: Vec<f64> = pool.molecules().iter().map(|m| m.abundance).collect();
+        let sampler = WeightedSampler::new(&weights);
         let mut reads_per_reference: Vec<Vec<Strand>> =
             references.iter().map(|_| Vec::new()).collect();
         if !pool.molecules().is_empty() {
             for _ in 0..self.total_reads {
-                let idx = sample_weighted_index(&weights, rng);
+                let idx = sampler.sample(rng);
                 let molecule = &pool.molecules()[idx];
                 let read = self.error_model.corrupt(&molecule.strand, rng);
                 if let Some(bucket) = reads_per_reference.get_mut(molecule.origin) {
@@ -288,15 +289,12 @@ impl<M: ErrorModel> SequencingStage<M> {
     /// [`sample_group`]: SequencingStage::sample_group
     pub fn allocate_reads(&self, group_weights: &[f64], rng: &mut SimRng) -> Vec<usize> {
         let mut counts = vec![0usize; group_weights.len()];
-        let total: f64 = group_weights
-            .iter()
-            .filter(|w| w.is_finite() && **w > 0.0)
-            .sum();
-        if total <= 0.0 {
+        let sampler = WeightedSampler::new(group_weights);
+        if !sampler.has_mass() {
             return counts;
         }
         for _ in 0..self.total_reads {
-            counts[sample_weighted_index(group_weights, rng)] += 1;
+            counts[sampler.sample(rng)] += 1;
         }
         counts
     }
@@ -312,8 +310,9 @@ impl<M: ErrorModel> SequencingStage<M> {
             return reads;
         }
         let weights: Vec<f64> = pool.molecules().iter().map(|m| m.abundance).collect();
+        let sampler = WeightedSampler::new(&weights);
         for _ in 0..count {
-            let idx = sample_weighted_index(&weights, rng);
+            let idx = sampler.sample(rng);
             reads.push(self.error_model.corrupt(&pool.molecules()[idx].strand, rng));
         }
         reads

@@ -191,10 +191,11 @@ fn usage_text() -> &'static str {
      \x20 one batch ahead on a dedicated I/O worker\n\
      \x20 --format selects the cluster-file codec a command writes (readers\n\
      \x20 auto-detect by magic bytes)\n\
-     \x20 --simd auto|off selects the edit-distance kernel backend (auto\n\
-     \x20 detects AVX2/NEON at runtime; off forces the portable fallback;\n\
-     \x20 DNASIM_SIMD=off is the env equivalent); all backends are exact,\n\
-     \x20 so output is byte-identical either way\n\
+     \x20 --simd auto|off selects the backend of the edit-distance kernels\n\
+     \x20 and the error-ball screen (auto detects AVX2/NEON at runtime; off\n\
+     \x20 forces the portable fallback; DNASIM_SIMD=off is the env\n\
+     \x20 equivalent); all backends are exact, so output is byte-identical\n\
+     \x20 either way\n\
      \x20 --default-deadline N meters requests without their own deadline;\n\
      \x20 --retries N grants seeded retries to requests that fail at runtime;\n\
      \x20 with --cluster-budget N, requests estimated over N clusters of total\n\

@@ -6,7 +6,9 @@
 //! the q-gram set buckets similar reads together and the expensive banded
 //! edit distance only runs within buckets.
 
-use dnasim_core::Strand;
+use std::sync::OnceLock;
+
+use dnasim_core::{Base, Strand};
 
 /// A MinHash sketch over the q-grams of a strand.
 ///
@@ -41,7 +43,8 @@ impl QGramSignature {
     /// distinct hashes seen so far, where a hash no smaller than the
     /// current maximum of a full sketch is skipped with one compare. The
     /// result equals sorting, deduplicating and truncating all the gram
-    /// hashes, without ever building that list.
+    /// hashes, without ever building that list. For `q ≤ 8` each gram's
+    /// hash is read from a per-`q` table by its rolling 2-bit code.
     pub fn new(strand: &Strand, q: usize, sketch_len: usize) -> QGramSignature {
         let bases = strand.as_bases();
         if bases.len() < q || q == 0 {
@@ -51,10 +54,9 @@ impl QGramSignature {
         }
         let k = sketch_len.max(1);
         let mut sketch: Vec<u64> = Vec::with_capacity(k);
-        for gram in bases.windows(q) {
-            let h = hash_gram(gram, 0);
+        let mut offer = |h: u64| {
             if sketch.len() == k && sketch.last().is_some_and(|&max| h >= max) {
-                continue;
+                return;
             }
             if let Err(pos) = sketch.binary_search(&h) {
                 if sketch.len() == k {
@@ -62,6 +64,21 @@ impl QGramSignature {
                 }
                 sketch.insert(pos, h);
             }
+        };
+        match gram_hashes(q) {
+            Some(table) => {
+                // Rolling 2-bit code of the current window: one shift per
+                // base, and the mask drops the base that left the window.
+                let keep = (1usize << (2 * q)) - 1;
+                let mut code = 0usize;
+                for (i, &b) in bases.iter().enumerate() {
+                    code = ((code << 2) | b.index()) & keep;
+                    if i + 1 >= q {
+                        offer(table[code]);
+                    }
+                }
+            }
+            None => bases.windows(q).for_each(|gram| offer(hash_gram(gram, 0))),
         }
         QGramSignature {
             hashes: sketch.into_boxed_slice(),
@@ -110,6 +127,31 @@ impl QGramSignature {
         }
         shared as f64 / denom as f64
     }
+}
+
+/// Largest gram length whose hashes are tabulated (`4^8` entries).
+const MAX_TABLE_Q: usize = 8;
+
+/// `hash_gram` of every `q`-gram, indexed by the gram's 2-bit code (first
+/// base in the highest bits), for `1 ≤ q ≤ MAX_TABLE_Q`; `None` otherwise.
+///
+/// Each table is a pure function of `q`, built on first use and never
+/// written again, so a lookup returns exactly the hash `hash_gram` computes
+/// from the gram's bases.
+fn gram_hashes(q: usize) -> Option<&'static [u64]> {
+    static TABLES: [OnceLock<Box<[u64]>>; MAX_TABLE_Q] = [const { OnceLock::new() }; MAX_TABLE_Q];
+    let slot = TABLES.get(q.checked_sub(1)?)?;
+    Some(slot.get_or_init(|| {
+        let mut gram = vec![Base::A; q];
+        (0..1usize << (2 * q))
+            .map(|code| {
+                for (i, base) in gram.iter_mut().enumerate() {
+                    *base = Base::ALL[(code >> (2 * (q - 1 - i))) & 3];
+                }
+                hash_gram(&gram, 0)
+            })
+            .collect()
+    }))
 }
 
 /// FNV-1a over the gram bytes, mixed with SplitMix64.
@@ -196,7 +238,6 @@ mod tests {
     #[test]
     fn bottom_k_sketch_equals_sort_dedup_truncate() {
         use dnasim_core::rng::{seeded, Rng};
-        use dnasim_core::Base;
         let mut rng = seeded(31);
         let forward = Strand::random(20, &mut rng);
         let reverse = Strand::random(20, &mut rng);
@@ -222,8 +263,12 @@ mod tests {
                     .collect(),
             );
         }
+        // Every length shorter than a tabulated q, and pure homopolymers.
+        strands.extend((0..9).map(|len| Strand::random(len, &mut rng)));
+        strands.extend(Base::ALL.map(|b| std::iter::repeat_n(b, 64).collect::<Strand>()));
+        // q = 1..=8 read the hash table; q = 0 and q > 8 hash each window.
         for strand in &strands {
-            for q in [0usize, 1, 3, 5, 8] {
+            for q in 0..=11 {
                 for sketch_len in [0usize, 1, 5, 12, 64, 400] {
                     let sig = QGramSignature::new(strand, q, sketch_len);
                     assert_eq!(

@@ -59,7 +59,7 @@
 //! a sketch-hash index instead of a walk over every reference
 //! ([`ReferenceIndex`]).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::convert::Infallible;
 
 use dnasim_core::{PackedStrand, Strand};
@@ -97,6 +97,8 @@ pub(crate) struct AssignScratch {
     pub(crate) qgram: QGramScratch,
     pub(crate) gather: CandidateGather,
     pub(crate) lane_out: Vec<Option<usize>>,
+    /// `evaluate_candidates`' (word count, position) grouping buffer.
+    slots: Vec<(usize, usize)>,
 }
 
 /// A reusable bitset that turns bucket hits into an ascending,
@@ -173,63 +175,71 @@ fn screen<'p>(
     }
 }
 
-/// Evaluates `text` against every pattern in `patterns`, writing
-/// `results[k] = Some(distance)` iff pattern `k` is within `limit`.
+/// Evaluates `text` against the pattern of every id in `ids`, writing
+/// `results[k] = Some(distance)` iff `pattern(ids[k])` is within `limit`.
 ///
-/// Patterns are grouped by word count and packed [`MAX_LANES`] at a time
-/// into [`PatternBank`]s; singleton groups (and empty patterns, which have
-/// no words to bank) use the single-pattern kernel. Both kernels are
-/// exact, so `results` is independent of the grouping.
-pub(crate) fn evaluate_candidates(
+/// Patterns are grouped by word count (ascending, ids in list order within
+/// a group) and packed [`MAX_LANES`] at a time into [`PatternBank`]s;
+/// singleton groups (and empty patterns, which have no words to bank) use
+/// the single-pattern kernel. Both kernels are exact, so `results` is
+/// independent of the grouping. The grouping reuses `scratch.slots`, so a
+/// call allocates nothing once the scratch has grown.
+pub(crate) fn evaluate_candidates<'p>(
     scratch: &mut AssignScratch,
-    patterns: &[&PackedStrand],
+    ids: &[usize],
+    pattern: impl Fn(usize) -> &'p PackedStrand,
     text: &PackedStrand,
     limit: usize,
     stats: &mut ClusterStats,
     results: &mut Vec<Option<usize>>,
 ) {
     results.clear();
-    results.resize(patterns.len(), None);
-    let mut by_words: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (k, p) in patterns.iter().enumerate() {
-        by_words.entry(p.words()).or_default().push(k);
-    }
-    for (words, slots) in by_words {
-        if words == 0 {
+    results.resize(ids.len(), None);
+    // (word count, position in `ids`): positions are distinct, so the
+    // unstable sort orders each word count's positions ascending — the
+    // stable grouping by word count.
+    let slots = &mut scratch.slots;
+    slots.clear();
+    slots.extend(ids.iter().enumerate().map(|(k, &id)| (pattern(id).words(), k)));
+    slots.sort_unstable();
+    for group in slots.chunk_by(|a, b| a.0 == b.0) {
+        if group[0].0 == 0 {
             // Empty patterns: the kernel degenerates to |text| ≤ limit.
-            for &k in &slots {
+            for &(_, k) in group {
                 stats.kernel_calls += 1;
                 stats.kernel_lanes += 1;
-                results[k] = myers::within_with(&mut scratch.myers, patterns[k], text, limit);
+                results[k] = myers::within_with(&mut scratch.myers, pattern(ids[k]), text, limit);
             }
             continue;
         }
-        for chunk in slots.chunks(MAX_LANES) {
-            if chunk.len() == 1 {
-                let k = chunk[0];
+        for chunk in group.chunks(MAX_LANES) {
+            if let [(_, k)] = *chunk {
                 stats.kernel_calls += 1;
                 stats.kernel_lanes += 1;
-                results[k] = myers::within_with(&mut scratch.myers, patterns[k], text, limit);
+                results[k] = myers::within_with(&mut scratch.myers, pattern(ids[k]), text, limit);
                 continue;
             }
-            let lanes: Vec<&PackedStrand> = chunk.iter().map(|&k| patterns[k]).collect();
-            match PatternBank::new(&lanes) {
+            let mut lanes = [text; MAX_LANES];
+            for (lane, &(_, k)) in lanes.iter_mut().zip(chunk) {
+                *lane = pattern(ids[k]);
+            }
+            match PatternBank::new(&lanes[..chunk.len()]) {
                 Some(bank) => {
                     stats.kernel_calls += 1;
                     stats.kernel_lanes += chunk.len();
                     bank_within_with(&mut scratch.bank, &bank, text, limit, &mut scratch.lane_out);
-                    for (lane, &k) in chunk.iter().enumerate() {
+                    for (lane, &(_, k)) in chunk.iter().enumerate() {
                         results[k] = scratch.lane_out.get(lane).copied().flatten();
                     }
                 }
                 None => {
                     // Unreachable by construction (equal non-zero word
                     // counts, chunk ≤ MAX_LANES); stay exact regardless.
-                    for &k in chunk {
+                    for &(_, k) in chunk {
                         stats.kernel_calls += 1;
                         stats.kernel_lanes += 1;
                         results[k] =
-                            myers::within_with(&mut scratch.myers, patterns[k], text, limit);
+                            myers::within_with(&mut scratch.myers, pattern(ids[k]), text, limit);
                     }
                 }
             }
@@ -459,10 +469,11 @@ impl OnlineState {
         // `survivors` is ascending, so the first match is the lowest
         // cluster id — the same winner the one-at-a-time loop with an
         // early break would have picked.
-        let lanes: Vec<&PackedStrand> = survivors.iter().map(|&id| &self.reps[id].packed).collect();
+        let reps = &self.reps;
         evaluate_candidates(
             &mut self.scratch,
-            &lanes,
+            &survivors,
+            |id| &reps[id].packed,
             &rep.packed,
             config.distance_threshold,
             &mut self.run,
@@ -568,10 +579,10 @@ impl ReferenceIndex {
             run,
             &mut cand_refs,
         );
-        let lanes: Vec<&PackedStrand> = cand_refs.iter().map(|&r| &self.packed[r]).collect();
         evaluate_candidates(
             scratch,
-            &lanes,
+            &cand_refs,
+            |r| &self.packed[r],
             &rep.packed,
             config.distance_threshold,
             run,

@@ -58,7 +58,8 @@ use dnasim_core::PackedStrand;
 /// Maximum number of patterns one bank can hold.
 pub const MAX_LANES: usize = 8;
 
-/// SIMD policy for the multi-pattern tier.
+/// SIMD policy for the multi-pattern tier and the error-ball screen's
+/// mask popcount ([`QGramScratch::mask_bound`](crate::QGramScratch::mask_bound)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdMode {
     /// Use the best backend the CPU supports (AVX2, NEON, or scalar).
@@ -69,7 +70,7 @@ pub enum SimdMode {
 
 const TIER_UNRESOLVED: u8 = 0;
 const TIER_SCALAR: u8 = 1;
-const TIER_AVX2: u8 = 2;
+pub(crate) const TIER_AVX2: u8 = 2;
 const TIER_NEON: u8 = 3;
 
 /// Resolved backend, cached after the first kernel call (or an explicit
@@ -108,7 +109,7 @@ pub fn set_simd_mode(mode: SimdMode) {
 /// The active backend, resolving `DNASIM_SIMD` and feature detection on
 /// first use. `DNASIM_SIMD=off|0|scalar` forces the fallback; any other
 /// value (or unset) means auto-detect.
-fn active_tier() -> u8 {
+pub(crate) fn active_tier() -> u8 {
     let tier = TIER.load(Ordering::Relaxed);
     if tier != TIER_UNRESOLVED {
         return tier;

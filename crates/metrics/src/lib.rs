@@ -14,7 +14,8 @@
 //!   advances 4–8 patterns per text column via AVX2/NEON (runtime
 //!   detected, exact scalar fallback everywhere else);
 //! * [`qgram`] — the q-gram counting lower bound on edit distance, used
-//!   as an error-ball prefilter in front of the kernels;
+//!   as an error-ball prefilter in front of the kernels (its presence-mask
+//!   screen counts bits with AVX2 where the same runtime dispatch allows);
 //! * [`hamming`] / [`hamming_error_positions`] — position-wise comparison,
 //!   where indels propagate (the "Hamming" figures);
 //! * [`gestalt_score`] / [`matching_blocks`] / [`gestalt_error_positions`] —
@@ -52,6 +53,7 @@ mod chi2;
 mod gestalt;
 mod hamming;
 mod levenshtein;
+mod mask_popcount;
 pub mod myers;
 mod profiles;
 pub mod qgram;

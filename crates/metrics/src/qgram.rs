@@ -48,12 +48,18 @@
 
 use dnasim_core::Strand;
 
+use crate::mask_popcount::{and_popcount, and_popcount_scalar};
+
 /// Bits in a profile's gram-presence mask. Every gram code of `q ≤ 5`
 /// (`4^5 = 1024` codes) has a bit of its own; longer grams fold onto
 /// bit `code mod MASK_BITS`.
 pub const MASK_BITS: usize = 1024;
 
-const MASK_WORDS: usize = MASK_BITS / 64;
+pub(crate) const MASK_WORDS: usize = MASK_BITS / 64;
+
+/// Largest `q` whose gram codes (`4^q` of them) each own a mask bit.
+const UNFOLDED_Q: usize = 5;
+const _: () = assert!(1 << (2 * UNFOLDED_Q) <= MASK_BITS);
 
 /// The sorted q-gram multiset of one strand, 2-bit packed (`q ≤ 8` keeps
 /// every gram in a `u16`), plus its gram-presence mask.
@@ -77,27 +83,48 @@ impl QGramProfile {
     pub fn new(strand: &Strand, q: usize) -> QGramProfile {
         let q = q.clamp(1, 8);
         let bases = strand.as_bases();
-        let mut grams: Vec<u16> = if bases.len() < q {
-            Vec::new()
-        } else {
-            bases
-                .windows(q)
-                .map(|w| {
-                    let mut code: u16 = 0;
-                    for &b in w {
-                        code = (code << 2) | b.index() as u16;
-                    }
-                    code
-                })
-                .collect()
-        };
-        grams.sort_unstable();
+        // Rolling code: each base shifts in at the bottom and the mask drops
+        // the base that left the window, so every gram costs one shift.
+        let keep = (1u32 << (2 * q)) - 1;
+        let codes = bases
+            .iter()
+            .scan(0u32, |code, b| {
+                *code = ((*code << 2) | b.index() as u32) & keep;
+                Some(*code as u16)
+            })
+            .skip(q - 1);
+        let mut grams: Vec<u16> = Vec::with_capacity((bases.len() + 1).saturating_sub(q));
         let mut mask = [0u64; MASK_WORDS];
-        for &g in &grams {
-            let bit = g as usize % MASK_BITS;
-            mask[bit / 64] |= 1 << (bit % 64);
+        let mut excess = 0;
+        if q <= UNFOLDED_Q {
+            // Every code has a mask bit of its own, so the sorted multiset is
+            // each set bit's code, ascending, repeated by its count: a
+            // counting sort with the mask as its index.
+            let mut counts = [0u32; MASK_BITS];
+            for code in codes {
+                counts[code as usize] += 1;
+                mask[code as usize / 64] |= 1 << (code % 64);
+            }
+            for (w, &word) in mask.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let code = w * 64 + bits.trailing_zeros() as usize;
+                    let count = counts[code] as usize;
+                    grams.extend(std::iter::repeat_n(code as u16, count));
+                    excess += count - 1;
+                    bits &= bits - 1;
+                }
+            }
+        } else {
+            grams.extend(codes);
+            grams.sort_unstable();
+            for &g in &grams {
+                let bit = g as usize % MASK_BITS;
+                let (word, one) = (&mut mask[bit / 64], 1u64 << (bit % 64));
+                excess += usize::from(*word & one != 0);
+                *word |= one;
+            }
         }
-        let excess = grams.len() - mask.iter().map(|w| w.count_ones() as usize).sum::<usize>();
         QGramProfile {
             q,
             grams,
@@ -256,16 +283,31 @@ impl QGramScratch {
     ///
     /// Like `bound`, returns 0 (never prunes) when nothing is loaded or
     /// the `q`s differ.
+    ///
+    /// The popcount runs on the active SIMD tier (see `DNASIM_SIMD`); every
+    /// tier returns the same integer as
+    /// [`mask_bound_scalar`](QGramScratch::mask_bound_scalar).
+    #[inline]
     pub fn mask_bound(&self, other: &QGramProfile) -> usize {
         if self.loaded_q != other.q {
             return 0;
         }
-        let common: usize = self
-            .loaded_mask
-            .iter()
-            .zip(&other.mask)
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum();
+        self.bound_from_common(other, and_popcount(&self.loaded_mask, &other.mask))
+    }
+
+    /// [`mask_bound`](QGramScratch::mask_bound) with the portable
+    /// `count_ones` popcount whatever the SIMD mode. Public so the
+    /// differential suite can compare the tiers.
+    pub fn mask_bound_scalar(&self, other: &QGramProfile) -> usize {
+        if self.loaded_q != other.q {
+            return 0;
+        }
+        self.bound_from_common(other, and_popcount_scalar(&self.loaded_mask, &other.mask))
+    }
+
+    /// The mask bound given `common = popcount(loaded_mask & other.mask)`.
+    #[inline]
+    fn bound_from_common(&self, other: &QGramProfile, common: usize) -> usize {
         let shared_at_most = common + self.loaded_excess.min(other.excess);
         let most = self.loaded_count.max(other.grams.len());
         most.saturating_sub(shared_at_most).div_ceil(other.q)
@@ -370,6 +412,81 @@ mod tests {
         let p4 = QGramProfile::new(&Strand::random(40, &mut rng), 4);
         scratch.load(&p3);
         assert_eq!(scratch.bound(&p4), 0);
+    }
+
+    /// The construction the rolling code replaced, kept as its oracle:
+    /// every window folded from scratch, then sorted, then the mask and
+    /// its excess from a popcount.
+    fn windows_profile(strand: &Strand, q: usize) -> QGramProfile {
+        let q = q.clamp(1, 8);
+        let bases = strand.as_bases();
+        let mut grams: Vec<u16> = if bases.len() < q {
+            Vec::new()
+        } else {
+            bases
+                .windows(q)
+                .map(|w| {
+                    let mut code: u16 = 0;
+                    for &b in w {
+                        code = (code << 2) | b.index() as u16;
+                    }
+                    code
+                })
+                .collect()
+        };
+        grams.sort_unstable();
+        let mut mask = [0u64; MASK_WORDS];
+        for &g in &grams {
+            let bit = g as usize % MASK_BITS;
+            mask[bit / 64] |= 1 << (bit % 64);
+        }
+        let excess = grams.len() - mask.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+        QGramProfile {
+            q,
+            grams,
+            mask,
+            excess,
+        }
+    }
+
+    #[test]
+    fn rolling_codes_equal_the_windowed_profile() {
+        use dnasim_core::Base;
+        let mut rng = seeded(47);
+        let forward = Strand::random(20, &mut rng);
+        let reverse = Strand::random(20, &mut rng);
+        let mut strands: Vec<Strand> = vec![Strand::new()];
+        for len in 0..12 {
+            // Every length around every q, including shorter than q.
+            strands.push(Strand::random(len, &mut rng));
+        }
+        for _ in 0..40 {
+            let len = (rng.next_u64() % 200) as usize;
+            strands.push(Strand::random(len, &mut rng));
+            // Primer-flanked: the archive's shape.
+            strands.push(forward.concat(&Strand::random(len, &mut rng)).concat(&reverse));
+            // Homopolymer runs with rare breaks: few distinct grams and a
+            // large excess.
+            let run = 1 + (rng.next_u64() % 30) as usize;
+            strands.push(
+                (0..len)
+                    .map(|i| Base::ALL[(i / run + usize::from(rng.next_u64().is_multiple_of(8))) % 4])
+                    .collect(),
+            );
+        }
+        for base in Base::ALL {
+            strands.push(std::iter::repeat_n(base, 64).collect());
+        }
+        for strand in &strands {
+            // q = 0 and q > 8 clamp to the nearest supported length.
+            for q in 0..=11 {
+                assert_eq!(
+                    QGramProfile::new(strand, q),
+                    windows_profile(strand, q),
+                    "q={q} strand={strand}"
+                );
+            }
+        }
     }
 
     #[test]

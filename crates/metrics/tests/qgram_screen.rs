@@ -216,3 +216,78 @@ fn mask_alone_settles_primer_flanked_pairs() {
         "mask settled only {settled} of {pairs} pairs"
     );
 }
+
+/// A pair of long strands whose masks are dense — at `q ≤ 5` a 1,000-nt
+/// strand sets most of the 1,024 bits — so the AND carries bits in both
+/// nibbles of nearly every byte: a noisy copy, or an unrelated strand.
+fn dense_pair(seed: u64) -> (Strand, Strand) {
+    let mut rng = seeded(seed);
+    let a = Strand::random(600 + (rng.next_u64() % 600) as usize, &mut rng);
+    let b = if rng.next_u64().is_multiple_of(2) {
+        let rate = (rng.next_u64() % 30) as f64 / 100.0;
+        mutate(&a, rate, &mut rng)
+    } else {
+        Strand::random(600 + (rng.next_u64() % 600) as usize, &mut rng)
+    };
+    (a, b)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The popcount runs on the active SIMD tier (AVX2 where the CPU has
+    /// it, unless `DNASIM_SIMD=off`); it must give the scalar count.
+    #[test]
+    fn mask_bound_on_the_active_tier_equals_the_scalar_count(
+        shape in 0u8..6,
+        q in 1usize..=8,
+        seed in any::<u64>(),
+    ) {
+        let (a, b) = if shape == 5 { dense_pair(seed) } else { pair(shape, q, seed) };
+        let (pa, pb) = (QGramProfile::new(&a, q), QGramProfile::new(&b, q));
+        let mut scratch = QGramScratch::new();
+        prop_assert_eq!(scratch.mask_bound(&pb), scratch.mask_bound_scalar(&pb));
+        scratch.load(&pa);
+        prop_assert_eq!(scratch.mask_bound(&pb), scratch.mask_bound_scalar(&pb));
+        prop_assert_eq!(scratch.mask_bound(&pa), scratch.mask_bound_scalar(&pa));
+        scratch.load(&pb);
+        prop_assert_eq!(scratch.mask_bound(&pa), scratch.mask_bound_scalar(&pa));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn exceeds_is_exactly_bound_above_limit_on_dense_masks(
+        q in 1usize..=8,
+        seed in any::<u64>(),
+    ) {
+        let (a, b) = dense_pair(seed);
+        let (pa, pb) = (QGramProfile::new(&a, q), QGramProfile::new(&b, q));
+        let len = a.len().max(b.len());
+        let mut scratch = QGramScratch::new();
+        scratch.load(&pa);
+        check_all_limits(&scratch, &pb, len, q);
+        scratch.load(&pb);
+        check_all_limits(&scratch, &pa, len, q);
+    }
+}
+
+/// Near-full masks: 6,000-nt strands set almost every bit at `q = 5`, so
+/// every byte of the AND is 0xff or close to it.
+#[test]
+fn full_masks_count_the_same_on_every_tier() {
+    let mut rng = seeded(6000);
+    let a = Strand::random(6000, &mut rng);
+    let b = Strand::random(6000, &mut rng);
+    for q in [4, 5, 6, 8] {
+        let (pa, pb) = (QGramProfile::new(&a, q), QGramProfile::new(&b, q));
+        let mut scratch = QGramScratch::new();
+        scratch.load(&pa);
+        assert_eq!(scratch.mask_bound(&pb), scratch.mask_bound_scalar(&pb), "q={q}");
+        assert_eq!(scratch.mask_bound(&pa), scratch.mask_bound_scalar(&pa), "q={q}");
+        // A strand against itself: the AND is its own mask.
+        assert_eq!(scratch.mask_bound(&pa), 0, "q={q}");
+    }
+}

@@ -74,6 +74,30 @@ mutant "cast one vote per match whatever the read's weight" crates/reconstruct/s
     's/=> sub\[p\]\.add(b, weight)/=> sub[p].add(b, 1)/' \
     -p dnasim-reconstruct --test vote_differential
 
+# DESIGN.md §23: the certified cumulative-weight sampler.
+mutant "certify sampler draws with zero slack" crates/channel/src/sampler.rs \
+    's/let slack = 2\.0 \* (live_count + 1) as f64 \* f64::EPSILON \* total;/let slack = 0.0 * live_count as f64;/' \
+    -p dnasim-channel --lib sampler
+
+# DESIGN.md §23: the AVX2 mask popcount. Killed on an AVX2 host (the
+# qgram differential compares the dispatched count with the scalar one).
+mutant "drop the high-nibble term of the AVX2 popcount" crates/metrics/src/mask_popcount.rs \
+    's/_mm256_shuffle_epi8(table, hi),/_mm256_setzero_si256(),/' \
+    -p dnasim-metrics --test qgram_screen
+
+# DESIGN.md §23: rolling q-gram codes.
+mutant "profile rolling-code mask of 2q-2 bits" crates/metrics/src/qgram.rs \
+    's/let keep = (1u32 << (2 \* q)) - 1;/let keep = (1u32 << (2 * q - 2)) - 1;/' \
+    -p dnasim-metrics --lib qgram
+mutant "signature rolling-code mask of 2q-2 bits" crates/cluster/src/signature.rs \
+    's/let keep = (1usize << (2 \* q)) - 1;/let keep = (1usize << (2 * q - 2)) - 1;/' \
+    -p dnasim-cluster --lib signature
+
+# DESIGN.md §18: the mask screen decides `bound > limit`, not `>=`.
+mutant "mask-screen threshold off by one" crates/metrics/src/qgram.rs \
+    's/self\.mask_bound(other) > limit ||/self.mask_bound(other) >= limit ||/' \
+    -p dnasim-metrics --test qgram_screen
+
 if [ "$survivors" -ne 0 ]; then
     echo "mutants: $survivors survived" >&2
     exit 1

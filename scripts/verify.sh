@@ -27,7 +27,11 @@
 # 8. Run the kernel differential suite twice — once with the runtime SIMD
 #    dispatch active and once with DNASIM_SIMD=off — so the Myers kernels
 #    (single-pattern and the multi-pattern bank tier) agree bit-for-bit
-#    with the scalar DP oracle on both sides of the dispatch. A guard also
+#    with the scalar DP oracle on both sides of the dispatch, and the
+#    error-ball screen (tests/qgram_screen.rs: the dispatched mask
+#    popcount against the scalar one, `exceeds` against `bound > limit`)
+#    and the rolling q-gram code differentials answer the same on both
+#    sides too (DESIGN.md §18, §23). A guard also
 #    checks that every metrics source using `unsafe` carries
 #    `deny(unsafe_op_in_unsafe_fn)` and SAFETY comments.
 # 9. Streaming equivalence: the bounded-memory pipeline
@@ -254,9 +258,13 @@ echo "ok: metrics unsafe modules deny implicit unsafe and carry SAFETY comments"
 
 echo "== kernel differential suite (Myers vs scalar oracle, SIMD dispatch on) =="
 CARGO_NET_OFFLINE=true cargo test -q -p dnasim-metrics --test myers_differential
+CARGO_NET_OFFLINE=true cargo test -q -p dnasim-metrics --test qgram_screen
+CARGO_NET_OFFLINE=true cargo test -q -p dnasim-metrics --lib qgram
 
 echo "== kernel differential suite (DNASIM_SIMD=off, portable fallback) =="
 CARGO_NET_OFFLINE=true DNASIM_SIMD=off cargo test -q -p dnasim-metrics --test myers_differential
+CARGO_NET_OFFLINE=true DNASIM_SIMD=off cargo test -q -p dnasim-metrics --test qgram_screen
+CARGO_NET_OFFLINE=true DNASIM_SIMD=off cargo test -q -p dnasim-metrics --lib qgram
 
 echo "== cluster suite (DNASIM_SIMD=off, scalar lane accounting) =="
 # ClusterStats lane accounting and the reference-assignment paths must be
