@@ -16,10 +16,9 @@
 //! accuracy differences between layers isolate the effect of the added
 //! parameter — the comparison Tables 3.1 and 3.2 make.
 
-use dnasim_core::rng::SimRng;
+use dnasim_core::rng::{Rng, RngExt, SimRng};
 use dnasim_core::{Base, EditOp, ErrorKind, Strand};
 use dnasim_profile::LearnedModel;
-use dnasim_core::rng::RngExt;
 
 use crate::sampler::sample_weighted_index;
 use crate::model::ErrorModel;
@@ -118,6 +117,36 @@ pub struct KeoliyaModel {
     ///
     /// [`compute_rates`]: KeoliyaModel::compute_rates
     rate_table: Vec<[[f64; 3]; 4]>,
+    /// `rate_table`'s rows as draw thresholds: for rates `[s, d, i]`,
+    /// `[T(s), T(s + d), T((s + d) + i), max of the three]` with
+    /// [`threshold`]'s `T`, so a 53-bit draw `k` compares as its uniform
+    /// `k · 2^-53` would against the float sums.
+    thresholds: Vec<[[u64; 4]; 4]>,
+}
+
+/// The integer threshold of a cumulative rate `c`: for every 53-bit `k`,
+/// `k < threshold(c)` exactly when `k · 2^-53 < c` (the uniform
+/// `random::<f64>()` draws from the same `k`).
+///
+/// `c · 2^53` is exact (a power-of-two scaling), so `k < c · 2^53` holds
+/// for the integer `k` exactly when `k < ⌈c · 2^53⌉`. Rates `c ≥ 1` admit
+/// every `k` (`2^53`); NaN and `c ≤ 0` admit none (0).
+fn threshold(c: f64) -> u64 {
+    const UNIT: f64 = (1u64 << 53) as f64;
+    if c >= 1.0 {
+        1 << 53
+    } else if c > 0.0 {
+        (c * UNIT).ceil() as u64
+    } else {
+        0
+    }
+}
+
+/// [`threshold`] of each cumulative sum in the draw's `<` chain, summed in
+/// the chain's order, and their maximum.
+fn thresholds([p_sub, p_del, p_ins]: [f64; 3]) -> [u64; 4] {
+    let [sub, del, ins] = [p_sub, p_sub + p_del, p_sub + p_del + p_ins].map(threshold);
+    [sub, del, ins, sub.max(del).max(ins)]
 }
 
 impl KeoliyaModel {
@@ -199,6 +228,7 @@ impl KeoliyaModel {
             second_order,
             use_homopolymer: false,
             rate_table: Vec::new(),
+            thresholds: Vec::new(),
         };
         let curve_len = model
             .second_order
@@ -209,6 +239,11 @@ impl KeoliyaModel {
             .fold(model.learned.spatial_multipliers.len(), usize::max);
         model.rate_table = (0..=curve_len)
             .map(|position| Base::ALL.map(|base| model.compute_rates(base, position)))
+            .collect();
+        model.thresholds = model
+            .rate_table
+            .iter()
+            .map(|row| row.map(thresholds))
             .collect();
         model
     }
@@ -367,38 +402,99 @@ impl KeoliyaModel {
     }
 }
 
-impl ErrorModel for KeoliyaModel {
-    fn corrupt(&self, reference: &Strand, rng: &mut SimRng) -> Strand {
-        let bases = reference.as_bases();
-        let homopolymer = self
-            .use_homopolymer
-            .then(|| homopolymer_multipliers(bases, self.learned.homopolymer_boost));
-        let mut read = Strand::with_capacity(bases.len() + 4);
+impl KeoliyaModel {
+    /// Emits the read's bases for reference position `i` holding `base`
+    /// under `event` (`None`: no error) and returns the next position.
+    fn apply(
+        &self,
+        event: Option<ErrorKind>,
+        base: Base,
+        i: usize,
+        read: &mut Strand,
+        rng: &mut SimRng,
+    ) -> usize {
+        match event {
+            Some(ErrorKind::Substitution) => read.push(self.substitution_target(base, i, rng)),
+            Some(ErrorKind::Deletion) => return i + self.deletion_run_length(rng),
+            Some(ErrorKind::Insertion) => {
+                read.push(base);
+                read.push(Base::random(rng));
+            }
+            None => read.push(base),
+        }
+        i + 1
+    }
+
+    /// [`ErrorModel::corrupt`] under the homopolymer modulation, whose
+    /// rates change with each reference: the draws compare as floats.
+    fn corrupt_homopolymer(&self, bases: &[Base], read: &mut Strand, rng: &mut SimRng) {
+        let multipliers = homopolymer_multipliers(bases, self.learned.homopolymer_boost);
         let mut i = 0usize;
         while i < bases.len() {
             let base = bases[i];
-            let [mut p_sub, mut p_del, mut p_ins] = self.rates_at(base, i);
-            if let Some(multipliers) = &homopolymer {
-                let m = multipliers[i];
-                p_sub = (p_sub * m).min(0.45);
-                p_del = (p_del * m).min(0.45);
-                p_ins = (p_ins * m).min(0.45);
-            }
+            let m = multipliers[i];
+            let [p_sub, p_del, p_ins] = self.rates_at(base, i).map(|p| (p * m).min(0.45));
             let u: f64 = rng.random();
-            if u < p_sub {
-                read.push(self.substitution_target(base, i, rng));
+            let event = if u < p_sub {
+                Some(ErrorKind::Substitution)
             } else if u < p_sub + p_del {
-                let run = self.deletion_run_length(rng);
-                i += run;
-                continue;
+                Some(ErrorKind::Deletion)
             } else if u < p_sub + p_del + p_ins {
-                read.push(base);
-                read.push(Base::random(rng));
+                Some(ErrorKind::Insertion)
             } else {
-                read.push(base);
-            }
-            i += 1;
+                None
+            };
+            i = self.apply(event, base, i, read, rng);
         }
+    }
+}
+
+impl ErrorModel for KeoliyaModel {
+    fn corrupt(&self, reference: &Strand, rng: &mut SimRng) -> Strand {
+        let bases = reference.as_bases();
+        let mut read = Strand::with_capacity(bases.len() + 4);
+        if self.use_homopolymer {
+            self.corrupt_homopolymer(bases, &mut read, rng);
+            return read;
+        }
+        // `new` always builds at least row 0.
+        let last = self.thresholds.len() - 1;
+        // The fast path draws from a copy of the generator, which no call
+        // borrows, so its state can stay in registers; the copy is handed
+        // back around every error event.
+        let mut draws = rng.clone();
+        let mut i = 0usize;
+        while i < bases.len() {
+            // The error-free run from `i` is copied whole: one compare per
+            // base settles it, against the largest threshold.
+            let start = i;
+            let mut event = None;
+            while i < bases.len() {
+                let [sub, del, ins, any] = self.thresholds[i.min(last)][bases[i].index()];
+                // The 53 bits `random::<f64>()` scales to `k · 2^-53`.
+                let k = draws.next_u64() >> 11;
+                if k < any {
+                    // The float chain's order; `k` is below one of the three.
+                    event = Some(if k < sub {
+                        ErrorKind::Substitution
+                    } else if k < del {
+                        ErrorKind::Deletion
+                    } else {
+                        debug_assert!(k < ins);
+                        ErrorKind::Insertion
+                    });
+                    break;
+                }
+                i += 1;
+            }
+            read.extend(bases[start..i].iter().copied());
+            if event.is_some() {
+                *rng = draws;
+                i = self.apply(event, bases[i], i, &mut read, rng);
+                draws = rng.clone();
+            }
+        }
+        *rng = draws;
         read
     }
 
@@ -668,6 +764,130 @@ mod tests {
                             let computed =
                                 model.compute_rates(base, position).map(f64::to_bits);
                             assert_eq!(cached, computed, "{layer} {base:?} @ {position}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_compares_like_the_uniform() {
+        // The uniform `random::<f64>()` makes from the 53 bits `k`.
+        let uniform = |k: u64| k as f64 * (1.0 / (1u64 << 53) as f64);
+        let top = (1u64 << 53) - 1;
+        let smallest = 1.0 / (1u64 << 53) as f64;
+        let dyadic = [0.5, 0.25, 0.75, 0.375, smallest, 1.0 - f64::EPSILON / 2.0];
+        let non_dyadic = [0.1, 0.059, 1.0 / 3.0, 0.95, 0.3, 1e-300, 0.999_999_9, 5e-17];
+        for c in dyadic.into_iter().chain(non_dyadic) {
+            let t = threshold(c);
+            assert!((1..=1 << 53).contains(&t), "{c}: {t}");
+            for k in [t - 1, t].into_iter().filter(|&k| k <= top) {
+                assert_eq!(k < t, uniform(k) < c, "c = {c}, k = {k}, T = {t}");
+            }
+        }
+        let edges = [0.0, -0.0, -0.5, -f64::INFINITY, f64::NAN, 1.0, 1.5, f64::INFINITY];
+        for c in edges {
+            let t = threshold(c);
+            for k in [0, 1, top] {
+                assert_eq!(k < t, uniform(k) < c, "c = {c}, k = {k}, T = {t}");
+            }
+        }
+    }
+
+    /// The float draw loop the thresholds replaced, kept as their oracle:
+    /// rates recomputed through `compute_rates` (not read from the table),
+    /// one uniform per base against the `<` chain.
+    fn oracle_corrupt(model: &KeoliyaModel, reference: &Strand, rng: &mut SimRng) -> Strand {
+        let bases = reference.as_bases();
+        let homopolymer = model
+            .use_homopolymer
+            .then(|| homopolymer_multipliers(bases, model.learned.homopolymer_boost));
+        let mut read = Strand::with_capacity(bases.len() + 4);
+        let mut i = 0usize;
+        while i < bases.len() {
+            let base = bases[i];
+            let [mut p_sub, mut p_del, mut p_ins] = model.compute_rates(base, i);
+            if let Some(multipliers) = &homopolymer {
+                let m = multipliers[i];
+                p_sub = (p_sub * m).min(0.45);
+                p_del = (p_del * m).min(0.45);
+                p_ins = (p_ins * m).min(0.45);
+            }
+            let u: f64 = rng.random();
+            if u < p_sub {
+                read.push(model.substitution_target(base, i, rng));
+            } else if u < p_sub + p_del {
+                let run = model.deletion_run_length(rng);
+                i += run;
+                continue;
+            } else if u < p_sub + p_del + p_ins {
+                read.push(base);
+                read.push(Base::random(rng));
+            } else {
+                read.push(base);
+            }
+            i += 1;
+        }
+        read
+    }
+
+    #[test]
+    fn threshold_draws_match_the_float_loop() {
+        let mut skewed = synthetic_model(0.2, 30);
+        skewed.per_base[Base::G.index()].deletion = 0.11;
+        skewed.spatial_multipliers = skewed_curve(30, 4.0);
+        skewed.second_order = second_order_entries(45);
+        skewed.homopolymer_boost = 2.5;
+        let mut saturated = synthetic_model(0.6, 20);
+        saturated.spatial_multipliers = skewed_curve(20, 9.0);
+        saturated.second_order = second_order_entries(12);
+        // Hand-built rows: zero, NaN, negative (so that `T(s + d)` or
+        // `T(s + d + i)` falls below an earlier threshold) and ≥ 1.
+        let rates = |substitution, deletion, insertion| BaseErrorRates {
+            substitution,
+            deletion,
+            insertion,
+        };
+        let mut odd = synthetic_model(0.1, 40);
+        odd.per_base = [
+            rates(0.0, 0.0, 0.0),
+            rates(f64::NAN, 0.1, 0.05),
+            rates(0.3, -0.2, 0.05),
+            rates(0.2, 0.2, -0.3),
+        ];
+        odd.spatial_multipliers = skewed_curve(40, 1.0);
+        let mut certain = synthetic_model(0.1, 25);
+        certain.per_base = [
+            rates(1.5, -1.0, 0.1),
+            rates(0.0, 1.0, 0.0),
+            rates(-0.5, 0.2, 0.4),
+            rates(0.05, 0.05, 0.95),
+        ];
+        certain.homopolymer_boost = 4.0;
+
+        let mut strands = seeded(0x7e5);
+        let mut references: Vec<Strand> = [0usize, 1, 7, 25, 44, 60, 130]
+            .into_iter()
+            .map(|len| Strand::random(len, &mut strands))
+            .collect();
+        references.push("AAAAAACCCGGGGGGGGTTTAAACCCCCCCCCCGT".parse().unwrap());
+        for learned in [synthetic_model(0.06, 110), skewed, saturated, odd, certain] {
+            for layer in SimulatorLayer::ALL {
+                let plain = KeoliyaModel::new(learned.clone(), layer);
+                for model in [plain.clone(), plain.with_homopolymer_modulation()] {
+                    for seed in 0..12u64 {
+                        for reference in &references {
+                            let (mut fast, mut slow) = (seeded(seed), seeded(seed));
+                            assert_eq!(
+                                model.corrupt(reference, &mut fast),
+                                oracle_corrupt(&model, reference, &mut slow),
+                                "{layer}, homopolymer {}, seed {seed}, length {}",
+                                model.use_homopolymer,
+                                reference.len()
+                            );
+                            // The same draws, in the same order.
+                            assert_eq!(fast.next_u64(), slow.next_u64(), "{layer}, seed {seed}");
                         }
                     }
                 }

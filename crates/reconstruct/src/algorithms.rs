@@ -2,10 +2,8 @@
 
 use dnasim_core::Strand;
 
-use crate::consensus::{
-    anchored_one_way_bma_filtered, one_way_bma_filtered, positional_majority, AlignmentVotes,
-    LookaheadFilterStats,
-};
+use crate::consensus::{positional_majority, AlignmentVotes, LookaheadFilterStats};
+use crate::scan::ReadRows;
 
 /// A trace-reconstruction algorithm: estimates the reference strand of
 /// known design length from a cluster of noisy reads.
@@ -93,9 +91,9 @@ impl Default for BmaLookahead {
 impl TraceReconstructor for BmaLookahead {
     fn reconstruct(&self, reads: &[Strand], strand_len: usize) -> Strand {
         let mut stats = LookaheadFilterStats::default();
-        let forward = one_way_bma_filtered(reads, strand_len, self.lookahead, &mut stats);
-        let reversed: Vec<Strand> = reads.iter().map(Strand::reversed).collect();
-        let backward = one_way_bma_filtered(&reversed, strand_len, self.lookahead, &mut stats);
+        let forward = ReadRows::new(reads, self.lookahead).scan(None, 0, strand_len, &mut stats);
+        let backward =
+            ReadRows::reversed(reads, self.lookahead).scan(None, 0, strand_len, &mut stats);
         let head_len = strand_len.div_ceil(2);
         let mut out = forward.substrand(0..head_len);
         // backward[k] estimates reference position strand_len - 1 - k; the
@@ -127,7 +125,8 @@ impl Default for OneWayBma {
 
 impl TraceReconstructor for OneWayBma {
     fn reconstruct(&self, reads: &[Strand], strand_len: usize) -> Strand {
-        one_way_bma_filtered(reads, strand_len, self.lookahead, &mut LookaheadFilterStats::default())
+        let stats = &mut LookaheadFilterStats::default();
+        ReadRows::new(reads, self.lookahead).scan(None, 0, strand_len, stats)
     }
 
     fn name(&self) -> String {
@@ -211,26 +210,21 @@ impl Default for Iterative {
 
 impl Iterative {
     /// [`TraceReconstructor::reconstruct`] over a caller's vote
-    /// accumulator.
+    /// accumulator and the scan rows of `reads`, which every scan of the
+    /// call shares.
     fn reconstruct_with(
         &self,
         votes: &mut AlignmentVotes,
+        rows: &ReadRows,
         reads: &[Strand],
         strand_len: usize,
     ) -> Strand {
         let mut stats = LookaheadFilterStats::default();
-        let mut estimate = one_way_bma_filtered(reads, strand_len, self.lookahead, &mut stats);
+        let mut estimate = rows.scan(None, 0, strand_len, &mut stats);
         for _ in 0..self.max_rounds {
             // Anchored rescan locks drifted pointers back onto the current
             // estimate, then alignment voting applies majority corrections.
-            let rescanned = anchored_one_way_bma_filtered(
-                reads,
-                Some(&estimate),
-                2,
-                strand_len,
-                self.lookahead,
-                &mut stats,
-            );
+            let rescanned = rows.scan(Some(&estimate), 2, strand_len, &mut stats);
             let refined = votes.refine(&rescanned, reads, strand_len);
             if refined == estimate {
                 break;
@@ -243,7 +237,8 @@ impl Iterative {
 
 impl TraceReconstructor for Iterative {
     fn reconstruct(&self, reads: &[Strand], strand_len: usize) -> Strand {
-        self.reconstruct_with(&mut AlignmentVotes::new(), reads, strand_len)
+        let rows = ReadRows::new(reads, self.lookahead);
+        self.reconstruct_with(&mut AlignmentVotes::new(), &rows, reads, strand_len)
     }
 
     fn name(&self) -> String {
@@ -267,9 +262,16 @@ pub struct TwoWayIterative {
 impl TraceReconstructor for TwoWayIterative {
     fn reconstruct(&self, reads: &[Strand], strand_len: usize) -> Strand {
         let votes = &mut AlignmentVotes::new();
-        let forward = self.inner.reconstruct_with(votes, reads, strand_len);
+        let lookahead = self.inner.lookahead;
+        let rows = ReadRows::new(reads, lookahead);
+        let forward = self.inner.reconstruct_with(votes, &rows, reads, strand_len);
+        // The backward pass aligns the reversed reads as strands, and scans
+        // them through their reversed rows.
         let reversed: Vec<Strand> = reads.iter().map(Strand::reversed).collect();
-        let backward = self.inner.reconstruct_with(votes, &reversed, strand_len);
+        let rows = ReadRows::reversed(reads, lookahead);
+        let backward = self
+            .inner
+            .reconstruct_with(votes, &rows, &reversed, strand_len);
         let head_len = strand_len.div_ceil(2);
         let mut out = forward.substrand(0..head_len);
         let tail = backward.substrand(0..strand_len - head_len).reversed();

@@ -6,6 +6,8 @@ use dnasim_core::rng::{seeded, SimRng};
 use dnasim_core::{Base, EditOp, Strand};
 use dnasim_profile::{edit_ops_with, EditScratch, TieBreak};
 
+use crate::scan::ReadRows;
+
 /// A per-position vote tally over the four bases.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct VoteTally {
@@ -185,6 +187,9 @@ pub fn positional_majority(reads: &[Strand], strand_len: usize) -> Strand {
 /// (the majority of the other reads' upcoming symbols), and their pointer
 /// is advanced accordingly. Errors therefore propagate only forward — the
 /// linear error profile the paper measures for one-way algorithms.
+///
+/// This is the plain scan, kept as the oracle for the kernel behind
+/// [`one_way_bma_filtered`], which every reconstructor uses.
 pub fn one_way_bma(reads: &[Strand], strand_len: usize, lookahead: usize) -> Strand {
     anchored_one_way_bma(reads, None, 0, strand_len, lookahead)
 }
@@ -203,16 +208,17 @@ pub fn anchored_one_way_bma(
     strand_len: usize,
     lookahead: usize,
 ) -> Strand {
-    scan_core(reads, anchor, anchor_weight, strand_len, lookahead, None)
+    scan_core(reads, anchor, anchor_weight, strand_len, lookahead).0
 }
 
-/// Work skipped (and done) by the filtered look-ahead scan.
+/// Work skipped (and done) by the look-ahead scan kernel.
 ///
-/// The counters exist so tests and diagnostics can prove the prefilter
+/// The counters exist so tests and diagnostics can prove the short-circuits
 /// actually engaged; they have no effect on the reconstruction itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LookaheadFilterStats {
-    /// Clusters short-circuited whole by the q-gram unanimity fast path.
+    /// Unanchored clusters of byte-identical reads, answered whole by the
+    /// unanimity fast path.
     pub unanimous_clusters: usize,
     /// Columns whose look-ahead window was never tallied because every
     /// read agreed with the column majority.
@@ -230,10 +236,11 @@ impl LookaheadFilterStats {
     }
 }
 
-/// [`one_way_bma`] with the q-gram error-ball prefilter — byte-identical
-/// output, less work (differentially tested against the unfiltered scan).
+/// [`one_way_bma`] on the scan kernel — byte-identical output, less work
+/// (differentially tested against the unfiltered scan).
 ///
-/// Two exact short-circuits:
+/// The kernel pads the reads into byte rows, counts votes in register
+/// lanes, and takes two exact short-circuits:
 ///
 /// * **Unanimity fast path** — a cluster of byte-identical reads skips the
 ///   scan entirely, since every column's majority is unanimous and no
@@ -250,7 +257,7 @@ pub fn one_way_bma_filtered(
     anchored_one_way_bma_filtered(reads, None, 0, strand_len, lookahead, stats)
 }
 
-/// [`anchored_one_way_bma`] with the q-gram error-ball prefilter — see
+/// [`anchored_one_way_bma`] on the scan kernel — see
 /// [`one_way_bma_filtered`]. The unanimity fast path only applies to
 /// unanchored scans (an anchor can outvote unanimous reads), so anchored
 /// calls get the lazy look-ahead alone.
@@ -262,46 +269,21 @@ pub fn anchored_one_way_bma_filtered(
     lookahead: usize,
     stats: &mut LookaheadFilterStats,
 ) -> Strand {
-    if anchor.is_none() || anchor_weight == 0 {
-        if let Some(out) = unanimous_consensus(reads, strand_len) {
-            stats.unanimous_clusters += 1;
-            return out;
-        }
-    }
-    scan_core(reads, anchor, anchor_weight, strand_len, lookahead, Some(stats))
+    ReadRows::new(reads, lookahead).scan(anchor, anchor_weight, strand_len, stats)
 }
 
-/// The scan's output when every read is byte-identical, or `None` when the
-/// reads differ: the lone read value, truncated to the design length or
-/// padded with the scan's `A` filler.
-fn unanimous_consensus(reads: &[Strand], strand_len: usize) -> Option<Strand> {
-    let (first, rest) = reads.split_first()?;
-    if rest.iter().any(|r| r != first) {
-        return None;
-    }
-    // Unanimous cluster: every column majority is the read's own base and
-    // no pointer ever drifts; past the read's end the scan falls back to
-    // the unaligned column majority, which is empty — the `A` filler.
-    let mut out = Strand::with_capacity(strand_len);
-    out.extend(first.iter().take(strand_len));
-    while out.len() < strand_len {
-        out.push(Base::A);
-    }
-    Some(out)
-}
-
-/// The one-way scan shared by the oracle and filtered entry points. With
-/// `filter: Some(_)`, the look-ahead window is tallied lazily (only for
-/// columns with a disagreeing read) — provably output-identical, since the
-/// window is consulted nowhere else.
-fn scan_core(
+/// The unfiltered one-way scan: the oracle the kernel is tested against.
+/// Every column tallies its look-ahead window; the returned counters
+/// record which columns the kernel's lazy look-ahead may skip (no read
+/// disagrees) and which it must score.
+pub(crate) fn scan_core(
     reads: &[Strand],
     anchor: Option<&Strand>,
     anchor_weight: usize,
     strand_len: usize,
     lookahead: usize,
-    mut filter: Option<&mut LookaheadFilterStats>,
-) -> Strand {
+) -> (Strand, LookaheadFilterStats) {
+    let mut stats = LookaheadFilterStats::default();
     let mut out = Strand::with_capacity(strand_len);
     let mut ptrs: Vec<usize> = vec![0; reads.len()];
     // Look-ahead buffers reused across all output positions: allocating
@@ -337,26 +319,14 @@ fn scan_core(
             continue;
         };
         out.push(majority);
-
-        // The future-majority window is only ever consulted when a read
-        // *disagrees* with the column majority, so the filtered scan skips
-        // tallying it for fully-agreeing columns (the common case on
-        // healthy clusters) — output-identical by construction.
-        if let Some(stats) = filter.as_deref_mut() {
-            let any_disagree = reads
-                .iter()
-                .zip(&ptrs)
-                .any(|(read, &ptr)| matches!(read.get(ptr), Some(b) if b != majority));
-            if !any_disagree {
-                stats.skipped_windows += 1;
-                for (read, ptr) in reads.iter().zip(&mut ptrs) {
-                    if read.get(*ptr).is_some() {
-                        *ptr += 1;
-                    }
-                }
-                continue;
-            }
+        let any_disagree = reads
+            .iter()
+            .zip(&ptrs)
+            .any(|(read, &ptr)| matches!(read.get(ptr), Some(b) if b != majority));
+        if any_disagree {
             stats.scored_windows += 1;
+        } else {
+            stats.skipped_windows += 1;
         }
 
         // Future majority over the look-ahead window, computed from the
@@ -419,7 +389,7 @@ fn scan_core(
             }
         }
     }
-    out
+    (out, stats)
 }
 
 #[cfg(test)]

@@ -37,6 +37,7 @@ mod algorithms;
 mod consensus;
 mod msa;
 mod parallel;
+mod scan;
 mod weighted;
 
 pub use algorithms::{

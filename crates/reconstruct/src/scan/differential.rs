@@ -1,0 +1,208 @@
+//! The scan kernel against the unfiltered oracle scan (`scan_core`): same
+//! output strand and same `LookaheadFilterStats` on every cluster.
+//!
+//! The corpus covers coverage 0–300 (past the 255 reads a byte lane
+//! holds), look-ahead 0–17 (one to three 8-byte words), anchor weight 0–3
+//! with anchors shorter and longer than the design length, design length
+//! 0, empty, short, long and exhausted reads, tie columns and
+//! homopolymers, forward and reversed rows.
+
+use dnasim_channel::{ErrorModel, NaiveModel};
+use dnasim_core::rng::{seeded, RngExt, SimRng};
+use dnasim_core::Strand;
+
+use super::ReadRows;
+use crate::consensus::{scan_core, LookaheadFilterStats};
+
+fn s(text: &str) -> Strand {
+    text.parse().unwrap()
+}
+
+/// The counters the kernel must report: an unanchored cluster of
+/// byte-identical reads is one unanimous cluster that scores no window;
+/// any other cluster counts the oracle's skippable and scored columns.
+fn expected_stats(
+    reads: &[Strand],
+    anchor: Option<&Strand>,
+    anchor_weight: usize,
+    oracle: LookaheadFilterStats,
+) -> LookaheadFilterStats {
+    let anchored = anchor.is_some() && anchor_weight > 0;
+    let unanimous = reads
+        .first()
+        .is_some_and(|first| reads.iter().all(|r| r == first));
+    if !anchored && unanimous {
+        LookaheadFilterStats {
+            unanimous_clusters: 1,
+            ..LookaheadFilterStats::default()
+        }
+    } else {
+        oracle
+    }
+}
+
+/// Runs the kernel on forward and reversed rows against the oracle on the
+/// same reads and on the reversed reads, for every look-ahead given.
+fn check(
+    reads: &[Strand],
+    anchor: Option<&Strand>,
+    anchor_weight: usize,
+    strand_len: usize,
+    lookaheads: &[usize],
+    total: &mut LookaheadFilterStats,
+) {
+    let reversed: Vec<Strand> = reads.iter().map(Strand::reversed).collect();
+    for &lookahead in lookaheads {
+        for (rows, oracle_reads) in [
+            (ReadRows::new(reads, lookahead), reads),
+            (ReadRows::reversed(reads, lookahead), &reversed[..]),
+        ] {
+            let mut stats = LookaheadFilterStats::default();
+            let out = rows.scan(anchor, anchor_weight, strand_len, &mut stats);
+            let (want, oracle_stats) =
+                scan_core(oracle_reads, anchor, anchor_weight, strand_len, lookahead);
+            let context = format!(
+                "{} reads, strand_len {strand_len}, lookahead {lookahead}, \
+                 anchor {:?} × {anchor_weight}",
+                reads.len(),
+                anchor.map(Strand::len)
+            );
+            assert_eq!(out, want, "output diverged: {context}");
+            assert_eq!(
+                stats,
+                expected_stats(oracle_reads, anchor, anchor_weight, oracle_stats),
+                "stats diverged: {context}"
+            );
+            total.absorb(&stats);
+        }
+    }
+}
+
+/// A read of `reference` cut, extended or emptied at random.
+fn reshape(read: Strand, rng: &mut SimRng) -> Strand {
+    match rng.random_range(0..8u32) {
+        0 => Strand::new(),
+        1 => {
+            let keep = rng.random_range(0..=read.len());
+            read.substrand(0..keep)
+        }
+        2 => {
+            let extra = Strand::random(rng.random_range(1..12), rng);
+            read.concat(&extra)
+        }
+        _ => read,
+    }
+}
+
+#[test]
+fn kernel_matches_oracle_on_seeded_noisy_clusters() {
+    let mut rng = seeded(0x5ca7);
+    let mut total = LookaheadFilterStats::default();
+    let lookaheads = [0, 1, 2, 3, 4, 5, 8, 9, 17];
+    for rate in [0.0, 0.03, 0.08, 0.2] {
+        let model = NaiveModel::with_total_rate(rate);
+        for coverage in [0usize, 1, 2, 3, 4, 5, 8, 13] {
+            for len in [0usize, 1, 7, 33, 110] {
+                let reference = Strand::random(len, &mut rng);
+                let reads: Vec<Strand> = (0..coverage)
+                    .map(|_| reshape(model.corrupt(&reference, &mut rng), &mut rng))
+                    .collect();
+                for strand_len in [len, len.saturating_sub(3), len + 5] {
+                    check(&reads, None, 0, strand_len, &lookaheads, &mut total);
+                    let anchor = model.corrupt(&reference, &mut rng);
+                    for weight in 0..=3 {
+                        check(
+                            &reads,
+                            Some(&anchor),
+                            weight,
+                            strand_len,
+                            &[0, 2, 3, 5, 9],
+                            &mut total,
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        total.unanimous_clusters > 0,
+        "unanimity fast path never fired"
+    );
+    assert!(
+        total.skipped_windows > 0,
+        "lazy look-ahead never skipped a window"
+    );
+    assert!(
+        total.scored_windows > 0,
+        "noisy columns must still score windows"
+    );
+}
+
+/// Coverage past the 255 reads one byte lane counts: the column and
+/// look-ahead lanes must flush, not carry into the next base's lane.
+#[test]
+fn kernel_matches_oracle_past_the_lane_width() {
+    let mut rng = seeded(0x1a7e);
+    let mut total = LookaheadFilterStats::default();
+    for (rate, coverage) in [
+        (0.01, 254usize),
+        (0.01, 255),
+        (0.02, 256),
+        (0.05, 300),
+        (0.0, 300),
+    ] {
+        let model = NaiveModel::with_total_rate(rate);
+        let reference = Strand::random(60, &mut rng);
+        let mut reads: Vec<Strand> = (0..coverage)
+            .map(|_| model.corrupt(&reference, &mut rng))
+            .collect();
+        check(&reads, None, 0, 60, &[2, 3, 9], &mut total);
+        check(&reads, Some(&reference), 3, 60, &[2, 3], &mut total);
+        // Homopolymer reads: one lane takes nearly every vote.
+        reads.iter_mut().for_each(|r| *r = s(&"A".repeat(r.len())));
+        reads.push(s("AAAAACAAAA"));
+        check(&reads, None, 0, 60, &[3], &mut total);
+    }
+    assert!(total.scored_windows > 0);
+}
+
+#[test]
+fn kernel_matches_oracle_on_ties_and_homopolymers() {
+    let mut total = LookaheadFilterStats::default();
+    let clusters: Vec<Vec<Strand>> = vec![
+        // Every column a two-way tie: alphabet order decides.
+        vec![s("ACGTACGT"), s("CATGCATG")],
+        vec![s("TGCA"), s("GTAC"), s("CATG"), s("ACGT")],
+        vec![s("TTTT"), s("GGGG"), s("TTTT"), s("GGGG")],
+        // Homopolymer runs with a deletion and an insertion.
+        vec![s("AAAATTTTCCCC"), s("AAATTTTCCCC"), s("AAAATTTTTCCCC")],
+        vec![
+            s("GGGGGGGGGG"),
+            s("GGGGGGGG"),
+            s("GGGGGGGGGGGG"),
+            s("GGGGGGGGGG"),
+        ],
+        // Exhausted reads next to long ones.
+        vec![s("AC"), s("ACGTACGTACGT"), s(""), s("A")],
+        vec![s(""), s("")],
+        vec![s("ACGT"); 3],
+    ];
+    for reads in &clusters {
+        for strand_len in [0usize, 3, 8, 14] {
+            let lookaheads = [0, 1, 2, 3, 4, 5];
+            check(reads, None, 0, strand_len, &lookaheads, &mut total);
+            for anchor in [s("TTTTTTTTTTTTTT"), s("GCA"), s("")] {
+                for weight in 0..=3 {
+                    check(
+                        reads,
+                        Some(&anchor),
+                        weight,
+                        strand_len,
+                        &lookaheads,
+                        &mut total,
+                    );
+                }
+            }
+        }
+    }
+}

@@ -11,7 +11,8 @@ use dnasim_core::Strand;
 use dnasim_metrics::gestalt_score;
 
 use crate::algorithms::TraceReconstructor;
-use crate::consensus::{one_way_bma, AlignmentVotes};
+use crate::consensus::{AlignmentVotes, LookaheadFilterStats};
+use crate::scan::ReadRows;
 
 /// Iterative reconstruction with per-read alignment weighting.
 ///
@@ -90,7 +91,8 @@ impl WeightedIterative {
 impl TraceReconstructor for WeightedIterative {
     fn reconstruct(&self, reads: &[Strand], strand_len: usize) -> Strand {
         let votes = &mut AlignmentVotes::new();
-        let mut estimate = one_way_bma(reads, strand_len, self.lookahead);
+        let stats = &mut LookaheadFilterStats::default();
+        let mut estimate = ReadRows::new(reads, self.lookahead).scan(None, 0, strand_len, stats);
         for _ in 0..self.max_rounds {
             let refined = self.refine(votes, &estimate, reads, strand_len);
             if refined == estimate {

@@ -98,6 +98,31 @@ mutant "mask-screen threshold off by one" crates/metrics/src/qgram.rs \
     's/self\.mask_bound(other) > limit ||/self.mask_bound(other) >= limit ||/' \
     -p dnasim-metrics --test qgram_screen
 
+# DESIGN.md §24: the register-lane look-ahead scan.
+mutant "lane winner breaks ties toward the later base" crates/reconstruct/src/scan.rs \
+    's/if counts\[b\] > counts\[best\] {/if counts[b] >= counts[best] {/' \
+    -p dnasim-reconstruct --lib scan::differential
+mutant "anchor weight dropped from the look-ahead tally" crates/reconstruct/src/scan.rs \
+    's/tally\[b\.index()\] += anchor_weight;/tally[b.index()] += 0;/' \
+    -p dnasim-reconstruct --lib scan::differential
+mutant "byte lanes flushed every 256 reads" crates/reconstruct/src/scan.rs \
+    's/const LANE_MAX: usize = 255;/const LANE_MAX: usize = 256;/' \
+    -p dnasim-reconstruct --lib scan::differential
+
+# DESIGN.md §24: integer-threshold Keoliya draws.
+mutant "threshold rounded down" crates/channel/src/keoliya.rs \
+    's/(c \* UNIT)\.ceil() as u64/(c * UNIT).floor() as u64/' \
+    -p dnasim-channel --lib keoliya
+mutant "fast path tested against T3 instead of max(T)" crates/channel/src/keoliya.rs \
+    's/                if k < any {/                if k < ins {/' \
+    -p dnasim-channel --lib keoliya
+mutant "threshold table indexed at pos + 1" crates/channel/src/keoliya.rs \
+    's/self\.thresholds\[i\.min(last)\]/self.thresholds[(i + 1).min(last)]/' \
+    -p dnasim-channel --lib keoliya
+mutant "rate table indexed at pos + 1" crates/channel/src/keoliya.rs \
+    's/self\.rate_table\[position\.min(/self.rate_table[(position + 1).min(/' \
+    -p dnasim-channel --lib keoliya
+
 if [ "$survivors" -ne 0 ]; then
     echo "mutants: $survivors survived" >&2
     exit 1
