@@ -83,13 +83,15 @@ fn bench_streaming_profile(c: &mut Criterion) {
     let twin = twin_config().generate();
     let mut text = Vec::new();
     write_dataset(&twin, &mut text).expect("render twin");
+    let pool = ThreadPool::from_env();
     for batch_size in BATCH_SIZES {
         c.bench_function(format!("streaming/profile/batch-{batch_size}"), |b| {
             b.iter(|| {
                 let mut source = DatasetReader::new(black_box(&text[..]));
                 let mut rng = seeded(3);
+                let ctx = RunCtx::new(&pool, batch_size).expect("nonzero batch");
                 let (stats, window) =
-                    ErrorStats::from_source(&mut source, batch_size, TieBreak::Random, &mut rng)
+                    ErrorStats::from_source(&mut source, &ctx, TieBreak::Random, &mut rng)
                         .expect("stream profiling");
                 assert!(window.high_watermark <= batch_size);
                 stats.read_count()

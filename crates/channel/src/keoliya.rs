@@ -20,7 +20,7 @@ use dnasim_core::rng::{Rng, RngExt, SimRng};
 use dnasim_core::{Base, EditOp, ErrorKind, Strand};
 use dnasim_profile::LearnedModel;
 
-use crate::sampler::sample_weighted_index;
+use crate::sampler::{chain_thresholds, sample_weighted_index};
 use crate::model::ErrorModel;
 
 /// Which refinement layers are active (each includes all previous ones).
@@ -119,34 +119,16 @@ pub struct KeoliyaModel {
     rate_table: Vec<[[f64; 3]; 4]>,
     /// `rate_table`'s rows as draw thresholds: for rates `[s, d, i]`,
     /// `[T(s), T(s + d), T((s + d) + i), max of the three]` with
-    /// [`threshold`]'s `T`, so a 53-bit draw `k` compares as its uniform
-    /// `k · 2^-53` would against the float sums.
+    /// [`uniform_threshold`](crate::uniform_threshold)'s `T`, so a 53-bit
+    /// draw `k` compares as its uniform `k · 2^-53` would against the
+    /// float sums.
     thresholds: Vec<[[u64; 4]; 4]>,
-}
-
-/// The integer threshold of a cumulative rate `c`: for every 53-bit `k`,
-/// `k < threshold(c)` exactly when `k · 2^-53 < c` (the uniform
-/// `random::<f64>()` draws from the same `k`).
-///
-/// `c · 2^53` is exact (a power-of-two scaling), so `k < c · 2^53` holds
-/// for the integer `k` exactly when `k < ⌈c · 2^53⌉`. Rates `c ≥ 1` admit
-/// every `k` (`2^53`); NaN and `c ≤ 0` admit none (0).
-fn threshold(c: f64) -> u64 {
-    const UNIT: f64 = (1u64 << 53) as f64;
-    if c >= 1.0 {
-        1 << 53
-    } else if c > 0.0 {
-        (c * UNIT).ceil() as u64
-    } else {
-        0
-    }
-}
-
-/// [`threshold`] of each cumulative sum in the draw's `<` chain, summed in
-/// the chain's order, and their maximum.
-fn thresholds([p_sub, p_del, p_ins]: [f64; 3]) -> [u64; 4] {
-    let [sub, del, ins] = [p_sub, p_sub + p_del, p_sub + p_del + p_ins].map(threshold);
-    [sub, del, ins, sub.max(del).max(ins)]
+    /// `substitution_table[min(pos, L)][base]` →
+    /// [`substitution_weights`] at that position, with the same `L` as
+    /// `rate_table`: the target weights a substitution event draws from.
+    ///
+    /// [`substitution_weights`]: KeoliyaModel::substitution_weights
+    substitution_table: Vec<[[f64; 4]; 4]>,
 }
 
 impl KeoliyaModel {
@@ -229,6 +211,7 @@ impl KeoliyaModel {
             use_homopolymer: false,
             rate_table: Vec::new(),
             thresholds: Vec::new(),
+            substitution_table: Vec::new(),
         };
         let curve_len = model
             .second_order
@@ -243,7 +226,10 @@ impl KeoliyaModel {
         model.thresholds = model
             .rate_table
             .iter()
-            .map(|row| row.map(thresholds))
+            .map(|row| row.map(chain_thresholds))
+            .collect();
+        model.substitution_table = (0..=curve_len)
+            .map(|position| Base::ALL.map(|base| model.substitution_weights(base, position)))
             .collect();
         model
     }
@@ -363,6 +349,25 @@ impl KeoliyaModel {
         if self.layer < SimulatorLayer::ConditionalLongDel {
             return base.random_other(rng);
         }
+        let idx = sample_weighted_index(&self.substitution_weights_at(base, position), rng);
+        Base::from_index(idx).unwrap_or_else(|| base.random_other(rng))
+    }
+
+    /// The substitution target weights of `base` at `position`, read from
+    /// the precomputed table.
+    fn substitution_weights_at(&self, base: Base, position: usize) -> [f64; 4] {
+        // `new` always builds at least row 0.
+        self.substitution_table[position.min(self.substitution_table.len() - 1)][base.index()]
+    }
+
+    /// The weights of the substitution targets of `base` at `position`,
+    /// computed from the learned parameters (what
+    /// [`substitution_weights_at`] caches): the confusion row, mixed at
+    /// the second-order layer with the second-order targets' positional
+    /// skews, with `base` itself excluded.
+    ///
+    /// [`substitution_weights_at`]: KeoliyaModel::substitution_weights_at
+    fn substitution_weights(&self, base: Base, position: usize) -> [f64; 4] {
         let mut weights = self.learned.substitution[base.index()];
         if self.layer >= SimulatorLayer::SecondOrder {
             // Mixture: a fraction Σw of this class's substitutions is pinned
@@ -386,8 +391,7 @@ impl KeoliyaModel {
             }
         }
         weights[base.index()] = 0.0;
-        let idx = sample_weighted_index(&weights, rng);
-        Base::from_index(idx).unwrap_or_else(|| base.random_other(rng))
+        weights
     }
 
     /// Samples a deletion run length (1 = single deletion).
@@ -526,6 +530,7 @@ fn homopolymer_multipliers(bases: &[Base], boost: f64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampler::uniform_threshold;
     use dnasim_core::rng::seeded;
     use dnasim_metrics::levenshtein;
     use dnasim_profile::{BaseErrorRates, LongDeletionParams};
@@ -772,6 +777,48 @@ mod tests {
     }
 
     #[test]
+    fn substitution_table_matches_the_loop_bit_for_bit() {
+        // Substitution entries with curves longer and shorter than the
+        // spatial one, a class with two targets, and one with none.
+        let mut skewed = synthetic_model(0.2, 30);
+        skewed.spatial_multipliers = skewed_curve(30, 4.0);
+        skewed.second_order = second_order_entries(45);
+        let subst = |orig, new, share, len, scale| dnasim_profile::SecondOrderError {
+            op: EditOp::Subst { orig, new },
+            share,
+            positional_multipliers: skewed_curve(len, scale),
+        };
+        skewed.second_order.push(subst(Base::A, Base::T, 0.03, 20, 0.9));
+        skewed.second_order.push(subst(Base::T, Base::C, 0.06, 60, 1.7));
+        skewed.substitution[Base::G.index()] = [0.5, 0.2, 0.0, 0.3];
+        // Shares large enough that the class weights sum past 1.
+        let mut saturated = synthetic_model(0.3, 12);
+        saturated.second_order = vec![
+            subst(Base::C, Base::A, 0.4, 12, 2.0),
+            subst(Base::C, Base::G, 0.5, 8, 3.0),
+        ];
+        let mut empty = synthetic_model(0.3, 0);
+        empty.spatial_multipliers = Vec::new();
+        empty.second_order = second_order_entries(0);
+
+        for (learned, curve_len) in [(skewed, 60), (saturated, 12), (empty, 0)] {
+            for layer in SimulatorLayer::ALL {
+                let model = KeoliyaModel::new(learned.clone(), layer);
+                assert_eq!(model.substitution_table.len(), curve_len + 1, "{layer}");
+                for base in Base::ALL {
+                    for position in 0..curve_len + 16 {
+                        let cached =
+                            model.substitution_weights_at(base, position).map(f64::to_bits);
+                        let computed =
+                            model.substitution_weights(base, position).map(f64::to_bits);
+                        assert_eq!(cached, computed, "{layer} {base:?} @ {position}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn threshold_compares_like_the_uniform() {
         // The uniform `random::<f64>()` makes from the 53 bits `k`.
         let uniform = |k: u64| k as f64 * (1.0 / (1u64 << 53) as f64);
@@ -780,7 +827,7 @@ mod tests {
         let dyadic = [0.5, 0.25, 0.75, 0.375, smallest, 1.0 - f64::EPSILON / 2.0];
         let non_dyadic = [0.1, 0.059, 1.0 / 3.0, 0.95, 0.3, 1e-300, 0.999_999_9, 5e-17];
         for c in dyadic.into_iter().chain(non_dyadic) {
-            let t = threshold(c);
+            let t = uniform_threshold(c);
             assert!((1..=1 << 53).contains(&t), "{c}: {t}");
             for k in [t - 1, t].into_iter().filter(|&k| k <= top) {
                 assert_eq!(k < t, uniform(k) < c, "c = {c}, k = {k}, T = {t}");
@@ -788,11 +835,27 @@ mod tests {
         }
         let edges = [0.0, -0.0, -0.5, -f64::INFINITY, f64::NAN, 1.0, 1.5, f64::INFINITY];
         for c in edges {
-            let t = threshold(c);
+            let t = uniform_threshold(c);
             for k in [0, 1, top] {
                 assert_eq!(k < t, uniform(k) < c, "c = {c}, k = {k}, T = {t}");
             }
         }
+    }
+
+    /// The substitution target drawn from weights rebuilt at every event
+    /// (the loop `substitution_table` replaced), not read from the table.
+    fn oracle_substitution_target(
+        model: &KeoliyaModel,
+        base: Base,
+        position: usize,
+        rng: &mut SimRng,
+    ) -> Base {
+        if model.layer < SimulatorLayer::ConditionalLongDel {
+            return base.random_other(rng);
+        }
+        let weights = model.substitution_weights(base, position);
+        let idx = sample_weighted_index(&weights, rng);
+        Base::from_index(idx).unwrap_or_else(|| base.random_other(rng))
     }
 
     /// The float draw loop the thresholds replaced, kept as their oracle:
@@ -816,7 +879,7 @@ mod tests {
             }
             let u: f64 = rng.random();
             if u < p_sub {
-                read.push(model.substitution_target(base, i, rng));
+                read.push(oracle_substitution_target(model, base, i, rng));
             } else if u < p_sub + p_del {
                 let run = model.deletion_run_length(rng);
                 i += run;

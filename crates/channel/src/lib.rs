@@ -57,4 +57,5 @@ pub use histogram::FullHistogramModel;
 pub use keoliya::{KeoliyaModel, SimulatorLayer};
 pub use model::{ErrorModel, IdentityModel, Simulator};
 pub use parametric::ParametricModel;
+pub use sampler::{chain_thresholds, uniform_threshold};
 pub use spatial::{SpatialDistribution, TerminalSkew};

@@ -20,6 +20,39 @@
 
 use dnasim_core::rng::{RngExt, SimRng};
 
+/// The integer threshold of a cumulative rate `c`: for every 53-bit `k`,
+/// `k < uniform_threshold(c)` exactly when `k · 2^-53 < c`. The uniform
+/// `random::<f64>()` is `k · 2^-53` for `k = next_u64() >> 11`, so a
+/// kernel can compare `k` instead of the float (DESIGN.md §24).
+///
+/// `c · 2^53` is exact (a power-of-two scaling), so `k < c · 2^53` holds
+/// for the integer `k` exactly when `k < ⌈c · 2^53⌉`. Rates `c ≥ 1` admit
+/// every `k` (`2^53`); NaN and `c ≤ 0` admit none (0).
+pub fn uniform_threshold(c: f64) -> u64 {
+    const UNIT: f64 = (1u64 << 53) as f64;
+    if c >= 1.0 {
+        1 << 53
+    } else if c > 0.0 {
+        // The ceiling without a libm call: below 2^53 the truncation and
+        // its conversion back are exact, so it rounds up exactly when the
+        // truncation dropped a fraction.
+        let scaled = c * UNIT;
+        let floor = scaled as i64;
+        floor as u64 + u64::from((floor as f64) < scaled)
+    } else {
+        0
+    }
+}
+
+/// The thresholds of a three-way draw `u < s`, else `u < s + d`, else
+/// `u < s + d + i`: [`uniform_threshold`] of each cumulative sum, summed
+/// in the chain's order, and their maximum. A 53-bit `k` at or above the
+/// maximum fails all three compares.
+pub fn chain_thresholds([s, d, i]: [f64; 3]) -> [u64; 4] {
+    let [first, second, third] = [s, s + d, s + d + i].map(uniform_threshold);
+    [first, second, third, first.max(second).max(third)]
+}
+
 /// Whether a weight takes part in a draw. Zero, negative, NaN and
 /// infinite weights are skipped by both samplers alike.
 #[inline]

@@ -17,9 +17,9 @@
 //!                    [--default-deadline N] [--retries N]
 //! ```
 //!
-//! `simulate`, `archive` and `chaos` accept `--threads N` (default:
-//! `DNASIM_THREADS`, then all cores); results are byte-identical for every
-//! thread count.
+//! `generate`, `profile`, `simulate`, `archive` and `chaos` accept
+//! `--threads N` (default: `DNASIM_THREADS`, then all cores); results are
+//! byte-identical for every thread count.
 //!
 //! `generate`, `profile`, `simulate` and `archive` always run the
 //! bounded-memory pipeline: at most `--batch-size` clusters are in flight
@@ -163,7 +163,7 @@ fn usage_text() -> &'static str {
      \x20 generate    --out FILE [--clusters N] [--len L] [--seed S] [--small]\n\
      \x20             [--batch-size N] [--threads N] [--format text|binary]\n\
      \x20 profile     --data FILE [--top-k K] [--save MODEL] [--batch-size N]\n\
-     \x20             [--format text|binary]\n\
+     \x20             [--threads N] [--format text|binary]\n\
      \x20 simulate    --data FILE --model MODEL --out FILE [--seed S] [--model-file MODEL]\n\
      \x20             [--threads N] [--batch-size N] [--format text|binary]\n\
      \x20             MODEL: naive | dnasimulator | keoliya[:naive|cond|spatial|second]\n\
@@ -300,8 +300,9 @@ fn cmd_profile(args: &Args) -> CliResult {
     let top_k = args.get_or("top-k", 10usize)?;
     let mut rng = seeded(args.get_or("seed", 0u64)?);
     let batch = batch_size(args)?;
+    let ctx = RunCtx::new(&thread_pool(args)?, batch)?;
     let mut source = PrefetchSource::spawn(open_cluster_source(args, data)?, batch)?;
-    let (stats, window) = ErrorStats::from_source(&mut source, batch, TieBreak::Random, &mut rng)?;
+    let (stats, window) = ErrorStats::from_source(&mut source, &ctx, TieBreak::Random, &mut rng)?;
     // Stderr, so stdout carries only the statistics.
     eprintln!(
         "stream window: {} batch(es), peak {} cluster(s) / {} read(s) resident",
@@ -364,6 +365,7 @@ fn cmd_simulate(args: &Args) -> CliResult {
     let seed = args.get_or("seed", 1u64)?;
     let pool = thread_pool(args)?;
     let batch = batch_size(args)?;
+    let ctx = RunCtx::new(&pool, batch)?;
 
     let model = model_spec
         .parse::<ModelSpec>()
@@ -379,7 +381,7 @@ fn cmd_simulate(args: &Args) -> CliResult {
                     let mut source = PrefetchSource::spawn(open_detected(data)?, batch)?;
                     let (stats, _) = ErrorStats::from_source(
                         &mut source,
-                        batch,
+                        &ctx,
                         TieBreak::Random,
                         &mut seeded(seed),
                     )?;
@@ -395,7 +397,6 @@ fn cmd_simulate(args: &Args) -> CliResult {
     let mut writer =
         AnyDatasetWriter::new(BufWriter::new(File::create(out)?), parse_format(args)?);
     let mut source = PrefetchSource::spawn(open_detected(data)?, batch)?;
-    let ctx = RunCtx::new(&pool, batch)?;
     let window = simulator.resimulate_in(&mut source, &SeedSequence::new(seed), &ctx, &mut writer)?;
     let (clusters, reads) = (writer.clusters_written(), writer.reads_written());
     writer.into_inner()?;

@@ -11,10 +11,11 @@
 //! simulators are graded on approximating it, never on sharing its code
 //! path.
 
-use dnasim_channel::{CoverageModel, ErrorModel};
-use dnasim_core::rng::{SeedSequence, SimRng};
+use dnasim_channel::{chain_thresholds, CoverageModel, ErrorModel};
+use dnasim_core::rng::{Rng, SeedSequence, SimRng};
 use dnasim_core::{
-    produce_windows, Base, Cluster, ClusterSink, Dataset, DnasimError, Strand, WindowStats,
+    produce_windows, Base, Cluster, ClusterSink, Dataset, DnasimError, ErrorKind, Strand,
+    WindowStats,
 };
 use dnasim_core::rng::RngExt;
 use dnasim_par::{RunCtx, ThreadPool};
@@ -278,7 +279,21 @@ pub struct GroundTruthChannel {
     partner_bias: f64,
     /// Spatial multipliers (mean 1.0).
     spatial: Vec<f64>,
+    /// The distinct `(spatial multiplier, head)` pairs of the positions
+    /// below `strand_len`, then `(1.0, false)` for every position past
+    /// it. Positions of one class have bit-equal rates in every read.
+    classes: Vec<(f64, bool)>,
+    /// `class_rows[i]`: twice the class of position `i < strand_len`, the
+    /// row of its thresholds outside homopolymer runs.
+    class_rows: Vec<u8>,
+    /// Twice the class of the positions past `strand_len`.
+    beyond_row: u8,
 }
+
+/// The most classes a channel has: the spatial curve holds at most three
+/// values (head, interior, tail), times the head flag, plus the class past
+/// `strand_len`.
+const MAX_CLASSES: usize = 8;
 
 impl GroundTruthChannel {
     /// Builds the channel with the paper's Nanopore profile.
@@ -322,6 +337,23 @@ impl GroundTruthChannel {
         if mean > 0.0 {
             spatial.iter_mut().for_each(|m| *m /= mean);
         }
+        let mut classes: Vec<(f64, bool)> = Vec::new();
+        let class_rows = spatial
+            .iter()
+            .enumerate()
+            .map(|(i, &m)| {
+                let head = i * 10 < strand_len;
+                let same = |&(c, h): &(f64, bool)| c.to_bits() == m.to_bits() && h == head;
+                let class = classes.iter().position(same).unwrap_or_else(|| {
+                    classes.push((m, head));
+                    classes.len() - 1
+                });
+                2 * class as u8
+            })
+            .collect();
+        classes.push((1.0, false));
+        debug_assert!(classes.len() <= MAX_CLASSES, "{} classes", classes.len());
+        let beyond_row = 2 * (classes.len() - 1) as u8;
         GroundTruthChannel {
             strand_len,
             base_rates,
@@ -331,6 +363,9 @@ impl GroundTruthChannel {
             burst_probability: profile.burst_probability,
             partner_bias: profile.partner_bias,
             spatial,
+            classes,
+            class_rows,
+            beyond_row,
         }
     }
 
@@ -379,30 +414,63 @@ impl GroundTruthChannel {
     /// reference alone. Building them draws no randomness.
     pub(crate) fn context(&self, reference: &Strand) -> ReferenceContext {
         let bases = reference.as_bases();
-        // Whole homopolymer runs of length ≥ 3 are error-boosted.
-        let mut homopolymer = vec![false; bases.len()];
-        let mut run_start = 0usize;
-        for i in 1..=bases.len() {
-            if i == bases.len() || bases[i] != bases[run_start] {
-                if i - run_start >= 3 {
-                    homopolymer[run_start..i].iter_mut().for_each(|m| *m = true);
+        // Each position's row of a read's thresholds: its class's, plus
+        // one inside a homopolymer run of length ≥ 3 (error-boosted).
+        let n = bases.len();
+        let mut rows = Vec::with_capacity(n);
+        rows.extend_from_slice(&self.class_rows[..n.min(self.class_rows.len())]);
+        rows.resize(n, self.beyond_row);
+        // A position lies in a run of length ≥ 3 exactly when three equal
+        // bases in a row cover it.
+        let run_rows = &mut rows[..n];
+        for i in 2..n {
+            let run = u8::from((bases[i - 2] == bases[i - 1]) & (bases[i - 1] == bases[i]));
+            run_rows[i - 2] |= run;
+            run_rows[i - 1] |= run;
+            run_rows[i] |= run;
+        }
+        // Position i's context is the 4-mer bases[i - 2..=i + 1], rolled
+        // in two bits per base with the first base highest.
+        let mut hotspots = Vec::new();
+        let mut kmer = 0;
+        for (i, base) in bases.iter().enumerate() {
+            kmer = (kmer << 2 | base.index()) & 0xff;
+            if i >= 3 {
+                if let Some(p_hot) = HOTSPOTS[kmer] {
+                    hotspots.push((i - 1, p_hot));
                 }
-                run_start = i;
             }
         }
-        // Position i's context is the 4-mer bases[i - 2..=i + 1].
-        let hotspots = bases
-            .windows(4)
-            .enumerate()
-            .filter_map(|(start, kmer)| {
-                let index = kmer.iter().fold(0, |k, b| k << 2 | b.index());
-                Some((start + 2, HOTSPOTS[index]?))
-            })
-            .collect();
-        ReferenceContext {
-            homopolymer,
-            hotspots,
+        ReferenceContext { rows, hotspots }
+    }
+
+    /// The draw thresholds of one read of quality `quality`, in rows
+    /// `2·class` (outside homopolymer runs) and `2·class + 1` (inside):
+    /// [`chain_thresholds`] of the `[sub, del, ins]` rates, computed with
+    /// the per-base expressions. The class past `strand_len` is only
+    /// filled for references reaching it.
+    fn read_thresholds(&self, quality: f64, len: usize) -> [[u64; 4]; 2 * MAX_CLASSES] {
+        let mut table = [[0; 4]; 2 * MAX_CLASSES];
+        let used = if len > self.strand_len {
+            self.classes.len()
+        } else {
+            self.classes.len() - 1
+        };
+        let classes = self.classes[..used].iter().zip(table.chunks_exact_mut(2));
+        for (&(spatial, head), entries) in classes {
+            for (entry, homopolymer_boost) in entries.iter_mut().zip([1.0, 1.8]) {
+                let modulation = (spatial * quality * homopolymer_boost).min(12.0);
+                let p_sub = (self.base_rates[0] * modulation).min(0.45);
+                let p_del = (self.base_rates[1] * modulation).min(0.45);
+                // Insert(A) is concentrated at the strand head: double
+                // insertion rate over the first tenth, biased to A
+                // (second-order skew).
+                let p_ins = (self.base_rates[2] * modulation * if head { 2.0 } else { 0.9 })
+                    .min(0.45);
+                *entry = chain_thresholds([p_sub, p_del, p_ins]);
+            }
         }
+        table
     }
 
     /// Corrupts `reference` into one read, given its
@@ -410,6 +478,11 @@ impl GroundTruthChannel {
     /// kernel: [`ErrorModel::corrupt`] builds the context and delegates
     /// here, and twin generation builds it once per cluster. The draws and
     /// their order do not depend on where the context was built.
+    ///
+    /// Each base draws one uniform against the `<` chain of its rates;
+    /// the chain compares the uniform's 53 bits `k` against the read's
+    /// integer thresholds instead (DESIGN.md §25), with the same draws in
+    /// the same order.
     pub(crate) fn corrupt_in(
         &self,
         reference: &Strand,
@@ -417,7 +490,7 @@ impl GroundTruthChannel {
         rng: &mut SimRng,
     ) -> Strand {
         let bases = reference.as_bases();
-        let homopolymer = &context.homopolymer[..bases.len()];
+        let rows = &context.rows[..bases.len()];
         let mut read = Strand::with_capacity(bases.len() + 8);
 
         // Per-read quality multiplier: lognormal (σ = 0.45) — some reads
@@ -430,16 +503,19 @@ impl GroundTruthChannel {
         };
 
         // Optional burst: a window of ≥5 consecutive corrupted positions.
-        let burst: Option<(usize, usize)> = if !bases.is_empty()
+        let (burst_lo, burst_hi) = if !bases.is_empty()
             && rng.random::<f64>() < self.burst_probability
         {
             let len = 5 + rng.random_range(0..4usize);
             let start = rng.random_range(0..bases.len());
-            Some((start, (start + len).min(bases.len())))
+            (start, (start + len).min(bases.len()))
         } else {
-            None
+            (bases.len(), bases.len())
         };
 
+        let thresholds = self.read_thresholds(quality, bases.len());
+        let hotspots = &context.hotspots;
+        let mut hot = 0;
         let mut i = 0usize;
         while i < bases.len() {
             let base = bases[i];
@@ -448,7 +524,12 @@ impl GroundTruthChannel {
             // cluster (a documented Nanopore failure mode). Majority voting
             // cannot outvote them, which is a key reason real data
             // reconstructs far worse than rate-matched uniform simulations.
-            if let Some(p_hot) = context.hotspot(i) {
+            // A hotspot a long deletion skipped draws nothing.
+            while hotspots.get(hot).is_some_and(|&(at, _)| at < i) {
+                hot += 1;
+            }
+            if let Some(&(_, p_hot)) = hotspots.get(hot).filter(|&&(at, _)| at == i) {
+                hot += 1;
                 if rng.random::<f64>() < p_hot {
                     read.push(base.transition_partner());
                     i += 1;
@@ -456,38 +537,74 @@ impl GroundTruthChannel {
                 }
             }
 
-            if let Some((lo, hi)) = burst {
-                if i >= lo && i < hi {
-                    // Inside a burst: each base is substituted or deleted.
-                    if rng.random::<f64>() < 0.5 {
-                        read.push(base.random_other(rng));
-                    }
-                    i += 1;
-                    continue;
+            if (burst_lo..burst_hi).contains(&i) {
+                // Inside a burst: each base is substituted or deleted.
+                if rng.random::<f64>() < 0.5 {
+                    read.push(base.random_other(rng));
                 }
+                i += 1;
+                continue;
             }
 
-            let spatial = self.spatial_multiplier(i);
-            let homopolymer_boost = if homopolymer[i] { 1.8 } else { 1.0 };
-            let modulation = (spatial * quality * homopolymer_boost).min(12.0);
-            let p_sub = (self.base_rates[0] * modulation).min(0.45);
-            let p_del = (self.base_rates[1] * modulation).min(0.45);
-            // Insert(A) is concentrated at the strand head: double insertion
-            // rate over the first tenth, biased to A (second-order skew).
-            let head = i * 10 < self.strand_len;
-            let p_ins = (self.base_rates[2] * modulation * if head { 2.0 } else { 0.9 })
-                .min(0.45);
+            // The error-free run from `i` to the next hotspot or burst is
+            // copied whole: one compare per base settles it, against the
+            // largest threshold. The run draws from a copy of the
+            // generator that no call borrows, handed back after the run.
+            let next_hot = hotspots.get(hot).map_or(bases.len(), |&(at, _)| at);
+            let stop = next_hot.min(if i < burst_lo { burst_lo } else { bases.len() });
+            let mut run = 0;
+            let mut event = None;
+            let mut draws = rng.clone();
+            for &row in &rows[i..stop] {
+                // Rows are below `2 · MAX_CLASSES`, the table's length, so
+                // the remainder only spares the bounds check.
+                let [sub, del, ins, any] = thresholds[usize::from(row) % thresholds.len()];
+                // The 53 bits `random::<f64>()` scales to `k · 2^-53`.
+                let k = draws.next_u64() >> 11;
+                if k < any {
+                    // The chain's order; `k` is below one of the three.
+                    event = Some(if k < sub {
+                        ErrorKind::Substitution
+                    } else if k < del {
+                        ErrorKind::Deletion
+                    } else {
+                        debug_assert!(k < ins);
+                        ErrorKind::Insertion
+                    });
+                    break;
+                }
+                run += 1;
+            }
+            *rng = draws;
+            read.extend(bases[i..i + run].iter().copied());
+            i += run;
+            if let Some(kind) = event {
+                i = self.apply(kind, bases[i], i, &mut read, rng);
+            }
+        }
+        read
+    }
 
-            let u: f64 = rng.random();
-            if u < p_sub {
-                read.push(self.substitution_target(base, i, rng));
-            } else if u < p_sub + p_del {
+    /// Emits the read's bases for an error of `kind` at reference position
+    /// `i` holding `base`, and returns the next position.
+    fn apply(
+        &self,
+        kind: ErrorKind,
+        base: Base,
+        i: usize,
+        read: &mut Strand,
+        rng: &mut SimRng,
+    ) -> usize {
+        match kind {
+            ErrorKind::Substitution => read.push(self.substitution_target(base, i, rng)),
+            ErrorKind::Deletion => {
                 if rng.random::<f64>() < self.long_del_given_del {
-                    i += self.sample_long_del_len(rng);
-                    continue;
+                    return i + self.sample_long_del_len(rng);
                 }
                 // single deletion: emit nothing
-            } else if u < p_sub + p_del + p_ins {
+            }
+            ErrorKind::Insertion => {
+                let head = i * 10 < self.strand_len;
                 let inserted = if head && rng.random::<f64>() < 0.6 {
                     Base::A
                 } else {
@@ -495,12 +612,9 @@ impl GroundTruthChannel {
                 };
                 read.push(inserted);
                 read.push(base);
-            } else {
-                read.push(base);
             }
-            i += 1;
         }
-        read
+        i + 1
     }
 }
 
@@ -508,7 +622,7 @@ impl GroundTruthChannel {
 /// 4-mer context, indexed two bits per base with the first base highest.
 /// Roughly 0.25% of contexts qualify, with strengths in [0.35, 0.85];
 /// the rest are `None`.
-const HOTSPOTS: [Option<f64>; 256] = {
+static HOTSPOTS: [Option<f64>; 256] = {
     let mut table = [None; 256];
     let mut kmer = 0;
     while kmer < table.len() {
@@ -543,20 +657,13 @@ const fn hotspot_of(kmer: usize) -> Option<f64> {
 /// What [`GroundTruthChannel`] derives from one reference alone.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ReferenceContext {
-    /// Whether each position lies in a homopolymer run of length ≥ 3.
-    homopolymer: Vec<bool>,
+    /// Each position's row of a read's thresholds: twice its class, plus
+    /// one inside a homopolymer run of length ≥ 3.
+    rows: Vec<u8>,
     /// The hotspot positions, ascending, with their miscall probability.
     /// About 0.25% of positions qualify, so this is usually empty; a
     /// position not listed draws nothing.
     hotspots: Vec<(usize, f64)>,
-}
-
-impl ReferenceContext {
-    /// The miscall probability at `position` if it is a hotspot.
-    fn hotspot(&self, position: usize) -> Option<f64> {
-        let k = self.hotspots.binary_search_by_key(&position, |&(at, _)| at).ok()?;
-        Some(self.hotspots[k].1)
-    }
 }
 
 impl ErrorModel for GroundTruthChannel {
@@ -934,6 +1041,125 @@ mod tests {
             }
             let kmer: Strand = hotspots[0].iter().copied().collect();
             assert_hoisted_matches_oracle(channel, &kmer, 7);
+        }
+    }
+
+    /// Channels covering both profiles and the threshold kernel's edge
+    /// cases: a burst in every read, rates saturating at 0.45, negative
+    /// kind shares (so that `T(s + d + i)` falls below `T(s + d)`, or
+    /// `T(s)` is 0), and strand lengths with no spatial skew at all.
+    fn kernel_channels() -> Vec<GroundTruthChannel> {
+        let nanopore = TwinProfile::nanopore();
+        let variant = TwinProfile::high_error_variant();
+        vec![
+            GroundTruthChannel::new(0.059, 110),
+            GroundTruthChannel::with_profile(0.08, 110, variant),
+            GroundTruthChannel::with_profile(0.3, 40, variant),
+            GroundTruthChannel::with_profile(
+                0.1,
+                30,
+                TwinProfile {
+                    burst_probability: 1.0,
+                    ..nanopore
+                },
+            ),
+            GroundTruthChannel::with_profile(0.9, 50, nanopore),
+            GroundTruthChannel::with_profile(
+                0.3,
+                50,
+                TwinProfile {
+                    kind_mix: [0.5, 0.6, -0.4],
+                    ..variant
+                },
+            ),
+            GroundTruthChannel::with_profile(
+                0.3,
+                24,
+                TwinProfile {
+                    kind_mix: [-0.3, 0.6, 0.5],
+                    burst_probability: 0.3,
+                    ..nanopore
+                },
+            ),
+            GroundTruthChannel::new(0.2, 3),
+            GroundTruthChannel::new(0.2, 0),
+        ]
+    }
+
+    #[test]
+    fn threshold_kernel_matches_the_per_read_oracle() {
+        let hotspots: Vec<[Base; 4]> = all_kmers()
+            .filter(|kmer| hotspot_probability(kmer, 2).is_some())
+            .collect();
+        let mut rng = seeded(0x7C1);
+        for (c, channel) in kernel_channels().iter().enumerate() {
+            let n = channel.strand_len;
+            let mut references: Vec<Strand> = [0, 1, 4, 7, n.saturating_sub(1), n, n + 1, 2 * n + 9]
+                .into_iter()
+                .map(|len| Strand::random(len, &mut rng))
+                .collect();
+            // Hotspot-dense: hotspot 4-mers back to back, past the strand
+            // length, so hotspot positions sit next to each other.
+            let mut dense = Strand::new();
+            while dense.len() < n + 12 {
+                for &b in &hotspots[rng.random_range(0..hotspots.len())] {
+                    dense.push(b);
+                }
+            }
+            references.push(dense);
+            // Homopolymer runs across the head, interior and tail classes.
+            let mut runs = Strand::new();
+            while runs.len() < n + 6 {
+                let base = Base::random(&mut rng);
+                for _ in 0..rng.random_range(1..7usize) {
+                    runs.push(base);
+                }
+            }
+            references.push(runs);
+            // With a burst in every read, the 24 seeds × 6 reads of a
+            // 4- or 7-base reference start bursts at position 0 and cut
+            // them short at the end.
+            for reference in &references {
+                for seed in 0..24u64 {
+                    assert_hoisted_matches_oracle(channel, reference, seed + 100 * c as u64);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn read_thresholds_compare_like_the_per_base_rates() {
+        // The uniform `random::<f64>()` makes from the 53 bits `k`.
+        let uniform = |k: u64| k as f64 * (1.0 / (1u64 << 53) as f64);
+        for channel in kernel_channels() {
+            let n = channel.strand_len;
+            for quality in [0.05, 0.3, 1.0, 1.37, 2.7, 40.0] {
+                let table = channel.read_thresholds(quality, n + 5);
+                for i in 0..n + 5 {
+                    let row = channel.class_rows.get(i).map_or(channel.beyond_row, |&r| r);
+                    for (h, boost) in [(0, 1.0), (1, 1.8)] {
+                        // The per-base rates the loop computed before.
+                        let spatial = channel.spatial_multiplier(i);
+                        let modulation = (spatial * quality * boost).min(12.0);
+                        let rates = channel.base_rates;
+                        let p_sub = (rates[0] * modulation).min(0.45);
+                        let p_del = (rates[1] * modulation).min(0.45);
+                        let head = i * 10 < n;
+                        let p_ins =
+                            (rates[2] * modulation * if head { 2.0 } else { 0.9 }).min(0.45);
+                        let sums = [p_sub, p_sub + p_del, p_sub + p_del + p_ins];
+                        let entry = table[usize::from(row) + h];
+                        for (&t, c) in entry[..3].iter().zip(sums) {
+                            let ks = [t.saturating_sub(1), t];
+                            for k in ks.into_iter().filter(|&k| k < 1 << 53) {
+                                let at = format!("@{i}, q {quality}: c = {c}, T = {t}");
+                                assert_eq!(k < t, uniform(k) < c, "{at}");
+                            }
+                        }
+                        assert_eq!(entry[3], entry[0].max(entry[1]).max(entry[2]));
+                    }
+                }
+            }
         }
     }
 }

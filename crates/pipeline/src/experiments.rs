@@ -14,7 +14,7 @@ use dnasim_core::{
 };
 use dnasim_metrics::PositionalProfile;
 use dnasim_par::{RunCtx, ThreadPool};
-use dnasim_profile::{EditScratch, ErrorStats, LearnedModel, TieBreak};
+use dnasim_profile::{cluster_pairs, profile_pairs, ErrorStats, LearnedModel, ReadPair, TieBreak};
 use dnasim_reconstruct::{
     BmaLookahead, DividerBma, Iterative, MsaReconstructor, TraceReconstructor, TwoWayIterative,
     WeightedIterative,
@@ -40,41 +40,52 @@ const PROTOCOL_MIN_COVERAGE: usize = 10;
 const GENERATE_BATCH: usize = 256;
 
 /// Accumulates the twin *and* learns the error model in one streaming
-/// pass: each batch is profiled as it arrives (until [`PROFILE_READ_CAP`])
-/// and then appended to the dataset, so model learning never waits for —
-/// or re-traverses — the fully materialised twin.
+/// pass: each batch is profiled on the pool as it arrives (until
+/// [`PROFILE_READ_CAP`]) and then appended to the dataset, so model
+/// learning never waits for — or re-traverses — the fully materialised
+/// twin.
 ///
-/// Clusters and reads are visited in exactly the order the old two-phase
-/// code (generate, then iterate) visited them, so the profiler's RNG
-/// stream and the learned statistics are byte-identical.
+/// Reads are profiled in the order the old two-phase code (generate, then
+/// iterate) visited them, and [`profile_pairs`] draws the tie-breaks as
+/// that serial loop did, so the profiler's RNG stream and the learned
+/// statistics are byte-identical at every thread count.
 struct ProfilingTee {
     clusters: Vec<Cluster>,
     stats: ErrorStats,
     rng: SimRng,
-    scratch: EditScratch,
+    pool: ThreadPool,
     seen: usize,
+}
+
+impl ProfilingTee {
+    fn new(pool: &ThreadPool, seeds: &SeedSequence, clusters: usize) -> ProfilingTee {
+        ProfilingTee {
+            clusters: Vec::with_capacity(clusters),
+            stats: ErrorStats::new(),
+            rng: seeds.derive_rng("profiler"),
+            pool: *pool,
+            seen: 0,
+        }
+    }
+
+    /// Profiles the reads of `clusters` that are still under the cap,
+    /// then keeps the clusters.
+    fn absorb(&mut self, clusters: Vec<Cluster>) {
+        let pairs: Vec<ReadPair<'_>> = cluster_pairs(&clusters)
+            .take(PROFILE_READ_CAP.saturating_sub(self.seen))
+            .collect();
+        if !pairs.is_empty() {
+            let pass = profile_pairs(&self.pool, &pairs, TieBreak::Random, &mut self.rng);
+            self.stats.merge(&pass.stats);
+            self.seen += pairs.len();
+        }
+        self.clusters.extend(clusters);
+    }
 }
 
 impl ClusterSink for ProfilingTee {
     fn accept(&mut self, batch: Batch) -> Result<(), DnasimError> {
-        for cluster in batch.into_clusters() {
-            if self.seen < PROFILE_READ_CAP {
-                for read in cluster.reads() {
-                    self.stats.record_pair_with(
-                        &mut self.scratch,
-                        cluster.reference(),
-                        read,
-                        TieBreak::Random,
-                        &mut self.rng,
-                    );
-                    self.seen += 1;
-                    if self.seen >= PROFILE_READ_CAP {
-                        break;
-                    }
-                }
-            }
-            self.clusters.push(cluster);
-        }
+        self.absorb(batch.into_clusters());
         Ok(())
     }
 }
@@ -98,33 +109,20 @@ impl Experiments {
         // via the named-derive discipline rather than ad-hoc xor arithmetic
         // (see DESIGN.md §9: seed-forking contract).
         let seeds = SeedSequence::new(SeedSequence::new(config.seed).derive("experiments"));
-        let mut tee = ProfilingTee {
-            clusters: Vec::with_capacity(config.cluster_count),
-            stats: ErrorStats::new(),
-            rng: seeds.derive_rng("profiler"),
-            scratch: EditScratch::new(),
-            seen: 0,
-        };
-        let generated = RunCtx::new(&ThreadPool::from_env(), GENERATE_BATCH)
-            .and_then(|ctx| config.generate_in(&ctx, &mut tee));
+        let pool = ThreadPool::from_env();
+        let mut tee = ProfilingTee::new(&pool, &seeds, config.cluster_count);
+        let generated =
+            RunCtx::new(&pool, GENERATE_BATCH).and_then(|ctx| config.generate_in(&ctx, &mut tee));
         let generation = match generated {
             Ok(stats) => stats,
             Err(_) => {
-                // A worker died mid-stream: fall back to the serial
-                // two-phase path (same bytes, no parallel machinery).
-                tee = ProfilingTee {
-                    clusters: Vec::new(),
-                    stats: ErrorStats::new(),
-                    rng: seeds.derive_rng("profiler"),
-                    scratch: EditScratch::new(),
-                    seen: 0,
-                };
-                let twin = config.generate();
+                // A worker died mid-stream: generate and profile again on
+                // one thread (same bytes, no parallel machinery).
+                tee = ProfilingTee::new(&ThreadPool::serial(), &seeds, config.cluster_count);
                 let mut stats = WindowStats::default();
-                for (start, cluster) in twin.iter().enumerate() {
-                    let batch = Batch::new(start, vec![cluster.clone()]);
+                for cluster in config.generate() {
                     stats.record_window(1, cluster.reads().len());
-                    let _ = tee.accept(batch);
+                    tee.absorb(vec![cluster]);
                 }
                 stats
             }

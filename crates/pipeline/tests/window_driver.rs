@@ -171,7 +171,8 @@ fn every_consumer_stage_rejects_a_non_contiguous_source() {
         ),
         (
             "ErrorStats::from_source",
-            ErrorStats::from_source(&mut gapped(), 4, TieBreak::Random, &mut seeded(1)).map(drop),
+            ErrorStats::from_source(&mut gapped(), &ctx, TieBreak::Random, &mut seeded(1))
+                .map(drop),
         ),
     ];
     for (name, result) in results {
@@ -187,11 +188,9 @@ fn every_consumer_stage_rejects_a_non_contiguous_source() {
 /// that still take a bare batch size.
 #[test]
 fn a_zero_batch_size_is_rejected_where_it_enters() {
-    let real = twin(3);
     let pool = ThreadPool::serial();
-    let results: [Result<(), DnasimError>; 4] = [
+    let results: [Result<(), DnasimError>; 3] = [
         RunCtx::new(&pool, 0).map(drop),
-        ErrorStats::from_source(&mut real.stream(), 0, TieBreak::Random, &mut seeded(1)).map(drop),
         twin_config(3)
             .generate_stream(0, &pool, &mut Dataset::new())
             .map(drop),

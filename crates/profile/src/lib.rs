@@ -34,6 +34,7 @@
 
 mod editops;
 mod model;
+mod pass;
 mod persist;
 mod stats;
 
@@ -41,5 +42,6 @@ pub use editops::{edit_ops_with, edit_script, edit_script_with, EditScratch, Tie
 pub use model::{
     BaseErrorRates, LearnedModel, LongDeletionParams, ModelValidationError, SecondOrderError,
 };
+pub use pass::{cluster_pairs, profile_pairs, ProfilePass, ReadPair};
 pub use persist::ParseModelError;
 pub use stats::{ErrorStats, SecondOrderStat};

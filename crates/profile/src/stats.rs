@@ -10,12 +10,14 @@
 use std::collections::HashMap;
 
 use dnasim_core::{
-    fold_windows, Base, Budget, Cluster, ClusterSource, Dataset, DnasimError, EditOp, EditScript,
-    ErrorKind, Strand, WindowStats,
+    fold_windows, Base, ClusterSource, Dataset, DnasimError, EditOp, EditScript, ErrorKind,
+    Strand, WindowStats,
 };
 use dnasim_core::rng::Rng;
+use dnasim_par::{RunCtx, ThreadPool};
 
 use crate::editops::{edit_script_with, EditScratch, TieBreak};
+use crate::pass::{cluster_pairs, profile_pairs, ReadPair};
 
 /// Accumulated error statistics over a clustered dataset.
 ///
@@ -81,81 +83,48 @@ impl ErrorStats {
         ErrorStats::default()
     }
 
-    /// Profiles an entire dataset.
-    pub fn from_dataset<R: Rng + ?Sized>(
-        dataset: &Dataset,
-        tie_break: TieBreak,
-        rng: &mut R,
-    ) -> ErrorStats {
-        let mut stats = ErrorStats::new();
-        // One traceback scratch for the whole dataset: the delta columns
-        // are the profiler's dominant allocation.
-        let mut scratch = EditScratch::new();
-        for cluster in dataset.iter() {
-            stats.record_cluster_with(&mut scratch, cluster, tie_break, rng);
-        }
-        stats
+    /// Profiles an entire dataset, serially: [`profile_pairs`] on a
+    /// one-thread pool.
+    pub fn from_dataset<R>(dataset: &Dataset, tie_break: TieBreak, rng: &mut R) -> ErrorStats
+    where
+        R: Rng + Clone + Eq + Send + Sync,
+    {
+        let pairs: Vec<ReadPair<'_>> = cluster_pairs(dataset.clusters()).collect();
+        profile_pairs(&ThreadPool::serial(), &pairs, tie_break, rng).stats
     }
 
     /// Streaming counterpart of [`ErrorStats::from_dataset`]: folds
-    /// `source` through [`fold_windows`] in bounded batches of at most
-    /// `batch_size`, profiles each batch into a batch-local accumulator,
-    /// and [`merge`](ErrorStats::merge)s it into the running total.
+    /// `source` through [`fold_windows`] in windows of at most
+    /// `ctx.batch_size()` clusters, profiles each window with
+    /// [`profile_pairs`] on `ctx.pool()`, and
+    /// [`merge`](ErrorStats::merge)s it into the running total.
     ///
-    /// The RNG is threaded serially through clusters in global order —
-    /// exactly as [`ErrorStats::from_dataset`] threads it — so the result
-    /// is identical for every batch size (tie-break draws see the same
-    /// RNG state either way).
+    /// Tie-breaks draw from `rng` as [`ErrorStats::from_dataset`] draws
+    /// them, read by read in global order, so the result is identical for
+    /// every batch size and thread count.
     ///
     /// # Errors
     ///
-    /// [`DnasimError::Config`] for `batch_size == 0` or a non-contiguous
-    /// source, or whatever the source reports.
+    /// [`DnasimError::Config`] for a non-contiguous source,
+    /// [`DnasimError::DeadlineExceeded`] when `ctx.budget()` runs dry, or
+    /// whatever the source reports.
     pub fn from_source<S, R>(
         source: &mut S,
-        batch_size: usize,
+        ctx: &RunCtx,
         tie_break: TieBreak,
         rng: &mut R,
     ) -> Result<(ErrorStats, WindowStats), DnasimError>
     where
         S: ClusterSource + ?Sized,
-        R: Rng + ?Sized,
+        R: Rng + Clone + Eq + Send + Sync,
     {
         let mut total = ErrorStats::new();
-        let mut scratch = EditScratch::new();
-        let window = fold_windows(source, batch_size, &Budget::unlimited(), "profile", |batch| {
-            let mut partial = ErrorStats::new();
-            for cluster in batch.clusters() {
-                partial.record_cluster_with(&mut scratch, cluster, tie_break, rng);
-            }
-            total.merge(&partial);
+        let window = fold_windows(source, ctx.batch_size(), ctx.budget(), "profile", |batch| {
+            let pairs: Vec<ReadPair<'_>> = cluster_pairs(batch.clusters()).collect();
+            total.merge(&profile_pairs(ctx.pool(), &pairs, tie_break, rng).stats);
             Ok(())
         })?;
         Ok((total, window))
-    }
-
-    /// Records every read of one cluster.
-    pub fn record_cluster<R: Rng + ?Sized>(
-        &mut self,
-        cluster: &Cluster,
-        tie_break: TieBreak,
-        rng: &mut R,
-    ) {
-        self.record_cluster_with(&mut EditScratch::new(), cluster, tie_break, rng);
-    }
-
-    /// [`record_cluster`](ErrorStats::record_cluster) with a shared
-    /// traceback scratch, for callers that profile many clusters.
-    pub fn record_cluster_with<R: Rng + ?Sized>(
-        &mut self,
-        scratch: &mut EditScratch,
-        cluster: &Cluster,
-        tie_break: TieBreak,
-        rng: &mut R,
-    ) {
-        for read in cluster.reads() {
-            self.record_pair_with(scratch, cluster.reference(), read, tie_break, rng);
-        }
     }
 
     /// Recovers an edit script for one (reference, read) pair and records it.
@@ -436,8 +405,13 @@ impl ErrorStats {
         (top, share)
     }
 
-    /// Merges another accumulator into this one.
+    /// Merges another accumulator into this one: the result equals
+    /// recording `other`'s pairs after `self`'s into one accumulator.
     pub fn merge(&mut self, other: &ErrorStats) {
+        // `record_script` grows a second-order entry's positional counts
+        // to the longest reference seen so far whenever it touches the
+        // entry, so an entry `other` touched ends at least this long.
+        let touched_len = self.strand_len;
         self.reads += other.reads;
         self.total_ref_bases += other.total_ref_bases;
         if other.strand_len > self.strand_len {
@@ -480,8 +454,9 @@ impl ErrorStats {
         for (&op, stat) in &other.second_order {
             let entry = self.second_order.entry(op).or_default();
             entry.count += stat.count;
-            if entry.positional.len() < stat.positional.len() {
-                entry.positional.resize(stat.positional.len(), 0);
+            let len = stat.positional.len().max(touched_len);
+            if entry.positional.len() < len {
+                entry.positional.resize(len, 0);
             }
             for (a, b) in entry.positional.iter_mut().zip(&stat.positional) {
                 *a += b;
@@ -522,6 +497,7 @@ fn homopolymer_mask(reference: &Strand) -> Vec<bool> {
 mod tests {
     use super::*;
     use dnasim_core::rng::seeded;
+    use dnasim_core::Cluster;
 
     fn s(text: &str) -> Strand {
         text.parse().unwrap()
@@ -648,6 +624,26 @@ mod tests {
     }
 
     #[test]
+    fn merge_grows_second_order_entries_as_recording_does() {
+        // The longer reference comes first, so recording grows the
+        // deletion entry the second pair opens to 10 positions, not 4.
+        let pairs = [("ACGTACGTAC", "ACGTACGTAC"), ("ACGT", "ACG")];
+        let mut rng = seeded(11);
+        let mut all = ErrorStats::new();
+        for (a, b) in pairs {
+            all.record_pair(&s(a), &s(b), TieBreak::PreferSubstitution, &mut rng);
+        }
+        let mut merged = ErrorStats::new();
+        for (a, b) in pairs {
+            let mut partial = ErrorStats::new();
+            partial.record_pair(&s(a), &s(b), TieBreak::PreferSubstitution, &mut rng);
+            merged.merge(&partial);
+        }
+        assert_eq!(merged, all);
+        assert_eq!(merged.second_order_errors()[0].1.positional.len(), 10);
+    }
+
+    #[test]
     fn dataset_profiling_visits_every_read() {
         let cluster = Cluster::new(
             s("ACGTACGT"),
@@ -674,8 +670,9 @@ mod tests {
         let whole = ErrorStats::from_dataset(&dataset, TieBreak::Random, &mut rng);
         for batch_size in [1, 2, 3, usize::MAX] {
             let mut rng = seeded(10);
+            let ctx = RunCtx::new(&ThreadPool::new(2), batch_size).unwrap();
             let (streamed, window) =
-                ErrorStats::from_source(&mut dataset.stream(), batch_size, TieBreak::Random, &mut rng)
+                ErrorStats::from_source(&mut dataset.stream(), &ctx, TieBreak::Random, &mut rng)
                     .unwrap();
             assert_eq!(streamed, whole, "batch_size={batch_size}");
             assert_eq!(window.clusters, dataset.len());
@@ -685,11 +682,9 @@ mod tests {
 
     #[test]
     fn from_source_rejects_zero_batch() {
-        let dataset = Dataset::from_clusters(vec![Cluster::erasure(s("ACGT"))]);
-        let mut rng = seeded(1);
-        assert!(
-            ErrorStats::from_source(&mut dataset.stream(), 0, TieBreak::Random, &mut rng).is_err()
-        );
+        // The batch size enters through the context, which rejects 0
+        // before any window is read.
+        assert!(RunCtx::new(&ThreadPool::serial(), 0).is_err());
     }
 }
 

@@ -478,9 +478,10 @@ mod tests {
         assert_eq!(one_way_bma(&reads, 10, 3).len(), 10);
     }
 
-    /// The q-gram prefilter and lazy look-ahead are pure work-skips: the
-    /// filtered scan must be byte-identical to the oracle on seeded noisy
-    /// corpora — including error rate 0.0, where the unanimity fast path
+    /// The scan kernel's short-circuits, the unanimity fast path and the
+    /// lazy look-ahead, are pure work-skips: the kernel must be
+    /// byte-identical to the unfiltered scan on seeded noisy corpora —
+    /// including error rate 0.0, where the unanimity fast path
     /// short-circuits whole clusters.
     #[test]
     fn filtered_scan_matches_oracle_differentially() {

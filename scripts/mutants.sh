@@ -109,9 +109,10 @@ mutant "byte lanes flushed every 256 reads" crates/reconstruct/src/scan.rs \
     's/const LANE_MAX: usize = 255;/const LANE_MAX: usize = 256;/' \
     -p dnasim-reconstruct --lib scan::differential
 
-# DESIGN.md §24: integer-threshold Keoliya draws.
-mutant "threshold rounded down" crates/channel/src/keoliya.rs \
-    's/(c \* UNIT)\.ceil() as u64/(c * UNIT).floor() as u64/' \
+# DESIGN.md §24: integer-threshold Keoliya draws. The threshold itself
+# is shared with the twin's kernel (§25), which has its own mutant below.
+mutant "threshold rounded down" crates/channel/src/sampler.rs \
+    's/floor as u64 + u64::from((floor as f64) < scaled)/floor as u64/' \
     -p dnasim-channel --lib keoliya
 mutant "fast path tested against T3 instead of max(T)" crates/channel/src/keoliya.rs \
     's/                if k < any {/                if k < ins {/' \
@@ -122,6 +123,38 @@ mutant "threshold table indexed at pos + 1" crates/channel/src/keoliya.rs \
 mutant "rate table indexed at pos + 1" crates/channel/src/keoliya.rs \
     's/self\.rate_table\[position\.min(/self.rate_table[(position + 1).min(/' \
     -p dnasim-channel --lib keoliya
+mutant "substitution table indexed at pos + 1" crates/channel/src/keoliya.rs \
+    's/self\.substitution_table\[position\.min(/self.substitution_table[(position + 1).min(/' \
+    -p dnasim-channel --lib keoliya
+
+# DESIGN.md §25: parallel profiling replays the serial tie-break stream.
+mutant "chunk start advanced by d - 1 per read" crates/profile/src/pass.rs \
+    's/^\( *\)distance_bases_with(\(.*\))$/\1distance_bases_with(\2).saturating_sub(1)/' \
+    -p dnasim-profile --lib pass::tests::core_matches_the_serial_loop
+mutant "chain check skipped" crates/profile/src/pass.rs \
+    's/if reruns == 0 \&\& start == \*rng =>/if reruns == 0 =>/' \
+    -p dnasim-profile --lib pass::tests::a_chunk_that_drew_more_than_d_is_rerun_serially
+
+# DESIGN.md §25: the twin channel's integer thresholds.
+mutant "twin threshold rounded down" crates/channel/src/sampler.rs \
+    's/floor as u64 + u64::from((floor as f64) < scaled)/floor as u64/' \
+    -p dnasim-dataset --lib twin
+mutant "twin fast path tested against T3 instead of max(T)" crates/dataset/src/twin.rs \
+    's/if k < any {/if k < ins {/' \
+    -p dnasim-dataset --lib twin
+
+# DESIGN.md §19: exact two-phase parallel clustering.
+mutant "skip phase 2's in-batch search" crates/cluster/src/streaming.rs \
+    's/bands, first);/bands, usize::MAX);/' \
+    -p dnasim-cluster --test phase_split
+mutant "in-batch survivors placed before pre-batch ones" crates/cluster/src/streaming.rs \
+    $'/self\\.scratch\\.gather\\.gather(&self\\.buckets, bands, first);/i\\\n        let pre = survivors.len();\n/`survivors` is ascending, so the first match is the lowest/i\\\n        survivors.rotate_left(pre);' \
+    -p dnasim-cluster --test phase_split
+
+# DESIGN.md §22: serve's drain contract.
+mutant "dispatched budgets linked to the session token" crates/serve/src/server.rs \
+    's/\&policy, None),$/\&policy, Some(shutdown)),/' \
+    -p dnasim-serve --test drain_stress
 
 if [ "$survivors" -ne 0 ]; then
     echo "mutants: $survivors survived" >&2

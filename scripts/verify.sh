@@ -43,7 +43,8 @@
 #    CLI must write identical files at the default batch size and at
 #    `--batch-size 32`, from text or binary input, and the imperfect
 #    archive must print the same at 1 and 4 threads (DESIGN.md §11, §16,
-#    §19). The cluster crate
+#    §19), as must `profile` and the model `simulate` learns (§25). The
+#    cluster crate
 #    suite also re-runs under DNASIM_SIMD=off so lane accounting holds on
 #    the portable fallback.
 # 10. Serve soak smoke: the multi-tenant batch RPC tier must answer ≥200
@@ -307,6 +308,20 @@ cmp "$stream_dir/twin.txt" "$stream_dir/twin-roundtrip.txt"
 "$dnasim" simulate --data "$stream_dir/twin.dnb" --model keoliya:spatial \
     --out "$stream_dir/sim-binary-in.txt" --batch-size 32
 cmp "$stream_dir/sim.txt" "$stream_dir/sim-binary-in.txt"
+
+# Parallel profiling replays the serial tie-break stream (DESIGN.md §25):
+# on a twin of several profiling chunks, `profile` must print the same
+# statistics at 1 and 4 threads, and `simulate` must learn the same model
+# (so write the same resimulated file).
+"$dnasim" generate --out "$stream_dir/profile-twin.txt" --small --clusters 200 --seed 13
+for threads in 1 4; do
+    DNASIM_THREADS=$threads "$dnasim" profile --data "$stream_dir/profile-twin.txt" \
+        > "$stream_dir/profile-t$threads.txt"
+    DNASIM_THREADS=$threads "$dnasim" simulate --data "$stream_dir/profile-twin.txt" \
+        --model keoliya:second --out "$stream_dir/learned-t$threads.txt" > /dev/null
+done
+cmp "$stream_dir/profile-t1.txt" "$stream_dir/profile-t4.txt"
+cmp "$stream_dir/learned-t1.txt" "$stream_dir/learned-t4.txt"
 rm -rf "$stream_dir"
 echo "ok: CLI output is byte-identical across batch sizes, formats and thread counts; archive decode window bounded"
 
