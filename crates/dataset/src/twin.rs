@@ -421,13 +421,21 @@ impl GroundTruthChannel {
         rows.extend_from_slice(&self.class_rows[..n.min(self.class_rows.len())]);
         rows.resize(n, self.beyond_row);
         // A position lies in a run of length ≥ 3 exactly when three equal
-        // bases in a row cover it.
+        // bases in a row cover it. No run after the one ending at `i`
+        // covers position `i - 2`, so its row is final there and joins
+        // the set of used rows; the last two rows are final after the
+        // loop.
         let run_rows = &mut rows[..n];
+        let mut used = 0u16;
         for i in 2..n {
             let run = u8::from((bases[i - 2] == bases[i - 1]) & (bases[i - 1] == bases[i]));
             run_rows[i - 2] |= run;
             run_rows[i - 1] |= run;
             run_rows[i] |= run;
+            used |= 1 << run_rows[i - 2];
+        }
+        for &row in &run_rows[n.saturating_sub(2)..] {
+            used |= 1 << row;
         }
         // Position i's context is the 4-mer bases[i - 2..=i + 1], rolled
         // in two bits per base with the first base highest.
@@ -441,34 +449,33 @@ impl GroundTruthChannel {
                 }
             }
         }
-        ReferenceContext { rows, hotspots }
+        ReferenceContext {
+            rows,
+            used,
+            hotspots,
+        }
     }
 
     /// The draw thresholds of one read of quality `quality`, in rows
     /// `2·class` (outside homopolymer runs) and `2·class + 1` (inside):
     /// [`chain_thresholds`] of the `[sub, del, ins]` rates, computed with
-    /// the per-base expressions. The class past `strand_len` is only
-    /// filled for references reaching it.
-    fn read_thresholds(&self, quality: f64, len: usize) -> [[u64; 4]; 2 * MAX_CLASSES] {
+    /// the per-base expressions. Only the rows whose bit is set in `used`
+    /// are filled; the others stay zero.
+    fn read_thresholds(&self, quality: f64, used: u16) -> [[u64; 4]; 2 * MAX_CLASSES] {
         let mut table = [[0; 4]; 2 * MAX_CLASSES];
-        let used = if len > self.strand_len {
-            self.classes.len()
-        } else {
-            self.classes.len() - 1
-        };
-        let classes = self.classes[..used].iter().zip(table.chunks_exact_mut(2));
-        for (&(spatial, head), entries) in classes {
-            for (entry, homopolymer_boost) in entries.iter_mut().zip([1.0, 1.8]) {
-                let modulation = (spatial * quality * homopolymer_boost).min(12.0);
-                let p_sub = (self.base_rates[0] * modulation).min(0.45);
-                let p_del = (self.base_rates[1] * modulation).min(0.45);
-                // Insert(A) is concentrated at the strand head: double
-                // insertion rate over the first tenth, biased to A
-                // (second-order skew).
-                let p_ins = (self.base_rates[2] * modulation * if head { 2.0 } else { 0.9 })
-                    .min(0.45);
-                *entry = chain_thresholds([p_sub, p_del, p_ins]);
-            }
+        let rows = table.iter_mut().enumerate().take(2 * self.classes.len());
+        for (row, entry) in rows.filter(|&(row, _)| used & (1 << row) != 0) {
+            let (spatial, head) = self.classes[row / 2];
+            let homopolymer_boost = if row % 2 == 0 { 1.0 } else { 1.8 };
+            let modulation = (spatial * quality * homopolymer_boost).min(12.0);
+            let p_sub = (self.base_rates[0] * modulation).min(0.45);
+            let p_del = (self.base_rates[1] * modulation).min(0.45);
+            // Insert(A) is concentrated at the strand head: double
+            // insertion rate over the first tenth, biased to A
+            // (second-order skew).
+            let p_ins =
+                (self.base_rates[2] * modulation * if head { 2.0 } else { 0.9 }).min(0.45);
+            *entry = chain_thresholds([p_sub, p_del, p_ins]);
         }
         table
     }
@@ -513,7 +520,7 @@ impl GroundTruthChannel {
             (bases.len(), bases.len())
         };
 
-        let thresholds = self.read_thresholds(quality, bases.len());
+        let thresholds = self.read_thresholds(quality, context.used);
         let hotspots = &context.hotspots;
         let mut hot = 0;
         let mut i = 0usize;
@@ -660,6 +667,9 @@ pub(crate) struct ReferenceContext {
     /// Each position's row of a read's thresholds: twice its class, plus
     /// one inside a homopolymer run of length ≥ 3.
     rows: Vec<u8>,
+    /// Bit `r` is set when some position's row is `r`: the rows a read's
+    /// thresholds must fill.
+    used: u16,
     /// The hotspot positions, ascending, with their miscall probability.
     /// About 0.25% of positions qualify, so this is usually empty; a
     /// position not listed draws nothing.
@@ -1127,6 +1137,26 @@ mod tests {
         }
     }
 
+    /// The context's used-row mask is exactly the set of its positions'
+    /// rows, so a read fills every row it can draw from.
+    #[test]
+    fn context_marks_exactly_the_rows_its_positions_use() {
+        let mut rng = seeded(0x05ed);
+        for channel in kernel_channels() {
+            let n = channel.strand_len;
+            for len in [0, 1, 2, 3, 4, n.saturating_sub(1), n, n + 1, n + 2, 2 * n + 9] {
+                for alphabet in [1, 2, 4] {
+                    let reference: Strand = (0..len)
+                        .map(|_| Base::ALL[rng.random_range(0..alphabet)])
+                        .collect();
+                    let context = channel.context(&reference);
+                    let want = context.rows.iter().fold(0u16, |m, &r| m | 1 << r);
+                    assert_eq!(context.used, want, "len {len}, alphabet {alphabet}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn read_thresholds_compare_like_the_per_base_rates() {
         // The uniform `random::<f64>()` makes from the 53 bits `k`.
@@ -1134,7 +1164,7 @@ mod tests {
         for channel in kernel_channels() {
             let n = channel.strand_len;
             for quality in [0.05, 0.3, 1.0, 1.37, 2.7, 40.0] {
-                let table = channel.read_thresholds(quality, n + 5);
+                let table = channel.read_thresholds(quality, u16::MAX);
                 for i in 0..n + 5 {
                     let row = channel.class_rows.get(i).map_or(channel.beyond_row, |&r| r);
                     for (h, boost) in [(0, 1.0), (1, 1.8)] {

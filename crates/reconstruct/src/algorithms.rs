@@ -179,6 +179,11 @@ impl TraceReconstructor for DividerBma {
 /// degrades so sharply under the terminal spatial skew of real Nanopore
 /// data (§3.3.2) while excelling under uniform error.
 ///
+/// Round 1's anchored rescan is skipped when the initial scan certifies
+/// that the rescan would return the initial estimate unchanged: every
+/// look-ahead majority it scored named the base it then emitted there.
+/// The output is the same either way (DESIGN.md §26).
+///
 /// # Examples
 ///
 /// ```
@@ -211,27 +216,38 @@ impl Default for Iterative {
 impl Iterative {
     /// [`TraceReconstructor::reconstruct`] over a caller's vote
     /// accumulator and the scan rows of `reads`, which every scan of the
-    /// call shares.
+    /// call shares; with it, the strand the last round refined (`None`
+    /// when no round ran). The estimate is that strand's
+    /// [`refine`](AlignmentVotes::refine) on both exits of the loop.
     fn reconstruct_with(
         &self,
         votes: &mut AlignmentVotes,
         rows: &ReadRows,
         reads: &[Strand],
         strand_len: usize,
-    ) -> Strand {
+    ) -> (Strand, Option<Strand>) {
         let mut stats = LookaheadFilterStats::default();
-        let mut estimate = rows.scan(None, 0, strand_len, &mut stats);
+        let (mut estimate, mut certified) = rows.scan_certified(strand_len, &mut stats);
+        let mut refined_from = None;
         for _ in 0..self.max_rounds {
             // Anchored rescan locks drifted pointers back onto the current
             // estimate, then alignment voting applies majority corrections.
-            let rescanned = rows.scan(Some(&estimate), 2, strand_len, &mut stats);
+            // A certified initial scan is its own rescan; later anchors
+            // come from `refine`, which no scan produced.
+            let rescanned = if certified {
+                estimate.clone()
+            } else {
+                rows.scan(Some(&estimate), 2, strand_len, &mut stats)
+            };
+            certified = false;
             let refined = votes.refine(&rescanned, reads, strand_len);
+            refined_from = Some(rescanned);
             if refined == estimate {
                 break;
             }
             estimate = refined;
         }
-        estimate
+        (estimate, refined_from)
     }
 }
 
@@ -239,6 +255,7 @@ impl TraceReconstructor for Iterative {
     fn reconstruct(&self, reads: &[Strand], strand_len: usize) -> Strand {
         let rows = ReadRows::new(reads, self.lookahead);
         self.reconstruct_with(&mut AlignmentVotes::new(), &rows, reads, strand_len)
+            .0
     }
 
     fn name(&self) -> String {
@@ -253,6 +270,11 @@ impl TraceReconstructor for Iterative {
 /// Each direction anchors at its own strand end, so terminal error skew no
 /// longer poisons the whole strand — only the half farthest from each
 /// anchor, which is exactly the half the other direction supplies.
+///
+/// The final alignment-vote pass over the stitched strand is skipped when
+/// that strand is the one the forward pass refined last: `refine` is a
+/// pure function of the strand, the reads and the design length, so its
+/// result is the forward estimate already in hand (DESIGN.md §26).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TwoWayIterative {
     /// The underlying iterative configuration.
@@ -264,12 +286,12 @@ impl TraceReconstructor for TwoWayIterative {
         let votes = &mut AlignmentVotes::new();
         let lookahead = self.inner.lookahead;
         let rows = ReadRows::new(reads, lookahead);
-        let forward = self.inner.reconstruct_with(votes, &rows, reads, strand_len);
+        let (forward, refined_from) = self.inner.reconstruct_with(votes, &rows, reads, strand_len);
         // The backward pass aligns the reversed reads as strands, and scans
         // them through their reversed rows.
         let reversed: Vec<Strand> = reads.iter().map(Strand::reversed).collect();
         let rows = ReadRows::reversed(reads, lookahead);
-        let backward = self
+        let (backward, _) = self
             .inner
             .reconstruct_with(votes, &rows, &reversed, strand_len);
         let head_len = strand_len.div_ceil(2);
@@ -277,7 +299,12 @@ impl TraceReconstructor for TwoWayIterative {
         let tail = backward.substrand(0..strand_len - head_len).reversed();
         out.extend(tail.iter());
         // The stitch point can misalign by a base or two when the halves
-        // drifted differently; a final alignment-vote pass heals it.
+        // drifted differently; a final alignment-vote pass heals it. When
+        // the stitch is the strand the forward pass refined last, that
+        // pass's result is the forward estimate.
+        if refined_from.as_ref() == Some(&out) {
+            return forward;
+        }
         votes.refine(&out, reads, strand_len)
     }
 
@@ -542,3 +569,6 @@ mod tests {
         assert_eq!(TwoWayIterative::default().name(), "iterative-twoway");
     }
 }
+
+#[cfg(test)]
+mod differential;

@@ -6,7 +6,8 @@
 //! output and [`LookaheadFilterStats`] equal the unfiltered oracle's
 //! ([`anchored_one_way_bma`](crate::anchored_one_way_bma)) on every
 //! cluster, at every coverage and look-ahead; DESIGN.md §24 has the
-//! argument.
+//! argument. [`ReadRows::scan_certified`] also certifies when an
+//! anchored rescan would return the scan's own output (§26).
 
 use dnasim_core::{Base, Strand};
 
@@ -91,12 +92,67 @@ impl ReadRows {
     /// * **Lazy look-ahead** — a column tallies its future-majority window
     ///   only when some read disagrees with the column majority, since only
     ///   a disagreeing read consults it.
+    ///
+    /// [`scan_certified`](ReadRows::scan_certified) is the same scan,
+    /// unanchored, that also reports whether its output is provably what
+    /// an anchored rescan on it would return.
     pub(crate) fn scan(
         &self,
         anchor: Option<&Strand>,
         anchor_weight: usize,
         strand_len: usize,
         stats: &mut LookaheadFilterStats,
+    ) -> Strand {
+        self.scan_with(anchor, anchor_weight, strand_len, stats, None)
+    }
+
+    /// The unanchored [`scan`](ReadRows::scan), and whether it is
+    /// *certified*: `scan(Some(&out), w, ..)` returns `out` for every
+    /// anchor weight `w ≥ 1`, so a caller that would rescan `out` anchored
+    /// on itself can skip the rescan.
+    ///
+    /// The scan keeps each scored column's future-majority pattern in a
+    /// buffer this call owns, and certifies when every look-ahead lane
+    /// inside the strand holds the base it emitted there
+    /// ([`certifies`](ReadRows::certifies); DESIGN.md §26 has the proof).
+    /// The unanimity fast path scores no column, so it is certified.
+    pub(crate) fn scan_certified(
+        &self,
+        strand_len: usize,
+        stats: &mut LookaheadFilterStats,
+    ) -> (Strand, bool) {
+        let mut patterns = Vec::new();
+        let out = self.scan_with(None, 0, strand_len, stats, Some(&mut patterns));
+        let certified = self.certifies(&patterns, &out);
+        (out, certified)
+    }
+
+    /// Whether the `patterns` an unanchored scan recorded agree with its
+    /// output `out`: for every scored column `j` (an entry of `j`, then
+    /// its pattern words) and look-ahead position `k` with
+    /// `j + 1 + k < out.len()`, lane `k` holds `out[j + 1 + k]`. A lane
+    /// with no votes holds `0xff`, which matches no base.
+    fn certifies(&self, patterns: &[u64], out: &Strand) -> bool {
+        let out = out.as_bases();
+        let entry = 1 + self.lookahead.div_ceil(8);
+        patterns.chunks_exact(entry).all(|entry| {
+            let (j, words) = (entry[0] as usize, &entry[1..]);
+            (0..self.lookahead).all(|k| {
+                let lane = (words[k / 8] >> (8 * (k % 8))) & 0xff;
+                out.get(j + 1 + k).is_none_or(|b| lane == b.index() as u64)
+            })
+        })
+    }
+
+    /// The scan behind [`scan`](ReadRows::scan), appending each scored
+    /// column's index and pattern words to `patterns` when given.
+    fn scan_with(
+        &self,
+        anchor: Option<&Strand>,
+        anchor_weight: usize,
+        strand_len: usize,
+        stats: &mut LookaheadFilterStats,
+        mut patterns: Option<&mut Vec<u64>>,
     ) -> Strand {
         // An anchor of weight 0 casts no vote anywhere.
         let anchor = anchor.filter(|_| anchor_weight > 0);
@@ -200,6 +256,10 @@ impl ReadRows {
                     }
                 }
             }
+            if let Some(patterns) = patterns.as_deref_mut() {
+                patterns.push(j as u64);
+                patterns.extend_from_slice(&pattern);
+            }
 
             // Classify each disagreeing read by how well its next symbols
             // match the future majority if this column's mismatch were a
@@ -281,7 +341,9 @@ fn winner(counts: &[usize; 4]) -> Option<u8> {
 /// The 8 bytes of `bytes` at `at`, byte `k` in lane `k`.
 #[inline]
 fn load8(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte window"))
+    let mut word = [0; 8];
+    word.copy_from_slice(&bytes[at..at + 8]);
+    u64::from_le_bytes(word)
 }
 
 /// The number of byte lanes in which `a` and `b` are equal.

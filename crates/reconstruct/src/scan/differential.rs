@@ -6,6 +6,10 @@
 //! with anchors shorter and longer than the design length, design length
 //! 0, empty, short, long and exhausted reads, tie columns and
 //! homopolymers, forward and reversed rows.
+//!
+//! The certificate tests check `scan_certified` against the anchored
+//! rescan it stands for: a certified strand is its own rescan at every
+//! anchor weight, and the verdict equals its definition.
 
 use dnasim_channel::{ErrorModel, NaiveModel};
 use dnasim_core::rng::{seeded, RngExt, SimRng};
@@ -15,7 +19,9 @@ use super::ReadRows;
 use crate::consensus::{scan_core, LookaheadFilterStats};
 
 fn s(text: &str) -> Strand {
-    text.parse().unwrap()
+    let strand = text.parse();
+    assert!(strand.is_ok(), "not a strand: {text:?}");
+    strand.unwrap_or_default()
 }
 
 /// The counters the kernel must report: an unanchored cluster of
@@ -205,4 +211,124 @@ fn kernel_matches_oracle_on_ties_and_homopolymers() {
             }
         }
     }
+}
+
+/// Checks the certificate on forward and reversed rows of `reads`: the
+/// recording scan returns the plain scan's strand and counters, and a
+/// certified strand `E` is what every anchored rescan `scan(Some(&E), w)`
+/// returns. Counts certified and uncertified scans.
+///
+/// It also checks the verdict itself against its definition. An anchor
+/// of weight 200 outvotes every read here, so the rescan's pattern lane
+/// `k` at a scored column `j` is `E[j + 1 + k]` inside the strand. By
+/// induction over the columns, the rescan then scores the same columns
+/// with the same patterns exactly when every lane already held those
+/// bases, i.e. exactly when the scan is certified.
+fn check_certificate(
+    reads: &[Strand],
+    strand_len: usize,
+    lookahead: usize,
+    (certified, uncertified): &mut (usize, usize),
+) {
+    for rows in [
+        ReadRows::new(reads, lookahead),
+        ReadRows::reversed(reads, lookahead),
+    ] {
+        let mut stats = LookaheadFilterStats::default();
+        let (out, is_certified) = rows.scan_certified(strand_len, &mut stats);
+        let mut plain_stats = LookaheadFilterStats::default();
+        assert_eq!(out, rows.scan(None, 0, strand_len, &mut plain_stats));
+        assert_eq!(stats, plain_stats, "recording changed the counters");
+        assert!(reads.len() < 200, "the anchor must outvote every read");
+        let (mut patterns, mut anchored_patterns) = (Vec::new(), Vec::new());
+        rows.scan_with(None, 0, strand_len, &mut stats, Some(&mut patterns));
+        rows.scan_with(
+            Some(&out),
+            200,
+            strand_len,
+            &mut stats,
+            Some(&mut anchored_patterns),
+        );
+        assert_eq!(
+            is_certified,
+            patterns == anchored_patterns,
+            "certificate verdict is not its definition: {} reads, strand_len {strand_len}, \
+             lookahead {lookahead}",
+            reads.len()
+        );
+        if !is_certified {
+            *uncertified += 1;
+            continue;
+        }
+        *certified += 1;
+        for weight in [1, 2, 3, 200] {
+            let rescanned = rows.scan(Some(&out), weight, strand_len, &mut stats);
+            assert_eq!(
+                rescanned,
+                out,
+                "certified scan is not its own rescan: {} reads, strand_len {strand_len}, \
+                 lookahead {lookahead}, weight {weight}",
+                reads.len()
+            );
+        }
+    }
+}
+
+/// A random strand over the first `alphabet` bases: two-letter strands
+/// make look-ahead windows repeat, which is where a certificate checked
+/// against the wrong position would pass.
+fn random_over(len: usize, alphabet: usize, rng: &mut SimRng) -> Strand {
+    (0..len)
+        .map(|_| dnasim_core::Base::ALL[rng.random_range(0..alphabet)])
+        .collect()
+}
+
+#[test]
+fn certified_scans_are_their_own_anchored_rescans() {
+    let mut rng = seeded(0xce27);
+    let mut counts = (0, 0);
+    let lookaheads = [0, 1, 2, 3, 5, 8, 9, 12, 17];
+    for rate in [0.0, 0.02, 0.06, 0.12, 0.25] {
+        let model = NaiveModel::with_total_rate(rate);
+        for coverage in [0usize, 1, 2, 3, 4, 6, 9, 15] {
+            for (len, alphabet) in [(0usize, 4usize), (6, 2), (24, 2), (40, 4), (110, 4)] {
+                let reference = random_over(len, alphabet, &mut rng);
+                let reads: Vec<Strand> = (0..coverage)
+                    .map(|_| reshape(model.corrupt(&reference, &mut rng), &mut rng))
+                    .collect();
+                // Design lengths past every read leave columns where each
+                // read is exhausted.
+                for strand_len in [len, len.saturating_sub(4), len + 7] {
+                    for &lookahead in &lookaheads {
+                        check_certificate(&reads, strand_len, lookahead, &mut counts);
+                    }
+                }
+            }
+        }
+    }
+    let (certified, uncertified) = counts;
+    assert!(certified > 0, "no scan certified");
+    assert!(uncertified > 0, "every scan certified");
+}
+
+#[test]
+fn certificate_holds_on_ties_and_exhausted_reads() {
+    let mut counts = (0, 0);
+    let clusters: Vec<Vec<Strand>> = vec![
+        vec![s("ACGTACGT"), s("CATGCATG")],
+        vec![s("AAAATTTTCCCC"), s("AAATTTTCCCC"), s("AAAATTTTTCCCC")],
+        vec![s("AC"), s("ACGTACGTACGT"), s(""), s("A")],
+        vec![s("ACGTTGCA"), s("ACGTTGCA"), s("ACGTGCA"), s("A")],
+        vec![s(""), s("")],
+        vec![s("ACGT"); 3],
+        vec![],
+    ];
+    for reads in &clusters {
+        for strand_len in [0usize, 3, 8, 14, 30] {
+            for lookahead in [0, 1, 2, 3, 9, 17] {
+                check_certificate(reads, strand_len, lookahead, &mut counts);
+            }
+        }
+    }
+    assert!(counts.0 > 0 && counts.1 > 0, "{counts:?}");
 }

@@ -143,6 +143,36 @@ mutant "twin fast path tested against T3 instead of max(T)" crates/dataset/src/t
     's/if k < any {/if k < ins {/' \
     -p dnasim-dataset --lib twin
 
+# DESIGN.md §26: the certified round-1 rescan and the reused stitch
+# refine.
+mutant "certificate accepts a lane with no votes" crates/reconstruct/src/scan.rs \
+    's/lane == b\.index() as u64/lane == b.index() as u64 || lane == 0xff/' \
+    -p dnasim-reconstruct --lib scan::differential
+mutant "certificate compares lane k with E[j + k]" crates/reconstruct/src/scan.rs \
+    's/out\.get(j + 1 + k)/out.get(j + k)/' \
+    -p dnasim-reconstruct --lib scan::differential
+mutant "certificate checks only the first pattern word" crates/reconstruct/src/scan.rs \
+    's/(0\.\.self\.lookahead)\.all/(0..self.lookahead.min(8)).all/' \
+    -p dnasim-reconstruct --lib scan::differential
+mutant "stitch refine reused without the equality test" crates/reconstruct/src/algorithms.rs \
+    's/if refined_from\.as_ref() == Some(&out) {/if refined_from.is_some() {/' \
+    -p dnasim-reconstruct --lib algorithms::differential
+
+# DESIGN.md §26: the twin fills only the threshold rows its reference
+# uses; DESIGN.md §25: a position without a hotspot draws nothing.
+mutant "homopolymer rows left out of the used mask" crates/dataset/src/twin.rs \
+    's/            used |= 1 << run_rows\[i - 2\];/            used |= 1 << (run_rows[i - 2] \& !1);/' \
+    -p dnasim-dataset --lib twin::tests::threshold_kernel_matches_the_per_read_oracle
+mutant "twin kernel draws at a position with no hotspot" crates/dataset/src/twin.rs \
+    's/filter(|\&\&(at, _)| at == i)/filter(|\&\&(at, _)| at >= i)/' \
+    -p dnasim-dataset --lib twin::tests::threshold_kernel_matches_the_per_read_oracle
+
+# DESIGN.md §22: `json::escape` copies the unescaped run before each
+# escaped byte.
+mutant "escape run boundary off by one" crates/core/src/json.rs \
+    's/        run_start = i + 1;/        run_start = i;/' \
+    -p dnasim-core --lib json::tests::escape_matches_the_per_char_oracle
+
 # DESIGN.md §19: exact two-phase parallel clustering.
 mutant "skip phase 2's in-batch search" crates/cluster/src/streaming.rs \
     's/bands, first);/bands, usize::MAX);/' \

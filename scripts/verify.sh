@@ -17,10 +17,11 @@
 # 4. Build the whole workspace in release mode with the network disabled.
 # 5. Run the full test suite twice — at DNASIM_THREADS=1 and
 #    DNASIM_THREADS=4 — so every pool-backed stage is exercised both
-#    serial and parallel; the golden end-to-end snapshot
-#    (tests/golden_pipeline.rs → golden_pipeline.txt) is diffed under
-#    both thread counts, which is DESIGN.md §9's contract that thread
-#    count never changes output.
+#    serial and parallel; the golden end-to-end snapshots
+#    (tests/golden_pipeline.rs → golden_pipeline.txt, and the imperfect
+#    archive's tests/golden_archive.rs → golden_archive.txt) are diffed
+#    under both thread counts, which is DESIGN.md §9's contract that
+#    thread count never changes output.
 # 6. Run the chaos fault-injection suite in smoke mode.
 # 7. Guard: `crates/metrics` (the edit-distance kernels clustering and
 #    evaluation trust) must stay free of registry dependencies too.
@@ -217,8 +218,10 @@ echo "== offline release build =="
 CARGO_NET_OFFLINE=true cargo build --release --workspace
 
 # The full suite runs under two thread counts. tests/golden_pipeline.rs
-# builds its pool with ThreadPool::from_env(), so each run re-diffs the
-# checked-in golden_pipeline.txt snapshot under that worker count, and
+# and tests/golden_archive.rs build their pools with
+# ThreadPool::from_env(), so each run re-diffs the checked-in
+# golden_pipeline.txt and golden_archive.txt snapshots under that worker
+# count, and
 # tests/parallel_equivalence.rs covers the 1/2/4/8 grid internally.
 echo "== test suite (DNASIM_THREADS=1) =="
 CARGO_NET_OFFLINE=true DNASIM_THREADS=1 cargo test -q
