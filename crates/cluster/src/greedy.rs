@@ -77,10 +77,10 @@ impl GreedyClusterer {
     /// sequence the streaming clusterer runs — on the calling thread, and
     /// materialises the membership lists the streaming core deliberately
     /// does not keep. Returns the groups and the finished state, which
-    /// holds the per-cluster `Representative`s (packed strand,
-    /// signature, and q-gram profile — built exactly once, at founding
-    /// time), the reference matches when `refs` is given, and the pass
-    /// counters.
+    /// holds the per-cluster `Representative`s (packed strand and
+    /// signature) and screen rows (the q-gram profile), each built exactly
+    /// once, at founding time, the reference matches when `refs` is
+    /// given, and the pass counters.
     fn cluster_impl(
         &self,
         pool: &[Strand],

@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod buckets;
 mod greedy;
 mod signature;
 mod stats;

@@ -7,19 +7,25 @@
 //!
 //! * the k-mer LSH **bucket signatures** ([`QGramSignature`] band hashes)
 //!   are the shard assignment — an incoming read only ever probes the
-//!   buckets its own signature exposes;
-//! * the only resident state is **per-bucket representatives** (packed
-//!   strand + q-gram profile + signature, built once at founding time)
-//!   plus the bucket map itself — `O(clusters)`, never `O(reads)`;
+//!   buckets its own signature exposes. A bucket is an id list, or a
+//!   bitmap once the list would outgrow one, and a read's candidates are
+//!   the set bits of the union of its buckets (`crate::buckets`);
+//! * the only resident state is **per-group representatives** (packed
+//!   strand + signature, built once at founding time), one row per group
+//!   in a [`ScreenArena`] (the q-gram profile: presence mask, counts and
+//!   sorted grams, stored once), plus the bucket map itself —
+//!   `O(clusters)`, never `O(reads)`;
 //! * intra-bucket assignment reuses the multi-pattern kernel tier: the
 //!   q-gram error-ball bound discharges hopeless candidates, survivors
 //!   are batched through
-//!   [`PatternBank`](dnasim_metrics::bank::PatternBank) lanes. The bound
-//!   is asked through [`QGramScratch::exceeds`], whose presence-mask
-//!   screen settles most hopeless candidates with one AND + popcount and
-//!   leaves only near ones to the exact gram scan. It answers exactly
-//!   `bound > threshold`, so candidates, pruned counts and kernel lanes
-//!   are the same as with the scan alone.
+//!   [`PatternBank`](dnasim_metrics::bank::PatternBank) lanes. A read's
+//!   whole candidate list goes through one batched
+//!   [`QGramScratch::screen`] call over the arena, whose presence-mask
+//!   test settles most hopeless candidates with one AND + popcount per
+//!   row and leaves only near ones to the exact gram scan. Each verdict
+//!   is exactly [`QGramScratch::exceeds`]'s, `bound > threshold`, so
+//!   candidates, pruned counts and kernel lanes are the same as with the
+//!   scan alone.
 //!
 //! # The batch core
 //!
@@ -31,11 +37,13 @@
 //!
 //! 1. *in parallel, read-only on the pre-batch state*: build each read's
 //!    signature, packed strand and q-gram profile, gather its candidate
-//!    groups from the buckets and screen them through the error ball;
+//!    groups from the buckets and screen them through the error ball in
+//!    one batched call;
 //! 2. *serially, in read order*: gather and screen the groups founded
 //!    earlier in the same sub-batch, append them to the read's survivors,
 //!    run one kernel pass over the union, and join the first match or
-//!    found a group;
+//!    found a group (filing it in the buckets and moving its profile into
+//!    the arena);
 //! 3. *in parallel*: match each group the sub-batch founded to its
 //!    nearest reference (reference mode only).
 //!
@@ -64,9 +72,10 @@ use std::convert::Infallible;
 
 use dnasim_core::{PackedStrand, Strand};
 use dnasim_metrics::bank::{bank_within_with, BankScratch, PatternBank, MAX_LANES};
-use dnasim_metrics::{myers, MyersScratch, QGramProfile, QGramScratch};
+use dnasim_metrics::{myers, MyersScratch, QGramProfile, QGramScratch, ScreenArena};
 use dnasim_par::{PoolError, ThreadPool};
 
+use crate::buckets::{Bucket, CandidateGather};
 use crate::greedy::GreedyClusterer;
 use crate::signature::QGramSignature;
 use crate::stats::ClusterStats;
@@ -80,13 +89,13 @@ const SUB_BATCH: usize = 256;
 /// reuses one scratch.
 const CHUNKS_PER_WORKER: usize = 4;
 
-/// Everything the clusterer keeps resident per founded cluster, threaded
-/// through to the merge and reference-assignment passes so nothing is
+/// What the clusterer keeps resident per founded cluster besides its
+/// screen row (the q-gram profile, kept in the [`ScreenArena`] under the
+/// same id), threaded through to reference assignment so nothing is
 /// rebuilt.
 pub(crate) struct Representative {
     pub(crate) packed: PackedStrand,
     pub(crate) sig: QGramSignature,
-    pub(crate) profile: QGramProfile,
 }
 
 /// Reusable kernel buffers for one clustering pass.
@@ -101,77 +110,25 @@ pub(crate) struct AssignScratch {
     slots: Vec<(usize, usize)>,
 }
 
-/// A reusable bitset that turns bucket hits into an ascending,
-/// deduplicated id list: one bit per hit, then the set bits in order.
-#[derive(Default)]
-pub(crate) struct CandidateGather {
-    words: Vec<u64>,
-    ids: Vec<usize>,
-}
-
-impl CandidateGather {
-    /// Every id at or above `floor` held by the buckets of `hashes`,
-    /// ascending and deduplicated. Each bucket lists its ids in ascending
-    /// order, so its walk stops at the first id below `floor`.
-    pub(crate) fn gather<'h>(
-        &mut self,
-        buckets: &HashMap<u64, Vec<usize>>,
-        hashes: impl IntoIterator<Item = &'h u64>,
-        floor: usize,
-    ) -> &[usize] {
-        let (mut lo, mut hi) = (usize::MAX, 0);
-        for h in hashes {
-            let Some(ids) = buckets.get(h) else {
-                continue;
-            };
-            for &id in ids.iter().rev() {
-                if id < floor {
-                    break;
-                }
-                let word = (id - floor) / 64;
-                if word >= self.words.len() {
-                    self.words.resize(word + 1, 0);
-                }
-                self.words[word] |= 1 << ((id - floor) % 64);
-                lo = lo.min(word);
-                hi = hi.max(word);
-            }
-        }
-        self.ids.clear();
-        for word in lo..=hi {
-            let mut bits = std::mem::take(&mut self.words[word]);
-            while bits != 0 {
-                self.ids
-                    .push(floor + word * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
-        }
-        &self.ids
-    }
-}
-
-/// Runs the error-ball screen of `profile` over `ids`: counts every id as
-/// a candidate and every discharged one as pruned, and appends the rest
-/// to `survivors` in order. `target` gives each id's profile.
-fn screen<'p>(
+/// Runs the error-ball screen over `ids` in one batched call: counts
+/// every id as a candidate and every discharged one as pruned, and appends
+/// the rest to `survivors` in order. `load` puts the probing profile into
+/// `qgram`; it runs only when there is something to screen.
+fn screen(
     config: &GreedyClusterer,
     qgram: &mut QGramScratch,
-    profile: &QGramProfile,
+    load: impl FnOnce(&mut QGramScratch),
+    arena: &ScreenArena,
     ids: &[usize],
-    target: impl Fn(usize) -> &'p QGramProfile,
     run: &mut ClusterStats,
     survivors: &mut Vec<usize>,
 ) {
     run.candidates += ids.len();
-    if config.prefilter && !ids.is_empty() {
-        qgram.load(profile);
-    }
-    for &id in ids {
-        if config.prefilter && qgram.exceeds(target(id), config.distance_threshold) {
-            run.pruned += 1;
-        } else {
-            survivors.push(id);
-        }
+    if !config.prefilter {
+        survivors.extend_from_slice(ids);
+    } else if !ids.is_empty() {
+        load(qgram);
+        run.pruned += qgram.screen(arena, ids, config.distance_threshold, survivors);
     }
 }
 
@@ -314,11 +271,12 @@ fn map_chunked<F: Fanout, R: Send>(
     Ok(chunks.into_iter().flatten().collect())
 }
 
-/// Phase 1's read-only work for one read: the read as a representative,
-/// and its screened candidates among the groups founded before its
-/// sub-batch.
+/// Phase 1's read-only work for one read: the read as a representative
+/// and its profile, and its screened candidates among the groups founded
+/// before its sub-batch.
 struct Probe {
     rep: Representative,
+    profile: QGramProfile,
     /// Surviving pre-batch candidates, ascending.
     survivors: Vec<usize>,
     /// Candidates and pruned among the pre-batch groups.
@@ -328,16 +286,17 @@ struct Probe {
 /// The online assignment core shared by [`StreamingClusterer`] and every
 /// materialised [`GreedyClusterer`] entry point.
 ///
-/// Resident state is `O(clusters)`: one [`Representative`] per founded
-/// group plus the band-hash bucket map (and, in reference mode, one
-/// reference match per group). Read membership lists are *not* kept here
+/// Resident state is `O(clusters)`: one [`Representative`] and one screen
+/// row per founded group plus the band-hash bucket map (and, in reference
+/// mode, one reference match per group). Read membership lists are *not* kept here
 /// — callers that want them accumulate the returned group ids.
 pub(crate) struct OnlineState {
     config: GreedyClusterer,
     reps: Vec<Representative>,
-    /// band hash → cluster ids that expose it, ascending (the LSH shard
-    /// map).
-    buckets: HashMap<u64, Vec<usize>>,
+    /// Each group's q-gram profile, under its group id.
+    arena: ScreenArena,
+    /// band hash → cluster ids that expose it (the LSH shard map).
+    buckets: HashMap<u64, Bucket>,
     /// Reference mode: the fixed reference set.
     refs: Option<ReferenceIndex>,
     /// Reference mode: each group's founding-time reference match.
@@ -352,6 +311,7 @@ impl OnlineState {
         OnlineState {
             config,
             reps: Vec::new(),
+            arena: ScreenArena::new(),
             buckets: HashMap::new(),
             refs,
             group_refs: Vec::new(),
@@ -397,12 +357,19 @@ impl OnlineState {
         }
         // Phase 3: reference matches of the groups this call founded.
         if let Some(refs) = &self.refs {
-            let (config, founded) = (&self.config, &self.reps[self.group_refs.len()..]);
+            let first = self.group_refs.len();
+            let (config, arena, founded) = (&self.config, &self.arena, &self.reps[first..]);
             let matches = map_chunked(fanout, founded.len(), |k, scratch| {
                 let mut run = ClusterStats::default();
                 let mut results = Vec::new();
-                let matched =
-                    refs.match_representative(config, &founded[k], scratch, &mut run, &mut results);
+                let matched = refs.match_representative(
+                    config,
+                    &founded[k],
+                    |qgram| qgram.load_row(arena, first + k),
+                    scratch,
+                    &mut run,
+                    &mut results,
+                );
                 (matched, run)
             })?;
             for (matched, run) in matches {
@@ -419,8 +386,8 @@ impl OnlineState {
         let rep = Representative {
             packed: PackedStrand::from(read),
             sig: QGramSignature::new(read, self.config.qgram_len, self.config.sketch_len),
-            profile: QGramProfile::new(read, self.config.qgram_len),
         };
+        let profile = QGramProfile::new(read, self.config.qgram_len);
         let mut run = ClusterStats::default();
         let mut survivors = Vec::new();
         let bands = rep.sig.hashes().iter().take(self.config.bands);
@@ -428,14 +395,15 @@ impl OnlineState {
         screen(
             &self.config,
             &mut scratch.qgram,
-            &rep.profile,
+            |qgram| qgram.load(&profile),
+            &self.arena,
             ids,
-            |id| &self.reps[id].profile,
             &mut run,
             &mut survivors,
         );
         Probe {
             rep,
+            profile,
             survivors,
             run,
         }
@@ -448,6 +416,7 @@ impl OnlineState {
     fn join_or_found(&mut self, probe: Probe, first: usize) -> usize {
         let Probe {
             rep,
+            profile,
             mut survivors,
             run,
         } = probe;
@@ -459,9 +428,9 @@ impl OnlineState {
         screen(
             &config,
             &mut self.scratch.qgram,
-            &rep.profile,
+            |qgram| qgram.load(&profile),
+            &self.arena,
             ids,
-            |id| &self.reps[id].profile,
             &mut self.run,
             &mut survivors,
         );
@@ -491,6 +460,7 @@ impl OnlineState {
             self.buckets.entry(h).or_default().push(id);
         }
         self.reps.push(rep);
+        self.arena.push(profile);
         id
     }
 
@@ -512,26 +482,25 @@ impl OnlineState {
 /// Precomputed reference-side state for nearest-reference matching.
 pub(crate) struct ReferenceIndex {
     packed: Vec<PackedStrand>,
-    profiles: Vec<QGramProfile>,
-    /// Sketch hash → the references whose sketch holds it, ascending.
-    by_hash: HashMap<u64, Vec<usize>>,
+    profiles: ScreenArena,
+    /// Sketch hash → the references whose sketch holds it.
+    by_hash: HashMap<u64, Bucket>,
 }
 
 impl ReferenceIndex {
     pub(crate) fn new(config: &GreedyClusterer, references: &[Strand]) -> ReferenceIndex {
-        let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut by_hash: HashMap<u64, Bucket> = HashMap::new();
+        let mut profiles = ScreenArena::new();
         for (r, reference) in references.iter().enumerate() {
             let sig = QGramSignature::new(reference, config.qgram_len, config.sketch_len);
             for &h in sig.hashes() {
                 by_hash.entry(h).or_default().push(r);
             }
+            profiles.push(QGramProfile::new(reference, config.qgram_len));
         }
         ReferenceIndex {
             packed: references.iter().map(PackedStrand::from).collect(),
-            profiles: references
-                .iter()
-                .map(|r| QGramProfile::new(r, config.qgram_len))
-                .collect(),
+            profiles,
             by_hash,
         }
     }
@@ -551,7 +520,8 @@ impl ReferenceIndex {
     }
 
     /// Matches one group representative to its nearest reference, or
-    /// `None` when no reference lies within the distance threshold.
+    /// `None` when no reference lies within the distance threshold. `load`
+    /// puts the representative's profile into `scratch.qgram`.
     ///
     /// Pure in `(rep, self, config)` — the answer does not depend on any
     /// other group — which is what lets the clusterer decide it at
@@ -564,6 +534,7 @@ impl ReferenceIndex {
         &self,
         config: &GreedyClusterer,
         rep: &Representative,
+        load: impl FnOnce(&mut QGramScratch),
         scratch: &mut AssignScratch,
         run: &mut ClusterStats,
         results: &mut Vec<Option<usize>>,
@@ -573,9 +544,9 @@ impl ReferenceIndex {
         screen(
             config,
             &mut scratch.qgram,
-            &rep.profile,
+            load,
+            &self.profiles,
             ids,
-            |r| &self.profiles[r],
             run,
             &mut cand_refs,
         );

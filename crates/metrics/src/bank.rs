@@ -214,16 +214,6 @@ impl PatternBank {
     pub fn words(&self) -> usize {
         self.words
     }
-
-    /// Length of the pattern in `lane` (0 for out-of-range lanes).
-    #[inline]
-    pub fn lane_len(&self, lane: usize) -> usize {
-        if lane < self.lanes {
-            self.lens[lane]
-        } else {
-            0
-        }
-    }
 }
 
 /// Reusable delta-vector buffers for the bank kernels (`Pv`/`Mv`, one pair

@@ -14,8 +14,9 @@
 //!   advances 4–8 patterns per text column via AVX2/NEON (runtime
 //!   detected, exact scalar fallback everywhere else);
 //! * [`qgram`] — the q-gram counting lower bound on edit distance, used
-//!   as an error-ball prefilter in front of the kernels (its presence-mask
-//!   screen counts bits with AVX2 where the same runtime dispatch allows);
+//!   as an error-ball prefilter in front of the kernels (its batched
+//!   presence-mask screen over a [`ScreenArena`] counts bits with AVX2 or
+//!   AVX-512 VPOPCNTDQ where the same runtime dispatch allows);
 //! * [`hamming`] / [`hamming_error_positions`] — position-wise comparison,
 //!   where indels propagate (the "Hamming" figures);
 //! * [`gestalt_score`] / [`matching_blocks`] / [`gestalt_error_positions`] —
@@ -69,4 +70,4 @@ pub use hamming::{hamming, hamming_error_positions, positional_matches};
 pub use levenshtein::{levenshtein, levenshtein_within, normalized_levenshtein};
 pub use myers::MyersScratch;
 pub use profiles::{PositionalProfile, ProfileKind};
-pub use qgram::{QGramProfile, QGramScratch};
+pub use qgram::{QGramProfile, QGramScratch, ScreenArena};

@@ -22,16 +22,21 @@
 //! `dnasim-cluster`).
 //!
 //! The prefilter asks one question per candidate, "does the bound exceed
-//! the threshold?", through [`QGramScratch::exceeds`]. Each profile also
-//! carries a [`MASK_BITS`]-bit gram-presence mask and its `excess` (grams
-//! beyond one per set bit), from which one AND + popcount gives a weaker
-//! bound, [`QGramScratch::mask_bound`]. When that already exceeds the
-//! threshold the candidate is pruned at once; otherwise the exact
-//! histogram scan decides. The answer is exactly `bound > threshold`
-//! either way. Strands behind shared primers are the case this is for:
-//! their common flanks put nearly every representative in each read's
-//! candidate set, the mask settles almost all of those candidates, and
-//! only the few near ones pay the scan.
+//! the threshold?", which [`QGramScratch::exceeds`] answers for one
+//! candidate. Each profile also carries a [`MASK_BITS`]-bit gram-presence
+//! mask and its `excess` (grams beyond one per set bit), from which one
+//! AND + popcount gives a weaker bound, [`QGramScratch::mask_bound`]. When
+//! that already exceeds the threshold the candidate is pruned at once;
+//! otherwise the exact histogram scan decides. The answer is exactly
+//! `bound > threshold` either way. Strands behind shared primers are the
+//! case this is for: their common flanks put nearly every representative
+//! in each read's candidate set, the mask settles almost all of those
+//! candidates, and only the few near ones pay the scan.
+//!
+//! Clustering asks the question for a whole candidate list at once:
+//! [`QGramScratch::screen`] runs it over the rows of a [`ScreenArena`],
+//! which holds each representative's profile once, in one SIMD call per
+//! list. Its verdict for every candidate is `exceeds`'s.
 //!
 //! # Examples
 //!
@@ -48,7 +53,7 @@
 
 use dnasim_core::Strand;
 
-use crate::mask_popcount::{and_popcount, and_popcount_scalar};
+use crate::mask_popcount::{and_popcount, and_popcount_scalar, screen_on, ScreenKernel};
 
 /// Bits in a profile's gram-presence mask. Every gram code of `q ≤ 5`
 /// (`4^5 = 1024` codes) has a bit of its own; longer grams fold onto
@@ -139,12 +144,6 @@ impl QGramProfile {
         self.q
     }
 
-    /// Number of q-grams in the profiled strand (`len − q + 1`, or 0).
-    #[inline]
-    pub fn gram_count(&self) -> usize {
-        self.grams.len()
-    }
-
     /// Multiset intersection size with `other` (sorted-merge scan).
     pub fn shared_grams(&self, other: &QGramProfile) -> usize {
         let (a, b) = (&self.grams, &other.grams);
@@ -219,23 +218,40 @@ impl QGramScratch {
     /// Only the entries set by the previous load are re-zeroed, so a load
     /// costs one pass over each profile's gram list regardless of `4^q`.
     pub fn load(&mut self, profile: &QGramProfile) {
+        self.load_parts(profile.q, &profile.grams, &profile.mask, profile.excess);
+    }
+
+    /// Loads row `id` of `arena`, exactly as [`load`](QGramScratch::load)
+    /// of the profile pushed as that row. An id with no row unloads the
+    /// scratch (every bound is then 0).
+    pub fn load_row(&mut self, arena: &ScreenArena, id: usize) {
+        match arena.row(id) {
+            Some((page, slot)) => {
+                let meta = page.meta[slot];
+                self.load_parts(meta.q, &page.grams[slot], &page.masks[slot].0, meta.excess);
+            }
+            None => self.load_parts(0, &[], &[0; MASK_WORDS], 0),
+        }
+    }
+
+    fn load_parts(&mut self, q: usize, grams: &[u16], mask: &[u64; MASK_WORDS], excess: usize) {
         for &g in &self.loaded {
             self.counts[g as usize] = 0;
         }
         // Gram codes are 2q bits by construction, so they index `space`.
-        let space = 1usize << (2 * profile.q);
+        let space = 1usize << (2 * q);
         if self.counts.len() < space {
             self.counts.resize(space, 0);
         }
-        for &g in &profile.grams {
+        for &g in grams {
             self.counts[g as usize] += 1;
         }
         self.loaded.clear();
-        self.loaded.extend_from_slice(&profile.grams);
-        self.loaded_q = profile.q;
-        self.loaded_count = profile.grams.len();
-        self.loaded_mask = profile.mask;
-        self.loaded_excess = profile.excess;
+        self.loaded.extend_from_slice(grams);
+        self.loaded_q = q;
+        self.loaded_count = grams.len();
+        self.loaded_mask = *mask;
+        self.loaded_excess = excess;
     }
 
     /// Lower bound on the edit distance between the loaded strand and
@@ -247,10 +263,15 @@ impl QGramScratch {
         if self.loaded_q != other.q {
             return 0;
         }
-        // `other.grams` is sorted, so equal grams form runs; each run of
-        // length r contributes min(r, loaded count) to the multiset
-        // intersection.
-        let grams = &other.grams;
+        let most = self.loaded_count.max(other.grams.len());
+        (most - self.shared(&other.grams)).div_ceil(other.q)
+    }
+
+    /// Multiset intersection of the loaded grams with the sorted `grams`.
+    /// Equal grams form runs; each run of length r contributes
+    /// min(r, loaded count) to the intersection.
+    #[inline]
+    fn shared(&self, grams: &[u16]) -> usize {
         let mut shared = 0usize;
         let mut i = 0usize;
         while i < grams.len() {
@@ -262,8 +283,7 @@ impl QGramScratch {
             shared += run.min(self.counts[g as usize] as usize);
             i += run;
         }
-        let most = self.loaded_count.max(grams.len());
-        (most - shared).div_ceil(other.q)
+        shared
     }
 
     /// The bit-parallel screen: a lower bound on [`bound`](QGramScratch::bound)
@@ -321,6 +341,194 @@ impl QGramScratch {
     pub fn exceeds(&self, other: &QGramProfile, limit: usize) -> bool {
         self.mask_bound(other) > limit || self.bound(other) > limit
     }
+
+    /// The batched screen: settles every id of `candidates` against the
+    /// loaded profile in one call. Each id whose row
+    /// [`exceeds`](QGramScratch::exceeds) would reject is counted; every
+    /// other id is appended to `survivors`, in `candidates` order. Returns
+    /// the count. An id with no row in `arena` survives.
+    ///
+    /// The mask popcount runs on the active SIMD tier: the AVX2 tier uses
+    /// AVX-512 VPOPCNTDQ where the CPU has it, and the AVX2 nibble table
+    /// otherwise. Every kernel gives each candidate the same verdict as
+    /// `exceeds`.
+    pub fn screen(
+        &self,
+        arena: &ScreenArena,
+        candidates: &[usize],
+        limit: usize,
+        survivors: &mut Vec<usize>,
+    ) -> usize {
+        screen_on(
+            ScreenKernel::active(),
+            self,
+            arena,
+            candidates,
+            limit,
+            survivors,
+        )
+    }
+
+    /// The mask of the loaded profile, for the screen kernels.
+    #[inline]
+    pub(crate) fn loaded_mask(&self) -> &[u64; MASK_WORDS] {
+        &self.loaded_mask
+    }
+
+    /// The screen's loop, shared by every kernel; `common` is the
+    /// kernel's `popcount(loaded_mask & row)`.
+    ///
+    /// It decides `bound > limit` without dividing: for integers `x ≥ 0`
+    /// and `q ≥ 1`, `⌈x/q⌉ > limit ⟺ x > limit·q`. A `limit·q` that
+    /// overflows saturates, and no deficit exceeds `usize::MAX`, which is
+    /// the division's answer too. The mask test comes first, and only the
+    /// candidates it leaves open take the exact test, out of line.
+    #[inline(always)]
+    pub(crate) fn screen_rows(
+        &self,
+        arena: &ScreenArena,
+        candidates: &[usize],
+        limit: usize,
+        survivors: &mut Vec<usize>,
+        mut common: impl FnMut(&[u64; MASK_WORDS]) -> usize,
+    ) -> usize {
+        let q = self.loaded_q;
+        let threshold = limit.saturating_mul(q);
+        let before = survivors.len();
+        for &id in candidates {
+            // Rows always have `q ≥ 1`, so an unloaded scratch (`q = 0`)
+            // prunes nothing, as `exceeds` does.
+            let settled = arena.row(id).is_some_and(|(page, slot)| {
+                let meta = page.meta[slot];
+                let most = self.loaded_count.max(meta.count);
+                let shared_at_most =
+                    common(&page.masks[slot].0) + self.loaded_excess.min(meta.excess);
+                meta.q == q && most.saturating_sub(shared_at_most) > threshold
+            });
+            if !settled && !self.row_exceeds(arena, id, threshold) {
+                survivors.push(id);
+            }
+        }
+        candidates.len() - (survivors.len() - before)
+    }
+
+    /// The exact test of row `id`: `max(|a|, |b|) − shared > threshold`,
+    /// which is `bound > limit` for `threshold = limit·q`. False for a
+    /// missing row or another `q`.
+    #[inline(never)]
+    fn row_exceeds(&self, arena: &ScreenArena, id: usize, threshold: usize) -> bool {
+        arena.row(id).is_some_and(|(page, slot)| {
+            let meta = page.meta[slot];
+            let most = self.loaded_count.max(meta.count);
+            meta.q == self.loaded_q && most - self.shared(&page.grams[slot]) > threshold
+        })
+    }
+}
+
+/// Rows per [`ScreenArena`] page: one 64-bit word of a candidate bitmap.
+const PAGE_ROWS: usize = 64;
+
+/// One gram-presence mask, aligned so that its 128 bytes fill exactly two
+/// cache lines.
+#[derive(Clone, Copy)]
+#[repr(C, align(64))]
+struct MaskRow([u64; MASK_WORDS]);
+
+/// What the screen reads of a row besides its mask.
+#[derive(Clone, Copy, Default)]
+struct RowMeta {
+    q: usize,
+    count: usize,
+    excess: usize,
+}
+
+/// [`PAGE_ROWS`] rows. A page is allocated once and never moves.
+struct Page {
+    masks: [MaskRow; PAGE_ROWS],
+    meta: [RowMeta; PAGE_ROWS],
+    /// The sorted grams of each row, for the exact fallback.
+    grams: Vec<Box<[u16]>>,
+}
+
+/// The profiles a [`QGramScratch::screen`] runs against, one row per id.
+///
+/// A row holds what the screen reads: the 128-byte presence mask, the gram
+/// count, the excess and `q`, and the sorted grams for the exact
+/// fallback. Rows live in pages of 64, so ids `64w..64w + 63` share a page
+/// and growing the arena never copies or double-buffers a row.
+///
+/// # Examples
+///
+/// ```
+/// use dnasim_core::Strand;
+/// use dnasim_metrics::qgram::{QGramProfile, QGramScratch, ScreenArena};
+///
+/// let strands = ["ACGTACGTACGTACGT", "TTTTTTTTTTTTTTTT", "ACGTACGTACGAACGT"];
+/// let mut arena = ScreenArena::new();
+/// for s in strands {
+///     arena.push(QGramProfile::new(&s.parse::<Strand>()?, 3));
+/// }
+/// let mut scratch = QGramScratch::new();
+/// scratch.load(&QGramProfile::new(&strands[0].parse::<Strand>()?, 3));
+/// let mut survivors = Vec::new();
+/// let pruned = scratch.screen(&arena, &[0, 1, 2], 2, &mut survivors);
+/// assert_eq!((pruned, survivors), (1, vec![0, 2]));
+/// # Ok::<(), dnasim_core::ParseStrandError>(())
+/// ```
+#[derive(Default)]
+pub struct ScreenArena {
+    pages: Vec<Box<Page>>,
+    len: usize,
+}
+
+impl std::fmt::Debug for ScreenArena {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ScreenArena")
+            .field("rows", &self.len)
+            .finish()
+    }
+}
+
+impl ScreenArena {
+    /// An empty arena.
+    pub fn new() -> ScreenArena {
+        ScreenArena::default()
+    }
+
+    /// Appends `profile` as the next row: the first push is id 0, the
+    /// next id 1, and so on. The grams move into the arena; the mask is
+    /// copied into its page.
+    pub fn push(&mut self, profile: QGramProfile) {
+        let slot = self.len % PAGE_ROWS;
+        if slot == 0 {
+            self.pages.push(Box::new(Page {
+                masks: [MaskRow([0; MASK_WORDS]); PAGE_ROWS],
+                meta: [RowMeta::default(); PAGE_ROWS],
+                grams: Vec::with_capacity(PAGE_ROWS),
+            }));
+        }
+        if let Some(page) = self.pages.last_mut() {
+            page.masks[slot] = MaskRow(profile.mask);
+            page.meta[slot] = RowMeta {
+                q: profile.q,
+                count: profile.grams.len(),
+                excess: profile.excess,
+            };
+            page.grams.push(profile.grams.into_boxed_slice());
+        }
+        self.len += 1;
+    }
+
+    /// The page holding row `id` and the row's slot in it.
+    #[inline]
+    fn row(&self, id: usize) -> Option<(&Page, usize)> {
+        if id >= self.len {
+            return None;
+        }
+        self.pages
+            .get(id / PAGE_ROWS)
+            .map(|page| (&**page, id % PAGE_ROWS))
+    }
 }
 
 #[cfg(test)]
@@ -336,7 +544,7 @@ mod tests {
     fn identical_strands_have_zero_bound() {
         let p = profile("ACGTACGTAC", 4);
         assert_eq!(p.distance_lower_bound(&p), 0);
-        assert_eq!(p.shared_grams(&p), p.gram_count());
+        assert_eq!(p.shared_grams(&p), p.grams.len());
     }
 
     #[test]
@@ -353,7 +561,7 @@ mod tests {
         let a = profile("AC", 5);
         let b = profile(&"ACGT".repeat(10), 5);
         // `a` has no grams: deficit is b's full gram count.
-        assert_eq!(a.gram_count(), 0);
+        assert!(a.grams.is_empty());
         assert!(a.distance_lower_bound(&b) <= 40);
         let c = profile("GT", 5);
         assert_eq!(a.distance_lower_bound(&c), 0);

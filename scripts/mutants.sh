@@ -181,6 +181,29 @@ mutant "in-batch survivors placed before pre-batch ones" crates/cluster/src/stre
     $'/self\\.scratch\\.gather\\.gather(&self\\.buckets, bands, first);/i\\\n        let pre = survivors.len();\n/`survivors` is ascending, so the first match is the lowest/i\\\n        survivors.rotate_left(pre);' \
     -p dnasim-cluster --test phase_split
 
+# DESIGN.md §27: the batched error-ball screen and bitmap band buckets.
+# The VPOPCNTDQ mutant is only killed on a host with AVX-512 VPOPCNTDQ,
+# and the AVX2 one on a host with AVX2: the differential runs each kernel
+# the CPU has and skips the others.
+mutant "division-free screen test uses >=" crates/metrics/src/qgram.rs \
+    's/meta\.q == q \&\& most\.saturating_sub(shared_at_most) > threshold/meta.q == q \&\& most.saturating_sub(shared_at_most) >= threshold/' \
+    -p dnasim-metrics --lib mask_popcount::differential
+mutant "screen threshold limit*q - 1" crates/metrics/src/qgram.rs \
+    's/let threshold = limit\.saturating_mul(q);/let threshold = limit.saturating_mul(q).saturating_sub(1);/' \
+    -p dnasim-metrics --lib mask_popcount::differential
+mutant "VPOPCNTDQ counts only the first 512-bit half" crates/metrics/src/mask_popcount.rs \
+    's/_mm512_reduce_add_epi64(_mm512_add_epi64(a, b))/_mm512_reduce_add_epi64(a)/' \
+    -p dnasim-metrics --lib mask_popcount::differential
+mutant "AVX2 screen drops one of its four vectors" crates/metrics/src/mask_popcount.rs \
+    's/for (v, \&lv) in l\.iter()\.enumerate() {/for (v, \&lv) in l.iter().enumerate().take(3) {/' \
+    -p dnasim-metrics --lib mask_popcount::differential
+mutant "gather floor mask shifted by one" crates/cluster/src/buckets.rs \
+    's/\*first \&= u64::MAX << (floor % 64);/*first \&= u64::MAX << (floor % 64) << 1;/' \
+    -p dnasim-cluster --lib buckets
+mutant "list-to-bitmap switch drops the id that triggered it" crates/cluster/src/buckets.rs \
+    's/for \&i in ids\.iter()\.chain(std::iter::once(\&id)) {/for \&i in ids.iter() {/' \
+    -p dnasim-cluster --lib buckets
+
 # DESIGN.md §22: serve's drain contract.
 mutant "dispatched budgets linked to the session token" crates/serve/src/server.rs \
     's/\&policy, None),$/\&policy, Some(shutdown)),/' \

@@ -30,9 +30,13 @@
 #    (single-pattern and the multi-pattern bank tier) agree bit-for-bit
 #    with the scalar DP oracle on both sides of the dispatch, and the
 #    error-ball screen (tests/qgram_screen.rs: the dispatched mask
-#    popcount against the scalar one, `exceeds` against `bound > limit`)
-#    and the rolling q-gram code differentials answer the same on both
-#    sides too (DESIGN.md §18, §23). A guard also
+#    popcount against the scalar one, `exceeds` against `bound > limit`;
+#    the lib's mask_popcount::differential: every batched screen kernel
+#    against `exceeds`) and the rolling q-gram code differentials answer
+#    the same on both sides too (DESIGN.md §18, §23, §27). The imperfect
+#    archive's golden snapshot (tests/golden_archive.rs) is re-diffed
+#    with DNASIM_SIMD=off, so the scalar screen kernel is pinned to the
+#    same bytes as the dispatched one. A guard also
 #    checks that every metrics source using `unsafe` carries
 #    `deny(unsafe_op_in_unsafe_fn)` and SAFETY comments.
 # 9. Streaming equivalence: the bounded-memory pipeline
@@ -269,6 +273,12 @@ echo "== kernel differential suite (DNASIM_SIMD=off, portable fallback) =="
 CARGO_NET_OFFLINE=true DNASIM_SIMD=off cargo test -q -p dnasim-metrics --test myers_differential
 CARGO_NET_OFFLINE=true DNASIM_SIMD=off cargo test -q -p dnasim-metrics --test qgram_screen
 CARGO_NET_OFFLINE=true DNASIM_SIMD=off cargo test -q -p dnasim-metrics --lib qgram
+CARGO_NET_OFFLINE=true DNASIM_SIMD=off cargo test -q -p dnasim-metrics --lib mask_popcount
+
+echo "== imperfect-archive golden snapshot (DNASIM_SIMD=off, scalar screen) =="
+# Step 5 diffs golden_archive.txt on the dispatched SIMD tier only; this
+# pins the scalar screen kernel to the same snapshot (DESIGN.md §27).
+CARGO_NET_OFFLINE=true DNASIM_SIMD=off cargo test -q --test golden_archive
 
 echo "== cluster suite (DNASIM_SIMD=off, scalar lane accounting) =="
 # ClusterStats lane accounting and the reference-assignment paths must be
