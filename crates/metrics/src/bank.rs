@@ -25,6 +25,12 @@
 //! differential suite (`myers_differential.rs`) pins every backend to the
 //! scalar DP oracle.
 //!
+//! At a limit up to [`BAND`] every lane runs the one-word diagonal band
+//! of [`myers`](crate::myers) instead (DESIGN.md §28): the window's top
+//! row depends on the column only, so all lanes share its shift, and the
+//! band needs no delta scratch at all. AVX2 has its own band engine; NEON
+//! and the scalar fallback run the portable one.
+//!
 //! Banks require all lanes to share a word count (`ceil(len/64)`); callers
 //! group candidates by [`PackedStrand::words`] and fall back to the
 //! single-pattern kernel for singleton groups. Lanes may differ in exact
@@ -55,6 +61,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 use dnasim_core::PackedStrand;
 
+use crate::myers::{band_top, band_window, span, span_sum, step, BAND, BAND_PROBE};
+
 /// Maximum number of patterns one bank can hold.
 pub const MAX_LANES: usize = 8;
 
@@ -69,7 +77,7 @@ pub enum SimdMode {
 }
 
 const TIER_UNRESOLVED: u8 = 0;
-const TIER_SCALAR: u8 = 1;
+pub(crate) const TIER_SCALAR: u8 = 1;
 pub(crate) const TIER_AVX2: u8 = 2;
 const TIER_NEON: u8 = 3;
 
@@ -149,7 +157,8 @@ pub struct PatternBank {
     /// Per-lane score-bit shift: `(len − 1) & 63` (0 for padding lanes).
     pub(crate) shifts: [u64; MAX_LANES],
     pub(crate) max_len: usize,
-    /// Interleaved Eq-mask planes, one `Vec` per 2-bit base code.
+    /// Interleaved Eq-mask planes, one `Vec` per 2-bit base code, with a
+    /// trailing zero word row (`(words + 1)·pad` words each).
     pub(crate) eq: [Vec<u64>; 4],
 }
 
@@ -178,11 +187,13 @@ impl PatternBank {
             shifts[l] = ((p.len() - 1) & 63) as u64;
             max_len = max_len.max(p.len());
         }
+        // One zero word row past the last: the band kernels read the word
+        // after the window's top word unconditionally.
         let mut eq = [
-            vec![0u64; words * pad],
-            vec![0u64; words * pad],
-            vec![0u64; words * pad],
-            vec![0u64; words * pad],
+            vec![0u64; (words + 1) * pad],
+            vec![0u64; (words + 1) * pad],
+            vec![0u64; (words + 1) * pad],
+            vec![0u64; (words + 1) * pad],
         ];
         for (c, plane) in eq.iter_mut().enumerate() {
             for (l, p) in patterns.iter().enumerate() {
@@ -239,15 +250,16 @@ impl BankScratch {
     }
 }
 
-/// Banded multi-pattern distance: `out[l]` is `Some(d)` with the exact
+/// Bounded multi-pattern distance: `out[l]` is `Some(d)` with the exact
 /// Levenshtein distance between `text` and lane `l`'s pattern when
 /// `d ≤ limit`, `None` otherwise.
 ///
 /// Dispatches to the active SIMD backend; all backends compute the same
 /// per-lane integer recurrence, so the output is identical everywhere.
 /// Lanes whose length gap with the text already exceeds the limit are
-/// rejected in O(1), and the column scan abandons early once every lane's
-/// score lower bound proves the limit unreachable.
+/// rejected in O(1). A limit up to [`BAND`] runs the one-word diagonal
+/// band on every lane, any other the blocked kernel; both abandon the
+/// column scan once every lane's lower bound proves the limit unreachable.
 pub fn bank_within_with(
     scratch: &mut BankScratch,
     bank: &PatternBank,
@@ -255,35 +267,12 @@ pub fn bank_within_with(
     limit: usize,
     out: &mut Vec<Option<usize>>,
 ) {
-    let n = text.len();
-    let mut alive: u32 = 0;
-    for l in 0..bank.lanes {
-        if bank.lens[l].abs_diff(n) <= limit {
-            alive |= 1 << l;
-        }
-    }
-    let mut scores = [0i64; MAX_LANES];
-    if alive != 0 {
-        // Clamp the limit so the early-abandon arithmetic stays in range;
-        // no distance can exceed n + max_len, so the clamp never changes
-        // an accept/reject decision.
-        let eff = limit.min(n + bank.max_len) as i64;
-        run(bank, scratch, text, eff, &mut scores, &mut alive);
-    }
-    out.clear();
-    for (l, &s) in scores.iter().enumerate().take(bank.lanes) {
-        let d = s.max(0) as usize;
-        if alive & (1 << l) != 0 && d <= limit {
-            out.push(Some(d));
-        } else {
-            out.push(None);
-        }
-    }
+    within_on(active_tier(), scratch, bank, text, limit, out);
 }
 
 /// Exact multi-pattern distances: `out[l]` is the Levenshtein distance
-/// between `text` and lane `l`'s pattern. Same kernels as
-/// [`bank_within_with`] with an unreachable band, so no lane ever abandons.
+/// between `text` and lane `l`'s pattern. The blocked kernels with an
+/// unreachable bound, so no lane ever abandons.
 pub fn bank_distances_with(
     scratch: &mut BankScratch,
     bank: &PatternBank,
@@ -295,7 +284,7 @@ pub fn bank_distances_with(
     let mut scores = [0i64; MAX_LANES];
     // n + max_len bounds every possible distance, so nothing abandons.
     let eff = (n + bank.max_len) as i64;
-    run(bank, scratch, text, eff, &mut scores, &mut alive);
+    run(active_tier(), bank, scratch, text, eff, &mut scores, &mut alive);
     out.clear();
     out.extend(scores[..bank.lanes].iter().map(|&s| s.max(0) as usize));
 }
@@ -310,6 +299,19 @@ pub fn bank_within_scalar_with(
     limit: usize,
     out: &mut Vec<Option<usize>>,
 ) {
+    within_on(TIER_SCALAR, scratch, bank, text, limit, out);
+}
+
+/// [`bank_within_with`] on the backend `tier`, which the CPU must
+/// support.
+pub(crate) fn within_on(
+    tier: u8,
+    scratch: &mut BankScratch,
+    bank: &PatternBank,
+    text: &PackedStrand,
+    limit: usize,
+    out: &mut Vec<Option<usize>>,
+) {
     let n = text.len();
     let mut alive: u32 = 0;
     for l in 0..bank.lanes {
@@ -318,9 +320,16 @@ pub fn bank_within_scalar_with(
         }
     }
     let mut scores = [0i64; MAX_LANES];
-    if alive != 0 {
+    if alive != 0 && limit <= BAND {
+        // Every live lane is within BAND of the text's length, and the
+        // band's value decides `d ≤ limit` exactly (DESIGN.md §28).
+        band(tier, bank, text, limit, &mut scores, &mut alive);
+    } else if alive != 0 {
+        // Clamp the limit so the early-abandon arithmetic stays in range;
+        // no distance can exceed n + max_len, so the clamp never changes
+        // an accept/reject decision.
         let eff = limit.min(n + bank.max_len) as i64;
-        run_scalar(bank, scratch, text, eff, &mut scores, &mut alive);
+        run(tier, bank, scratch, text, eff, &mut scores, &mut alive);
     }
     out.clear();
     for (l, &s) in scores.iter().enumerate().take(bank.lanes) {
@@ -333,8 +342,121 @@ pub fn bank_within_scalar_with(
     }
 }
 
+/// Dispatches one band scan to `tier`'s backend. NEON has no band
+/// engine of its own and runs the portable one.
+fn band(
+    tier: u8,
+    bank: &PatternBank,
+    text: &PackedStrand,
+    limit: usize,
+    scores: &mut [i64; MAX_LANES],
+    alive: &mut u32,
+) {
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        TIER_AVX2 => {
+            // SAFETY: TIER_AVX2 is only ever passed after
+            // `is_x86_feature_detected!("avx2")` returned true, so the
+            // target-feature contract of `band_avx2` holds.
+            unsafe { crate::bank_simd::band_avx2(bank, text, limit, scores, alive) }
+        }
+        _ => band_scalar(bank, text, limit, scores, alive),
+    }
+}
+
+/// The band's abandon test at band column `j` of an `n`-column text, for
+/// the lanes in `alive`: lane `l`'s value on its target diagonal
+/// (`i − j = len_l − n`) is its top row's value plus the signed popcount
+/// of its vertical words under `masks[l]`, and the lane is out once that
+/// value exceeds `limits[l]`. Any other lane, and a lane whose diagonal
+/// row is still above the matrix, gets an empty mask and a limit it
+/// cannot exceed.
+#[inline(always)]
+pub(crate) fn band_probe(
+    bank: &PatternBank,
+    j: usize,
+    n: usize,
+    limit: usize,
+    alive: u32,
+) -> ([u64; MAX_LANES], [i64; MAX_LANES]) {
+    let mut masks = [0u64; MAX_LANES];
+    let mut limits = [i64::MAX; MAX_LANES];
+    let r = band_top(j);
+    for l in (0..bank.lanes).filter(|l| alive & (1 << l) != 0) {
+        // Window offset of the diagonal's row j + len_l − n.
+        if let Some(o) = (j + bank.lens[l]).checked_sub(n + 1 + r) {
+            masks[l] = span(o);
+            limits[l] = limit as i64;
+        }
+    }
+    (masks, limits)
+}
+
+/// Each live lane's band `D(len_l, n)` from the final column's vertical
+/// words and top-row values: the top row's value plus the signed popcount
+/// of the rows down to the lane's last row.
+pub(crate) fn band_finish(
+    bank: &PatternBank,
+    n: usize,
+    pv: &[u64; MAX_LANES],
+    mv: &[u64; MAX_LANES],
+    top: &[i64; MAX_LANES],
+    alive: u32,
+    scores: &mut [i64; MAX_LANES],
+) {
+    for l in (0..bank.lanes).filter(|l| alive & (1 << l) != 0) {
+        scores[l] = top[l] + span_sum(pv[l], mv[l], bank.lens[l] - 1 - band_top(n));
+    }
+}
+
+/// Portable band engine: [`myers`](crate::myers)' one-word band kernel,
+/// one scalar step per lane per column. Every lane shares the window's
+/// top row, which depends on the column only. Lanes leave `alive` when
+/// their target diagonal exceeds `limit`.
+pub(crate) fn band_scalar(
+    bank: &PatternBank,
+    text: &PackedStrand,
+    limit: usize,
+    scores: &mut [i64; MAX_LANES],
+    alive: &mut u32,
+) {
+    let (pad, lanes, n) = (bank.pad, bank.lanes, text.len());
+    let mut pv = [!0u64; MAX_LANES];
+    let mut mv = [0u64; MAX_LANES];
+    let mut top = [1i64; MAX_LANES];
+    for (c, j) in text.codes().zip(1usize..) {
+        let plane = &bank.eq[(c & 3) as usize];
+        let r = band_top(j);
+        let (w, s) = (r >> 6, r & 63);
+        for l in 0..lanes {
+            if r > 0 {
+                pv[l] = (pv[l] >> 1) | 1 << 63;
+                mv[l] >>= 1;
+                top[l] += (pv[l] & 1) as i64 - (mv[l] & 1) as i64;
+            }
+            let eq = band_window(plane[w * pad + l], plane[(w + 1) * pad + l], s);
+            top[l] += step(&mut pv[l], &mut mv[l], eq, 1, 1).0 as i64;
+        }
+        if j % BAND_PROBE == 0 {
+            let (masks, limits) = band_probe(bank, j, n, limit, *alive);
+            for l in 0..lanes {
+                let m = masks[l];
+                let d = top[l] + (pv[l] & m).count_ones() as i64 - (mv[l] & m).count_ones() as i64;
+                if d > limits[l] {
+                    *alive &= !(1 << l);
+                }
+            }
+            if *alive == 0 {
+                return;
+            }
+        }
+    }
+    band_finish(bank, n, &pv, &mv, &top, *alive, scores);
+}
+
 /// Dispatches one bank scan to the active backend.
 fn run(
+    tier: u8,
     bank: &PatternBank,
     scratch: &mut BankScratch,
     text: &PackedStrand,
@@ -342,10 +464,10 @@ fn run(
     scores: &mut [i64; MAX_LANES],
     alive: &mut u32,
 ) {
-    match active_tier() {
+    match tier {
         #[cfg(target_arch = "x86_64")]
         TIER_AVX2 => {
-            // SAFETY: TIER_AVX2 is only ever stored after
+            // SAFETY: TIER_AVX2 is only ever passed after
             // `is_x86_feature_detected!("avx2")` returned true, so the
             // target-feature contract of `run_avx2` holds.
             unsafe {
@@ -354,7 +476,7 @@ fn run(
         }
         #[cfg(target_arch = "aarch64")]
         TIER_NEON => {
-            // SAFETY: TIER_NEON is only ever stored after
+            // SAFETY: TIER_NEON is only ever passed after
             // `is_aarch64_feature_detected!("neon")` returned true.
             unsafe {
                 crate::bank_simd::run_neon(bank, scratch, text, eff_limit, scores, alive);

@@ -9,11 +9,17 @@
 //! score bit at `(len − 1) & 63` — uses the variable-shift forms
 //! (`_mm256_srlv_epi64`, `vshlq_u64` with negative counts).
 //!
+//! AVX2 also runs the one-word diagonal band of
+//! [`band_scalar`](crate::bank::band_scalar): every lane shares the
+//! window's shift, and the abandon test counts bits per 64-bit lane with
+//! nibble-table lookups summed by `vpsadbw`.
+//!
 //! Callers must guarantee the matching CPU feature before entering
 //! (`is_x86_feature_detected!("avx2")` / `is_aarch64_feature_detected!
 //! ("neon")`); the dispatcher in [`bank`](crate::bank) caches that probe.
 //! All raw-pointer accesses here stay inside buffers sized `words × pad`
-//! (or the fixed `MAX_LANES` arrays), with `pad` a multiple of the vector
+//! (`(words + 1) × pad` for the band's plane reads, or the fixed
+//! `MAX_LANES` arrays), with `pad` a multiple of the vector
 //! width — each load/store carries its own SAFETY note.
 
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -136,6 +142,152 @@ pub(crate) unsafe fn run_avx2(
         unsafe { _mm256_storeu_si256(buf.as_mut_ptr().add(v * 4).cast(), sv) };
     }
     scores[..bank.lanes].copy_from_slice(&buf[..bank.lanes]);
+}
+
+/// AVX2 band engine: the one-word band of
+/// [`band_scalar`](crate::bank::band_scalar), four pattern lanes per
+/// `__m256i`. The window's top row depends on the column only, so one
+/// shift count serves every lane.
+///
+/// # Safety
+///
+/// The caller must ensure the CPU supports AVX2 (the dispatcher only
+/// selects this after `is_x86_feature_detected!("avx2")` succeeds).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn band_avx2(
+    bank: &PatternBank,
+    text: &PackedStrand,
+    limit: usize,
+    scores: &mut [i64; MAX_LANES],
+    alive: &mut u32,
+) {
+    use core::arch::x86_64::*;
+
+    use crate::bank::{band_finish, band_probe};
+    use crate::myers::{band_top, BAND_PROBE};
+
+    let pad = bank.pad;
+    // `pad` is 4 or 8, so one or two vectors span every lane.
+    let nv = pad / 4;
+    let n = text.len();
+    if band_top(n) >> 6 >= bank.words {
+        // The last window starts past every lane's last row, so no lane is
+        // within BAND of the text (and the loads below would leave the
+        // planes).
+        *alive = 0;
+        return;
+    }
+
+    let ones = _mm256_set1_epi64x(-1);
+    let one = _mm256_set1_epi64x(1);
+    let bottom = _mm256_set1_epi64x(i64::MIN);
+    let nibble = _mm256_set1_epi8(0x0f);
+    #[rustfmt::skip]
+    let table = _mm256_setr_epi8(
+        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+    );
+    // Per-64-bit-lane popcount: nibble table lookups, summed by `vpsadbw`.
+    let popcount = |x: __m256i| {
+        let lo = _mm256_and_si256(x, nibble);
+        let hi = _mm256_and_si256(_mm256_srli_epi16(x, 4), nibble);
+        let bytes = _mm256_add_epi8(
+            _mm256_shuffle_epi8(table, lo),
+            _mm256_shuffle_epi8(table, hi),
+        );
+        _mm256_sad_epu8(bytes, _mm256_setzero_si256())
+    };
+
+    let mut pv = [ones; 2];
+    let mut mv = [_mm256_setzero_si256(); 2];
+    // D(a_j, j) of every lane's top row; column 0's is D(1, 0) = 1.
+    let mut top = [one; 2];
+    for (c, j) in text.codes().zip(1usize..) {
+        let plane = &bank.eq[(c & 3) as usize];
+        let r = band_top(j);
+        let (w, s) = (r >> 6, r & 63);
+        let (lo_count, hi_count) = (
+            _mm_cvtsi64_si128(s as i64),
+            _mm_cvtsi64_si128(63 - s as i64),
+        );
+        for v in 0..nv {
+            if r > 0 {
+                pv[v] = _mm256_or_si256(_mm256_srli_epi64(pv[v], 1), bottom);
+                mv[v] = _mm256_srli_epi64(mv[v], 1);
+                let delta =
+                    _mm256_sub_epi64(_mm256_and_si256(pv[v], one), _mm256_and_si256(mv[v], one));
+                top[v] = _mm256_add_epi64(top[v], delta);
+            }
+            let idx = w * pad + v * 4;
+            // SAFETY: each plane holds (words + 1)·pad elements, and
+            // w ≤ band_top(n) >> 6 < words by the check above, so
+            // idx + pad + 4 = (w + 1)·pad + v·4 + 4 ≤ (words + 1)·pad.
+            let (lo, hi) = unsafe {
+                (
+                    _mm256_loadu_si256(plane.as_ptr().add(idx).cast()),
+                    _mm256_loadu_si256(plane.as_ptr().add(idx + pad).cast()),
+                )
+            };
+            let eq = _mm256_or_si256(
+                _mm256_srl_epi64(lo, lo_count),
+                _mm256_sll_epi64(_mm256_slli_epi64(hi, 1), hi_count),
+            );
+            let xv = _mm256_or_si256(eq, mv[v]);
+            let xh = _mm256_or_si256(
+                _mm256_xor_si256(_mm256_add_epi64(_mm256_and_si256(eq, pv[v]), pv[v]), pv[v]),
+                eq,
+            );
+            let ph = _mm256_or_si256(mv[v], _mm256_andnot_si256(_mm256_or_si256(xh, pv[v]), ones));
+            let mh = _mm256_and_si256(pv[v], xh);
+            let delta = _mm256_sub_epi64(_mm256_and_si256(ph, one), _mm256_and_si256(mh, one));
+            top[v] = _mm256_add_epi64(top[v], delta);
+            // The row above the window enters with a horizontal +1.
+            let ph = _mm256_or_si256(_mm256_slli_epi64(ph, 1), one);
+            let mh = _mm256_slli_epi64(mh, 1);
+            pv[v] = _mm256_or_si256(mh, _mm256_andnot_si256(_mm256_or_si256(xv, ph), ones));
+            mv[v] = _mm256_and_si256(ph, xv);
+        }
+        if j % BAND_PROBE == 0 {
+            let (masks, limits) = band_probe(bank, j, n, limit, *alive);
+            for v in 0..nv {
+                // SAFETY: `masks` and `limits` hold MAX_LANES (8)
+                // elements and v·4 + 4 ≤ pad ≤ 8.
+                let (mask, lim) = unsafe {
+                    (
+                        _mm256_loadu_si256(masks.as_ptr().add(v * 4).cast()),
+                        _mm256_loadu_si256(limits.as_ptr().add(v * 4).cast()),
+                    )
+                };
+                let d = _mm256_add_epi64(
+                    top[v],
+                    _mm256_sub_epi64(
+                        popcount(_mm256_and_si256(pv[v], mask)),
+                        popcount(_mm256_and_si256(mv[v], mask)),
+                    ),
+                );
+                let dead = _mm256_cmpgt_epi64(d, lim);
+                let out = _mm256_movemask_pd(_mm256_castsi256_pd(dead)) as u32;
+                *alive &= !(out << (v * 4));
+            }
+            if *alive == 0 {
+                return;
+            }
+        }
+    }
+
+    let (mut pv_out, mut mv_out, mut top_out) =
+        ([0u64; MAX_LANES], [0u64; MAX_LANES], [0i64; MAX_LANES]);
+    for v in 0..nv {
+        // SAFETY: the three buffers hold MAX_LANES (8) elements each;
+        // v·4 + 4 ≤ pad ≤ 8.
+        unsafe {
+            _mm256_storeu_si256(pv_out.as_mut_ptr().add(v * 4).cast(), pv[v]);
+            _mm256_storeu_si256(mv_out.as_mut_ptr().add(v * 4).cast(), mv[v]);
+            _mm256_storeu_si256(top_out.as_mut_ptr().add(v * 4).cast(), top[v]);
+        }
+    }
+    band_finish(bank, n, &pv_out, &mv_out, &top_out, *alive, scores);
 }
 
 /// NEON bank engine: two 64-bit pattern lanes per `uint64x2_t`.

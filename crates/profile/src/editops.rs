@@ -30,8 +30,10 @@ pub enum TieBreak {
 ///
 /// Profiling a dataset or refining a consensus traces one script per
 /// read, so hot loops allocate one scratch and thread it through every
-/// call. The buffers only ever grow, to `(n + 1)·⌈m/64⌉·4` words for the
-/// largest `m`-base reference and `n`-base read seen.
+/// call. The buffers only ever grow: a pair at distance ≤ 31 with a
+/// reference longer than 64 bases is recorded in a one-word diagonal band,
+/// `(n + 1)·4` words for an `n`-base read, and any other pair in
+/// `(n + 1)·⌈m/64⌉·4` words for an `m`-base reference.
 #[derive(Debug, Clone, Default)]
 pub struct EditScratch {
     columns: DeltaColumns,
@@ -100,18 +102,22 @@ pub fn edit_script_with<R: Rng + ?Sized>(
 /// the base an `Equal`, `Subst` or `Delete` consumes, or the base an
 /// `Insert` precedes (`reference.len()` at the end).
 ///
-/// The blocked Myers kernel records every column's delta words
-/// ([`DeltaColumns`]), and each traceback test is one bit test on them:
+/// A Myers kernel records every column's delta words ([`DeltaColumns`]):
+/// the one-word diagonal band when the distance is at most
+/// [`BAND`](dnasim_metrics::myers::BAND) and the reference is longer than
+/// 64 bases, the blocked kernel otherwise.
+/// Each traceback test is one bit test on them:
 ///
 /// * `D(i−1, j) + 1 == D(i, j)` iff the vertical delta `v(i, j)` is +1;
 /// * `D(i, j−1) + 1 == D(i, j)` iff the horizontal delta `h(i, j)` is +1
 ///   (always, in row 0);
 /// * `D(i−1, j−1) + 1 == D(i, j)` iff `h(i, j) + v(i, j−1) == 1`.
 ///
-/// These are the full matrix's values, so the candidate sets, their order
-/// and every `TieBreak::Random` draw are the full-matrix DP's.
-/// `crates/profile/tests/banded_differential.rs` checks this against that
-/// DP.
+/// These are the full matrix's values on every cell the traceback visits
+/// (the band's are exact wherever the distance is at most its radius), so
+/// the candidate sets, their order and every `TieBreak::Random` draw are
+/// the full-matrix DP's. `crates/profile/tests/banded_differential.rs`
+/// and `band_scripts.rs` check this against that DP.
 pub fn edit_ops_with<R: Rng + ?Sized>(
     scratch: &mut EditScratch,
     reference: &Strand,

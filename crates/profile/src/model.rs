@@ -47,22 +47,6 @@ pub struct LongDeletionParams {
     pub length_weights: Vec<f64>,
 }
 
-impl LongDeletionParams {
-    /// Mean run length under `length_weights`; 0.0 if empty.
-    pub fn mean_length(&self) -> f64 {
-        let total: f64 = self.length_weights.iter().sum();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        self.length_weights
-            .iter()
-            .enumerate()
-            .map(|(i, w)| (i + 2) as f64 * w)
-            .sum::<f64>()
-            / total
-    }
-}
-
 /// One of the top-k specific (second-order) errors with its spatial skew.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SecondOrderError {
@@ -168,12 +152,6 @@ impl LearnedModel {
             aggregate_error_rate: stats.aggregate_error_rate(),
             homopolymer_boost: stats.homopolymer_boost(),
         }
-    }
-
-    /// Mean conditional error rate across the four bases, weighting bases
-    /// equally.
-    pub fn mean_base_error_rate(&self) -> f64 {
-        self.per_base.iter().map(BaseErrorRates::total).sum::<f64>() / 4.0
     }
 
     /// The spatial multiplier at `position`, defaulting to 1.0 beyond the
@@ -316,7 +294,7 @@ mod tests {
         let stats = stats_from(&[("ACGTACGT", "ACGTACGT")]);
         let model = LearnedModel::from_stats(&stats, 10);
         assert_eq!(model.aggregate_error_rate, 0.0);
-        assert_eq!(model.mean_base_error_rate(), 0.0);
+        assert!(model.per_base.iter().all(|rates| rates.total() == 0.0));
         assert!(model.second_order.is_empty());
         // Spatial multipliers fall back to uniform.
         assert!(model.spatial_multipliers.iter().all(|&m| (m - 1.0).abs() < 1e-12));
@@ -344,13 +322,6 @@ mod tests {
         let model = LearnedModel::from_stats(&stats, 10);
         assert!(model.long_deletion.probability > 0.0);
         assert_eq!(model.long_deletion.length_weights, vec![1.0]);
-        assert_eq!(model.long_deletion.mean_length(), 2.0);
-    }
-
-    #[test]
-    fn long_deletion_mean_empty_is_zero() {
-        let params = LongDeletionParams::default();
-        assert_eq!(params.mean_length(), 0.0);
     }
 
     #[test]

@@ -352,6 +352,26 @@ impl ErrorStats {
     /// Fraction of reads containing a burst of at least `min_len`
     /// consecutive errors. The paper's §1.2 defines Nanopore bursts as 5+
     /// consecutive corrupted bases.
+    ///
+    /// A read with two bursts counts twice, so the fraction is clamped to
+    /// 1.0.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dnasim_core::{rng::seeded, Strand};
+    /// use dnasim_profile::{ErrorStats, TieBreak};
+    ///
+    /// let mut stats = ErrorStats::new();
+    /// let reference: Strand = "AAAAACCCCC".parse()?;
+    /// let mut rng = seeded(1);
+    /// // Five consecutive substitutions in one read of two.
+    /// stats.record_pair(&reference, &"TTTTTCCCCC".parse()?, TieBreak::Random, &mut rng);
+    /// stats.record_pair(&reference, &reference, TieBreak::Random, &mut rng);
+    /// assert_eq!(stats.burst_read_fraction(5), 0.5);
+    /// assert_eq!(stats.burst_read_fraction(6), 0.0);
+    /// # Ok::<(), dnasim_core::ParseStrandError>(())
+    /// ```
     pub fn burst_read_fraction(&self, min_len: usize) -> f64 {
         if self.reads == 0 {
             return 0.0;

@@ -69,6 +69,34 @@ mutant "drop the inter-block hout -> hin carry" crates/metrics/src/myers.rs \
     '/^ *hin = hout;$/d' \
     -p dnasim-profile --test banded_differential
 
+# DESIGN.md §28: the one-word diagonal band. Two of these change no
+# distance and no traceback: a bottom row entering with Pv = 0 changes
+# only the horizontal words of the window's last row, which no traceback
+# reads, and the band is still exact at d = K + 1. The band-model test
+# (every recorded word against a plain DP over the band's cells) and the
+# branch check (the band exactly when d <= K) kill them.
+mutant "band diag reads column j's bit for column j-1" crates/metrics/src/myers.rs \
+    's/let v_plus = pv \& bit_prev != 0;/let v_plus = pv \& bit != 0;/; s/let v_zero = (pv | mv) \& bit_prev == 0;/let v_zero = (pv | mv) \& bit == 0;/' \
+    -p dnasim-metrics --lib myers::band_differential
+mutant "band's new bottom row enters with Pv = 0" crates/metrics/src/myers.rs \
+    's/pv = (pv >> 1) | 1 << 63;/pv >>= 1;/' \
+    -p dnasim-metrics --lib myers::band_differential
+mutant "band's top row enters with hin = 0" crates/metrics/src/myers.rs \
+    's/band_window(plane\[w\], hi, s), 1, 1)/band_window(plane[w], hi, s), 0, 1)/' \
+    -p dnasim-metrics --lib myers::band_differential
+mutant "band radius K = 32" crates/metrics/src/myers.rs \
+    's/pub const BAND: usize = 31;/pub const BAND: usize = 32;/' \
+    -p dnasim-metrics --lib myers::band_differential
+mutant "band recording accepted at d <= K + 1" crates/metrics/src/myers.rs \
+    's/if d\.is_some_and(|d| d <= BAND) {/if d.is_some_and(|d| d <= BAND + 1) {/' \
+    -p dnasim-metrics --lib myers::band_differential
+mutant "band window drops its high-word term" crates/metrics/src/myers.rs \
+    's/(lo >> s) | ((hi << 1) << (63 - s))/lo >> s/' \
+    -p dnasim-metrics --lib myers::band_differential
+mutant "bank lane's final span mask off by one" crates/metrics/src/bank.rs \
+    's/bank\.lens\[l\] - 1 - band_top(n)/bank.lens[l] - band_top(n)/' \
+    -p dnasim-metrics --lib myers::band_differential
+
 # DESIGN.md §17: alignment votes cast straight from the traceback.
 mutant "cast one vote per match whatever the read's weight" crates/reconstruct/src/consensus.rs \
     's/=> sub\[p\]\.add(b, weight)/=> sub[p].add(b, 1)/' \

@@ -33,7 +33,10 @@
 #    popcount against the scalar one, `exceeds` against `bound > limit`;
 #    the lib's mask_popcount::differential: every batched screen kernel
 #    against `exceeds`) and the rolling q-gram code differentials answer
-#    the same on both sides too (DESIGN.md §18, §23, §27). The imperfect
+#    the same on both sides too (DESIGN.md §18, §23, §27), and the
+#    one-word band's differential (the lib's myers::band_differential:
+#    band `within`, every band bank lane and band recordings against the
+#    blocked kernels) pins the scalar band lanes (§28). The imperfect
 #    archive's golden snapshot (tests/golden_archive.rs) is re-diffed
 #    with DNASIM_SIMD=off, so the scalar screen kernel is pinned to the
 #    same bytes as the dispatched one. A guard also
@@ -274,6 +277,7 @@ CARGO_NET_OFFLINE=true DNASIM_SIMD=off cargo test -q -p dnasim-metrics --test my
 CARGO_NET_OFFLINE=true DNASIM_SIMD=off cargo test -q -p dnasim-metrics --test qgram_screen
 CARGO_NET_OFFLINE=true DNASIM_SIMD=off cargo test -q -p dnasim-metrics --lib qgram
 CARGO_NET_OFFLINE=true DNASIM_SIMD=off cargo test -q -p dnasim-metrics --lib mask_popcount
+CARGO_NET_OFFLINE=true DNASIM_SIMD=off cargo test -q -p dnasim-metrics --lib myers::band_differential
 
 echo "== imperfect-archive golden snapshot (DNASIM_SIMD=off, scalar screen) =="
 # Step 5 diffs golden_archive.txt on the dispatched SIMD tier only; this
