@@ -45,25 +45,6 @@ impl Dataset {
         &self.clusters
     }
 
-    /// Checked mutable access: applies `f` to every cluster in order,
-    /// passing its global index.
-    ///
-    /// This is the only mutable path into the cluster list besides
-    /// [`Dataset::push`]/[`Extend`]. It hands out `&mut Cluster` one at a
-    /// time, so callers can rewrite reads or references but can never
-    /// insert, remove, or reorder clusters — the invariant streaming
-    /// sinks rely on (cluster `i` here is cluster `i` of the stream).
-    /// Summary statistics are derived on demand, so read-count mutation
-    /// needs no bookkeeping.
-    pub fn for_each_cluster_mut<F>(&mut self, mut f: F)
-    where
-        F: FnMut(usize, &mut Cluster),
-    {
-        for (index, cluster) in self.clusters.iter_mut().enumerate() {
-            f(index, cluster);
-        }
-    }
-
     /// A [`ClusterSource`](crate::stream::ClusterSource) over this
     /// dataset, emitting clusters in order in bounded batches.
     pub fn stream(&self) -> crate::stream::DatasetStream<'_> {
@@ -195,18 +176,6 @@ impl Dataset {
                 .cloned()
                 .collect(),
         }
-    }
-
-    /// Shuffles the reads *within* every cluster.
-    pub fn shuffle_reads_within_clusters<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        for c in &mut self.clusters {
-            c.shuffle_reads(rng);
-        }
-    }
-
-    /// Shuffles the order of the clusters.
-    pub fn shuffle_clusters<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        self.clusters.shuffle(rng);
     }
 
     /// Flattens the dataset into an unordered pool of reads, losing cluster

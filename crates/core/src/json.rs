@@ -84,6 +84,7 @@ impl Json {
 /// A human-readable message naming the byte offset of the failure.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut parser = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -97,6 +98,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -203,10 +205,17 @@ impl Parser<'_> {
         }
     }
 
+    /// Parses a string literal. Each run of plain bytes (no `"`, no `\`,
+    /// no byte below 0x20) is copied as one slice of the input: the bytes
+    /// that end a run are ASCII, so every run boundary is a char boundary,
+    /// and the input is already UTF-8.
     fn string(&mut self) -> Result<String, String> {
         self.pos += 1; // consume '"'
         let mut out = String::new();
         loop {
+            let run_end = self.pos + plain_run(&self.bytes[self.pos..]);
+            out.push_str(&self.text[self.pos..run_end]);
+            self.pos = run_end;
             let Some(byte) = self.peek() else {
                 return Err(self.fail("unterminated string"));
             };
@@ -231,21 +240,7 @@ impl Parser<'_> {
                         _ => return Err(self.fail("invalid escape character")),
                     }
                 }
-                _ if byte < 0x20 => return Err(self.fail("raw control character in string")),
-                _ => {
-                    // Re-borrow the full UTF-8 character starting at byte.
-                    let start = self.pos - 1;
-                    let len = utf8_len(byte);
-                    let end = start + len;
-                    let Some(slice) = self.bytes.get(start..end) else {
-                        return Err(self.fail("truncated UTF-8 sequence"));
-                    };
-                    let Ok(s) = std::str::from_utf8(slice) else {
-                        return Err(self.fail("invalid UTF-8 in string"));
-                    };
-                    out.push_str(s);
-                    self.pos = end;
-                }
+                _ => return Err(self.fail("raw control character in string")),
             }
         }
     }
@@ -318,45 +313,73 @@ impl Parser<'_> {
     }
 }
 
-/// Byte length of a UTF-8 character from its first byte (1 for malformed
-/// leading bytes, letting `from_utf8` report the error).
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        0xF0..=0xF7 => 4,
-        _ => 1,
+const ONES: u64 = 0x0101_0101_0101_0101;
+const HIGHS: u64 = 0x8080_8080_8080_8080;
+
+/// The high bit of every byte of `word` below `n` (for `n <= 0x80`).
+///
+/// Bytes above the lowest flagged one may be flagged falsely (a borrow
+/// runs upward out of it), but no byte below it is, so the lowest set bit
+/// always marks the first byte below `n`.
+const fn bytes_below(word: u64, n: u8) -> u64 {
+    word.wrapping_sub(ONES * n as u64) & !word & HIGHS
+}
+
+/// Length of the run of plain bytes that starts `bytes`: the index of the
+/// first byte that is `"`, `\` or below 0x20 (the bytes [`escape`]
+/// rewrites and a string literal cannot hold raw), or `bytes.len()`.
+///
+/// Eight bytes at a time, the last word padded with spaces (plain): a
+/// byte equal to `c` is a zero byte of `word ^ c·ONES`, that is, a byte
+/// below 1.
+fn plain_run(bytes: &[u8]) -> usize {
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut last = [b' '; 8];
+    last[..tail.len()].copy_from_slice(tail);
+    for (i, chunk) in words.iter().chain([&last]).enumerate() {
+        let word = u64::from_le_bytes(*chunk);
+        let special = bytes_below(word ^ (ONES * b'"' as u64), 1)
+            | bytes_below(word ^ (ONES * b'\\' as u64), 1)
+            | bytes_below(word, 0x20);
+        if special != 0 {
+            return i * 8 + special.trailing_zeros() as usize / 8;
+        }
     }
+    bytes.len()
 }
 
 /// Escapes a string for embedding inside a JSON string literal.
-///
-/// Runs of bytes that need no escape are copied with one `push_str`. Every
-/// escaped byte is ASCII, so each run boundary is a char boundary and
-/// multibyte UTF-8 passes through untouched.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    escape_into(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out`, escaped for a JSON string literal.
+///
+/// `plain_run` finds the next byte to rewrite a word at a time, and the
+/// run before it is copied with one `push_str`. Every rewritten byte is
+/// ASCII, so each run boundary is a char boundary and multibyte UTF-8
+/// passes through untouched.
+pub fn escape_into(out: &mut String, s: &str) {
+    let bytes = s.as_bytes();
     let mut run_start = 0;
-    for (i, &b) in s.as_bytes().iter().enumerate() {
-        let escaped = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0..=0x1f => "",
-            _ => continue,
-        };
+    loop {
+        let i = run_start + plain_run(&bytes[run_start..]);
         out.push_str(&s[run_start..i]);
-        if escaped.is_empty() {
-            let _ = write!(out, "\\u{b:04x}");
-        } else {
-            out.push_str(escaped);
+        let Some(&b) = bytes.get(i) else { return };
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
         run_start = i + 1;
     }
-    out.push_str(&s[run_start..]);
-    out
 }
 
 /// An ordered JSON object writer: fields render in the order they are
@@ -379,7 +402,7 @@ impl Obj {
             self.buf.push(',');
         }
         self.buf.push('"');
-        self.buf.push_str(&escape(name));
+        escape_into(&mut self.buf, name);
         self.buf.push_str("\":");
     }
 
@@ -387,7 +410,7 @@ impl Obj {
     pub fn str(mut self, name: &str, value: &str) -> Obj {
         self.key(name);
         self.buf.push('"');
-        self.buf.push_str(&escape(value));
+        escape_into(&mut self.buf, value);
         self.buf.push('"');
         self
     }
@@ -522,6 +545,163 @@ mod tests {
         let fixed = ["", "plain", "\"", "\\", "\u{0}", "\u{1f}x", "x\u{7f}", "é\n𝄞\t"];
         for s in fixed {
             assert_eq!(escape(s), escape_per_char(s), "{s:?}");
+        }
+    }
+
+    /// The per-char string loop `Parser::string` replaced, kept as its
+    /// oracle: one byte or one whole UTF-8 char per step.
+    fn string_per_char(p: &mut Parser<'_>) -> Result<String, String> {
+        /// Byte length of a UTF-8 character from its first byte.
+        fn utf8_len(first: u8) -> usize {
+            match first {
+                0xC0..=0xDF => 2,
+                0xE0..=0xEF => 3,
+                0xF0..=0xF7 => 4,
+                _ => 1,
+            }
+        }
+        p.pos += 1; // consume '"'
+        let mut out = String::new();
+        loop {
+            let Some(byte) = p.peek() else {
+                return Err(p.fail("unterminated string"));
+            };
+            p.pos += 1;
+            match byte {
+                b'"' => return Ok(out),
+                b'\\' => {
+                    let Some(escape) = p.peek() else {
+                        return Err(p.fail("unterminated escape"));
+                    };
+                    p.pos += 1;
+                    match escape {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => out.push(p.unicode_escape()?),
+                        _ => return Err(p.fail("invalid escape character")),
+                    }
+                }
+                _ if byte < 0x20 => return Err(p.fail("raw control character in string")),
+                _ => {
+                    let start = p.pos - 1;
+                    let end = start + utf8_len(byte);
+                    let Some(slice) = p.bytes.get(start..end) else {
+                        return Err(p.fail("truncated UTF-8 sequence"));
+                    };
+                    let Ok(s) = std::str::from_utf8(slice) else {
+                        return Err(p.fail("invalid UTF-8 in string"));
+                    };
+                    out.push_str(s);
+                    p.pos = end;
+                }
+            }
+        }
+    }
+
+    /// Both string parsers on `text` (which starts with `"`): the value or
+    /// error message, and where each stopped.
+    fn both_string_parsers(text: &str) -> [(Result<String, String>, usize); 2] {
+        let parser = || Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        let mut fast = parser();
+        let mut oracle = parser();
+        [
+            (fast.string(), fast.pos),
+            (string_per_char(&mut oracle), oracle.pos),
+        ]
+    }
+
+    #[test]
+    fn string_runs_match_the_per_char_oracle() {
+        use crate::rng::{seeded, RngExt};
+        // Plain text, every escape (valid, invalid and truncated), paired
+        // and unpaired surrogates, raw control bytes, a closing quote, and
+        // 2-, 3- and 4-byte UTF-8.
+        let pieces = [
+            "a", "Z", " ", "/", "~", "\u{7f}", "é", "ß", "€", "中", "𝄞", "ACGTACGT", "\\\"",
+            "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t", "\\u00e9", "\\u0041", "\\uD834",
+            "\\ud834\\udd1e", "\\ud800\\u0041", "\\udc00", "\\ud800", "\\u12", "\\u12g4", "\\q",
+            "\\", "\u{0}", "\u{1}", "\t", "\n", "\u{1f}", "\"",
+        ];
+        let mut rng = seeded(0x5721);
+        for case in 0..20_000 {
+            let mut text = String::from("\"");
+            for _ in 0..rng.random_range(0..24usize) {
+                text.push_str(pieces[rng.random_range(0..pieces.len())]);
+            }
+            if rng.random_bool(0.8) {
+                text.push('"');
+            }
+            let [fast, oracle] = both_string_parsers(&text);
+            assert_eq!(fast, oracle, "case {case}: {text:?}");
+        }
+        // Every byte below 0x80 at every position of the first three words.
+        for byte in 0u8..0x80 {
+            for at in 0..24 {
+                let mut text = "\"".to_owned() + &"x".repeat(at);
+                text.push(char::from(byte));
+                text.push_str("yy\"");
+                let [fast, oracle] = both_string_parsers(&text);
+                assert_eq!(fast, oracle, "byte {byte:#04x} at {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn string_errors_keep_their_byte_offsets_in_documents() {
+        assert_eq!(
+            parse("{\"a\":\"x\ty\"}"),
+            Err("byte 8: raw control character in string".to_owned())
+        );
+        assert_eq!(
+            parse("[\"ok\",\"é\\q\"]"),
+            Err("byte 11: invalid escape character".to_owned())
+        );
+        assert_eq!(parse("[\"é𝄞"), Err("byte 8: unterminated string".to_owned()));
+        assert_eq!(parse("{\"a\":\"\\"), Err("byte 7: unterminated escape".to_owned()));
+    }
+
+    #[test]
+    fn plain_run_stops_at_every_special_byte_in_every_lane() {
+        // Every byte value at every position of three words, behind plain
+        // ASCII and behind bytes >= 0x80 (whose high bit must not flag).
+        for filler in [b'x', 0xE9, 0x7F] {
+            for byte in 0..=u8::MAX {
+                for at in 0..24 {
+                    let mut bytes = vec![filler; 30];
+                    bytes[at] = byte;
+                    let expected = bytes
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(30);
+                    assert_eq!(plain_run(&bytes), expected, "byte {byte:#04x} at {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn escape_rewrites_every_special_byte_in_every_lane() {
+        let mut specials: Vec<char> = (0u8..0x20).map(char::from).collect();
+        specials.extend(['"', '\\']);
+        for filler in ["x", "é", "𝄞"] {
+            for &c in &specials {
+                for at in 0..24 {
+                    let mut s = filler.repeat(at);
+                    s.push(c);
+                    s.push_str(&filler.repeat(20));
+                    assert_eq!(escape(&s), escape_per_char(&s), "{c:?} at {at}");
+                }
+            }
         }
     }
 

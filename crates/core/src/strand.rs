@@ -165,6 +165,20 @@ impl Strand {
         self.bases.iter().copied()
     }
 
+    /// Appends the bases to `out` as ASCII letters, one table lookup per
+    /// base.
+    ///
+    /// ```
+    /// use dnasim_core::Strand;
+    /// let s: Strand = "gatc".parse().unwrap();
+    /// let mut line = b">".to_vec();
+    /// s.extend_ascii(&mut line);
+    /// assert_eq!(line, b">GATC");
+    /// ```
+    pub fn extend_ascii(&self, out: &mut Vec<u8>) {
+        out.extend(self.bases.iter().map(|&b| BASE_ASCII[b.index()]));
+    }
+
     /// Returns a new strand with the bases in reverse order.
     ///
     /// Two-way reconstruction algorithms run once on the cluster and once on
@@ -285,6 +299,28 @@ impl Index<usize> for Strand {
     }
 }
 
+/// The ASCII letter of each base, indexed by [`Base::index`].
+const BASE_ASCII: [u8; 4] = *b"ACGT";
+
+/// Every byte `Base::try_from` accepts, in [`Base::index`] order mod 4.
+const BASE_LETTERS: &[u8] = b"ACGTacgt";
+
+/// Marks a byte that is not a base letter in [`BYTE_BASE`].
+const NOT_A_BASE: u8 = 4;
+
+/// The [`Base::index`] of each byte in [`BASE_LETTERS`], `NOT_A_BASE` for
+/// every other byte.
+const BYTE_BASE: [u8; 256] = {
+    let mut table = [NOT_A_BASE; 256];
+    let mut i = 0;
+    while i < BASE_LETTERS.len() {
+        table[BASE_LETTERS[i] as usize] = (i % 4) as u8;
+        i += 1;
+    }
+    table
+};
+
+
 /// Bases rendered per `write_str` by `Strand`'s `Display`.
 const DISPLAY_CHUNK: usize = 256;
 
@@ -294,7 +330,7 @@ impl fmt::Display for Strand {
         let mut buf = [0u8; DISPLAY_CHUNK];
         for chunk in self.bases.chunks(DISPLAY_CHUNK) {
             for (byte, base) in buf.iter_mut().zip(chunk) {
-                *byte = base.to_char() as u8;
+                *byte = BASE_ASCII[base.index()];
             }
             // Base characters are ASCII, so the chunk is always UTF-8.
             let text = std::str::from_utf8(&buf[..chunk.len()]).map_err(|_| fmt::Error)?;
@@ -328,14 +364,33 @@ impl std::error::Error for ParseStrandError {
 impl FromStr for Strand {
     type Err = ParseStrandError;
 
+    /// Maps every byte through one 256-entry table, with no branch per
+    /// base. If any byte is not a base letter, the first such byte is the
+    /// error: every byte before it is a one-byte char, so its byte index
+    /// is its char position, and the char starting there is the one found.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut bases = Vec::with_capacity(s.len());
-        for (position, c) in s.chars().enumerate() {
-            let base =
-                Base::try_from(c).map_err(|source| ParseStrandError { position, source })?;
-            bases.push(base);
+        let bytes = s.as_bytes();
+        let mut invalid = 0;
+        let bases = bytes
+            .iter()
+            .map(|&byte| {
+                let code = BYTE_BASE[usize::from(byte)];
+                invalid |= code;
+                Base::ALL[usize::from(code & 3)]
+            })
+            .collect();
+        if invalid & NOT_A_BASE == 0 {
+            return Ok(Strand { bases });
         }
-        Ok(Strand { bases })
+        let position = bytes
+            .iter()
+            .position(|&byte| BYTE_BASE[usize::from(byte)] == NOT_A_BASE)
+            .unwrap_or(bytes.len());
+        let found = s[position..].chars().next().unwrap_or_default();
+        Err(ParseStrandError {
+            position,
+            source: ParseBaseError { found },
+        })
     }
 }
 
@@ -405,6 +460,66 @@ mod tests {
             assert_eq!(s.to_string(), oracle, "len {len}");
             // Through a formatter with surrounding text, as the writers use it.
             assert_eq!(format!(">{s}<"), format!(">{oracle}<"), "len {len}");
+        }
+    }
+
+    /// The char loop `from_str` replaced, kept as its oracle.
+    fn parse_per_char(s: &str) -> Result<Strand, ParseStrandError> {
+        let mut bases = Vec::with_capacity(s.len());
+        for (position, c) in s.chars().enumerate() {
+            let base =
+                Base::try_from(c).map_err(|source| ParseStrandError { position, source })?;
+            bases.push(base);
+        }
+        Ok(Strand { bases })
+    }
+
+    #[test]
+    fn parse_matches_the_per_char_oracle() {
+        use crate::rng::RngExt;
+        // Both cases of every base, the IUPAC `N`, other ASCII, control
+        // bytes, and 2-, 3- and 4-byte UTF-8 (whose char position differs
+        // from its byte index only past the first bad char).
+        let alphabet = [
+            'A', 'C', 'G', 'T', 'a', 'c', 'g', 't', 'N', 'n', 'U', 'X', '-', ' ', '\r', '\0',
+            '\u{7f}', 'é', '中', '𝄞',
+        ];
+        let mut rng = seeded(0x57A4);
+        for case in 0..20_000 {
+            let len = rng.random_range(0..300usize);
+            // Mostly bases, so errors land at every depth of the strand.
+            let text: String = (0..len)
+                .map(|_| {
+                    let pick = if rng.random_bool(0.98) { 8 } else { alphabet.len() };
+                    alphabet[rng.random_range(0..pick)]
+                })
+                .collect();
+            assert_eq!(text.parse::<Strand>(), parse_per_char(&text), "case {case}: {text:?}");
+        }
+        // Every char below 0x100 alone and behind a strand.
+        for c in (0u32..0x100).filter_map(char::from_u32) {
+            for text in [c.to_string(), format!("ACGTACGTAC{c}GT")] {
+                assert_eq!(text.parse::<Strand>(), parse_per_char(&text), "{c:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_byte_table_accepts_exactly_what_base_accepts() {
+        for byte in 0..=u8::MAX {
+            let table = Base::from_index(usize::from(BYTE_BASE[usize::from(byte)]));
+            assert_eq!(table, Base::try_from(char::from(byte)).ok(), "byte {byte:#04x}");
+        }
+    }
+
+    #[test]
+    fn extend_ascii_matches_display() {
+        let mut rng = seeded(0xA5C);
+        for len in [0, 1, 7, 8, 9, 110, 300] {
+            let s = Strand::random(len, &mut rng);
+            let mut out = b"x".to_vec();
+            s.extend_ascii(&mut out);
+            assert_eq!(out, format!("x{s}").into_bytes(), "len {len}");
         }
     }
 

@@ -385,6 +385,8 @@ impl<R: BufRead> ClusterSource for DatasetReader<R> {
 #[derive(Debug)]
 pub struct DatasetWriter<W: Write> {
     writer: W,
+    /// One rendered line, reused for every line written.
+    line: Vec<u8>,
     clusters: usize,
     reads: usize,
     erasures: usize,
@@ -395,6 +397,7 @@ impl<W: Write> DatasetWriter<W> {
     pub fn new(writer: W) -> DatasetWriter<W> {
         DatasetWriter {
             writer,
+            line: Vec::new(),
             clusters: 0,
             reads: 0,
             erasures: 0,
@@ -416,22 +419,31 @@ impl<W: Write> DatasetWriter<W> {
         self.erasures
     }
 
-    /// Appends one cluster in cluster-file text format.
+    /// Appends one cluster in cluster-file text format: each line is
+    /// rendered into one reused buffer and written with one call.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures from the writer.
     pub fn write_cluster(&mut self, cluster: &Cluster) -> io::Result<()> {
+        let line = &mut self.line;
+        line.clear();
         if self.clusters > 0 {
-            writeln!(self.writer)?;
+            line.push(b'\n');
         }
-        writeln!(self.writer, ">{}", cluster.reference())?;
+        line.push(b'>');
+        cluster.reference().extend_ascii(line);
+        line.push(b'\n');
+        self.writer.write_all(line)?;
         for read in cluster.reads() {
+            line.clear();
             if read.is_empty() {
-                writeln!(self.writer, "{EMPTY_READ_TOKEN}")?;
+                line.extend_from_slice(EMPTY_READ_TOKEN.as_bytes());
             } else {
-                writeln!(self.writer, "{read}")?;
+                read.extend_ascii(line);
             }
+            line.push(b'\n');
+            self.writer.write_all(line)?;
         }
         self.clusters += 1;
         self.reads += cluster.coverage();
@@ -665,6 +677,48 @@ mod tests {
         let mut sink = DatasetWriter::new(Vec::new());
         let batch = Batch::new(3, vec![Cluster::erasure("AC".parse().unwrap())]);
         assert!(sink.accept(batch).is_err());
+    }
+
+    /// The `writeln!` writer `write_cluster` replaced, kept as its oracle.
+    fn write_per_line(dataset: &Dataset) -> Vec<u8> {
+        let mut out = Vec::new();
+        for (i, cluster) in dataset.iter().enumerate() {
+            if i > 0 {
+                writeln!(out).unwrap();
+            }
+            writeln!(out, ">{}", cluster.reference()).unwrap();
+            for read in cluster.reads() {
+                if read.is_empty() {
+                    writeln!(out, "{EMPTY_READ_TOKEN}").unwrap();
+                } else {
+                    writeln!(out, "{read}").unwrap();
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn writer_matches_the_writeln_oracle() {
+        use dnasim_core::rng::RngExt;
+        let mut rng = seeded(0x1E7);
+        for case in 0..200 {
+            let mut ds = Dataset::new();
+            for _ in 0..rng.random_range(0..6usize) {
+                let reference = Strand::random(rng.random_range(0..300usize), &mut rng);
+                // Empty reads (the `-` sentinel), erasures and long reads.
+                let reads = (0..rng.random_range(0..5usize))
+                    .map(|_| {
+                        let len = if rng.random_bool(0.2) { 0 } else { rng.random_range(1..300) };
+                        Strand::random(len, &mut rng)
+                    })
+                    .collect();
+                ds.push(Cluster::new(reference, reads));
+            }
+            let mut buf = Vec::new();
+            write_dataset(&ds, &mut buf).unwrap();
+            assert_eq!(buf, write_per_line(&ds), "case {case}");
+        }
     }
 
     #[test]

@@ -54,9 +54,10 @@ impl ReadRows {
     fn build(reads: &[Strand], lookahead: usize, reverse: bool) -> ReadRows {
         // A pointer runs at most one past its read's end, and the scan's
         // 8-byte loads reach `8·⌈L/8⌉ + 1` bytes past a pointer still inside
-        // it: every load stays in its own row, and every byte a look-ahead
-        // lane compares past the end is `END`.
-        let pad = 8 * lookahead.div_ceil(8) + 2;
+        // it, and 7 bytes past any pointer for a unanimous run (even at
+        // look-ahead 0): every load stays in its own row, and every byte a
+        // look-ahead lane compares past the end is `END`.
+        let pad = 8 * lookahead.div_ceil(8).max(1) + 2;
         let lens: Vec<usize> = reads.iter().map(Strand::len).collect();
         let stride = lens.iter().copied().max().unwrap_or(0) + pad;
         let mut bytes = vec![END; reads.len() * stride];
@@ -84,11 +85,16 @@ impl ReadRows {
     /// The one-way look-ahead scan over these rows, with an optional
     /// `anchor` whose base at each position casts `anchor_weight` votes.
     ///
-    /// Two short-circuits skip work without changing the output:
+    /// Three short-circuits skip work without changing the output:
     ///
     /// * **Unanimity fast path** — an unanchored cluster of byte-identical
     ///   reads returns its read (cut or `A`-padded to `strand_len`) without
     ///   scanning: every column is unanimous and no pointer drifts.
+    /// * **Unanimous runs** — when every read's next bytes equal read 0's
+    ///   for `r` lanes, none of them `END`, and no anchor can outvote the
+    ///   reads, the next `r` columns (at most up to `strand_len`) are
+    ///   skipped windows emitting those bases, taken in one step
+    ///   ([`unanimous_run`](ReadRows::unanimous_run)).
     /// * **Lazy look-ahead** — a column tallies its future-majority window
     ///   only when some read disagrees with the column majority, since only
     ///   a disagreeing read consults it.
@@ -178,8 +184,27 @@ impl ReadRows {
         // holds the winning base index, or `0xff` (matches no byte) when
         // the position has no votes or lies past the window.
         let mut pattern = vec![u64::MAX; lookahead.div_ceil(8)];
+        // A unanimous column's reads outvote the anchor only if there are
+        // more of them than its weight (a tie may go to the anchor).
+        let runs = anchor.is_none() || pos.len() > anchor_weight;
         let mut out = Strand::with_capacity(strand_len);
-        for j in 0..strand_len {
+        let mut next = 0;
+        while next < strand_len {
+            let j = next;
+            let run = if runs { self.unanimous_run(&pos) } else { 0 };
+            if run > 0 {
+                // Each column of the run is one every read agrees with:
+                // its base wins, every pointer advances, and the window
+                // is skipped.
+                let run = run.min(strand_len - j);
+                let lead = load8(&self.bytes, pos[0]);
+                out.extend((0..run).map(|k| Base::ALL[((lead >> (8 * k)) & 3) as usize]));
+                pos.iter_mut().for_each(|p| *p += run);
+                stats.skipped_windows += run;
+                next += run;
+                continue;
+            }
+            next += 1;
             // Column votes: byte lane `b` counts the reads pointing at `b`.
             let mut counts = [0usize; 4];
             for (pos, cur) in pos.chunks(LANE_MAX).zip(cur.chunks_mut(LANE_MAX)) {
@@ -287,6 +312,25 @@ impl ReadRows {
             }
         }
         out
+    }
+
+    /// The number of byte lanes, from the reads' pointers `pos` on, in
+    /// which every read holds read 0's byte and that byte is no `END`: at
+    /// most 8, and 0 without reads.
+    fn unanimous_run(&self, pos: &[usize]) -> usize {
+        let Some((&first, rest)) = pos.split_first() else {
+            return 0;
+        };
+        let lead = load8(&self.bytes, first);
+        // `END` is the only byte with bit 2 set: its lanes end the run.
+        let mut differ = (lead >> 2) & ONES;
+        for &p in rest {
+            differ |= load8(&self.bytes, p) ^ lead;
+            if differ & 0xff != 0 {
+                return 0;
+            }
+        }
+        differ.trailing_zeros() as usize / 8
     }
 
     /// The scan's output when every read is byte-identical, or `None` when

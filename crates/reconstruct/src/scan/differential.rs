@@ -213,6 +213,42 @@ fn kernel_matches_oracle_on_ties_and_homopolymers() {
     }
 }
 
+/// Unanimous runs: clusters whose reads fall back into step after one
+/// scored column, so the next columns are taken as one run. The run must
+/// stop at an `END` lane inside its word (every read ends there), be cut
+/// at `strand_len`, and be refused when the reads only tie the anchor.
+#[test]
+fn unanimous_runs_match_the_oracle() {
+    let mut total = LookaheadFilterStats::default();
+    let clusters: Vec<Vec<Strand>> = vec![
+        // One scored column, then "CGTA" and every read's `END` in lane 4.
+        vec![s("ACGTA"), s("ACGTA"), s("TCGTA")],
+        // Runs longer than one word, cut at short design lengths.
+        vec![s("ACGTACGTACGTACGTAC"), s("ACGTACGTACGTACGTAC"), s("TCGTACGTACGTACGTAC")],
+        // Reads that end at different columns after the run.
+        vec![s("GATTACAGG"), s("GATTACA"), s("CATTACAG"), s("GATTACAGGT")],
+        // Identical reads: anchored scans take them as runs.
+        vec![s("CCCCGGTT"); 2],
+        vec![s("TTGCA"); 3],
+        // A deletion in one read re-syncs into a run.
+        vec![s("ACGTTGCAAC"), s("ACGTTGCAAC"), s("ACGTGCAAC")],
+    ];
+    let anchors = [s("AAAAAAAAAAAAAAAAAAAA"), s("CCGG"), s("ACGTACGTACGTACGTAC"), s("")];
+    for reads in &clusters {
+        for strand_len in 0..=20 {
+            let lookaheads = [0, 1, 3, 8, 9];
+            check(reads, None, 0, strand_len, &lookaheads, &mut total);
+            // Weights below, equal to and above the read count.
+            for anchor in &anchors {
+                for weight in 0..=reads.len() + 1 {
+                    check(reads, Some(anchor), weight, strand_len, &lookaheads, &mut total);
+                }
+            }
+        }
+    }
+    assert!(total.skipped_windows > 0 && total.scored_windows > 0);
+}
+
 /// Checks the certificate on forward and reversed rows of `reads`: the
 /// recording scan returns the plain scan's strand and counters, and a
 /// certified strand `E` is what every anchored rescan `scan(Some(&E), w)`

@@ -37,7 +37,7 @@ pub struct ProtocolError {
 }
 
 impl ProtocolError {
-    fn new(line: usize, message: impl Into<String>) -> ProtocolError {
+    pub(crate) fn new(line: usize, message: impl Into<String>) -> ProtocolError {
         ProtocolError {
             line,
             message: message.into(),

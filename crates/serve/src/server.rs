@@ -246,9 +246,10 @@ pub struct ServeReport {
 ///
 /// Responses are written in request order, one line per non-blank input
 /// line, and are byte-identical for every worker-pool size. In strict
-/// mode (the default) the first protocol violation writes every admitted
-/// request's response and returns [`ServeError::Protocol`]; in lenient
-/// mode it becomes a `rejected` response and the stream continues.
+/// mode (the default) the first protocol violation (malformed JSON, a line
+/// that is not UTF-8, a failed validation) writes every admitted request's
+/// response and returns [`ServeError::Protocol`]; in lenient mode it
+/// becomes a `rejected` response and the stream continues.
 ///
 /// # Errors
 ///
@@ -287,7 +288,7 @@ where
 /// As [`serve`], plus [`ServeError::Output`] when a response cannot be
 /// written (e.g. the consumer closed the pipe).
 pub fn serve_with_shutdown<R, W>(
-    input: R,
+    mut input: R,
     output: &mut W,
     config: &ServeConfig,
     pool: &ThreadPool,
@@ -329,18 +330,35 @@ where
             window: config.window,
             budget,
         };
-        let mut lines = input.lines().enumerate();
+        // Each line is read as bytes into one reused buffer, so a line
+        // that is not UTF-8 is a protocol error like malformed JSON.
+        let mut line = Vec::new();
+        let mut line_no = 0;
         loop {
             // Backpressure: read no line while the window is full.
             session.make_room()?;
-            let Some((idx, line)) = lines.next() else { break };
-            let line = line.map_err(DnasimError::Io)?;
-            if line.trim().is_empty() {
+            line.clear();
+            match input.read_until(b'\n', &mut line) {
+                Ok(0) => break,
+                Ok(_) => line_no += 1,
+                Err(e) => {
+                    // Write every admitted response before reporting the
+                    // failed read, as for a protocol error.
+                    session.drain()?;
+                    let _ = session.output.flush();
+                    return Err(DnasimError::Io(e).into());
+                }
+            }
+            let text = std::str::from_utf8(request_line(&line));
+            if text.is_ok_and(|text| text.trim().is_empty()) {
                 continue;
             }
             session.report.requests += 1;
             let cancelled = shutdown.is_cancelled();
-            match Request::parse(&line, idx + 1, config.max_batch) {
+            let parsed = text
+                .map_err(|_| ProtocolError::new(line_no, "request line is not valid UTF-8"))
+                .and_then(|text| Request::parse(text, line_no, config.max_batch));
+            match parsed {
                 // Overload shedding: an explicit cluster budget also caps
                 // the *total* work any one request may demand. A shed
                 // request holds a slot (responses stay 1:1 with input
@@ -377,6 +395,15 @@ where
         session.output.flush().map_err(ServeError::Output)?;
         Ok(session.report)
     })
+}
+
+/// A request line without its `\n` or `\r\n` terminator, as
+/// `BufRead::lines` would yield it.
+fn request_line(line: &[u8]) -> &[u8] {
+    match line.strip_suffix(b"\n") {
+        Some(body) => body.strip_suffix(b"\r").unwrap_or(body),
+        None => line,
+    }
 }
 
 /// A slot in the in-flight set: an admitted request, the request read as
@@ -689,11 +716,17 @@ fn run_op(
     }
 }
 
-/// Renders a dataset's cluster-file text as a JSON string literal.
-fn dataset_text(buf: Vec<u8>) -> Result<String, DnasimError> {
-    let text = String::from_utf8(buf)
+/// Renders a dataset's cluster-file text as a JSON string literal,
+/// escaped straight into the response field.
+fn dataset_text(buf: &[u8]) -> Result<String, DnasimError> {
+    let text = std::str::from_utf8(buf)
         .map_err(|_| DnasimError::codec("cluster-file text is not UTF-8"))?;
-    Ok(format!("\"{}\"", crate::json::escape(&text)))
+    // Only the newlines need an escape: one extra byte per line.
+    let mut out = String::with_capacity(text.len() + text.len() / 8 + 2);
+    out.push('"');
+    crate::json::escape_into(&mut out, text);
+    out.push('"');
+    Ok(out)
 }
 
 fn op_generate(
@@ -722,7 +755,7 @@ fn op_generate(
         Format::Text => vec![
             ("clusters".into(), written.to_string()),
             ("reads".into(), reads.to_string()),
-            ("dataset".into(), dataset_text(buf)?),
+            ("dataset".into(), dataset_text(&buf)?),
         ],
         // Binary frames are not JSON-safe, so the response carries the
         // encoded size and checksum instead of the dataset itself; a
@@ -761,26 +794,29 @@ fn op_corrupt(
     let channel = namespace.derive_seq("channel");
     let mut noisy = Dataset::new();
     let window = simulator.simulate_in(&references, &channel, ctx, &mut noisy)?;
-    let mut pairs = String::from("[");
+    // Bases never need a JSON escape, so they render straight into the
+    // array: `{"clean":"…","noisy":["…",…]}` per cluster.
+    let mut pairs = vec![b'['];
     for (i, cluster) in noisy.iter().enumerate() {
         if i > 0 {
-            pairs.push(',');
+            pairs.push(b',');
         }
-        let mut pair = Obj::new().str("clean", &cluster.reference().to_string());
-        let mut noisy_reads = String::from("[");
+        pairs.extend_from_slice(b"{\"clean\":\"");
+        cluster.reference().extend_ascii(&mut pairs);
+        pairs.extend_from_slice(b"\",\"noisy\":[");
         for (j, read) in cluster.reads().iter().enumerate() {
             if j > 0 {
-                noisy_reads.push(',');
+                pairs.push(b',');
             }
-            noisy_reads.push('"');
-            noisy_reads.push_str(&crate::json::escape(&read.to_string()));
-            noisy_reads.push('"');
+            pairs.push(b'"');
+            read.extend_ascii(&mut pairs);
+            pairs.push(b'"');
         }
-        noisy_reads.push(']');
-        pair = pair.raw("noisy", &noisy_reads);
-        pairs.push_str(&pair.finish());
+        pairs.extend_from_slice(b"]}");
     }
-    pairs.push(']');
+    pairs.push(b']');
+    let pairs = String::from_utf8(pairs)
+        .map_err(|_| DnasimError::codec("rendered strand pairs are not UTF-8"))?;
     Ok(OpOutput {
         fields: vec![
             ("count".into(), noisy.len().to_string()),
@@ -816,7 +852,7 @@ fn op_simulate(
         fields: vec![
             ("clusters".into(), clusters.to_string()),
             ("reads".into(), reads.to_string()),
-            ("dataset".into(), dataset_text(buf)?),
+            ("dataset".into(), dataset_text(&buf)?),
         ],
         window,
         degraded: false,
@@ -1006,6 +1042,121 @@ mod tests {
         assert!(lines[2].contains("\"tenant\":\"b\""));
         assert_eq!(report.rejected, 2);
         assert_eq!(report.ok, 1);
+    }
+
+    /// Serves `input` at 1, 2 and 4 workers and checks that every run
+    /// wrote the same bytes and ended the same way; returns the output
+    /// and the outcome rendered as text.
+    fn serve_at_every_worker_count(input: &[u8], config: &ServeConfig) -> (String, String) {
+        let runs: Vec<(Vec<u8>, String)> = [1, 2, 4]
+            .into_iter()
+            .map(|workers| {
+                let mut out = Vec::new();
+                let ended = match serve(input, &mut out, config, &ThreadPool::new(workers)) {
+                    Ok(report) => format!(
+                        "ok: requests={} ok={} rejected={}",
+                        report.requests, report.ok, report.rejected
+                    ),
+                    Err(e) => format!("error: {e}"),
+                };
+                (out, ended)
+            })
+            .collect();
+        for (workers, run) in [2, 4].into_iter().zip(&runs[1..]) {
+            assert_eq!(run, &runs[0], "workers={workers}");
+        }
+        let (out, ended) = runs.into_iter().next().expect("three runs");
+        (String::from_utf8(out).expect("responses are UTF-8"), ended)
+    }
+
+    #[test]
+    fn non_utf8_lines_are_protocol_errors_at_every_worker_count() {
+        let mut input = Vec::new();
+        for i in 0..12 {
+            input.extend_from_slice(
+                format!(
+                    "{{\"tenant\":\"t{}\",\"request_id\":\"r{i}\",\"op\":\"corrupt\",\
+                     \"count\":3,\"len\":30,\"reads\":2}}\r\n",
+                    i % 3
+                )
+                .as_bytes(),
+            );
+            if i == 5 {
+                // Line 7: a stray Latin-1 byte inside a string.
+                input.extend_from_slice(b"{\"tenant\":\"caf\xe9\",\"request_id\":\"x\"}\n");
+            }
+        }
+        // Line 14: a truncated two-byte sequence with no newline after it.
+        input.extend_from_slice(b"\xc3");
+        let lenient = ServeConfig {
+            window: 4,
+            batch_size: 16,
+            lenient: true,
+            ..ServeConfig::default()
+        };
+        let (text, ended) = serve_at_every_worker_count(&input, &lenient);
+        assert_eq!(ended, "ok: requests=14 ok=12 rejected=2");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 14);
+        assert_eq!(
+            lines[6],
+            "{\"request_id\":\"\",\"tenant\":\"\",\"status\":\"rejected\",\
+             \"error\":\"request line 7: request line is not valid UTF-8\"}"
+        );
+        assert!(lines[13].contains("request line 14: request line is not valid UTF-8"));
+        assert!(lines[7].contains("\"request_id\":\"r6\""), "{}", lines[7]);
+
+        // Strict mode: the six admitted requests are answered, then the
+        // session ends with the diagnostic.
+        let strict = ServeConfig {
+            lenient: false,
+            ..lenient
+        };
+        let (text, ended) = serve_at_every_worker_count(&input, &strict);
+        assert_eq!(ended, "error: request line 7: request line is not valid UTF-8");
+        assert_eq!(text.lines().count(), 6);
+        assert!(text.lines().all(|line| line.contains("\"status\":\"ok\"")));
+    }
+
+    #[test]
+    fn a_failed_read_drains_the_admitted_requests_first() {
+        use std::io::Read;
+
+        // Three request lines, then the transport fails.
+        struct FailingReader(Vec<u8>);
+        impl Read for FailingReader {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                if self.0.is_empty() {
+                    return Err(std::io::Error::other("transport reset"));
+                }
+                let n = buf.len().min(self.0.len());
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0.drain(..n);
+                Ok(n)
+            }
+        }
+        let config = ServeConfig {
+            window: 8,
+            batch_size: 16,
+            ..ServeConfig::default()
+        };
+        for workers in [1, 2, 4] {
+            let lines: String = (0..3)
+                .map(|i| {
+                    format!(
+                        "{{\"tenant\":\"t\",\"request_id\":\"r{i}\",\"op\":\"generate\",\
+                         \"clusters\":4,\"len\":20}}\n"
+                    )
+                })
+                .collect();
+            let reader = std::io::BufReader::new(FailingReader(lines.into_bytes()));
+            let mut out = Vec::new();
+            let err = serve(reader, &mut out, &config, &ThreadPool::new(workers)).unwrap_err();
+            assert!(matches!(err, ServeError::Runtime(DnasimError::Io(_))), "{err}");
+            assert!(err.to_string().contains("transport reset"), "{err}");
+            let text = String::from_utf8(out).expect("utf8");
+            assert_eq!(text.lines().count(), 3, "workers={workers}");
+        }
     }
 
     #[test]

@@ -196,10 +196,33 @@ mutant "twin kernel draws at a position with no hotspot" crates/dataset/src/twin
     -p dnasim-dataset --lib twin::tests::threshold_kernel_matches_the_per_read_oracle
 
 # DESIGN.md §22: `json::escape` copies the unescaped run before each
-# escaped byte.
+# escaped byte. (Resuming at the escaped byte itself would loop forever,
+# so the boundary moves one byte past it.)
 mutant "escape run boundary off by one" crates/core/src/json.rs \
-    's/        run_start = i + 1;/        run_start = i;/' \
+    's/        run_start = i + 1;/        run_start = i + 2;/' \
     -p dnasim-core --lib json::tests::escape_matches_the_per_char_oracle
+
+# DESIGN.md §29: the text path's fast paths. The run parser and `escape`
+# share one word scan, `plain_run`; the strand table and the unanimous
+# runs have their own differentials.
+mutant "run predicate without < 0x20" crates/core/src/json.rs \
+    's/bytes_below(word, 0x20)/bytes_below(word, 0)/' \
+    -p dnasim-core --lib json::tests
+mutant "word scan misses the backslash" crates/core/src/json.rs \
+    '/| bytes_below(word ^ (ONES \* b.\\\\. as u64), 1)$/d' \
+    -p dnasim-core --lib json::tests
+mutant "byte table maps N to a base" crates/core/src/strand.rs \
+    's/const BASE_LETTERS: \&\[u8\] = b"ACGTacgt";/const BASE_LETTERS: \&[u8] = b"ACGTacgtN";/' \
+    -p dnasim-core --lib strand::tests
+mutant "unanimous run not cut at strand_len" crates/reconstruct/src/scan.rs \
+    's/let run = run\.min(strand_len - j);/let run = run;/' \
+    -p dnasim-reconstruct --lib scan::differential
+mutant "an END lane does not stop a unanimous run" crates/reconstruct/src/scan.rs \
+    's/let mut differ = (lead >> 2) \& ONES;/let mut differ = 0;/' \
+    -p dnasim-reconstruct --lib scan::differential
+mutant "unanimous runs taken when the reads only tie the anchor" crates/reconstruct/src/scan.rs \
+    's/pos\.len() > anchor_weight;/pos.len() >= anchor_weight;/' \
+    -p dnasim-reconstruct --lib scan::differential
 
 # DESIGN.md §19: exact two-phase parallel clustering.
 mutant "skip phase 2's in-batch search" crates/cluster/src/streaming.rs \

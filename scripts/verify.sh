@@ -18,8 +18,9 @@
 # 5. Run the full test suite twice — at DNASIM_THREADS=1 and
 #    DNASIM_THREADS=4 — so every pool-backed stage is exercised both
 #    serial and parallel; the golden end-to-end snapshots
-#    (tests/golden_pipeline.rs → golden_pipeline.txt, and the imperfect
-#    archive's tests/golden_archive.rs → golden_archive.txt) are diffed
+#    (tests/golden_pipeline.rs → golden_pipeline.txt, the imperfect
+#    archive's tests/golden_archive.rs → golden_archive.txt, and one
+#    serve session's tests/golden_serve.rs → golden_serve.txt) are diffed
 #    under both thread counts, which is DESIGN.md §9's contract that
 #    thread count never changes output.
 # 6. Run the chaos fault-injection suite in smoke mode.
@@ -224,11 +225,11 @@ echo "== offline release build =="
 # target/release/dnasim for the CLI smoke below).
 CARGO_NET_OFFLINE=true cargo build --release --workspace
 
-# The full suite runs under two thread counts. tests/golden_pipeline.rs
-# and tests/golden_archive.rs build their pools with
-# ThreadPool::from_env(), so each run re-diffs the checked-in
-# golden_pipeline.txt and golden_archive.txt snapshots under that worker
-# count, and
+# The full suite runs under two thread counts. tests/golden_pipeline.rs,
+# tests/golden_archive.rs and tests/golden_serve.rs build their pools
+# with ThreadPool::from_env(), so each run re-diffs the checked-in
+# golden_pipeline.txt, golden_archive.txt and golden_serve.txt snapshots
+# under that worker count, and
 # tests/parallel_equivalence.rs covers the 1/2/4/8 grid internally.
 echo "== test suite (DNASIM_THREADS=1) =="
 CARGO_NET_OFFLINE=true DNASIM_THREADS=1 cargo test -q
@@ -377,7 +378,17 @@ serve_code=$?
 set -e
 [ "$serve_code" -eq 2 ]
 printf '%s' "$serve_err" | grep -q "request line 1"
-echo "ok: serve answers valid JSONL and rejects malformed lines with exit 2"
+# So must a line that is not UTF-8, after answering the line before it.
+set +e
+serve_all=$(printf '%s\n\xff\n' \
+    '{"tenant":"acme","request_id":"r1","op":"corrupt","count":2,"len":20,"reads":2}' \
+    | "$dnasim" serve 2>&1)
+serve_code=$?
+set -e
+[ "$serve_code" -eq 2 ]
+printf '%s' "$serve_all" | grep -q '"request_id":"r1"'
+printf '%s' "$serve_all" | grep -q "request line 2: request line is not valid UTF-8"
+echo "ok: serve answers valid JSONL and rejects malformed or non-UTF-8 lines with exit 2"
 
 echo "== serve invariance over a pipe (threads and window) =="
 # One mixed stream through `dnasim serve` four ways. The archive requests
