@@ -100,21 +100,6 @@ impl FullHistogramModel {
     pub fn strand_len(&self) -> usize {
         self.positions.len()
     }
-
-    /// Total expected errors per read at the learned length (sanity /
-    /// reporting).
-    pub fn expected_errors_per_read(&self) -> f64 {
-        self.positions
-            .iter()
-            .map(|p| {
-                // Uniform base prior over conditional tables.
-                let sub: f64 = p.substitution.iter().flatten().sum::<f64>() / 4.0;
-                let del: f64 = p.deletion.iter().sum::<f64>() / 4.0;
-                let ins: f64 = p.insertion.iter().sum::<f64>();
-                sub + del + ins
-            })
-            .sum()
-    }
 }
 
 impl ErrorModel for FullHistogramModel {
@@ -188,8 +173,9 @@ mod tests {
             stats.record_pair(&reference, &reference, TieBreak::Random, &mut rng);
         }
         let model = FullHistogramModel::from_stats(&stats);
-        assert_eq!(model.expected_errors_per_read(), 0.0);
-        assert_eq!(model.corrupt(&reference, &mut rng), reference);
+        for _ in 0..20 {
+            assert_eq!(model.corrupt(&reference, &mut rng), reference);
+        }
     }
 
     #[test]

@@ -192,7 +192,7 @@ fn usage_text() -> &'static str {
      \x20 --format selects the cluster-file codec a command writes (readers\n\
      \x20 auto-detect by magic bytes)\n\
      \x20 --simd auto|off selects the backend of the edit-distance kernels\n\
-     \x20 and the error-ball screen (auto detects AVX2/NEON at runtime; off\n\
+     \x20 and the error-ball screen (auto detects AVX2 at runtime; off\n\
      \x20 forces the portable fallback; DNASIM_SIMD=off is the env\n\
      \x20 equivalent); all backends are exact, so output is byte-identical\n\
      \x20 either way\n\

@@ -744,7 +744,7 @@ fn profile_reports_cluster_kernel_diagnostics() {
     assert!(stdout.contains("cluster kernel:"), "diagnostic line missing:\n{stdout}");
     assert!(stdout.contains("pruned by error ball"));
     assert!(
-        stdout.contains("simd avx2") || stdout.contains("simd neon") || stdout.contains("simd scalar"),
+        stdout.contains("simd avx2") || stdout.contains("simd scalar"),
         "diagnostic line must name the backend:\n{stdout}"
     );
 }

@@ -14,8 +14,8 @@
 //!    exceeds the threshold before any kernel runs;
 //! 2. the **multi-pattern kernel tier** — surviving candidates with equal
 //!    word counts are batched into [`PatternBank`]s so one pass over the
-//!    read advances up to [`MAX_LANES`] representatives at once (AVX2 /
-//!    NEON / scalar, runtime selected).
+//!    read advances up to [`MAX_LANES`] representatives at once (AVX2 or
+//!    scalar, runtime selected).
 //!
 //! Both layers are exact, so `cluster` and `cluster_against_references`
 //! return byte-identical groupings with any backend and with the
@@ -131,13 +131,6 @@ impl GreedyClusterer {
     }
 }
 
-/// Perfect (pseudo-)clustering: treats the simulator's ordered output as
-/// already clustered. This is the identity on a [`Dataset`] and exists to
-/// make the clustering choice explicit at call sites.
-pub fn perfect_clustering(dataset: Dataset) -> Dataset {
-    dataset
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,14 +227,6 @@ mod tests {
         let references = vec![Strand::random(50, &mut rng)];
         let dataset = GreedyClusterer::default().cluster_against_references(&[], &references).0;
         assert_eq!(dataset.erasure_count(), 1);
-    }
-
-    #[test]
-    fn perfect_clustering_is_identity() {
-        let mut rng = seeded(6);
-        let r = Strand::random(20, &mut rng);
-        let ds = Dataset::from_clusters(vec![Cluster::new(r.clone(), vec![r])]);
-        assert_eq!(perfect_clustering(ds.clone()), ds);
     }
 
     #[test]

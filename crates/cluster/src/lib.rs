@@ -3,12 +3,10 @@
 //! Sequencing returns an unordered pool of noisy reads; before trace
 //! reconstruction, reads must be grouped into clusters of copies of the
 //! same reference. Evaluation can either use *perfect* (pseudo-)clustering
-//! — treating the simulator's ordered output as already grouped, isolating
+//! — taking the simulator's ordered output as already grouped, isolating
 //! reconstruction behaviour from clustering artifacts — or run a real
 //! clusterer over the shuffled pool.
 //!
-//! * [`perfect_clustering`] — the explicit identity used by the paper's
-//!   evaluation protocol;
 //! * [`GreedyClusterer`] — single-pass greedy clustering with a
 //!   [`QGramSignature`] MinHash prefilter, a q-gram error-ball lower
 //!   bound that discharges hopeless candidates before any kernel runs,
@@ -48,7 +46,7 @@ mod signature;
 mod stats;
 mod streaming;
 
-pub use greedy::{perfect_clustering, GreedyClusterer};
+pub use greedy::GreedyClusterer;
 pub use signature::QGramSignature;
 pub use stats::ClusterStats;
 pub use streaming::{StreamAssignment, StreamingClusterer};

@@ -348,7 +348,7 @@ mod tests {
         assert_eq!(outcome.recovered, 1);
         assert_eq!(outcome.failed_groups, vec![(0, 3)]);
         assert_eq!(outcome.still_missing, 3);
-        assert!(!outcome.is_complete());
+        assert_ne!(outcome.still_missing, 0);
         assert_eq!(received[5].as_deref(), Some(&p[5][..]));
         assert!(received[0].is_none());
     }

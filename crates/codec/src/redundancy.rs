@@ -78,13 +78,6 @@ pub struct RecoveryOutcome {
     pub still_missing: usize,
 }
 
-impl RecoveryOutcome {
-    /// True when every missing strand was rebuilt.
-    pub fn is_complete(&self) -> bool {
-        self.still_missing == 0
-    }
-}
-
 impl XorParity {
     /// Creates a parity scheme over groups of `group_size` payloads.
     ///
@@ -304,7 +297,7 @@ mod tests {
         assert_eq!(outcome.recovered, 1);
         assert_eq!(outcome.failed_groups, vec![(0, 2)]);
         assert_eq!(outcome.still_missing, 2);
-        assert!(!outcome.is_complete());
+        assert_ne!(outcome.still_missing, 0);
         assert_eq!(received[2].as_deref(), Some(&p[2][..]));
         assert!(received[0].is_none());
     }
@@ -317,6 +310,6 @@ mod tests {
         let outcome = parity.recover_lenient(&mut received);
         assert_eq!(outcome.recovered, 0);
         assert!(outcome.failed_groups.is_empty());
-        assert!(outcome.is_complete());
+        assert_eq!(outcome.still_missing, 0);
     }
 }

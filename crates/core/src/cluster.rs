@@ -1,8 +1,5 @@
 //! Clusters: a reference strand together with its noisy copies.
 
-use crate::rng::SliceRandom;
-use crate::rng::Rng;
-
 use crate::strand::Strand;
 
 /// A reference strand paired with the noisy reads that sequenced from it.
@@ -96,11 +93,6 @@ impl Cluster {
         }
     }
 
-    /// Shuffles the order of the reads in place.
-    pub fn shuffle_reads<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        self.reads.shuffle(rng);
-    }
-
     /// Decomposes the cluster into its reference and reads.
     pub fn into_parts(self) -> (Strand, Vec<Strand>) {
         (self.reference, self.reads)
@@ -110,7 +102,6 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::seeded;
 
     fn sample() -> Cluster {
         Cluster::new(
@@ -153,18 +144,6 @@ mod tests {
         c.push_read("A".parse().unwrap());
         assert_eq!(c.coverage(), 1);
         assert!(!c.is_erasure());
-    }
-
-    #[test]
-    fn shuffle_preserves_multiset() {
-        let mut c = sample();
-        let mut before: Vec<String> = c.reads().iter().map(|r| r.to_string()).collect();
-        let mut rng = seeded(5);
-        c.shuffle_reads(&mut rng);
-        let mut after: Vec<String> = c.reads().iter().map(|r| r.to_string()).collect();
-        before.sort();
-        after.sort();
-        assert_eq!(before, after);
     }
 
     #[test]

@@ -51,13 +51,6 @@ impl Dataset {
         crate::stream::DatasetStream::new(self)
     }
 
-    /// Like [`Dataset::stream`], but consuming the dataset so the source
-    /// is `'static` — the shape [`PrefetchSource`](crate::PrefetchSource)
-    /// needs to move it onto its worker thread.
-    pub fn into_stream(self) -> crate::stream::OwnedDatasetStream {
-        crate::stream::OwnedDatasetStream::new(self)
-    }
-
     /// Number of clusters (= number of reference strands).
     pub fn len(&self) -> usize {
         self.clusters.len()
@@ -163,21 +156,6 @@ impl Dataset {
         }
     }
 
-    /// Returns a dataset restricted to clusters with coverage ≥ `min`.
-    ///
-    /// The §3.2 protocol discards clusters below a minimum coverage (1,006
-    /// of the 10,000 Nanopore clusters at min = 10) before sweeping coverage.
-    pub fn filter_min_coverage(&self, min: usize) -> Dataset {
-        Dataset {
-            clusters: self
-                .clusters
-                .iter()
-                .filter(|c| c.coverage() >= min)
-                .cloned()
-                .collect(),
-        }
-    }
-
     /// Flattens the dataset into an unordered pool of reads, losing cluster
     /// identity — the shape a real sequencing read-out has before
     /// clustering.
@@ -278,13 +256,6 @@ mod tests {
     fn with_coverage_truncates_all() {
         let ds = sample().with_coverage(1);
         assert_eq!(ds.coverages(), vec![1, 1, 0]);
-    }
-
-    #[test]
-    fn filter_min_coverage_drops_small_clusters() {
-        let ds = sample().filter_min_coverage(2);
-        assert_eq!(ds.len(), 2);
-        assert!(ds.iter().all(|c| c.coverage() >= 2));
     }
 
     #[test]

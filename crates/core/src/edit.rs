@@ -74,16 +74,6 @@ impl EditOp {
             _ => 1,
         }
     }
-
-    /// How many read positions this operation produces (1 for `Equal`,
-    /// `Subst`, `Insert`; 0 for `Delete`).
-    #[inline]
-    pub const fn read_advance(self) -> usize {
-        match self {
-            EditOp::Delete(_) => 0,
-            _ => 1,
-        }
-    }
 }
 
 impl fmt::Display for EditOp {
@@ -253,23 +243,6 @@ impl EditScript {
             });
         }
         Ok(out)
-    }
-
-    /// For each error op, the (reference position, op) pair. Insertions are
-    /// attributed to the reference position *before which* they occur.
-    ///
-    /// This positional attribution is what spatial-distribution analysis
-    /// (§3.3.2) is built on.
-    pub fn positioned_errors(&self) -> Vec<(usize, EditOp)> {
-        let mut out = Vec::new();
-        let mut pos = 0usize;
-        for &op in &self.ops {
-            if op.is_error() {
-                out.push((pos, op));
-            }
-            pos += op.reference_advance();
-        }
-        out
     }
 
     /// Lengths of every maximal run of consecutive deletions.
@@ -482,34 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn positioned_errors_attribute_positions() {
-        // ref: A G C G  → read: A G G (delete C at position 2)
-        let script = EditScript::from_ops(vec![
-            EditOp::Equal(Base::A),
-            EditOp::Equal(Base::G),
-            EditOp::Delete(Base::C),
-            EditOp::Equal(Base::G),
-        ]);
-        assert_eq!(
-            script.positioned_errors(),
-            vec![(2, EditOp::Delete(Base::C))]
-        );
-    }
-
-    #[test]
-    fn insertion_position_is_next_reference_base() {
-        let script = EditScript::from_ops(vec![
-            EditOp::Equal(Base::A),
-            EditOp::Insert(Base::T),
-            EditOp::Equal(Base::C),
-        ]);
-        assert_eq!(
-            script.positioned_errors(),
-            vec![(1, EditOp::Insert(Base::T))]
-        );
-    }
-
-    #[test]
     fn deletion_runs() {
         let script = EditScript::from_ops(vec![
             EditOp::Delete(Base::A),
@@ -525,15 +470,7 @@ mod tests {
     fn op_advances() {
         assert_eq!(EditOp::Equal(Base::A).reference_advance(), 1);
         assert_eq!(EditOp::Insert(Base::A).reference_advance(), 0);
-        assert_eq!(EditOp::Delete(Base::A).read_advance(), 0);
-        assert_eq!(
-            EditOp::Subst {
-                orig: Base::A,
-                new: Base::C
-            }
-            .read_advance(),
-            1
-        );
+        assert_eq!(EditOp::Delete(Base::A).reference_advance(), 1);
     }
 
     #[test]

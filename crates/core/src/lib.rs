@@ -66,5 +66,5 @@ pub use strand::{ParseStrandError, Strand};
 pub use stream::{
     checked_batch_size, fold_windows, produce_windows, pump, pump_budgeted, pump_prefetch,
     resident_reads, Batch, ClusterSink, ClusterSource, DatasetStream, NullSink,
-    OwnedDatasetStream, PrefetchSource, WindowStats,
+    PrefetchSource, WindowStats,
 };

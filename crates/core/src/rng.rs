@@ -49,19 +49,6 @@ impl Xoshiro256PlusPlus {
         }
     }
 
-    /// Creates a generator from raw state words.
-    ///
-    /// Used by the reference-vector tests; prefer [`seed_from_u64`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state is all zero (the one degenerate fixed point).
-    ///
-    /// [`seed_from_u64`]: Xoshiro256PlusPlus::seed_from_u64
-    pub fn from_state(s: [u64; 4]) -> Xoshiro256PlusPlus {
-        assert!(s.iter().any(|&w| w != 0), "xoshiro state must be non-zero");
-        Xoshiro256PlusPlus { s }
-    }
 }
 
 impl Rng for Xoshiro256PlusPlus {
@@ -445,11 +432,6 @@ impl SeedSequence {
         splitmix64(self.root ^ splitmix64(self.counter))
     }
 
-    /// Returns the next child RNG in the stream.
-    pub fn next_rng(&mut self) -> SimRng {
-        seeded(self.next_seed())
-    }
-
     /// Derives an independent child sequence for item `index`.
     ///
     /// This is the workspace's discipline for fan-outs over homogeneous
@@ -562,7 +544,7 @@ mod tests {
     fn matches_xoshiro256plusplus_reference_vector() {
         // Reference output for state [1, 2, 3, 4] from the xoshiro authors'
         // C implementation (prng.di.unimi.it).
-        let mut rng = Xoshiro256PlusPlus::from_state([1, 2, 3, 4]);
+        let mut rng = Xoshiro256PlusPlus { s: [1, 2, 3, 4] };
         let expected: [u64; 10] = [
             41943041,
             58720359,
@@ -721,11 +703,11 @@ mod tests {
             SeedSequence::new(2).fork(7).next_seed()
         );
         // fork_rng draws from the child sequence's root stream.
-        let mut direct = seq.fork(5).next_rng();
+        let mut direct = seeded(seq.fork(5).next_seed());
         let mut viarng = seq.fork_rng(5);
         // Both are seeded deterministically; they need not be equal, but
         // each must be reproducible.
-        assert_eq!(direct.next_u64(), seq.fork(5).next_rng().next_u64());
+        assert_eq!(direct.next_u64(), seeded(seq.fork(5).next_seed()).next_u64());
         assert_eq!(viarng.next_u64(), seq.fork_rng(5).next_u64());
     }
 

@@ -90,20 +90,6 @@ impl Batch {
         self.clusters
     }
 
-    /// The half-open range of global indices the batch covers.
-    pub fn global_indices(&self) -> Range<usize> {
-        self.start..self.start + self.clusters.len()
-    }
-
-    /// Iterates `(global_index, cluster)` pairs.
-    pub fn iter_indexed(&self) -> impl Iterator<Item = (usize, &Cluster)> {
-        let start = self.start;
-        self.clusters
-            .iter()
-            .enumerate()
-            .map(move |(i, c)| (start + i, c))
-    }
-
     /// Consumes the batch, returning its start index and clusters.
     pub fn into_parts(self) -> (usize, Vec<Cluster>) {
         (self.start, self.clusters)
@@ -508,10 +494,13 @@ where
 /// for _ in 0..10 {
 ///     ds.push(Cluster::erasure("ACGT".parse()?));
 /// }
-/// let mut prefetch = PrefetchSource::spawn(ds.clone().into_stream(), 3)?;
+/// // The worker needs a `'static` source, such as a file reader; a leaked
+/// // dataset's stream stands in for one here.
+/// let ds: &'static Dataset = Box::leak(Box::new(ds));
+/// let mut prefetch = PrefetchSource::spawn(ds.stream(), 3)?;
 /// let mut out = Dataset::new();
 /// pump(&mut prefetch, &mut out, 3, Ok)?;
-/// assert_eq!(out, ds);
+/// assert_eq!(&out, ds);
 /// assert!(prefetch.stats().high_watermark <= 6);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -716,34 +705,6 @@ impl ClusterSource for DatasetStream<'_> {
     }
 }
 
-/// A [`ClusterSource`] that owns its [`Dataset`], so it can be moved onto
-/// another thread (see [`PrefetchSource`]). See [`Dataset::into_stream`].
-#[derive(Debug)]
-pub struct OwnedDatasetStream {
-    dataset: Dataset,
-    cursor: usize,
-}
-
-impl OwnedDatasetStream {
-    pub(crate) fn new(dataset: Dataset) -> OwnedDatasetStream {
-        OwnedDatasetStream { dataset, cursor: 0 }
-    }
-}
-
-impl ClusterSource for OwnedDatasetStream {
-    fn next_batch(&mut self, max: usize) -> Result<Option<Batch>, DnasimError> {
-        let max = checked_batch_size(max)?;
-        let clusters = self.dataset.clusters();
-        if self.cursor >= clusters.len() {
-            return Ok(None);
-        }
-        let end = self.cursor.saturating_add(max).min(clusters.len());
-        let batch = Batch::new(self.cursor, clusters[self.cursor..end].to_vec());
-        self.cursor = end;
-        Ok(Some(batch))
-    }
-}
-
 impl ClusterSink for Dataset {
     /// Appends the batch's clusters, requiring contiguity: the batch must
     /// start exactly where the dataset currently ends, so a mis-wired
@@ -795,6 +756,12 @@ impl ClusterSink for NullSink {
 mod tests {
     use super::*;
 
+    /// `ds` as the `'static` source [`PrefetchSource`] needs (leaked: a
+    /// test dataset is small and lives for the test anyway).
+    fn owned(ds: Dataset) -> DatasetStream<'static> {
+        Box::leak(Box::new(ds)).stream()
+    }
+
     fn sample(n: usize) -> Dataset {
         (0..n)
             .map(|i| {
@@ -826,10 +793,8 @@ mod tests {
         let mut source = ds.stream();
         let first = source.next_batch(3).unwrap().unwrap();
         let second = source.next_batch(3).unwrap().unwrap();
-        assert_eq!(first.global_indices(), 0..3);
-        assert_eq!(second.global_indices(), 3..6);
-        let indexed: Vec<usize> = second.iter_indexed().map(|(i, _)| i).collect();
-        assert_eq!(indexed, vec![3, 4, 5]);
+        assert_eq!((first.start(), first.len()), (0, 3));
+        assert_eq!((second.start(), second.len()), (3, 3));
     }
 
     #[test]
@@ -1069,7 +1034,7 @@ mod tests {
         for batch_size in [1, 3, 7, 13, 64] {
             let mut out = Dataset::new();
             let stats =
-                pump_prefetch(ds.clone().into_stream(), &mut out, batch_size, Ok).unwrap();
+                pump_prefetch(owned(ds.clone()), &mut out, batch_size, Ok).unwrap();
             assert_eq!(out, ds, "batch_size={batch_size}");
             assert_eq!(stats.clusters, 13);
             assert!(
@@ -1083,7 +1048,7 @@ mod tests {
 
     #[test]
     fn prefetch_over_empty_source_is_clean_end_of_stream() {
-        let mut prefetch = PrefetchSource::spawn(Dataset::new().into_stream(), 4).unwrap();
+        let mut prefetch = PrefetchSource::spawn(owned(Dataset::new()), 4).unwrap();
         assert!(prefetch.next_batch(4).unwrap().is_none());
         // Fused: repeated pulls stay at end of stream.
         assert!(prefetch.next_batch(4).unwrap().is_none());
@@ -1094,7 +1059,7 @@ mod tests {
     fn prefetch_single_batch_watermark_is_one_batch() {
         let ds = sample(3);
         let mut out = Dataset::new();
-        let stats = pump_prefetch(ds.clone().into_stream(), &mut out, 8, Ok).unwrap();
+        let stats = pump_prefetch(owned(ds.clone()), &mut out, 8, Ok).unwrap();
         assert_eq!(out, ds);
         assert_eq!(stats.batches, 1);
         // With a single batch there is never a second buffer in flight.
@@ -1104,7 +1069,7 @@ mod tests {
     #[test]
     fn prefetch_watermark_is_bounded_by_two_consecutive_batches() {
         let ds = sample(10);
-        let mut prefetch = PrefetchSource::spawn(ds.into_stream(), 4).unwrap();
+        let mut prefetch = PrefetchSource::spawn(owned(ds), 4).unwrap();
         while prefetch.next_batch(4).unwrap().is_some() {}
         let stats = prefetch.stats();
         assert_eq!(stats.clusters, 10);
@@ -1201,7 +1166,7 @@ mod tests {
     #[test]
     fn prefetch_rejects_mismatched_pull_size() {
         let ds = sample(8);
-        let mut prefetch = PrefetchSource::spawn(ds.into_stream(), 4).unwrap();
+        let mut prefetch = PrefetchSource::spawn(owned(ds), 4).unwrap();
         let err = prefetch.next_batch(2).unwrap_err();
         assert!(matches!(err, DnasimError::Config { .. }));
     }
@@ -1245,7 +1210,7 @@ mod tests {
     #[test]
     fn prefetch_read_gauge_is_bounded_by_two_consecutive_batches() {
         let ds = sample(10); // reads at non-multiples of 3: 6 reads total
-        let mut prefetch = PrefetchSource::spawn(ds.into_stream(), 4).unwrap();
+        let mut prefetch = PrefetchSource::spawn(owned(ds), 4).unwrap();
         while prefetch.next_batch(4).unwrap().is_some() {}
         let stats = prefetch.stats();
         // Batches of 4 hold ≤ 3 reads each; the pairwise peak stays ≤ 6.

@@ -705,9 +705,9 @@ mod tests {
         let bytes = encode(&sample());
         let mut source = BinaryDatasetReader::new(bytes.as_slice());
         let first = source.next_batch(4).unwrap().unwrap();
-        assert_eq!(first.global_indices(), 0..4);
+        assert_eq!((first.start(), first.len()), (0, 4));
         let second = source.next_batch(4).unwrap().unwrap();
-        assert_eq!(second.global_indices(), 4..7);
+        assert_eq!((second.start(), second.len()), (4, 3));
         assert!(source.next_batch(4).unwrap().is_none());
     }
 

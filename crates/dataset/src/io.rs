@@ -659,9 +659,9 @@ mod tests {
         write_dataset(&ds, &mut buf).unwrap();
         let mut source = DatasetReader::new(buf.as_slice());
         let first = source.next_batch(4).unwrap().unwrap();
-        assert_eq!(first.global_indices(), 0..4);
+        assert_eq!((first.start(), first.len()), (0, 4));
         let second = source.next_batch(4).unwrap().unwrap();
-        assert_eq!(second.global_indices(), 4..6);
+        assert_eq!((second.start(), second.len()), (4, 2));
         assert!(source.next_batch(4).unwrap().is_none());
     }
 

@@ -24,10 +24,9 @@ use crate::hamming::positional_matches;
 /// let perfect = reference.clone();
 /// let off_by_one: Strand = "ACGA".parse()?;
 ///
-/// let report = AccuracyReport::from_pairs([
-///     (&reference, &perfect),
-///     (&reference, &off_by_one),
-/// ]);
+/// let mut report = AccuracyReport::new();
+/// report.record(&reference, &perfect);
+/// report.record(&reference, &off_by_one);
 /// assert_eq!(report.per_strand_percent(), 50.0);
 /// assert_eq!(report.per_char_percent(), 87.5);
 /// # Ok::<(), dnasim_core::ParseStrandError>(())
@@ -44,18 +43,6 @@ impl AccuracyReport {
     /// Creates an empty report.
     pub fn new() -> AccuracyReport {
         AccuracyReport::default()
-    }
-
-    /// Builds a report from (reference, estimate) pairs.
-    pub fn from_pairs<'a, I>(pairs: I) -> AccuracyReport
-    where
-        I: IntoIterator<Item = (&'a Strand, &'a Strand)>,
-    {
-        let mut report = AccuracyReport::new();
-        for (reference, estimate) in pairs {
-            report.record(reference, estimate);
-        }
-        report
     }
 
     /// Records one reconstructed strand against its reference.

@@ -13,23 +13,23 @@
 //!   Myers recurrence runs on whole vectors (`_mm256_add_epi64` is
 //!   per-lane, exactly the no-cross-lane-carry addition the algorithm
 //!   needs);
-//! * on aarch64, the NEON backend does the same two lanes per `uint64x2_t`;
 //! * everywhere else — and whenever SIMD is disabled — a portable
 //!   multi-lane scalar fallback executes the identical per-lane integer
 //!   recurrence, so results are bit-identical on every target.
 //!
 //! Backend selection happens once at runtime ([`set_simd_mode`],
 //! `DNASIM_SIMD=off`, or feature detection via
-//! `is_x86_feature_detected!` / `is_aarch64_feature_detected!`); all
-//! backends are exact, so the choice can never change an answer — the
-//! differential suite (`myers_differential.rs`) pins every backend to the
-//! scalar DP oracle.
+//! `is_x86_feature_detected!`); both backends are exact, so the choice
+//! can never change an answer — the differential suites
+//! (`myers_differential.rs`, `myers::band_differential`) pin both to the
+//! scalar DP oracle. Other targets, aarch64 among them, run the portable
+//! backend, which every `DNASIM_SIMD=off` test pins to the same bytes.
 //!
 //! At a limit up to [`BAND`] every lane runs the one-word diagonal band
 //! of [`myers`](crate::myers) instead (DESIGN.md §28): the window's top
 //! row depends on the column only, so all lanes share its shift, and the
-//! band needs no delta scratch at all. AVX2 has its own band engine; NEON
-//! and the scalar fallback run the portable one.
+//! band needs no delta scratch at all. AVX2 has its own band engine; the
+//! scalar fallback runs the portable one.
 //!
 //! Banks require all lanes to share a word count (`ceil(len/64)`); callers
 //! group candidates by [`PackedStrand::words`] and fall back to the
@@ -70,7 +70,7 @@ pub const MAX_LANES: usize = 8;
 /// mask popcount ([`QGramScratch::mask_bound`](crate::QGramScratch::mask_bound)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdMode {
-    /// Use the best backend the CPU supports (AVX2, NEON, or scalar).
+    /// Use the best backend the CPU supports (AVX2 on x86-64, else scalar).
     Auto,
     /// Force the portable multi-lane scalar fallback.
     Off,
@@ -79,7 +79,6 @@ pub enum SimdMode {
 const TIER_UNRESOLVED: u8 = 0;
 pub(crate) const TIER_SCALAR: u8 = 1;
 pub(crate) const TIER_AVX2: u8 = 2;
-const TIER_NEON: u8 = 3;
 
 /// Resolved backend, cached after the first kernel call (or an explicit
 /// [`set_simd_mode`]).
@@ -93,12 +92,6 @@ fn resolve(mode: SimdMode) -> u8 {
             {
                 if std::arch::is_x86_feature_detected!("avx2") {
                     return TIER_AVX2;
-                }
-            }
-            #[cfg(target_arch = "aarch64")]
-            {
-                if std::arch::is_aarch64_feature_detected!("neon") {
-                    return TIER_NEON;
                 }
             }
             TIER_SCALAR
@@ -131,12 +124,11 @@ pub(crate) fn active_tier() -> u8 {
     tier
 }
 
-/// Human-readable name of the active backend (`"avx2"`, `"neon"`, or
-/// `"scalar"`), for diagnostics and CLI counter lines.
+/// Human-readable name of the active backend (`"avx2"` or `"scalar"`),
+/// for diagnostics and CLI counter lines.
 pub fn simd_tier_name() -> &'static str {
     match active_tier() {
         TIER_AVX2 => "avx2",
-        TIER_NEON => "neon",
         _ => "scalar",
     }
 }
@@ -289,19 +281,6 @@ pub fn bank_distances_with(
     out.extend(scores[..bank.lanes].iter().map(|&s| s.max(0) as usize));
 }
 
-/// [`bank_within_with`] pinned to the portable scalar backend, regardless
-/// of the runtime SIMD mode. Public so the differential suite can compare
-/// the dispatching path against the fallback on the same inputs.
-pub fn bank_within_scalar_with(
-    scratch: &mut BankScratch,
-    bank: &PatternBank,
-    text: &PackedStrand,
-    limit: usize,
-    out: &mut Vec<Option<usize>>,
-) {
-    within_on(TIER_SCALAR, scratch, bank, text, limit, out);
-}
-
 /// [`bank_within_with`] on the backend `tier`, which the CPU must
 /// support.
 pub(crate) fn within_on(
@@ -342,8 +321,7 @@ pub(crate) fn within_on(
     }
 }
 
-/// Dispatches one band scan to `tier`'s backend. NEON has no band
-/// engine of its own and runs the portable one.
+/// Dispatches one band scan to `tier`'s backend.
 fn band(
     tier: u8,
     bank: &PatternBank,
@@ -474,21 +452,13 @@ fn run(
                 crate::bank_simd::run_avx2(bank, scratch, text, eff_limit, scores, alive);
             }
         }
-        #[cfg(target_arch = "aarch64")]
-        TIER_NEON => {
-            // SAFETY: TIER_NEON is only ever passed after
-            // `is_aarch64_feature_detected!("neon")` returned true.
-            unsafe {
-                crate::bank_simd::run_neon(bank, scratch, text, eff_limit, scores, alive);
-            }
-        }
         _ => run_scalar(bank, scratch, text, eff_limit, scores, alive),
     }
 }
 
 /// Portable multi-lane backend: the exact Myers blocked recurrence, one
 /// scalar step per live lane per word, over the same interleaved layout
-/// the SIMD backends consume.
+/// the AVX2 backend consumes.
 fn run_scalar(
     bank: &PatternBank,
     scratch: &mut BankScratch,
@@ -621,7 +591,7 @@ mod tests {
         let bank = PatternBank::new(&refs).unwrap();
         let (mut a, mut b) = (Vec::new(), Vec::new());
         bank_within_with(&mut BankScratch::new(), &bank, &text, 40, &mut a);
-        bank_within_scalar_with(&mut BankScratch::new(), &bank, &text, 40, &mut b);
+        within_on(TIER_SCALAR, &mut BankScratch::new(), &bank, &text, 40, &mut b);
         assert_eq!(a, b);
     }
 
@@ -658,7 +628,16 @@ mod tests {
     }
 
     #[test]
+    fn simd_modes_resolve_to_avx2_or_scalar() {
+        assert_eq!(resolve(SimdMode::Off), TIER_SCALAR);
+        let auto = resolve(SimdMode::Auto);
+        assert!(auto == TIER_AVX2 || auto == TIER_SCALAR);
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(auto == TIER_AVX2, std::arch::is_x86_feature_detected!("avx2"));
+    }
+
+    #[test]
     fn tier_name_is_one_of_the_known_backends() {
-        assert!(["avx2", "neon", "scalar"].contains(&simd_tier_name()));
+        assert!(["avx2", "scalar"].contains(&simd_tier_name()));
     }
 }

@@ -1,22 +1,20 @@
-//! SIMD backends for the multi-pattern bank kernel.
+//! The AVX2 backend for the multi-pattern bank kernel (x86-64 only).
 //!
-//! Both backends execute the exact per-lane recurrence of
-//! [`bank`](crate::bank)'s scalar engine — the Myers addition never
-//! carries across 64-bit lanes, so `_mm256_add_epi64` / `vaddq_u64`
-//! vectorise it directly. AVX2 advances four pattern lanes per
-//! `__m256i` (two vectors cover an 8-lane bank); NEON advances two per
-//! `uint64x2_t`. The only per-lane-divergent operation — extracting the
-//! score bit at `(len − 1) & 63` — uses the variable-shift forms
-//! (`_mm256_srlv_epi64`, `vshlq_u64` with negative counts).
+//! It executes the exact per-lane recurrence of [`bank`](crate::bank)'s
+//! scalar engine — the Myers addition never carries across 64-bit lanes,
+//! so `_mm256_add_epi64` vectorises it directly. AVX2 advances four
+//! pattern lanes per `__m256i` (two vectors cover an 8-lane bank). The
+//! only per-lane-divergent operation — extracting the score bit at
+//! `(len − 1) & 63` — uses the variable-shift form `_mm256_srlv_epi64`.
 //!
 //! AVX2 also runs the one-word diagonal band of
 //! [`band_scalar`](crate::bank::band_scalar): every lane shares the
 //! window's shift, and the abandon test counts bits per 64-bit lane with
 //! nibble-table lookups summed by `vpsadbw`.
 //!
-//! Callers must guarantee the matching CPU feature before entering
-//! (`is_x86_feature_detected!("avx2")` / `is_aarch64_feature_detected!
-//! ("neon")`); the dispatcher in [`bank`](crate::bank) caches that probe.
+//! Callers must guarantee AVX2 before entering
+//! (`is_x86_feature_detected!("avx2")`); the dispatcher in
+//! [`bank`](crate::bank) caches that probe.
 //! All raw-pointer accesses here stay inside buffers sized `words × pad`
 //! (`(words + 1) × pad` for the band's plane reads, or the fixed
 //! `MAX_LANES` arrays), with `pad` a multiple of the vector
@@ -24,10 +22,8 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 use dnasim_core::PackedStrand;
 
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 use crate::bank::{BankScratch, PatternBank, MAX_LANES};
 
 /// AVX2 bank engine: four 64-bit pattern lanes per `__m256i`.
@@ -36,7 +32,6 @@ use crate::bank::{BankScratch, PatternBank, MAX_LANES};
 ///
 /// The caller must ensure the CPU supports AVX2 (the dispatcher only
 /// selects this after `is_x86_feature_detected!("avx2")` succeeds).
-#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn run_avx2(
     bank: &PatternBank,
@@ -153,7 +148,6 @@ pub(crate) unsafe fn run_avx2(
 ///
 /// The caller must ensure the CPU supports AVX2 (the dispatcher only
 /// selects this after `is_x86_feature_detected!("avx2")` succeeds).
-#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn band_avx2(
     bank: &PatternBank,
@@ -288,122 +282,4 @@ pub(crate) unsafe fn band_avx2(
         }
     }
     band_finish(bank, n, &pv_out, &mv_out, &top_out, *alive, scores);
-}
-
-/// NEON bank engine: two 64-bit pattern lanes per `uint64x2_t`.
-///
-/// # Safety
-///
-/// The caller must ensure NEON is available (always true on aarch64
-/// Linux/macOS targets; the dispatcher still probes
-/// `is_aarch64_feature_detected!("neon")` first).
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-pub(crate) unsafe fn run_neon(
-    bank: &PatternBank,
-    scratch: &mut BankScratch,
-    text: &PackedStrand,
-    eff_limit: i64,
-    scores: &mut [i64; MAX_LANES],
-    alive: &mut u32,
-) {
-    use core::arch::aarch64::*;
-
-    let (words, pad) = (bank.words, bank.pad);
-    // `pad` is 4 or 8, so two or four vectors span every lane.
-    let nv = pad / 2;
-    scratch.reset(words * pad);
-    let n = text.len();
-    let last = words - 1;
-
-    let ones = vdupq_n_u64(!0u64);
-    let one = vdupq_n_u64(1);
-
-    let mut init = [0i64; MAX_LANES];
-    let mut neg_shift_init = [0i64; MAX_LANES];
-    for l in 0..MAX_LANES {
-        if l < bank.lanes {
-            init[l] = bank.lens[l] as i64;
-        }
-        // vshlq_u64 with a negative count shifts right by that amount.
-        neg_shift_init[l] = -(bank.shifts[l] as i64);
-    }
-    let mut score_v = [vdupq_n_s64(0); 4];
-    let mut neg_shift = [vdupq_n_s64(0); 4];
-    for v in 0..nv {
-        // SAFETY: `init` and `neg_shift_init` hold MAX_LANES (8)
-        // elements and v·2 + 2 ≤ pad ≤ 8.
-        unsafe {
-            score_v[v] = vld1q_s64(init.as_ptr().add(v * 2));
-            neg_shift[v] = vld1q_s64(neg_shift_init.as_ptr().add(v * 2));
-        }
-    }
-
-    for (j, c) in text.codes().enumerate() {
-        let plane = &bank.eq[(c & 3) as usize];
-        let mut hp = [one; 4];
-        let mut hn = [vdupq_n_u64(0); 4];
-        for w in 0..words {
-            let base = w * pad;
-            for v in 0..nv {
-                let idx = base + v * 2;
-                // SAFETY: `scratch.pv`/`scratch.mv` were reset to
-                // words·pad elements and `plane` holds words·pad
-                // elements; idx + 2 = w·pad + v·2 + 2 ≤ words·pad.
-                let (pv, mv, eq0) = unsafe {
-                    (
-                        vld1q_u64(scratch.pv.as_ptr().add(idx)),
-                        vld1q_u64(scratch.mv.as_ptr().add(idx)),
-                        vld1q_u64(plane.as_ptr().add(idx)),
-                    )
-                };
-                let xv = vorrq_u64(eq0, mv);
-                let eq = vorrq_u64(eq0, hn[v]);
-                let xh = vorrq_u64(veorq_u64(vaddq_u64(vandq_u64(eq, pv), pv), pv), eq);
-                // vbicq_u64(a, b) = a & !b, so ones-bic gives bitwise NOT.
-                let ph = vorrq_u64(mv, vbicq_u64(ones, vorrq_u64(xh, pv)));
-                let mh = vandq_u64(pv, xh);
-                if w == last {
-                    let pd = vandq_u64(vshlq_u64(ph, neg_shift[v]), one);
-                    let md = vandq_u64(vshlq_u64(mh, neg_shift[v]), one);
-                    score_v[v] = vaddq_s64(
-                        score_v[v],
-                        vsubq_s64(vreinterpretq_s64_u64(pd), vreinterpretq_s64_u64(md)),
-                    );
-                }
-                let hout_p = vshrq_n_u64(ph, 63);
-                let hout_n = vshrq_n_u64(mh, 63);
-                let ph = vorrq_u64(vshlq_n_u64(ph, 1), hp[v]);
-                let mh = vorrq_u64(vshlq_n_u64(mh, 1), hn[v]);
-                let new_pv = vorrq_u64(mh, vbicq_u64(ones, vorrq_u64(xv, ph)));
-                let new_mv = vandq_u64(ph, xv);
-                // SAFETY: same in-bounds argument as the loads above.
-                unsafe {
-                    vst1q_u64(scratch.pv.as_mut_ptr().add(idx), new_pv);
-                    vst1q_u64(scratch.mv.as_mut_ptr().add(idx), new_mv);
-                }
-                hp[v] = hout_p;
-                hn[v] = hout_n;
-            }
-        }
-        // Early abandon, as in the scalar engine.
-        let remaining = (n - j - 1) as i64;
-        let thresh = vdupq_n_s64(eff_limit + remaining);
-        for v in 0..nv {
-            let dead = vcgtq_s64(score_v[v], thresh);
-            let m0 = (vgetq_lane_u64(dead, 0) & 1) as u32;
-            let m1 = (vgetq_lane_u64(dead, 1) & 1) as u32;
-            *alive &= !((m0 | (m1 << 1)) << (v * 2));
-        }
-        if *alive == 0 {
-            break;
-        }
-    }
-
-    let mut buf = [0i64; MAX_LANES];
-    for v in 0..nv {
-        // SAFETY: `buf` holds MAX_LANES (8) elements; v·2 + 2 ≤ pad ≤ 8.
-        unsafe { vst1q_s64(buf.as_mut_ptr().add(v * 2), score_v[v]) };
-    }
-    scores[..bank.lanes].copy_from_slice(&buf[..bank.lanes]);
 }

@@ -11,8 +11,8 @@
 //!   [`PackedStrand`](dnasim_core::PackedStrand)s, 64 DP cells per word
 //!   (used by clustering and medoid selection);
 //! * [`bank`] — the vectorised multi-pattern tier: a [`PatternBank`]
-//!   advances 4–8 patterns per text column via AVX2/NEON (runtime
-//!   detected, exact scalar fallback everywhere else);
+//!   advances 4–8 patterns per text column via AVX2 (runtime detected,
+//!   exact scalar fallback everywhere else);
 //! * [`qgram`] — the q-gram counting lower bound on edit distance, used
 //!   as an error-ball prefilter in front of the kernels (its batched
 //!   presence-mask screen over a [`ScreenArena`] counts bits with AVX2 or
@@ -48,7 +48,7 @@
 
 mod accuracy;
 pub mod bank;
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[cfg(target_arch = "x86_64")]
 mod bank_simd;
 mod chi2;
 mod gestalt;

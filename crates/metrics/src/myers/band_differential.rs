@@ -15,7 +15,10 @@
 //!   is the band exactly when `d ≤ BAND` and the pattern spans more than
 //!   one word, and both branches occur;
 //! - a band recording's words against a plain DP over the band's cells
-//!   with the kernel's two boundary assumptions, bit for bit.
+//!   with the kernel's two boundary assumptions, bit for bit;
+//! - proptest-generated banks of 1–8 lanes at limits 0–79 (`bank_tier`):
+//!   each lane's `within` and full distance against the single-pattern
+//!   kernels, and the dispatched backend against the scalar one.
 
 use dnasim_core::rng::{seeded, RngExt, SimRng};
 use dnasim_core::{Base, PackedStrand, Strand};
@@ -309,4 +312,104 @@ fn band_words_match_the_band_model() {
         }
     }
     assert!(checked > 300, "{checked} band recordings checked");
+}
+
+/// Multi-pattern tier contract (DESIGN.md §15): every lane of a bank must
+/// report exactly what the single-pattern banded kernel reports — same
+/// Some/None decision, same distance — and the pinned scalar backend must
+/// agree with whatever backend the runtime dispatcher picked. The test
+/// suite runs it on the dispatched backend and `scripts/verify.sh` again
+/// under `DNASIM_SIMD=off`, so both sides of the dispatch are exercised.
+/// Gated like every test module, which is what `scripts/verify.sh`'s panic
+/// guard looks for to skip test code.
+#[cfg(test)]
+mod bank_tier {
+    use dnasim_testkit::prelude::*;
+
+    use super::*;
+    use crate::bank::bank_distances_with;
+
+    fn strand(len: std::ops::Range<usize>) -> impl Strategy<Value = Strand> {
+        dnasim_testkit::collection::vec(0usize..4, len).prop_map(|idx| {
+            idx.into_iter()
+                .map(|i| Base::from_index(i).expect("index < 4"))
+                .collect()
+        })
+    }
+
+    /// Builds `lanes` patterns out of a flat base pool, all within the
+    /// same 64-bit word band (the bank's shape precondition).
+    fn build_patterns(
+        pool: &[usize],
+        words: usize,
+        lanes: usize,
+        offsets: &[usize],
+    ) -> Vec<Strand> {
+        let lo = (words - 1) * 64 + 1;
+        let hi = (words * 64).min(300);
+        let mut patterns = Vec::with_capacity(lanes);
+        let mut cursor = 0usize;
+        for &offset in offsets.iter().take(lanes) {
+            let len = lo + offset % (hi - lo + 1);
+            let s: Strand = pool[cursor..cursor + len]
+                .iter()
+                .map(|&i| Base::from_index(i).expect("index < 4"))
+                .collect();
+            cursor += len;
+            patterns.push(s);
+        }
+        patterns
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn bank_lanes_match_the_single_pattern_band(
+            pool in dnasim_testkit::collection::vec(0usize..4, 2400..2401),
+            words in 1usize..6,
+            lanes_sel in 0usize..4,
+            offsets in dnasim_testkit::collection::vec(0usize..64, 8..9),
+            text in strand(0..300),
+            limit in 0usize..80,
+        ) {
+            let lanes = [1usize, 2, 4, 8][lanes_sel];
+            let patterns = build_patterns(&pool, words, lanes, &offsets);
+            let packed: Vec<PackedStrand> = patterns.iter().map(PackedStrand::from).collect();
+            let refs: Vec<&PackedStrand> = packed.iter().collect();
+            let bank = PatternBank::new(&refs).expect("uniform word counts");
+            let pt = PackedStrand::from(&text);
+            let mut scratch = BankScratch::new();
+
+            let mut banded = Vec::new();
+            bank_within_with(&mut scratch, &bank, &pt, limit, &mut banded);
+            prop_assert_eq!(banded.len(), lanes);
+
+            // The pinned scalar backend and the dispatched backend agree.
+            let mut scalar = Vec::new();
+            within_on(TIER_SCALAR, &mut scratch, &bank, &pt, limit, &mut scalar);
+            prop_assert_eq!(&banded, &scalar);
+
+            let mut full = Vec::new();
+            bank_distances_with(&mut scratch, &bank, &pt, &mut full);
+            prop_assert_eq!(full.len(), lanes);
+
+            for (lane, pat) in packed.iter().enumerate() {
+                let d = myers::distance(pat, &pt);
+                prop_assert_eq!(full[lane], d, "distances lane {}", lane);
+                prop_assert_eq!(
+                    banded[lane],
+                    myers::within(pat, &pt, limit),
+                    "within lane {}", lane
+                );
+                // Whenever the true distance fits the band, the lane must
+                // report exactly it — never a different in-band value.
+                if d <= limit {
+                    prop_assert_eq!(banded[lane], Some(d), "lane {}", lane);
+                } else {
+                    prop_assert_eq!(banded[lane], None, "lane {}", lane);
+                }
+            }
+        }
+    }
 }

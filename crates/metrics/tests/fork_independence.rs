@@ -9,7 +9,7 @@
 
 use std::collections::HashSet;
 
-use dnasim_core::rng::{RngExt, SeedSequence};
+use dnasim_core::rng::{seeded, RngExt, SeedSequence};
 use dnasim_metrics::{chi_square_distance, normalize_histogram};
 
 /// χ² distance between an observed bucket histogram and the uniform
@@ -151,7 +151,7 @@ fn tenant_request_streams_are_statistically_independent() {
     // and replaying a namespace in isolation reproduces it exactly.
     let root = SeedSequence::new(99);
     let histogram = |tenant: &str, request: &str| {
-        let mut rng = root.derive_seq(tenant).derive_seq(request).next_rng();
+        let mut rng = seeded(root.derive_seq(tenant).derive_seq(request).next_seed());
         let mut counts = [0usize; 64];
         for _ in 0..4096 {
             counts[rng.random_range(0..64)] += 1;

@@ -10,7 +10,7 @@ use dnasim_channel::{
 };
 use dnasim_core::rng::{SeedSequence, SimRng};
 use dnasim_core::{
-    Batch, Cluster, ClusterSink, Dataset, DnasimError, EditOp, Strand, WindowStats,
+    Batch, Cluster, ClusterSink, Dataset, DnasimError, EditOp, WindowStats,
 };
 use dnasim_metrics::PositionalProfile;
 use dnasim_par::{RunCtx, ThreadPool};
@@ -597,11 +597,6 @@ pub struct SensitivityPoint {
     pub iterative: AccuracyCell,
     /// Fraction of Iterative's residual errors that are deletions.
     pub iterative_residual_deletion_share: f64,
-}
-
-/// Reference strands from a dataset, exposed for harness reuse.
-pub fn references_of(dataset: &Dataset) -> Vec<Strand> {
-    dataset.references()
 }
 
 #[cfg(test)]

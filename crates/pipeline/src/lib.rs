@@ -55,5 +55,5 @@ pub use evaluate::{
     evaluate_reconstruction, evaluate_reconstruction_in, fixed_coverage_protocol,
     post_reconstruction_profiles, pre_reconstruction_profiles,
 };
-pub use experiments::{cross_dataset_robustness, references_of, Experiments, SensitivityPoint};
+pub use experiments::{cross_dataset_robustness, Experiments, SensitivityPoint};
 pub use table::{AccuracyCell, Table, TableRow};

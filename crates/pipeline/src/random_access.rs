@@ -141,11 +141,6 @@ impl FilePool {
         }
     }
 
-    /// Names of the stored files.
-    pub fn file_names(&self) -> Vec<&str> {
-        self.files.iter().map(|f| f.name.as_str()).collect()
-    }
-
     /// Total molecule species in the shared container.
     pub fn species_count(&self) -> usize {
         self.pool.species_count()
@@ -361,7 +356,8 @@ mod tests {
         let beta: Vec<u8> = (0u8..90).rev().collect();
         pool.store("alpha", alpha.clone(), &mut rng).unwrap();
         pool.store("beta", beta.clone(), &mut rng).unwrap();
-        assert_eq!(pool.file_names(), vec!["alpha", "beta"]);
+        let names: Vec<&str> = pool.files.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, vec!["alpha", "beta"]);
 
         assert_eq!(pool.retrieve("alpha", &mut rng).unwrap(), alpha);
         assert_eq!(pool.retrieve("beta", &mut rng).unwrap(), beta);

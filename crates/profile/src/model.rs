@@ -160,11 +160,6 @@ impl LearnedModel {
         self.spatial_multipliers.get(position).copied().unwrap_or(1.0)
     }
 
-    /// Fraction of all errors covered by the retained second-order errors.
-    pub fn second_order_share(&self) -> f64 {
-        self.second_order.iter().map(|e| e.share).sum()
-    }
-
     /// Checks every learned parameter is inside its valid domain:
     /// probabilities finite and in `[0, 1]`, multipliers and weights finite
     /// and non-negative.
@@ -334,7 +329,7 @@ mod tests {
         ]);
         let model = LearnedModel::from_stats(&stats, 2);
         assert_eq!(model.second_order.len(), 2);
-        assert!(model.second_order_share() <= 1.0 + 1e-12);
+        assert!(model.second_order.iter().map(|e| e.share).sum::<f64>() <= 1.0 + 1e-12);
         assert!(model.second_order[0].share >= model.second_order[1].share);
     }
 

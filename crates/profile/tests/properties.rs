@@ -42,8 +42,12 @@ proptest! {
     ) {
         let mut rng = seeded(seed);
         let script = edit_script(&a, &b, TieBreak::Random, &mut rng);
-        for (pos, _) in script.positioned_errors() {
-            prop_assert!(pos <= a.len());
+        let mut pos = 0;
+        for &op in script.ops() {
+            if op.is_error() {
+                prop_assert!(pos <= a.len());
+            }
+            pos += op.reference_advance();
         }
     }
 
@@ -108,7 +112,7 @@ proptest! {
         prop_assert!(learned.aggregate_error_rate.is_finite());
         prop_assert!(learned.aggregate_error_rate >= 0.0);
         prop_assert!(learned.second_order.len() <= 5);
-        prop_assert!(learned.second_order_share() <= 1.0 + 1e-9);
+        prop_assert!(learned.second_order.iter().map(|e| e.share).sum::<f64>() <= 1.0 + 1e-9);
         prop_assert!(learned.homopolymer_boost.is_finite());
         prop_assert!(learned.homopolymer_boost > 0.0);
         for m in &learned.spatial_multipliers {

@@ -2,8 +2,8 @@
 
 use dnasim_core::Strand;
 
-use crate::consensus::{positional_majority, AlignmentVotes, LookaheadFilterStats};
-use crate::scan::ReadRows;
+use crate::consensus::{positional_majority, AlignmentVotes};
+use crate::scan::{ReadRows, ScanStats};
 
 /// A trace-reconstruction algorithm: estimates the reference strand of
 /// known design length from a cluster of noisy reads.
@@ -90,7 +90,7 @@ impl Default for BmaLookahead {
 
 impl TraceReconstructor for BmaLookahead {
     fn reconstruct(&self, reads: &[Strand], strand_len: usize) -> Strand {
-        let mut stats = LookaheadFilterStats::default();
+        let mut stats = ScanStats::default();
         let forward = ReadRows::new(reads, self.lookahead).scan(None, 0, strand_len, &mut stats);
         let backward =
             ReadRows::reversed(reads, self.lookahead).scan(None, 0, strand_len, &mut stats);
@@ -125,7 +125,7 @@ impl Default for OneWayBma {
 
 impl TraceReconstructor for OneWayBma {
     fn reconstruct(&self, reads: &[Strand], strand_len: usize) -> Strand {
-        let stats = &mut LookaheadFilterStats::default();
+        let stats = &mut ScanStats::default();
         ReadRows::new(reads, self.lookahead).scan(None, 0, strand_len, stats)
     }
 
@@ -226,7 +226,7 @@ impl Iterative {
         reads: &[Strand],
         strand_len: usize,
     ) -> (Strand, Option<Strand>) {
-        let mut stats = LookaheadFilterStats::default();
+        let mut stats = ScanStats::default();
         let (mut estimate, mut certified) = rows.scan_certified(strand_len, &mut stats);
         let mut refined_from = None;
         for _ in 0..self.max_rounds {
@@ -311,16 +311,6 @@ impl TraceReconstructor for TwoWayIterative {
     fn name(&self) -> String {
         "iterative-twoway".to_owned()
     }
-}
-
-/// The reconstruction suite evaluated throughout the paper: BMA, Divider
-/// BMA and Iterative.
-pub fn paper_suite() -> Vec<Box<dyn TraceReconstructor>> {
-    vec![
-        Box::new(BmaLookahead::default()),
-        Box::new(DividerBma),
-        Box::new(Iterative::default()),
-    ]
 }
 
 #[cfg(test)]
@@ -553,13 +543,6 @@ mod tests {
             two_way_errors < one_way_errors + one_way_errors / 10,
             "two-way residual errors regressed: {two_way_errors} vs {one_way_errors}"
         );
-    }
-
-    #[test]
-    fn paper_suite_has_three_algorithms() {
-        let suite = paper_suite();
-        let names: Vec<String> = suite.iter().map(|a| a.name()).collect();
-        assert_eq!(names, vec!["bma", "divbma", "iterative"]);
     }
 
     #[test]

@@ -13,8 +13,8 @@ use dnasim_core::Strand;
 use dnasim_dataset::GroundTruthChannel;
 
 use super::{Iterative, TraceReconstructor, TwoWayIterative};
-use crate::consensus::{AlignmentVotes, LookaheadFilterStats};
-use crate::scan::ReadRows;
+use crate::consensus::AlignmentVotes;
+use crate::scan::{ReadRows, ScanStats};
 
 /// `Iterative` as it ran before its certified rescan: every round
 /// rescans.
@@ -25,7 +25,7 @@ fn iterative_oracle(
     reads: &[Strand],
     strand_len: usize,
 ) -> Strand {
-    let mut stats = LookaheadFilterStats::default();
+    let mut stats = ScanStats::default();
     let mut estimate = rows.scan(None, 0, strand_len, &mut stats);
     for _ in 0..algo.max_rounds {
         let rescanned = rows.scan(Some(&estimate), 2, strand_len, &mut stats);
@@ -90,7 +90,7 @@ fn check(reads: &[Strand], strand_len: usize, algo: Iterative, seen: &mut Seen) 
         "TwoWayIterative: {context}"
     );
 
-    let mut stats = LookaheadFilterStats::default();
+    let mut stats = ScanStats::default();
     if algo.max_rounds > 0 {
         if rows.scan_certified(strand_len, &mut stats).1 {
             seen.certified += 1;

@@ -1,12 +1,8 @@
-//! Shared consensus primitives: per-position voting, alignment voting, and
-//! the one-way look-ahead scan that BMA and Iterative reconstruction build
-//! on.
+//! Shared consensus primitives: per-position voting and alignment voting.
 
 use dnasim_core::rng::{seeded, SimRng};
 use dnasim_core::{Base, EditOp, Strand};
 use dnasim_profile::{edit_ops_with, EditScratch, TieBreak};
-
-use crate::scan::ReadRows;
 
 /// A per-position vote tally over the four bases.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -174,227 +170,15 @@ fn column_majority(reads: &[Strand], j: usize) -> Base {
 ///
 /// Position `j` of the output is the majority of `reads[t][j]` over all
 /// reads long enough; positions no read covers fall back to `A`.
-pub fn positional_majority(reads: &[Strand], strand_len: usize) -> Strand {
+pub(crate) fn positional_majority(reads: &[Strand], strand_len: usize) -> Strand {
     (0..strand_len).map(|j| column_majority(reads, j)).collect()
-}
-
-/// One-way Bitwise Majority Alignment with a look-ahead window.
-///
-/// Scans output positions left to right keeping a pointer into every read.
-/// Each column takes the majority of the pointed-at symbols; reads that
-/// disagree are classified as substitution / deletion / insertion by
-/// scoring their next `lookahead` symbols against the *future majority*
-/// (the majority of the other reads' upcoming symbols), and their pointer
-/// is advanced accordingly. Errors therefore propagate only forward — the
-/// linear error profile the paper measures for one-way algorithms.
-///
-/// This is the plain scan, kept as the oracle for the kernel behind
-/// [`one_way_bma_filtered`], which every reconstructor uses.
-pub fn one_way_bma(reads: &[Strand], strand_len: usize, lookahead: usize) -> Strand {
-    anchored_one_way_bma(reads, None, 0, strand_len, lookahead)
-}
-
-/// [`one_way_bma`] with an optional *anchor*: a previous estimate whose
-/// base at each output position casts `anchor_weight` extra votes.
-///
-/// Re-scanning with the last estimate as anchor stabilises pointer drift:
-/// reads that lost sync re-lock onto the anchor's context, while genuine
-/// anchor errors are outvoted by the reads. Iterative reconstruction
-/// alternates this with alignment-based refinement.
-pub fn anchored_one_way_bma(
-    reads: &[Strand],
-    anchor: Option<&Strand>,
-    anchor_weight: usize,
-    strand_len: usize,
-    lookahead: usize,
-) -> Strand {
-    scan_core(reads, anchor, anchor_weight, strand_len, lookahead).0
-}
-
-/// Work skipped (and done) by the look-ahead scan kernel.
-///
-/// The counters exist so tests and diagnostics can prove the short-circuits
-/// actually engaged; they have no effect on the reconstruction itself.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LookaheadFilterStats {
-    /// Unanchored clusters of byte-identical reads, answered whole by the
-    /// unanimity fast path.
-    pub unanimous_clusters: usize,
-    /// Columns whose look-ahead window was never tallied because every
-    /// read agreed with the column majority.
-    pub skipped_windows: usize,
-    /// Columns that did tally the look-ahead window.
-    pub scored_windows: usize,
-}
-
-impl LookaheadFilterStats {
-    /// Sums another run's counters into this one.
-    pub fn absorb(&mut self, other: &LookaheadFilterStats) {
-        self.unanimous_clusters += other.unanimous_clusters;
-        self.skipped_windows += other.skipped_windows;
-        self.scored_windows += other.scored_windows;
-    }
-}
-
-/// [`one_way_bma`] on the scan kernel — byte-identical output, less work
-/// (differentially tested against the unfiltered scan).
-///
-/// The kernel pads the reads into byte rows, counts votes in register
-/// lanes, and takes two exact short-circuits:
-///
-/// * **Unanimity fast path** — a cluster of byte-identical reads skips the
-///   scan entirely, since every column's majority is unanimous and no
-///   pointer ever drifts.
-/// * **Lazy look-ahead** — the future-majority window is only consulted
-///   when classifying a *disagreeing* read, so columns where every read
-///   matches the majority never tally it.
-pub fn one_way_bma_filtered(
-    reads: &[Strand],
-    strand_len: usize,
-    lookahead: usize,
-    stats: &mut LookaheadFilterStats,
-) -> Strand {
-    anchored_one_way_bma_filtered(reads, None, 0, strand_len, lookahead, stats)
-}
-
-/// [`anchored_one_way_bma`] on the scan kernel — see
-/// [`one_way_bma_filtered`]. The unanimity fast path only applies to
-/// unanchored scans (an anchor can outvote unanimous reads), so anchored
-/// calls get the lazy look-ahead alone.
-pub fn anchored_one_way_bma_filtered(
-    reads: &[Strand],
-    anchor: Option<&Strand>,
-    anchor_weight: usize,
-    strand_len: usize,
-    lookahead: usize,
-    stats: &mut LookaheadFilterStats,
-) -> Strand {
-    ReadRows::new(reads, lookahead).scan(anchor, anchor_weight, strand_len, stats)
-}
-
-/// The unfiltered one-way scan: the oracle the kernel is tested against.
-/// Every column tallies its look-ahead window; the returned counters
-/// record which columns the kernel's lazy look-ahead may skip (no read
-/// disagrees) and which it must score.
-pub(crate) fn scan_core(
-    reads: &[Strand],
-    anchor: Option<&Strand>,
-    anchor_weight: usize,
-    strand_len: usize,
-    lookahead: usize,
-) -> (Strand, LookaheadFilterStats) {
-    let mut stats = LookaheadFilterStats::default();
-    let mut out = Strand::with_capacity(strand_len);
-    let mut ptrs: Vec<usize> = vec![0; reads.len()];
-    // Look-ahead buffers reused across all output positions: allocating
-    // them inside the column loop dominated this scan's cost.
-    let mut future: Vec<VoteTally> = vec![VoteTally::new(); lookahead];
-    let mut future_majority: Vec<Option<Base>> = vec![None; lookahead];
-    for j in 0..strand_len {
-        // Column majority (the anchor, when present, casts weighted votes).
-        let mut tally = VoteTally::new();
-        for (read, &ptr) in reads.iter().zip(&ptrs) {
-            if let Some(b) = read.get(ptr) {
-                tally.vote(b);
-            }
-        }
-        if let (Some(anchor), true) = (anchor, anchor_weight > 0) {
-            if let Some(b) = anchor.get(j) {
-                for _ in 0..anchor_weight {
-                    tally.vote(b);
-                }
-            }
-        }
-        let Some(majority) = tally.winner() else {
-            // Every read exhausted: fall back to unaligned column majority
-            // for the remaining positions.
-            let j = out.len();
-            let mut fallback = VoteTally::new();
-            for read in reads {
-                if let Some(b) = read.get(j) {
-                    fallback.vote(b);
-                }
-            }
-            out.push(fallback.winner().unwrap_or(Base::A));
-            continue;
-        };
-        out.push(majority);
-        let any_disagree = reads
-            .iter()
-            .zip(&ptrs)
-            .any(|(read, &ptr)| matches!(read.get(ptr), Some(b) if b != majority));
-        if any_disagree {
-            stats.scored_windows += 1;
-        } else {
-            stats.skipped_windows += 1;
-        }
-
-        // Future majority over the look-ahead window, computed from the
-        // reads that *agreed* with this column's majority (their pointers
-        // are most likely in sync; drifted reads would pollute the window).
-        future.iter_mut().for_each(|t| *t = VoteTally::new());
-        for (read, &ptr) in reads.iter().zip(&ptrs) {
-            if read.get(ptr) != Some(majority) {
-                continue;
-            }
-            for (k, tally) in future.iter_mut().enumerate() {
-                if let Some(b) = read.get(ptr + 1 + k) {
-                    tally.vote(b);
-                }
-            }
-        }
-        if let (Some(anchor), true) = (anchor, anchor_weight > 0) {
-            for (k, tally) in future.iter_mut().enumerate() {
-                if let Some(b) = anchor.get(j + 1 + k) {
-                    for _ in 0..anchor_weight {
-                        tally.vote(b);
-                    }
-                }
-            }
-        }
-        for (fm, tally) in future_majority.iter_mut().zip(&future) {
-            *fm = tally.winner();
-        }
-
-        for (read, ptr) in reads.iter().zip(&mut ptrs) {
-            match read.get(*ptr) {
-                None => {} // exhausted
-                Some(b) if b == majority => *ptr += 1,
-                Some(_) => {
-                    // Hypothesis windows: where would the next symbols sit
-                    // if this column's mismatch were a substitution (skip
-                    // one), a deletion in the read (skip none), or an
-                    // insertion in the read (skip two)?
-                    let score = |offset: usize| -> usize {
-                        future_majority
-                            .iter()
-                            .enumerate()
-                            .filter(|(k, fm)| {
-                                fm.is_some() && read.get(*ptr + offset + k) == **fm
-                            })
-                            .count()
-                    };
-                    let sub = score(1);
-                    let del = score(0);
-                    let ins = score(2);
-                    // Ties prefer substitution (keeps the pointer in sync).
-                    if sub >= del && sub >= ins {
-                        *ptr += 1;
-                    } else if del >= ins {
-                        // Read is missing the majority base: don't advance.
-                    } else {
-                        *ptr += 2;
-                    }
-                }
-            }
-        }
-    }
-    (out, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan::oracle::{anchored_one_way_bma, one_way_bma};
+    use crate::scan::{ReadRows, ScanStats};
 
     fn s(text: &str) -> Strand {
         text.parse().unwrap()
@@ -487,7 +271,7 @@ mod tests {
     fn filtered_scan_matches_oracle_differentially() {
         use dnasim_channel::{ErrorModel, NaiveModel};
         use dnasim_core::rng::seeded;
-        let mut total = LookaheadFilterStats::default();
+        let mut total = ScanStats::default();
         for (seed, rate) in [(5u64, 0.0f64), (6, 0.0), (17, 0.02), (29, 0.08), (31, 0.15)] {
             let model = NaiveModel::with_total_rate(rate);
             let mut rng = seeded(seed);
@@ -498,22 +282,15 @@ mod tests {
                 let reads: Vec<Strand> =
                     (0..coverage).map(|_| model.corrupt(&reference, &mut rng)).collect();
                 for lookahead in [1usize, 3] {
-                    let mut stats = LookaheadFilterStats::default();
+                    let mut stats = ScanStats::default();
                     assert_eq!(
-                        one_way_bma_filtered(&reads, len, lookahead, &mut stats),
+                        ReadRows::new(&reads, lookahead).scan(None, 0, len, &mut stats),
                         one_way_bma(&reads, len, lookahead),
                         "filtered one-way scan diverged (seed {seed}, rate {rate})"
                     );
                     let anchor = model.corrupt(&reference, &mut rng);
                     assert_eq!(
-                        anchored_one_way_bma_filtered(
-                            &reads,
-                            Some(&anchor),
-                            2,
-                            len,
-                            lookahead,
-                            &mut stats
-                        ),
+                        ReadRows::new(&reads, lookahead).scan(Some(&anchor), 2, len, &mut stats),
                         anchored_one_way_bma(&reads, Some(&anchor), 2, len, lookahead),
                         "filtered anchored scan diverged (seed {seed}, rate {rate})"
                     );
@@ -535,17 +312,17 @@ mod tests {
             (vec![s("ACGT"); 3], 9),
             (vec![s("ACGTACGTACGT")], 12),
         ] {
-            let mut stats = LookaheadFilterStats::default();
+            let mut stats = ScanStats::default();
             assert_eq!(
-                one_way_bma_filtered(&reads, len, 3, &mut stats),
+                ReadRows::new(&reads, 3).scan(None, 0, len, &mut stats),
                 one_way_bma(&reads, len, 3),
                 "unanimous cluster output diverged at design length {len}"
             );
             assert_eq!(stats.unanimous_clusters, 1);
         }
         // Empty clusters skip the fast path but still match the oracle.
-        let mut stats = LookaheadFilterStats::default();
-        assert_eq!(one_way_bma_filtered(&[], 5, 3, &mut stats), one_way_bma(&[], 5, 3));
+        let mut stats = ScanStats::default();
+        assert_eq!(ReadRows::new(&[], 3).scan(None, 0, 5, &mut stats), one_way_bma(&[], 5, 3));
         assert_eq!(stats.unanimous_clusters, 0);
     }
 }

@@ -41,13 +41,12 @@ mod scan;
 mod weighted;
 
 pub use algorithms::{
-    paper_suite, BmaLookahead, DividerBma, Iterative, MajorityVote, OneWayBma,
-    TraceReconstructor, TwoWayIterative,
-};
-pub use consensus::{
-    anchored_one_way_bma, anchored_one_way_bma_filtered, one_way_bma, one_way_bma_filtered,
-    positional_majority, LookaheadFilterStats,
+    BmaLookahead, DividerBma, Iterative, MajorityVote, OneWayBma, TraceReconstructor,
+    TwoWayIterative,
 };
 pub use msa::MsaReconstructor;
 pub use parallel::reconstruct_clusters;
 pub use weighted::WeightedIterative;
+
+#[cfg(test)]
+mod vote_differential;

@@ -3,15 +3,12 @@
 //! [`ReadRows`] pads a cluster's reads once per `reconstruct` call into
 //! rows of base-index bytes, and [`ReadRows::scan`] runs the one-way
 //! look-ahead scan over them with its vote counts in register lanes. Its
-//! output and [`LookaheadFilterStats`] equal the unfiltered oracle's
-//! ([`anchored_one_way_bma`](crate::anchored_one_way_bma)) on every
-//! cluster, at every coverage and look-ahead; DESIGN.md §24 has the
-//! argument. [`ReadRows::scan_certified`] also certifies when an
+//! output and [`ScanStats`] equal the unfiltered oracle's (the test-only
+//! `scan::oracle`) on every cluster, at every coverage and look-ahead;
+//! DESIGN.md §24 has the argument. [`ReadRows::scan_certified`] also certifies when an
 //! anchored rescan would return the scan's own output (§26).
 
 use dnasim_core::{Base, Strand};
-
-use crate::consensus::LookaheadFilterStats;
 
 /// The byte past every read's end. It is no base index, so it votes for
 /// no base and never matches a look-ahead majority.
@@ -26,6 +23,20 @@ const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
 /// Reads counted into one set of byte lanes before the lanes are flushed
 /// into `usize` counts: a byte lane holds at most 255.
 const LANE_MAX: usize = 255;
+
+/// Work the scan skipped and did. The counters let the differential
+/// tests prove the short-circuits engaged; they never change the output.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ScanStats {
+    /// Unanchored clusters of byte-identical reads, answered whole by the
+    /// unanimity fast path.
+    pub(crate) unanimous_clusters: usize,
+    /// Columns whose look-ahead window was never tallied because every
+    /// read agreed with the column majority.
+    pub(crate) skipped_windows: usize,
+    /// Columns that did tally the look-ahead window.
+    pub(crate) scored_windows: usize,
+}
 
 /// A cluster's reads as rows of base-index bytes (`A` = 0 … `T` = 3),
 /// each padded with [`END`] bytes, built once per `reconstruct` call and
@@ -107,7 +118,7 @@ impl ReadRows {
         anchor: Option<&Strand>,
         anchor_weight: usize,
         strand_len: usize,
-        stats: &mut LookaheadFilterStats,
+        stats: &mut ScanStats,
     ) -> Strand {
         self.scan_with(anchor, anchor_weight, strand_len, stats, None)
     }
@@ -125,7 +136,7 @@ impl ReadRows {
     pub(crate) fn scan_certified(
         &self,
         strand_len: usize,
-        stats: &mut LookaheadFilterStats,
+        stats: &mut ScanStats,
     ) -> (Strand, bool) {
         let mut patterns = Vec::new();
         let out = self.scan_with(None, 0, strand_len, stats, Some(&mut patterns));
@@ -157,7 +168,7 @@ impl ReadRows {
         anchor: Option<&Strand>,
         anchor_weight: usize,
         strand_len: usize,
-        stats: &mut LookaheadFilterStats,
+        stats: &mut ScanStats,
         mut patterns: Option<&mut Vec<u64>>,
     ) -> Strand {
         // An anchor of weight 0 casts no vote anywhere.
@@ -404,3 +415,5 @@ fn equal_bytes(a: u64, b: u64) -> u32 {
 
 #[cfg(test)]
 mod differential;
+#[cfg(test)]
+pub(crate) mod oracle;

@@ -1,5 +1,5 @@
 //! The scan kernel against the unfiltered oracle scan (`scan_core`): same
-//! output strand and same `LookaheadFilterStats` on every cluster.
+//! output strand and same `ScanStats` on every cluster.
 //!
 //! The corpus covers coverage 0–300 (past the 255 reads a byte lane
 //! holds), look-ahead 0–17 (one to three 8-byte words), anchor weight 0–3
@@ -16,7 +16,8 @@ use dnasim_core::rng::{seeded, RngExt, SimRng};
 use dnasim_core::Strand;
 
 use super::ReadRows;
-use crate::consensus::{scan_core, LookaheadFilterStats};
+use super::oracle::scan_core;
+use super::ScanStats;
 
 fn s(text: &str) -> Strand {
     let strand = text.parse();
@@ -31,16 +32,16 @@ fn expected_stats(
     reads: &[Strand],
     anchor: Option<&Strand>,
     anchor_weight: usize,
-    oracle: LookaheadFilterStats,
-) -> LookaheadFilterStats {
+    oracle: ScanStats,
+) -> ScanStats {
     let anchored = anchor.is_some() && anchor_weight > 0;
     let unanimous = reads
         .first()
         .is_some_and(|first| reads.iter().all(|r| r == first));
     if !anchored && unanimous {
-        LookaheadFilterStats {
+        ScanStats {
             unanimous_clusters: 1,
-            ..LookaheadFilterStats::default()
+            ..ScanStats::default()
         }
     } else {
         oracle
@@ -55,7 +56,7 @@ fn check(
     anchor_weight: usize,
     strand_len: usize,
     lookaheads: &[usize],
-    total: &mut LookaheadFilterStats,
+    total: &mut ScanStats,
 ) {
     let reversed: Vec<Strand> = reads.iter().map(Strand::reversed).collect();
     for &lookahead in lookaheads {
@@ -63,7 +64,7 @@ fn check(
             (ReadRows::new(reads, lookahead), reads),
             (ReadRows::reversed(reads, lookahead), &reversed[..]),
         ] {
-            let mut stats = LookaheadFilterStats::default();
+            let mut stats = ScanStats::default();
             let out = rows.scan(anchor, anchor_weight, strand_len, &mut stats);
             let (want, oracle_stats) =
                 scan_core(oracle_reads, anchor, anchor_weight, strand_len, lookahead);
@@ -103,7 +104,7 @@ fn reshape(read: Strand, rng: &mut SimRng) -> Strand {
 #[test]
 fn kernel_matches_oracle_on_seeded_noisy_clusters() {
     let mut rng = seeded(0x5ca7);
-    let mut total = LookaheadFilterStats::default();
+    let mut total = ScanStats::default();
     let lookaheads = [0, 1, 2, 3, 4, 5, 8, 9, 17];
     for rate in [0.0, 0.03, 0.08, 0.2] {
         let model = NaiveModel::with_total_rate(rate);
@@ -149,7 +150,7 @@ fn kernel_matches_oracle_on_seeded_noisy_clusters() {
 #[test]
 fn kernel_matches_oracle_past_the_lane_width() {
     let mut rng = seeded(0x1a7e);
-    let mut total = LookaheadFilterStats::default();
+    let mut total = ScanStats::default();
     for (rate, coverage) in [
         (0.01, 254usize),
         (0.01, 255),
@@ -174,7 +175,7 @@ fn kernel_matches_oracle_past_the_lane_width() {
 
 #[test]
 fn kernel_matches_oracle_on_ties_and_homopolymers() {
-    let mut total = LookaheadFilterStats::default();
+    let mut total = ScanStats::default();
     let clusters: Vec<Vec<Strand>> = vec![
         // Every column a two-way tie: alphabet order decides.
         vec![s("ACGTACGT"), s("CATGCATG")],
@@ -219,7 +220,7 @@ fn kernel_matches_oracle_on_ties_and_homopolymers() {
 /// at `strand_len`, and be refused when the reads only tie the anchor.
 #[test]
 fn unanimous_runs_match_the_oracle() {
-    let mut total = LookaheadFilterStats::default();
+    let mut total = ScanStats::default();
     let clusters: Vec<Vec<Strand>> = vec![
         // One scored column, then "CGTA" and every read's `END` in lane 4.
         vec![s("ACGTA"), s("ACGTA"), s("TCGTA")],
@@ -270,9 +271,9 @@ fn check_certificate(
         ReadRows::new(reads, lookahead),
         ReadRows::reversed(reads, lookahead),
     ] {
-        let mut stats = LookaheadFilterStats::default();
+        let mut stats = ScanStats::default();
         let (out, is_certified) = rows.scan_certified(strand_len, &mut stats);
-        let mut plain_stats = LookaheadFilterStats::default();
+        let mut plain_stats = ScanStats::default();
         assert_eq!(out, rows.scan(None, 0, strand_len, &mut plain_stats));
         assert_eq!(stats, plain_stats, "recording changed the counters");
         assert!(reads.len() < 200, "the anchor must outvote every read");

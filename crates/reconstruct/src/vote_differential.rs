@@ -15,10 +15,11 @@ use dnasim_core::rng::seeded;
 use dnasim_core::{Base, EditOp, PackedStrand, Strand};
 use dnasim_metrics::{gestalt_score, myers};
 use dnasim_profile::{edit_script_with, EditScratch, TieBreak};
-use dnasim_reconstruct::{
-    anchored_one_way_bma_filtered, one_way_bma, one_way_bma_filtered, positional_majority,
-    Iterative, LookaheadFilterStats, MsaReconstructor, TraceReconstructor, TwoWayIterative,
-    WeightedIterative,
+
+use crate::consensus::positional_majority;
+use crate::scan::oracle::{anchored_one_way_bma, one_way_bma};
+use crate::{
+    Iterative, MsaReconstructor, TraceReconstructor, TwoWayIterative, WeightedIterative,
 };
 
 /// The per-position tally the reconstructors use: ties go to alphabet
@@ -124,17 +125,10 @@ fn oracle_iterative_refine(estimate: &Strand, reads: &[Strand], strand_len: usiz
 }
 
 fn oracle_iterative(algo: &Iterative, reads: &[Strand], strand_len: usize) -> Strand {
-    let mut stats = LookaheadFilterStats::default();
-    let mut estimate = one_way_bma_filtered(reads, strand_len, algo.lookahead, &mut stats);
+    let mut estimate = one_way_bma(reads, strand_len, algo.lookahead);
     for _ in 0..algo.max_rounds {
-        let rescanned = anchored_one_way_bma_filtered(
-            reads,
-            Some(&estimate),
-            2,
-            strand_len,
-            algo.lookahead,
-            &mut stats,
-        );
+        let rescanned =
+            anchored_one_way_bma(reads, Some(&estimate), 2, strand_len, algo.lookahead);
         let refined = oracle_iterative_refine(&rescanned, reads, strand_len);
         if refined == estimate {
             break;

@@ -100,7 +100,7 @@ mutant "bank lane's final span mask off by one" crates/metrics/src/bank.rs \
 # DESIGN.md §17: alignment votes cast straight from the traceback.
 mutant "cast one vote per match whatever the read's weight" crates/reconstruct/src/consensus.rs \
     's/=> sub\[p\]\.add(b, weight)/=> sub[p].add(b, 1)/' \
-    -p dnasim-reconstruct --test vote_differential
+    -p dnasim-reconstruct --lib vote_differential
 
 # DESIGN.md §23: the certified cumulative-weight sampler.
 mutant "certify sampler draws with zero slack" crates/channel/src/sampler.rs \

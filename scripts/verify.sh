@@ -28,8 +28,11 @@
 #    evaluation trust) must stay free of registry dependencies too.
 # 8. Run the kernel differential suite twice — once with the runtime SIMD
 #    dispatch active and once with DNASIM_SIMD=off — so the Myers kernels
-#    (single-pattern and the multi-pattern bank tier) agree bit-for-bit
-#    with the scalar DP oracle on both sides of the dispatch, and the
+#    (single-pattern in tests/myers_differential.rs, the multi-pattern
+#    bank tier in the lib's myers::band_differential::bank_tier; the full
+#    suite in step 5 runs the lib modules on the dispatched tier) agree
+#    bit-for-bit with the scalar DP oracle on both sides of the dispatch,
+#    and the
 #    error-ball screen (tests/qgram_screen.rs: the dispatched mask
 #    popcount against the scalar one, `exceeds` against `bound > limit`;
 #    the lib's mask_popcount::differential: every batched screen kernel
@@ -81,8 +84,11 @@
 #    `-D warnings`, so no intra-doc link can point at a deleted or private
 #    item. `--lib` keeps the `dnasim` CLI binary's docs from colliding
 #    with the `dnasim` facade library's.
+# 16. Doc-link step: `cargo doc --workspace --no-deps` over every target,
+#    binaries included, with broken and private intra-doc links denied,
+#    so a doc link to a deleted or newly crate-private name fails.
 #
-# 16. With --mutants only: the mutant tier (scripts/mutants.sh). Every
+# 17. With --mutants only: the mutant tier (scripts/mutants.sh). Every
 #    deliberately broken copy of an exact kernel must fail its
 #    differential test. Each mutant is a rebuild, so the tier is opt-in.
 #
@@ -247,7 +253,7 @@ echo "== binary corpus fuzz (smoke, 128 seeded mutations) =="
 CARGO_NET_OFFLINE=true cargo test -q -p dnasim-faults --lib smoke_sweep_of_128_mutations
 
 echo "== unsafe-SIMD-module guard (crates/metrics) =="
-# Any metrics source reaching for `unsafe` (the AVX2/NEON kernel backends)
+# Any metrics source reaching for `unsafe` (the AVX2 kernel backends)
 # must opt into the strict unsafe-block rules and justify every block.
 fail=0
 while IFS= read -r src; do
@@ -447,6 +453,11 @@ echo "ok: clippy is clean at -D warnings"
 echo "== doc gate (intra-doc links) =="
 CARGO_NET_OFFLINE=true RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib -q
 echo "ok: workspace docs build with no broken links"
+
+echo "== doc-link step (every target, broken and private links denied) =="
+RUSTDOCFLAGS='-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links' \
+    cargo doc --workspace --no-deps --offline -q
+echo "ok: no doc link names a deleted or private item"
 
 echo "== bench smoke (fast mode) =="
 smoke_report=$(mktemp /tmp/dnasim-bench-smoke.XXXXXX.json)

@@ -40,7 +40,7 @@ fn summary() -> String {
 
     // --- Cluster: greedy clustering of the shuffled read pool back against
     // the known references. ---
-    let references = dnasim::pipeline::references_of(&twin);
+    let references = twin.references();
     let mut rng = seeded(SEED ^ 0xC1);
     let reads = twin.clone().into_read_pool(&mut rng);
     let (clustered, _) = GreedyClusterer::default().cluster_against_references(&reads, &references);

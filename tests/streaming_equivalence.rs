@@ -238,7 +238,7 @@ fn streamed_pipeline_matches_golden_snapshot() {
         let twin = read_dataset_auto(encoded.as_slice()).expect("binary decode");
 
         // --- Cluster (same in-memory stage as the golden test). ---
-        let references = dnasim::pipeline::references_of(&twin);
+        let references = twin.references();
         let mut rng = seeded(SEED ^ 0xC1);
         let reads = twin.clone().into_read_pool(&mut rng);
         let (clustered, _) =
@@ -309,7 +309,7 @@ fn streaming_clusterer_matches_materialised_at_any_batch_size() {
             config
                 .generate_in(&ctx(&pool_workers, 16), &mut twin)
                 .expect("stream generation");
-            let references = dnasim::pipeline::references_of(&twin);
+            let references = twin.references();
             let mut rng = seeded(seed ^ 0xC1);
             let reads = twin.into_read_pool(&mut rng);
             let (expected, _) =
